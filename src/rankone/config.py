@@ -40,7 +40,13 @@ from .construction import (
     validate_schedule,
 )
 from .correlation import LAG_CAP_DIVISOR
-from .errors import ParseError, ValidationError
+from .errors import (
+    MalformedRule,
+    NonPositiveCut,
+    ParseError,
+    ScheduleError,
+    ValidationError,
+)
 from .words import default_base_stage
 
 __all__ = [
@@ -217,18 +223,19 @@ def _resolve_lag(token: str, hs: Sequence[int], e: _Entry) -> int:
     return val
 
 
+def _rule_error(e: _Entry, exc: ScheduleError) -> ValidationError:
+    """A construction rule error, reported at the line of the key that set it."""
+    return ValidationError(f"line {e.line}: {e.key}: {exc}")
+
+
 def _build_cuts(e: _Entry):
     v = e.value
-    if v.startswith("affine:"):
-        parts = [p.strip() for p in v[len("affine:") :].split(",")]
-        if len(parts) != 2:
-            raise ParseError(
-                "affine cuts want 'affine:a,b'", line=e.line, column=e.col
-            )
-        return AffineCuts(int(parts[0]), int(parts[1]))
-    if v.startswith("explicit:"):
-        return ExplicitCuts([int(p) for p in v[len("explicit:") :].split(",")])
     try:
+        if v.startswith("affine:"):
+            a, b = (int(p) for p in v[len("affine:") :].split(","))
+            return AffineCuts(a, b)
+        if v.startswith("explicit:"):
+            return ExplicitCuts([int(p) for p in v[len("explicit:") :].split(",")])
         return ConstantCuts(int(v))
     except ValueError:
         raise ParseError(
@@ -240,15 +247,24 @@ def _build_cuts(e: _Entry):
 
 def _build_spacers(e: _Entry, kind: str):
     v = e.value
-    if v.startswith("pattern:"):
-        body = v[len("pattern:") :]
-        if kind == "flow":
-            vals = [Fraction(p.strip()) for p in body.split(",")]
-        else:
-            vals = [int(p) for p in body.split(",")]
-        return PatternSpacers(tuple(vals))
-    if v.startswith("bernoulli:"):
-        return BernoulliSpacers(float(Fraction(v[len("bernoulli:") :])))
+    try:
+        if v.startswith("pattern:"):
+            body = v[len("pattern:") :]
+            if kind == "flow":
+                vals = [Fraction(p.strip()) for p in body.split(",")]
+            else:
+                vals = [int(p) for p in body.split(",")]
+            return PatternSpacers(tuple(vals))
+        if v.startswith("bernoulli:"):
+            return BernoulliSpacers(float(Fraction(v[len("bernoulli:") :])))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(
+            f"construction.spacers has a malformed number in {v!r}",
+            line=e.line,
+            column=e.col,
+        ) from None
+    except MalformedRule as exc:
+        raise _rule_error(e, exc) from None
     if v == "staircase":
         return StaircaseSpacers()
     if v == "staircase-damped":
@@ -393,11 +409,14 @@ def parse_config(
                 f"unknown catalog entry {cat_e.value!r}; "
                 f"known: {', '.join(catalog_names())}"
             )
-        schedule = (
-            catalog(cat_e.value, a=float(_to_fraction(a_e)))
-            if a_e is not None
-            else catalog(cat_e.value)
-        )
+        try:
+            schedule = (
+                catalog(cat_e.value, a=float(_to_fraction(a_e)))
+                if a_e is not None
+                else catalog(cat_e.value)
+            )
+        except MalformedRule as exc:
+            raise _rule_error(a_e, exc) from None
     else:
         kind_e = sec.take("construction.kind")
         cuts_e = sec.take("construction.cuts")
@@ -419,15 +438,23 @@ def parse_config(
                 if kind_e.value == "flow"
                 else _to_int(h1_e)
             )
-        schedule = validate_schedule(
-            ConstructionSchedule(
-                kind_e.value,
-                _build_cuts(cuts_e),
-                _build_spacers(spac_e, kind_e.value),
-                h1=h1,
-                name="inline",
-            )
+            if h1 < 0 or (h1 == 0 and kind_e.value == "flow"):
+                raise ValidationError(
+                    f"line {h1_e.line}: {h1_e.key}: stage-1 height {h1} invalid"
+                )
+        schedule = ConstructionSchedule(
+            kind_e.value,
+            _build_cuts(cuts_e),
+            _build_spacers(spac_e, kind_e.value),
+            h1=h1,
+            name="inline",
         )
+        try:
+            validate_schedule(schedule)
+        except NonPositiveCut as exc:
+            raise _rule_error(cuts_e, exc) from None
+        except ScheduleError as exc:  # negative spacers, or vectors not fitting the cuts
+            raise _rule_error(spac_e, exc) from None
 
     seed_e = sec.take("construction.seed")
     plan_seed = seed if seed is not None else (

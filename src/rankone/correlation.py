@@ -12,7 +12,9 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   l_d <= c turns every fully covered block into complete lower-stage tables
   (a length-l_d window overlapping a length-l_d block always induces a full,
   possibly transposed, pair range) plus small spacer histogram edge terms;
-  the one block straddling c recurses with strictly smaller c.
+  the one block straddling c recurses with strictly smaller c. Small ranges
+  are read directly: ``_window`` returns W[lo:hi) in one descent through the
+  stage layouts, so a range costs O(depth + length).
 
 Normalized matrices D(n) = C(n)/l_J estimate mu(level_a  T^{-n} level_b)
 with boundary error |n|/l_J; negative lags are transposes.
@@ -160,8 +162,9 @@ class PairCounter:
     """Exact pair counts for one realized schedule at depth J, base j0.
 
     materialize_cutoff bounds the word prefix kept in memory (the recursion
-    bottoms out on it); enum_cutoff switches tiny residual ranges to direct
-    random-access enumeration. Both only trade speed; counts are exact.
+    bottoms out on it, and it caps the windows read symbol by symbol);
+    enum_cutoff sends residual ranges up to that length to one bincount over
+    two directly read windows. Both only trade speed; counts are exact.
     """
 
     def __init__(
@@ -201,8 +204,7 @@ class PairCounter:
         lay = self._layouts.get(g)
         if lay is None:
             r, vec = self.realized.stage(g - 1)
-            lb = self.lengths[g - 2] if g - 2 >= 0 else None
-            assert g - 2 >= 0
+            lb = self.lengths[g - 2]
             starts, kinds, lens = [], [], []
             pos = 0
             for i in range(r):
@@ -258,35 +260,32 @@ class PairCounter:
 
     # -- word access -------------------------------------------------------
 
-    def access(self, x: int) -> int:
-        """Symbol at position x of the depth-J word."""
-        prefix = self.prefix
-        lengths = self.lengths
-        lb = lengths[self.j0 - 1]
-        if x >= len(prefix):
-            g = bisect_right(lengths, x) + 1  # smallest stage with length > x
-            while True:
-                if x < len(prefix):
-                    break
-                if x < lb:
-                    return int(x)  # base word lists its levels in order
-                starts, kinds, _lens = self._layout(g)
-                i = bisect_right(starts, x) - 1
-                if kinds[i]:
-                    return self.star
-                x -= starts[i]
-                g -= 1
-        return int(prefix[x])
+    def _window(self, lo: int, hi: int) -> np.ndarray:
+        """Symbols of W[lo:hi) in one descent through the stage layouts."""
+        if hi <= len(self.prefix):
+            return self.prefix[lo:hi]
+        if hi <= self.lengths[self.j0 - 1]:
+            return np.arange(lo, hi, dtype=DTYPE)  # base word lists its levels in order
+        g = bisect_right(self.lengths, hi - 1) + 1  # smallest stage with length >= hi
+        starts, kinds, lens = self._layout(g)
+        i = bisect_right(starts, lo) - 1
+        parts = []
+        while lo < hi:
+            s0 = starts[i]
+            end = min(hi, s0 + lens[i])
+            if kinds[i]:
+                parts.append(np.full(end - lo, self.star, dtype=DTYPE))
+            else:
+                parts.append(self._window(lo - s0, end - s0))
+            lo = end
+            i += 1
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _hist(self, lo: int, hi: int) -> np.ndarray:
-        """Histogram of W[lo:hi) (small windows; spacer-run sized)."""
-        h = np.zeros(self.S, dtype=np.int64)
-        if hi <= len(self.prefix):
-            h += np.bincount(self.prefix[lo:hi], minlength=self.S)
-            return h
-        for x in range(lo, hi):
-            h[self.access(x)] += 1
-        return h
+        """Histogram of W[lo:hi); long windows via prefix histograms."""
+        if hi - lo <= len(self.prefix):
+            return np.bincount(self._window(lo, hi), minlength=self.S)
+        return self._prefix_hist(hi) - self._prefix_hist(lo)
 
     def _word_counts(self, j: int) -> np.ndarray:
         """Occurrences of each symbol in W_j (analytic)."""
@@ -346,14 +345,14 @@ class PairCounter:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if c + m <= len(self.prefix):
-            a = self.prefix[:c].astype(np.int64)
-            b = self.prefix[m : m + c].astype(np.int64)
+        if (
+            c + m <= len(self.prefix)
+            or c <= self.enum_cutoff
+            or c < self.lengths[self.j0 - 1]
+        ):
+            a = self._window(0, c).astype(np.int64)
+            b = self._window(m, m + c)
             tab = np.bincount(a * S + b, minlength=S * S).reshape(S, S)
-        elif c <= self.enum_cutoff or c < self.lengths[self.j0 - 1]:
-            tab = np.zeros((S, S), dtype=np.int64)
-            for u in range(c):
-                tab[self.access(u), self.access(u + m)] += 1
         else:
             tab = np.zeros((S, S), dtype=np.int64)
             d = bisect_right(self.lengths, c)  # largest stage with length <= c
@@ -432,12 +431,31 @@ class CorrMatrix:
     word_length: int
 
 
+_ENGINES = {"block": lag_counts_block, "naive": lag_counts_naive}
+
+
+def _engine(name: str):
+    try:
+        return _ENGINES[name]
+    except KeyError:
+        raise ValueError(f"engine must be 'block' or 'naive', got {name!r}") from None
+
+
+def _normalized(n: int, c: np.ndarray, lJ: int) -> CorrMatrix:
+    return CorrMatrix(
+        lag=n,
+        matrix=c.astype(np.float64) / lJ,
+        boundary_error=abs(n) / lJ,
+        word_length=lJ,
+    )
+
+
 def corr_matrix(
     realized: RealizedSchedule,
     J: int,
     j0: int,
     n: int,
-    engine: str = "auto",
+    engine: str = "block",
     counter: Optional[PairCounter] = None,
 ) -> CorrMatrix:
     """Normalized correlation matrix at one lag.
@@ -445,22 +463,15 @@ def corr_matrix(
     Any |n| < l_J is accepted; boundary_error = |n|/l_J tells the caller how
     much of the window was lost to truncation.  Experiment configs apply the
     stricter l_J/LAG_CAP_DIVISOR cap before ever reaching this function.
+    engine "block" is the hierarchical counter (or the given counter),
+    "naive" the streaming oracle.
     """
+    count = _engine(engine)
     lJ = int(heights(realized, J)[J - 1])
     if abs(n) >= lJ:
         raise LagOutOfRange(f"|lag| {n} >= word length {lJ}")
-    if counter is not None:
-        c = counter.counts(n)
-    elif engine == "naive" or (engine == "auto" and lJ <= 1 << 22):
-        c = lag_counts_naive(realized, J, j0, [n])[n]
-    else:
-        c = lag_counts_block(realized, J, j0, [n])[n]
-    return CorrMatrix(
-        lag=n,
-        matrix=c.astype(np.float64) / lJ,
-        boundary_error=abs(n) / lJ,
-        word_length=lJ,
-    )
+    c = counter.counts(n) if counter is not None else count(realized, J, j0, [n])[n]
+    return _normalized(n, c, lJ)
 
 
 class CorrSequence:
@@ -495,32 +506,18 @@ def corr_sequence(
     J: int,
     j0: int,
     lags: Sequence[int],
-    engine: str = "auto",
+    engine: str = "block",
 ) -> CorrSequence:
     """Correlation matrices for each distinct lag, order-preserving.
 
-    auto picks one streaming pass when the word is small enough to scan
-    quickly, otherwise the hierarchical counter with a shared cache.
+    engine "block" shares one hierarchical counter's cache across the lags;
+    "naive" counts them all in one streaming pass (the oracle).
     """
+    count = _engine(engine)
     lag_list = list(dict.fromkeys(int(n) for n in lags))
     lJ = int(heights(realized, J)[J - 1])
-    for n in lag_list:
-        if abs(n) >= lJ:
-            raise LagOutOfRange(f"|lag| {n} >= word length {lJ}")
+    tables = count(realized, J, j0, lag_list)
     seq = CorrSequence(lJ)
-    if engine == "naive" or (engine == "auto" and lJ <= 1 << 22):
-        tables = lag_counts_naive(realized, J, j0, lag_list)
-        for n in lag_list:
-            seq.add(
-                CorrMatrix(
-                    lag=n,
-                    matrix=tables[n].astype(np.float64) / lJ,
-                    boundary_error=abs(n) / lJ,
-                    word_length=lJ,
-                )
-            )
-    else:
-        pc = PairCounter(realized, J, j0)
-        for n in lag_list:
-            seq.add(corr_matrix(realized, J, j0, n, counter=pc))
+    for n in lag_list:
+        seq.add(_normalized(n, tables[n], lJ))
     return seq

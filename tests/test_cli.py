@@ -2,10 +2,15 @@
 
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rankone
 from rankone.cli import main
 
 GOOD = """
@@ -108,6 +113,51 @@ def test_parse_error_exit_one(tmp_path, capsys):
     rc = main(["run", str(cfg)])
     assert rc == 1
     assert "line 1" in capsys.readouterr().err
+
+
+INLINE = """
+experiment.rig.kind = rigidity
+construction.kind = transformation
+construction.depth = 6
+construction.cuts = 2
+construction.spacers = pattern:0,1
+"""
+
+
+CATALOG_A = """
+construction.catalog = stochastic-chacon
+construction.a = 3
+construction.seed = 1
+construction.depth = 6
+experiment.rig.kind = rigidity
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (INLINE.replace("cuts = 2", "cuts = 1"), 5),
+        (INLINE.replace("cuts = 2", "cuts = affine:-1,3"), 5),
+        (INLINE.replace("cuts = 2", "cuts = affine:x,1"), 5),
+        (INLINE.replace("pattern:0,1", "pattern:0,1,0"), 6),
+        (INLINE + "construction.h1 = -2\n", 7),
+        (CATALOG_A, 3),
+    ],
+    ids=["cuts-1", "affine-cut-below-2", "affine-not-int", "pattern-length",
+         "negative-h1", "catalog-a"],
+)
+def test_bad_construction_rule_exit_one_without_traceback(tmp_path, text, line):
+    cfg = _write(tmp_path, text)
+    env = dict(os.environ, PYTHONPATH=str(Path(rankone.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from rankone.cli import main; sys.exit(main(sys.argv[1:]))",
+         "run", str(cfg), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert re.search(rf"line {line}\b", proc.stderr), proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_missing_config_exit_three(tmp_path, capsys):

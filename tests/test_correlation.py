@@ -3,12 +3,14 @@ conservation laws."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone.construction import (
     ConstructionSchedule,
+    ConstantCuts,
     ExplicitCuts,
+    PatternSpacers,
     StageSpacers,
     catalog,
     catalog_names,
@@ -197,3 +199,110 @@ def test_naive_engine_chunking_invariance(chunk):
     got = lag_counts_naive(rz, 7, 1, lags, chunk_size=chunk)
     for n in lags:
         assert np.array_equal(ref[n], got[n])
+
+
+def _window_kinds(pc, u):
+    """One (lo, hi) per kind of window the word admits, placed by the draws u.
+
+    Kinds: inside the prefix; anywhere but no longer than the prefix (so it
+    crosses stage and spacer-run boundaries); longer than the prefix (the
+    prefix-histogram difference branch of _hist); inside a base word longer
+    than the prefix.
+    """
+    P, lJ, lb = len(pc.prefix), pc.lJ, pc.lengths[pc.j0 - 1]
+    lo = u[0] % P
+    out = [(lo, lo + 1 + u[1] % (P - lo))]
+    lo = u[2] % lJ
+    out.append((lo, min(lJ, lo + 1 + u[3] % P)))
+    if lJ > P:
+        size = P + 1 + u[4] % (lJ - P)
+        lo = u[5] % (lJ - size + 1)
+        out.append((lo, lo + size))
+    if lb > P:
+        lo = u[6] % lb
+        out.append((lo, lo + 1 + u[7] % (lb - lo)))
+    return out
+
+
+@given(
+    data=small_realization(),
+    cutoff=st.sampled_from([4, 16]),
+    j0=st.sampled_from([1, 2]),
+    u=st.lists(st.integers(0, 10**6), min_size=8, max_size=8),
+)
+@example(
+    data=(
+        realize(
+            ConstructionSchedule(
+                "transformation", ConstantCuts(3), PatternSpacers((2, 0, 1))
+            ),
+            5,
+        ),
+        5,
+    ),
+    cutoff=4,
+    j0=2,
+    u=[3, 1, 50, 11, 30, 7, 2, 5],
+)
+@settings(max_examples=80, deadline=None)
+def test_window_and_hist_match_materialized_word(data, cutoff, j0, u):
+    rz, J = data
+    j0 = min(j0, J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=4)
+    w = materialize_word(rz, J, j0)
+    for lo, hi in _window_kinds(pc, u):
+        assert np.array_equal(pc._window(lo, hi), w[lo:hi]), (lo, hi)
+        assert np.array_equal(
+            pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=pc.S)
+        ), (lo, hi)
+
+
+def test_window_every_range_of_a_small_word():
+    # l_2 = 6 > cutoff 4, so base-word windows are read without the prefix
+    rz = realize(
+        ConstructionSchedule(
+            "transformation", ConstantCuts(3), PatternSpacers((2, 0, 1))
+        ),
+        4,
+    )
+    w = materialize_word(rz, 4, 2)
+    pc = PairCounter(rz, 4, 2, materialize_cutoff=4, enum_cutoff=4)
+    assert pc.lengths[1] > len(pc.prefix)
+    for lo in range(len(w)):
+        for hi in range(lo + 1, len(w) + 1):
+            assert np.array_equal(pc._window(lo, hi), w[lo:hi]), (lo, hi)
+            assert np.array_equal(
+                pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=pc.S)
+            ), (lo, hi)
+
+
+@pytest.mark.parametrize("cutoffs", [{}, {"materialize_cutoff": 1024}])
+def test_long_spacer_runs_match_naive_oracle(cutoffs):
+    sched = ConstructionSchedule(
+        "transformation", ConstantCuts(2), PatternSpacers((0, 3000))
+    )
+    J = 9
+    rz = realize(sched, J)
+    hs = heights(rz, J)
+    assert 7e5 < hs[J - 1] < 2e6
+    lags = [int(hs[J - 4]), -int(hs[J - 4]), int(hs[J - 5]) + 5]
+    blk = lag_counts_block(rz, J, 1, lags, **cutoffs)
+    naive = lag_counts_naive(rz, J, 1, lags)
+    for n in lags:
+        assert np.array_equal(blk[n], naive[n]), n
+
+
+def test_corr_engines_agree_and_unknown_engine_rejected():
+    rz = realize(catalog("modified-chacon"), 8)
+    lags = [4, -13, 121]
+    blk = corr_sequence(rz, 8, 2, lags)
+    naive = corr_sequence(rz, 8, 2, lags, engine="naive")
+    for n in lags:
+        assert np.array_equal(blk.matrix(n).matrix, naive.matrix(n).matrix)
+        one = corr_matrix(rz, 8, 2, n, engine="naive")
+        assert np.array_equal(one.matrix, naive.matrix(n).matrix)
+    for bad in ("auto", "Block", ""):
+        with pytest.raises(ValueError, match="engine"):
+            corr_sequence(rz, 8, 2, lags, engine=bad)
+        with pytest.raises(ValueError, match="engine"):
+            corr_matrix(rz, 8, 2, 4, engine=bad)
