@@ -11,10 +11,11 @@ the realized heights, so one config works across constructions:
     experiment.scan.lags = l[6], -l[6], 2*l[6]+1
 
 parse_config does all resolution up front (catalog expansion, depth from
-budget, base stage, lag arithmetic, cap checks) and returns a plan whose
-echo carries every filled-in default. Reported lags obey the engine cap
-|n| <= l_J / LAG_CAP_DIVISOR; the programmatic library deliberately accepts
-more, but configs are the reporting surface, so the cap is enforced here.
+budget, base stage, lag arithmetic, cap and alphabet-size checks) and
+returns a plan whose echo carries every filled-in default. Reported lags
+obey the engine cap |n| <= l_J / LAG_CAP_DIVISOR; the programmatic library
+deliberately accepts more, but configs are the reporting surface, so the
+cap is enforced here.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .construction import (
     validate_schedule,
 )
 from .correlation import LAG_CAP_DIVISOR
+from .diagnostics import DISJOINTNESS_CELL_LIMIT, TRIPLE_CELL_LIMIT
 from .errors import (
     MalformedRule,
     NonPositiveCut,
@@ -47,7 +49,7 @@ from .errors import (
     ScheduleError,
     ValidationError,
 )
-from .words import default_base_stage
+from .words import alphabet_size, default_base_stage
 
 __all__ = [
     "ExperimentSpec",
@@ -409,6 +411,11 @@ def parse_config(
                 f"unknown catalog entry {cat_e.value!r}; "
                 f"known: {', '.join(catalog_names())}"
             )
+        if a_e is not None and not catalog(cat_e.value).stochastic:
+            raise ValidationError(
+                f"line {a_e.line}: {a_e.key} applies only to stochastic "
+                f"catalog entries, not {cat_e.value!r}"
+            )
         try:
             schedule = (
                 catalog(cat_e.value, a=float(_to_fraction(a_e)))
@@ -514,6 +521,15 @@ def parse_config(
     lJ = int(hs[J - 1]) if schedule.kind == "transformation" else None
     cap = lJ // LAG_CAP_DIVISOR if lJ is not None else None
 
+    def cell_check(power: int, limit: int, what: str) -> None:
+        S = alphabet_size(realized, j0)
+        if S**power > limit:
+            raise ValidationError(
+                f"line {kind_e.line}: experiment {label}: alphabet of {S} "
+                f"symbols makes the {what} tensor too large "
+                f"({S}**{power} > {limit}); use a lower construction.base"
+            )
+
     def lag_list(e: _Entry) -> List[int]:
         return [
             _cap_check(_resolve_lag(tok, hs, e), lJ, cap, label)
@@ -594,6 +610,7 @@ def parse_config(
                 raise ValidationError(f"experiment {label}: N must be >= 1")
             reach = max(abs(params["p"]), abs(params["q"])) * params["N"]
             _cap_check(reach, lJ, cap, label)
+            cell_check(4, DISJOINTNESS_CELL_LIMIT, "4-index")
         elif kind == "triple":
             m_e, n_e = take("m"), take("n")
             if m_e is None or n_e is None:
@@ -608,6 +625,7 @@ def parse_config(
                     f"({len(ms)} vs {len(ns)})"
                 )
             params["pairs"] = list(zip(ms, ns))
+            cell_check(3, TRIPLE_CELL_LIMIT, "triple")
         else:  # flow-limit
             q_e = take("q")
             params["q"] = _to_int(q_e) if q_e is not None else 1

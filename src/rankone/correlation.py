@@ -16,6 +16,16 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   are read directly: ``_window`` returns W[lo:hi) in one descent through the
   stage layouts, so a range costs O(depth + length).
 
+The same counter gives exact k-point counts (``PairCounter.triple_counts``
+for k = 3). T(U, c) counts (W[u+U_0], ..., W[u+U_{k-1}]) for u < c. Each
+coordinate's range is tiled at the stage d above, and the sources are cut
+wherever a coordinate crosses a block or gap boundary. In each piece the
+coordinates in a gap read the spacer, and the rest read one W_d copy each,
+so the piece is a range count T(V, hi) - T(V, lo) over their offsets inside
+the copy, at hi <= l_d. Ranges with two offsets go to Phi, ranges with one
+to a histogram; k >= 3 entries are memoised sparse (sorted flat codes plus
+counts), since most of the S**k cells are empty.
+
 Normalized matrices D(n) = C(n)/l_J estimate mu(level_a  T^{-n} level_b)
 with boundary error |n|/l_J; negative lags are transposes.
 """
@@ -23,7 +33,6 @@ with boundary error |n|/l_J; negative lags are transposes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -61,24 +70,26 @@ _COUNT_LIMIT = 1 << 62
 # ---------------------------------------------------------------------------
 # streaming counter
 
-def _count_into(tables, hist, tail, chunk, g, lags, S):
-    """Add pairs whose target position falls inside this chunk."""
-    hist += np.bincount(chunk, minlength=S)
+def _count_into(tables, ext, tail_len, g, lags, S):
+    """Add pairs whose target position falls inside the chunk ending ext.
+
+    ext is the previous tail (tail_len symbols) followed by the chunk, which
+    starts at word position g.
+    """
     if not lags:
         return
-    ext = np.concatenate([tail, chunk]) if len(tail) else chunk
-    tail_len = len(tail)
-    end = g + len(chunk)
+    ext = ext.astype(np.intp)  # one cast per chunk, shared by every lag
+    src = ext * S
+    end = g + len(ext) - tail_len
     for n in lags:
         lo = max(0, g - n)  # first source position with target in this chunk
         cnt = end - n - lo
         if cnt <= 0:
             continue
         a0 = lo - (g - tail_len)
-        b0 = lo + n - (g - tail_len)
-        a = ext[a0 : a0 + cnt].astype(np.int64)
-        b = ext[b0 : b0 + cnt].astype(np.int64)
-        tables[n] += np.bincount(a * S + b, minlength=S * S).reshape(S, S)
+        tables[n] += np.bincount(
+            src[a0 : a0 + cnt] + ext[a0 + n : a0 + n + cnt], minlength=S * S
+        ).reshape(S, S)
 
 
 def lag_counts_naive(
@@ -88,14 +99,11 @@ def lag_counts_naive(
     lags: Iterable[int],
     chunk_size: int = 1 << 22,
     budget: int = DEFAULT_BUDGET,
-    parallel: bool = False,
-    workers: int = 4,
 ) -> Dict[int, np.ndarray]:
     """One-pass pair counts for a set of lags; |lag| bounded by the window.
 
-    Chunks are processed independently given the preceding max-lag window,
-    so the parallel path (a thread pool over chunk waves) produces integer
-    counts identical to the sequential one.
+    The word is streamed in chunks; each chunk is read together with the
+    max-lag tail of the one before it.
     """
     lag_list = list(dict.fromkeys(int(n) for n in lags))
     S = alphabet_size(realized, j0)
@@ -109,40 +117,13 @@ def lag_counts_naive(
     hist = np.zeros(S, dtype=np.int64)
     tail = np.empty(0, dtype=DTYPE)
     g = 0
-    stream = stream_word(realized, J, j0, chunk_size=chunk_size, budget=budget)
-    if not parallel:
-        for chunk in stream:
-            _count_into(tables, hist, tail, chunk, g, pos, S)
-            g += len(chunk)
-            if maxlag:
-                joined = np.concatenate([tail, chunk]) if len(tail) else chunk
-                tail = joined[-maxlag:].copy()
-    else:
-        def job(args):
-            t, ch, off = args
-            part = {n: np.zeros((S, S), dtype=np.int64) for n in pos}
-            h = np.zeros(S, dtype=np.int64)
-            _count_into(part, h, t, ch, off, pos, S)
-            return part, h
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            wave = []
-            for chunk in stream:
-                wave.append((tail, chunk, g))
-                g += len(chunk)
-                if maxlag:
-                    joined = np.concatenate([tail, chunk]) if len(tail) else chunk
-                    tail = joined[-maxlag:].copy()
-                if len(wave) >= workers:
-                    for part, h in ex.map(job, wave):
-                        hist += h
-                        for n in pos:
-                            tables[n] += part[n]
-                    wave = []
-            for part, h in ex.map(job, wave):
-                hist += h
-                for n in pos:
-                    tables[n] += part[n]
+    for chunk in stream_word(realized, J, j0, chunk_size=chunk_size, budget=budget):
+        hist += np.bincount(chunk, minlength=S)
+        ext = np.concatenate([tail, chunk]) if len(tail) else chunk
+        _count_into(tables, ext, len(tail), g, pos, S)
+        g += len(chunk)
+        if maxlag:
+            tail = ext[-maxlag:].copy()
 
     out = {}
     for n in lag_list:
@@ -157,6 +138,23 @@ def lag_counts_naive(
 
 # ---------------------------------------------------------------------------
 # hierarchical counter
+
+_NO_TUPLES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+
+def _sparse_sum(parts) -> tuple:
+    """Sum (codes, counts) terms: sorted distinct codes, zero sums dropped."""
+    if not parts:
+        return _NO_TUPLES
+    codes = np.concatenate([p[0] for p in parts])
+    counts = np.concatenate([p[1] for p in parts])
+    order = np.argsort(codes, kind="stable")
+    codes, counts = codes[order], counts[order]
+    first = np.flatnonzero(np.diff(codes, prepend=-1))
+    codes, counts = codes[first], np.add.reduceat(counts, first)
+    keep = counts != 0
+    return codes[keep], counts[keep]
+
 
 class PairCounter:
     """Exact pair counts for one realized schedule at depth J, base j0.
@@ -195,6 +193,7 @@ class PairCounter:
         self.prefix = w[:target]
         self._layouts: Dict[int, tuple] = {}
         self._memo: Dict[tuple, np.ndarray] = {}
+        self._tmemo: Dict[tuple, tuple] = {}
         self._wcounts: Dict[int, np.ndarray] = {}
 
     # -- layout helpers ----------------------------------------------------
@@ -393,7 +392,102 @@ class PairCounter:
                     sub = self._phi(-mp, span + mp)  # span-(-mp), sources shifted
                     tab += sub.T
 
+    # -- k-point counts ----------------------------------------------------
+
+    def _tuples(self, U: tuple, c: int) -> tuple:
+        """Counts of (W[u+U_0], ..., W[u+U_{k-1}]) for u in [0, c), k >= 3.
+
+        U is sorted and distinct with U_0 = 0. The result is sparse: sorted
+        flat codes (base S, U_0 the most significant digit) and their int64
+        counts.
+        """
+        if c <= 0:
+            return _NO_TUPLES
+        key = (U, c)
+        hit = self._tmemo.get(key)
+        if hit is not None:
+            return hit
+        S = self.S
+        if (
+            c + U[-1] <= len(self.prefix)
+            or c <= self.enum_cutoff
+            or c < self.lengths[self.j0 - 1]
+        ):
+            code = np.zeros(c, dtype=np.int64)
+            for off in U:
+                code *= S
+                code += self._window(off, off + c)
+            out = np.unique(code, return_counts=True)
+        else:
+            d = bisect_right(self.lengths, c)  # largest stage with length <= c
+            tiles = []
+            cuts = {0, c}
+            for off in U:
+                segs = self._segments(d, off, off + c)
+                starts = [seg[1] for seg in segs]
+                tiles.append((segs, starts))
+                cuts.update(x - off for x in starts if 0 < x - off < c)
+            cuts = sorted(cuts)
+            parts = []
+            for v0, v1 in zip(cuts, cuts[1:]):
+                inner = []  # offset of each coordinate inside its W_d copy at v = 0
+                for off, (segs, starts) in zip(U, tiles):
+                    seg = segs[bisect_right(starts, v0 + off) - 1]
+                    inner.append(None if seg[0] == "g" else off - seg[1])
+                parts.extend(self._piece(inner, v0, v1))
+            out = _sparse_sum(parts)
+        self._tmemo[key] = out
+        return out
+
+    def _piece(self, inner: list, v0: int, v1: int) -> list:
+        """Sparse k-coordinate counts over sources [v0, v1) where coordinate i
+        reads W[v + inner[i]], or the spacer when inner[i] is None."""
+        S = self.S
+        if all(x is None for x in inner):
+            star = sum(self.star * S**i for i in range(len(inner)))
+            return [(np.array([star]), np.array([v1 - v0]))]
+        base = min(x for x in inner if x is not None)
+        V = sorted({x - base for x in inner if x is not None})
+        lo, hi = v0 + base, v1 + base
+        kv = len(V)
+        if kv > 2:
+            lo_codes, lo_counts = self._tuples(tuple(V), lo)
+            terms = [self._tuples(tuple(V), hi), (lo_codes, -lo_counts)]
+        else:
+            if kv == 1:
+                dense = self._hist(lo, hi)
+            else:
+                dense = (self._phi(V[1], hi) - self._phi(V[1], lo)).ravel()
+            codes = np.flatnonzero(dense)
+            terms = [(codes, dense[codes])]
+        out = []
+        for codes, counts in terms:
+            full = np.zeros(len(codes), dtype=np.int64)
+            for x in inner:
+                full *= S
+                if x is None:
+                    full += self.star
+                else:
+                    full += codes // S ** (kv - 1 - V.index(x - base)) % S
+            out.append((full, counts))
+        return out
+
     # -- public ------------------------------------------------------------
+
+    def triple_counts(self, m: int, n: int) -> np.ndarray:
+        """Exact (S, S, S) counts of (W[t-low], W[t+m-low], W[t+n-low]) over
+        t in [0, l_J - width), where low = min(0, m, n) and width is the
+        spread of {0, m, n}."""
+        low = min(0, m, n)
+        width = max(0, m, n) - low
+        if width >= self.lJ:
+            raise LagOutOfRange(f"lag spread {width} >= word length {self.lJ}")
+        codes, counts = _sparse_sum(
+            self._piece([-low, m - low, n - low], 0, self.lJ - width)
+        )
+        flat = np.zeros(self.S**3, dtype=np.int64)
+        flat[codes] = counts
+        return flat.reshape(self.S, self.S, self.S)
 
     def counts(self, n: int) -> np.ndarray:
         """Exact C(n); negative lags via the transpose identity."""

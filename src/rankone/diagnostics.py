@@ -5,8 +5,8 @@ renormalized to unit mass over its counted window, so it can be compared
 directly against convex combinations of the small-lag basis matrices and the
 product matrix. On top of that sit a per-lag classifier sweep (limit_scan),
 a rigidity probe that tracks distance from the lag-0 diagonal pattern, crude
-mixing statistics, a Cesaro product average for pairs of powers, and a
-streamed triple-correlation estimate.
+mixing statistics, a Cesaro product average for pairs of powers, and exact
+triple correlations from the counter's k-point recursion.
 
 Lag magnitudes are validated only against the word length here; experiment
 configs apply the stricter reporting cap before calling in.
@@ -32,7 +32,7 @@ from .operators import (
     op_adjoint,
     predicted_matrix,
 )
-from .words import alphabet_size, level_measures, stream_word
+from .words import alphabet_size, level_measures
 
 __all__ = [
     "limit_basis",
@@ -49,7 +49,14 @@ __all__ = [
     "TripleRow",
     "TripleReport",
     "triple_corr_probe",
+    "TRIPLE_CELL_LIMIT",
+    "DISJOINTNESS_CELL_LIMIT",
 ]
+
+#: Largest S**3 a triple tensor may have (S symbols per index).
+TRIPLE_CELL_LIMIT = 1 << 24
+#: Largest S**4 the disjointness probe's 4-index tensor may have.
+DISJOINTNESS_CELL_LIMIT = 1 << 22
 
 
 def _unit_mass(counter: PairCounter, n: int) -> np.ndarray:
@@ -336,7 +343,7 @@ def cesaro_disjointness_probe(
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
     S = alphabet_size(realized, j0)
-    if S**4 > 1 << 22:
+    if S**4 > DISJOINTNESS_CELL_LIMIT:
         raise ValueError(
             f"alphabet of {S} symbols makes the 4-index tensor too large"
         )
@@ -385,51 +392,30 @@ def triple_corr_probe(
     J: int,
     j0: int,
     pairs: Sequence[Tuple[int, int]],
-    chunk_size: int = 1 << 22,
-    budget: int = 10**9,
+    counter: Optional[PairCounter] = None,
 ) -> TripleReport:
-    """Stream triples (W[t], W[t+m], W[t+n]) for each requested (m, n).
+    """Exact triples (W[t], W[t+m], W[t+n]) for each requested (m, n).
 
-    tensor[a][b][c] is the unit-mass frequency of the triple, computed in
-    one pass per pair with a rolling tail the width of the lag spread.
-    deviation_max compares it against the product of the level measures on
-    all three indices. Exploratory output: nothing here asserts a limit.
+    tensor[a][b][c] is the unit-mass frequency of the triple over the window
+    of l_J - width positions where all three fall inside the word, counted
+    by the hierarchical counter without building the word. deviation_max
+    compares it against the product of the level measures on all three
+    indices. Exploratory output: nothing here asserts a limit.
     """
     S = alphabet_size(realized, j0)
-    if S**3 > 1 << 24:
+    if S**3 > TRIPLE_CELL_LIMIT:
         raise ValueError(
             f"alphabet of {S} symbols makes the triple tensor too large"
         )
-    lJ = int(heights(realized, J)[J - 1])
     mu = _measure_vector(realized, J, j0)
     target = np.multiply.outer(np.outer(mu, mu), mu)
+    pc = counter if counter is not None else PairCounter(realized, J, j0)
     rows = []
     for m, n in pairs:
         m, n = int(m), int(n)
-        low = min(0, m, n)
-        width = max(0, m, n) - low
-        if width >= lJ:
-            raise LagOutOfRange(f"lag spread {width} >= word length {lJ}")
-        offsets = (-low, m - low, n - low)
-        counts = np.zeros(S**3, dtype=np.int64)
-        tail: Optional[np.ndarray] = None
-        g = 0
-        for chunk in stream_word(
-            realized, J, j0, chunk_size=chunk_size, budget=budget
-        ):
-            merged = chunk if tail is None else np.concatenate([tail, chunk])
-            g += len(chunk)
-            span = len(merged) - width
-            if span > 0:
-                a = merged[offsets[0] : offsets[0] + span].astype(np.int64)
-                b = merged[offsets[1] : offsets[1] + span]
-                c = merged[offsets[2] : offsets[2] + span]
-                counts += np.bincount(
-                    (a * S + b) * S + c, minlength=S**3
-                )
-            tail = merged[max(0, len(merged) - width) :] if width else None
-        window = lJ - width
-        tensor = counts.reshape(S, S, S).astype(np.float64) / window
+        counts = pc.triple_counts(m, n)
+        window = pc.lJ - (max(0, m, n) - min(0, m, n))
+        tensor = counts.astype(np.float64) / window
         rows.append(
             TripleRow(
                 m=m,

@@ -84,13 +84,6 @@ class SegmentList:
         for k, n, d in zip(self.kinds, self.nums, self.dens):
             yield ("copy" if k == COPY else "spacer", Fraction(int(n), int(d)))
 
-    def to_csv(self) -> str:
-        lines = ["label,numerator,denominator"]
-        for k, n, d in zip(self.kinds, self.nums, self.dens):
-            label = "copy" if k == COPY else "spacer"
-            lines.append(f"{label},{int(n)},{int(d)}")
-        return "\n".join(lines) + "\n"
-
 
 def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentList:
     """Segment decomposition: stage j+1 = r_j copies of stage j, a spacer

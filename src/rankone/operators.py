@@ -341,9 +341,6 @@ class ClassifyResult:
     identified: bool
     tolerance: float
 
-    def coefficient_vector(self, powers: Iterable[int]) -> np.ndarray:
-        return np.array([self.coefficients.get(p, 0.0) for p in powers])
-
 
 def classify_limit(
     measured: np.ndarray,

@@ -262,7 +262,9 @@ def _run_disjointness(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
 
 def _run_triple(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
     p = ctx.plan
-    rep = triple_corr_probe(p.realized, p.J, p.j0, spec.params["pairs"])
+    rep = triple_corr_probe(
+        p.realized, p.J, p.j0, spec.params["pairs"], counter=ctx.counter
+    )
     payload = {
         "rows": [
             {

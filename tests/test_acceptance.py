@@ -286,15 +286,9 @@ def test_criterion_10_performance():
     assert naive_time < 60.0
     for n in lags:
         assert seq[n].sum() == l30 - n
-
-    rz24 = realize(catalog("chacon"), 24)
-    s = lag_counts_naive(rz24, 24, 2, lags)
-    p = lag_counts_naive(rz24, 24, 2, lags, parallel=True)
-    for n in lags:
-        assert np.array_equal(s[n], p[n])
     _ok(10, "performance",
         f"block {block_time:.2f}s at l_J=2^36-1, naive {naive_time:.0f}s "
-        f"at l_J={l30}, parallel==sequential")
+        f"at l_J={l30}")
 
 
 def test_criterion_11_reproducible_reports():

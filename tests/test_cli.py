@@ -133,6 +133,15 @@ experiment.rig.kind = rigidity
 """
 
 
+# a in range, but chacon has no Bernoulli parameter to set
+CATALOG_A_DETERMINISTIC = """
+construction.catalog = chacon
+construction.a = 3/10
+construction.depth = 6
+experiment.rig.kind = rigidity
+"""
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -142,11 +151,17 @@ experiment.rig.kind = rigidity
         (INLINE.replace("pattern:0,1", "pattern:0,1,0"), 6),
         (INLINE + "construction.h1 = -2\n", 7),
         (CATALOG_A, 3),
+        (CATALOG_A_DETERMINISTIC, 3),
     ],
     ids=["cuts-1", "affine-cut-below-2", "affine-not-int", "pattern-length",
-         "negative-h1", "catalog-a"],
+         "negative-h1", "catalog-a", "catalog-a-not-stochastic"],
 )
 def test_bad_construction_rule_exit_one_without_traceback(tmp_path, text, line):
+    _assert_config_error_at(tmp_path, text, line)
+
+
+def _assert_config_error_at(tmp_path, text, line):
+    """Run the CLI in a fresh interpreter: exit 1, the line named, no traceback."""
     cfg = _write(tmp_path, text)
     env = dict(os.environ, PYTHONPATH=str(Path(rankone.__file__).parents[1]))
     proc = subprocess.run(
@@ -158,6 +173,29 @@ def test_bad_construction_rule_exit_one_without_traceback(tmp_path, text, line):
     assert proc.returncode == 1
     assert re.search(rf"line {line}\b", proc.stderr), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+# chacon's l_9 = 511 gives 512 symbols: S**3 = 2**27 and S**4 = 2**36
+DEEP_BASE = """
+construction.catalog = chacon
+construction.depth = 14
+construction.base = 9
+experiment.rig.kind = rigidity
+"""
+
+
+@pytest.mark.parametrize(
+    "extra, line",
+    [
+        ("experiment.t.m = 1\nexperiment.t.kind = triple\nexperiment.t.n = 2\n", 7),
+        ("experiment.d.kind = disjointness\nexperiment.d.p = 1\n"
+         "experiment.d.q = 2\nexperiment.d.N = 4\n", 6),
+    ],
+    ids=["triple", "disjointness"],
+)
+def test_alphabet_limits_exit_one_at_experiment_line(tmp_path, extra, line):
+    _assert_config_error_at(tmp_path, DEEP_BASE + extra, line)
 
 
 def test_missing_config_exit_three(tmp_path, capsys):
@@ -175,16 +213,20 @@ def test_unwritable_out_dir_exit_three(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
-def test_experiment_failure_exit_two_and_isolation(tmp_path, capsys):
+def test_experiment_failure_exit_two_and_isolation(tmp_path, monkeypatch):
     text = GOOD + (
         "\nexperiment.boom.kind = disjointness\n"
         "experiment.boom.p = 1\nexperiment.boom.q = 2\n"
         "experiment.boom.N = 100\n"
         "\nexperiment.after.kind = mixing\nexperiment.after.lags = 5\n"
     )
-    # N * q = 200 lands under the cap, but j0 must make S^4 overflow the
-    # product-algebra guard, so push the base stage up
-    text = text.replace("construction.base = 2", "construction.base = 6")
+
+    # parse_config refuses oversized alphabets up front, so the run-time
+    # failure of a valid config is injected
+    def boom(*args, **kwargs):
+        raise ValueError("probe failed")
+
+    monkeypatch.setattr(rankone.runner, "cesaro_disjointness_probe", boom)
     cfg = _write(tmp_path, text)
     rc = main(["run", str(cfg), "--out", str(tmp_path / "out")])
     assert rc == 2

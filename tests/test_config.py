@@ -269,6 +269,41 @@ def test_triple_lists_zip_and_validate():
         parse_config(bad)
 
 
+@pytest.mark.parametrize(
+    "base, experiment, refused",
+    [
+        (8, "kind = triple\nexperiment.x.m = 1\nexperiment.x.n = 2", False),
+        (9, "kind = triple\nexperiment.x.m = 1\nexperiment.x.n = 2", True),
+        (5, "kind = disjointness\nexperiment.x.p = 1\n"
+            "experiment.x.q = 2\nexperiment.x.N = 4", False),
+        (6, "kind = disjointness\nexperiment.x.p = 1\n"
+            "experiment.x.q = 2\nexperiment.x.N = 4", True),
+    ],
+)
+def test_alphabet_limits_checked_at_config_time(base, experiment, refused):
+    # chacon has l_j = 2**j - 1, so base j gives 2**j symbols: the triple
+    # limit S**3 <= 2**24 admits base 8, the S**4 <= 2**22 limit base 5
+    text = (
+        "construction.catalog = chacon\nconstruction.depth = 14\n"
+        f"construction.base = {base}\nexperiment.x.{experiment}\n"
+    )
+    if refused:
+        with pytest.raises(ValidationError, match=r"line 4: .*too large"):
+            parse_config(text)
+    else:
+        assert parse_config(text).j0 == base
+
+
+def test_catalog_a_only_for_stochastic_entries():
+    for name in ("chacon", "staircase-flow"):
+        text = (
+            f"construction.catalog = {name}\nconstruction.depth = 6\n"
+            "construction.a = 1/2\nexperiment.r.kind = rigidity\n"
+        )
+        with pytest.raises(ValidationError, match=r"line 3: construction\.a"):
+            parse_config(text)
+
+
 def test_disjointness_reach_checked_against_cap():
     text = (
         "construction.catalog = chacon\nconstruction.depth = 10\n"

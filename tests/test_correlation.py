@@ -142,15 +142,6 @@ def test_lag_cap_divisor_exported():
     assert LAG_CAP_DIVISOR == 4
 
 
-def test_parallel_naive_equals_sequential():
-    rz = realize(catalog("modified-chacon"), 9)
-    lags = [1, 40, 364, -121]
-    seq = lag_counts_naive(rz, 9, 1, lags, chunk_size=700, parallel=False)
-    par = lag_counts_naive(rz, 9, 1, lags, chunk_size=700, parallel=True)
-    for n in lags:
-        assert np.array_equal(seq[n], par[n])
-
-
 @st.composite
 def small_realization(draw):
     rs = draw(st.lists(st.integers(2, 4), min_size=1, max_size=3))
@@ -306,3 +297,89 @@ def test_corr_engines_agree_and_unknown_engine_rejected():
             corr_sequence(rz, 8, 2, lags, engine=bad)
         with pytest.raises(ValueError, match="engine"):
             corr_matrix(rz, 8, 2, 4, engine=bad)
+
+
+# ---------------------------------------------------------------------------
+# k-point counts
+
+# name -> (schedule, seed, depth, largest base stage: l_2 = 3002 on the
+# long-spacer schedule, too many symbols for an S**3 tensor)
+_TRIPLE_WORDS = {
+    "chacon": (catalog("chacon"), None, 9, 2),
+    "modified-chacon": (catalog("modified-chacon"), None, 7, 2),
+    "stochastic-chacon": (catalog("stochastic-chacon"), 5, 8, 2),
+    "long-spacer": (
+        ConstructionSchedule(
+            "transformation", ConstantCuts(2), PatternSpacers((0, 3000))
+        ),
+        None,
+        5,
+        1,
+    ),
+}
+
+
+def _brute_triple_counts(word, m, n, S):
+    """Oracle: the triple tensor read off the materialized word."""
+    low = min(0, m, n)
+    width = max(0, m, n) - low
+    L = len(word) - width
+    a, b, c = (
+        word[o : o + L].astype(np.int64) for o in (-low, m - low, n - low)
+    )
+    return np.bincount((a * S + b) * S + c, minlength=S**3).reshape(S, S, S)
+
+
+@given(
+    name=st.sampled_from(sorted(_TRIPLE_WORDS)),
+    cutoff=st.sampled_from([4, 16, 64]),
+    j0=st.sampled_from([1, 2]),
+    kind=st.sampled_from(["free", "zero", "duplicate", "negative"]),
+    u=st.lists(st.integers(0, 10**9), min_size=2, max_size=2),
+)
+@example(name="chacon", cutoff=4, j0=1, kind="zero", u=[0, 0])
+@example(name="long-spacer", cutoff=16, j0=2, kind="duplicate", u=[3001, 0])
+@settings(max_examples=60, deadline=None)
+def test_triple_counts_match_brute_force(name, cutoff, j0, kind, u):
+    sched, seed, J, top_j0 = _TRIPLE_WORDS[name]
+    j0 = min(j0, top_j0)
+    rz = realize(sched, J, seed=seed)
+    w = materialize_word(rz, J, j0)
+    S = alphabet_size(rz, j0)
+    reach = len(w) // 3
+    m, n = (x % (2 * reach + 1) - reach for x in u)
+    if kind == "zero":
+        m = 0
+    elif kind == "duplicate":
+        n = m
+    elif kind == "negative":
+        m, n = -abs(m) - 1, -abs(n)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=cutoff)
+    assert np.array_equal(pc.triple_counts(m, n), _brute_triple_counts(w, m, n, S))
+
+
+def test_triple_counts_at_depth_40_keep_window_and_marginals():
+    rz = realize(catalog("chacon"), 40)
+    hs = heights(rz, 40)
+    pc = PairCounter(rz, 40, 3)
+    for m, n in [(1, 2), (int(hs[36]), -int(hs[36]) - 5), (-int(hs[30]), 0)]:
+        low = min(0, m, n)
+        window = pc.lJ - (max(0, m, n) - low)
+        T = pc.triple_counts(m, n)
+        assert T.sum() == window
+        for axis, off in enumerate((-low, m - low, n - low)):
+            other = tuple(a for a in range(3) if a != axis)
+            assert np.array_equal(T.sum(axis=other), pc._hist(off, off + window))
+
+
+def test_triple_memo_stays_sparse_at_32_symbols():
+    rz = realize(catalog("chacon"), 56)
+    hs = heights(rz, 56)
+    pc = PairCounter(rz, 56, 5)
+    assert pc.S == 32
+    for m, n in [(1, 2), (int(hs[50]), 2 * int(hs[50]) + 1), (-int(hs[40]) - 7, int(hs[52]))]:
+        assert pc.triple_counts(m, n).sum() == pc.lJ - (max(0, m, n) - min(0, m, n))
+    held = sum(codes.nbytes + counts.nbytes for codes, counts in pc._tmemo.values())
+    # a dense (S, S, S) int64 entry alone takes 256 KiB
+    assert len(pc._tmemo) > 100
+    assert held < 8 << 20

@@ -186,7 +186,7 @@ def test_triple_matches_brute_force():
     S = alphabet_size(rz, j0)
     w = materialize_word(rz, 7, j0)
     pairs = [(1, 2), (0, 0), (5, -3), (13, 13), (-4, 9)]
-    rep = triple_corr_probe(rz, 7, j0, pairs, chunk_size=17)
+    rep = triple_corr_probe(rz, 7, j0, pairs)
     for row, (m, n) in zip(rep.rows, pairs):
         oracle = _brute_triple(w, m, n, S)
         assert np.allclose(row.tensor, oracle, atol=1e-15), (m, n)
@@ -203,6 +203,23 @@ def test_triple_zero_pair_is_symbol_frequency():
     diag = np.array([row.tensor[a, a, a] for a in range(len(mu))])
     assert np.allclose(diag, mu, atol=1e-12)
     assert row.tensor.sum() == pytest.approx(1.0)
+
+
+def test_triple_at_depth_40_is_exact_and_shares_the_counter():
+    # 2 * l_J symbols per pair: a streamed probe would refuse this depth
+    rz = realize(catalog("chacon"), 40)
+    hs = heights(rz, 40)
+    pc = PairCounter(rz, 40, 2)
+    pairs = [(1, 2), (int(hs[37]), 2 * int(hs[37]))]
+    rep = triple_corr_probe(rz, 40, 2, pairs, counter=pc)
+    mu = np.array([float(x) for x in level_measures(rz, 40, 2)])
+    for row, (m, n) in zip(rep.rows, pairs):
+        assert row.window == pc.lJ - max(m, n)
+        assert row.tensor.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(row.tensor.sum(axis=(1, 2)), mu, atol=1e-9)
+        assert np.array_equal(row.tensor, pc.triple_counts(m, n) / row.window)
+    # the pair sub-counts went through the shared pair memo
+    assert pc._memo and pc._tmemo
 
 
 def test_triple_guards_alphabet_growth():
