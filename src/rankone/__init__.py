@@ -59,7 +59,6 @@ from .flows import (
     FlowLimitReport,
     SlabAlgebra,
     flow_corr,
-    flow_heights,
     flow_limit_check,
     flow_Pm_matrix,
     flow_segments,
@@ -152,7 +151,6 @@ __all__ = [
     "triple_corr_probe",
     "TripleReport",
     # flows
-    "flow_heights",
     "flow_segments",
     "SlabAlgebra",
     "flow_corr",

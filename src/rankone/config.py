@@ -40,7 +40,7 @@ from .construction import (
     realize,
     validate_schedule,
 )
-from .correlation import LAG_CAP_DIVISOR
+from .correlation import COUNT_LIMIT, LAG_CAP_DIVISOR
 from .diagnostics import DISJOINTNESS_CELL_LIMIT, TRIPLE_CELL_LIMIT
 from .errors import (
     MalformedRule,
@@ -166,6 +166,13 @@ def _to_fraction(e: _Entry, value: Optional[str] = None) -> Fraction:
 
 def _to_float(e: _Entry) -> float:
     return float(_to_fraction(e))
+
+
+def _nonnegative(e: _Entry) -> int:
+    v = _to_int(e)
+    if v < 0:
+        raise ValidationError(f"line {e.line}: {e.key} must be >= 0, got {v}")
+    return v
 
 
 def _split_list(e: _Entry) -> List[str]:
@@ -363,17 +370,24 @@ def _family_params(kind_e: _Entry, sec: _Section, label: str) -> Dict[str, objec
     out: Dict[str, object] = {"family": name}
     if name == "chacon-geometric":
         m = sec.take(f"experiment.{label}.M")
-        out["M"] = _to_int(m) if m is not None else 16
+        out["M"] = _nonnegative(m) if m is not None else 16
     elif name == "stochastic":
-        for p in ("m", "n", "k"):
+        for p in ("m", "n"):
             e = sec.take(f"experiment.{label}.{p}")
-            out[p] = _to_int(e) if e is not None else 0
+            out[p] = _nonnegative(e) if e is not None else 0
+        k_e = sec.take(f"experiment.{label}.k")
+        out["k"] = _to_int(k_e) if k_e is not None else 0
         a_e = sec.take(f"experiment.{label}.a")
         if a_e is None:
             raise ValidationError(
                 f"experiment {label}: stochastic family needs 'a'"
             )
-        out["a"] = str(_to_fraction(a_e))
+        a = _to_fraction(a_e)
+        if not 0 < a < 1:
+            raise ValidationError(
+                f"line {a_e.line}: {a_e.key}: stochastic family wants 0 < a < 1, got {a}"
+            )
+        out["a"] = str(a)
     elif name not in ("identity", "modified-chacon-limit"):
         raise ValidationError(
             f"experiment {label}: unknown family {name!r}"
@@ -484,6 +498,12 @@ def parse_config(
     J, depth_echo = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
     realized = realize(schedule, J, seed=plan_seed)
     hs = heights(realized, J)
+    if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
+        e = depth_e if depth_e is not None else budget_e
+        raise ValidationError(
+            f"line {e.line}: {e.key}: depth {J} word has {hs[J - 1]} symbols; "
+            f"exact counting needs fewer than {COUNT_LIMIT}"
+        )
 
     base_e = sec.take("construction.base")
     if schedule.kind == "flow":
@@ -561,7 +581,7 @@ def parse_config(
                 raise ValidationError(f"experiment {label}: limit-scan needs lags")
             params["lags"] = lag_list(lags_e)
             w = take("window")
-            params["window"] = _to_int(w) if w is not None else 8
+            params["window"] = _nonnegative(w) if w is not None else 8
             t = take("tolerance")
             params["tolerance"] = _to_float(t) if t is not None else 0.03
             mp = take("max-power")
@@ -578,7 +598,7 @@ def parse_config(
             params["lags"] = lag_list(lags_e)
             params.update(_family_params(fam_e, sec, label))
             w = take("window")
-            params["window"] = _to_int(w) if w is not None else 8
+            params["window"] = _nonnegative(w) if w is not None else 8
             t = take("tolerance")
             params["tolerance"] = _to_float(t) if t is not None else 0.03
         elif kind == "rigidity":
@@ -640,8 +660,6 @@ def parse_config(
             params["stage"] = j
             sl = take("slabs")
             params["slabs"] = _to_int(sl) if sl is not None else 16
-            t = take("tolerance")
-            params["tolerance"] = _to_float(t) if t is not None else 1e-4
         experiments.append(ExperimentSpec(label=label, kind=kind, params=params))
 
     leftovers = sec.unused()

@@ -59,12 +59,14 @@ __all__ = [
     "CorrSequence",
     "corr_sequence",
     "LAG_CAP_DIVISOR",
+    "COUNT_LIMIT",
 ]
 
 #: Reported correlation matrices require |n| <= l_J / LAG_CAP_DIVISOR.
 LAG_CAP_DIVISOR = 4
 
-_COUNT_LIMIT = 1 << 62
+#: Exact pair counting needs the word length l_J below this.
+COUNT_LIMIT = 1 << 62
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +180,7 @@ class PairCounter:
         self.j0 = j0
         self.lengths = [int(x) for x in heights(realized, J)]
         self.lJ = self.lengths[J - 1]
-        if self.lJ >= _COUNT_LIMIT:
+        if self.lJ >= COUNT_LIMIT:
             raise DepthOverBudget(f"word length {self.lJ} too large for exact counting")
         self.S = alphabet_size(realized, j0)
         self.star = self.S - 1

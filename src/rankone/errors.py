@@ -65,10 +65,6 @@ class SegmentBudgetExceeded(RankOneError):
     """Flow depth produces more segments than the configured budget."""
 
 
-class NoConvergence(RankOneError):
-    """Quadrature failed to reach the requested tolerance within the halving cap."""
-
-
 class ParseError(RankOneError):
     """Config text could not be parsed; carries line and column."""
 

@@ -11,10 +11,12 @@ measure of {u : phi(u) in slab_a, phi(u+t) in slab_b} divided by the total
 height, computed by one sweep over the merged breakpoints of the column and
 its t-shift.
 
-Time averages P_m = (1/m) * integral of T_t over an m-long window are
-evaluated by composite trapezoid quadrature with step halving until two
-successive estimates agree; the limit check compares D(q*h_j) against the
-averaged window, resolving the sign of the lag empirically.
+Time averages P_m = (1/m) * integral of T_t over an m-long window are exact:
+the integral of the pair measure over a window [lo, hi] is, for each
+b-interval [s, e), A_a(e-lo) - A_a(s-lo) - A_a(e-hi) + A_a(s-hi), where A_a
+is the second antiderivative of symbol a's occupation. It is evaluated in
+integer ticks, one symbol at a time. The limit check compares D(q*h_j)
+against the averaged window, resolving the sign of the lag empirically.
 """
 
 from __future__ import annotations
@@ -27,17 +29,12 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .construction import RealizedSchedule, heights
-from .errors import (
-    NoConvergence,
-    SegmentBudgetExceeded,
-    TimeOutOfRange,
-)
+from .errors import SegmentBudgetExceeded, TimeOutOfRange
 
 __all__ = [
     "SegmentList",
     "SlabAlgebra",
     "FlowColumn",
-    "flow_heights",
     "flow_segments",
     "flow_corr",
     "FlowCorrMatrix",
@@ -52,14 +49,12 @@ __all__ = [
 SEGMENT_BUDGET = 10**7
 _BREAK_BUDGET = 3 * 10**7
 _TICK_LIMIT = 1 << 62
+# window pieces computed in int64 before one Python-int pass is cheaper
+# (Python-int arithmetic ran about 14x slower than int64 on a 12k-edge column)
+_MAX_PIECES = 8
 
 COPY = 0
 SPACER = 1
-
-
-def flow_heights(realized: RealizedSchedule, J: int) -> List[Fraction]:
-    """Exact tower heights h_1..h_J of a flow schedule."""
-    return heights(realized, J)
 
 
 @dataclass(frozen=True)
@@ -159,12 +154,53 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
+def _merge_views(
+    breaks: np.ndarray, offs: Tuple[int, int], span: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge what two views of the column, u -> u + off, see for u in [0, span).
+
+    Returns (lens, ia, ib): the length of every merged interval and the
+    index of the column interval each view reads on it.
+    """
+    # each view's breakpoints inside (0, span), and the interval it starts in
+    runs, heads = [], []
+    for off in offs:
+        lo = int(np.searchsorted(breaks, off, side="right"))
+        hi = int(np.searchsorted(breaks, off + span, side="left"))
+        runs.append(breaks[lo:hi] - off)
+        heads.append(lo - 1)
+    # a stable sort merges the two sorted runs in linear time (ties in either
+    # order leave a zero-length interval); the count of view-a points up to
+    # each merged point is view a's interval index there. Temporaries are
+    # dropped as soon as they are used, to keep the sweep's peak memory low
+    na = len(runs[0])
+    both = np.concatenate(runs)
+    del runs
+    order = np.argsort(both, kind="stable")
+    pts = np.empty(len(both) + 2, dtype=np.int64)
+    pts[0] = 0
+    np.take(both, order, out=pts[1:-1])
+    pts[-1] = span
+    del both
+    lens = np.diff(pts)
+    del pts
+    ia = np.empty(len(lens), dtype=np.intp)
+    ia[0] = 0
+    np.cumsum(order < na, out=ia[1:])
+    del order
+    ib = np.arange(heads[1], heads[1] + len(lens))
+    ib -= ia
+    ia += heads[0]
+    return lens, ia, ib
+
+
 class FlowColumn:
     """Breakpoint representation of the column at integer ticks.
 
     Breakpoints mark every segment start plus every slab boundary inside a
-    copy; codes give the symbol on the interval that follows. phi lookups
-    and sweeps are vectorized searchsorted + histogram passes.
+    copy; codes give the symbol on the interval that follows. A sweep at
+    one shift merges the breakpoints with their shifted copy; a window of
+    shifts is integrated from per-symbol antiderivative tables.
     """
 
     def __init__(self, segments: SegmentList, slabs: SlabAlgebra):
@@ -205,16 +241,18 @@ class FlowColumn:
         self.breaks = np.concatenate([slab_marks, gap_marks])[order]
         self.codes = np.concatenate([slab_codes, gap_codes])[order]
 
-    def _ticks(self, t: Fraction) -> Tuple[int, int]:
-        """(tau, f): t = tau / (f * den); f is the extra scale factor."""
-        t = Fraction(t)
-        raw = t * self.den
-        f = raw.denominator
+    def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:
+        """([tau, ...], f): each t = tau / (f * den); f is the smallest extra
+        scale factor that makes every t a whole number of ticks."""
+        raws = [Fraction(t) * self.den for t in ts]
+        f = 1
+        for raw in raws:
+            f = _lcm(f, raw.denominator)
         if self.H_ticks * f >= _TICK_LIMIT:
             raise SegmentBudgetExceeded(
-                f"time denominator {t.denominator} overflows the tick scale"
+                f"time denominator {f * self.den} overflows the tick scale"
             )
-        return int(raw * f), f
+        return [int(raw * f) for raw in raws], f
 
     def phi_codes(self, u: np.ndarray) -> np.ndarray:
         idx = np.searchsorted(self.breaks, u, side="right") - 1
@@ -226,29 +264,18 @@ class FlowColumn:
         C[a][b] = ticks{u in [0, H-|t|) : phi(u + max(-t,0)) = a,
                                           phi(u + max(t,0)) = b}.
         """
-        tau, f = self._ticks(t)
+        (tau,), f = self._ticks(t)
         H = self.H_ticks * f
         if abs(tau) >= H:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
         breaks = self.breaks * f if f != 1 else self.breaks
-        off_a, off_b = (-tau, 0) if tau < 0 else (0, tau)
         span = H - abs(tau)
-        # merged breakpoints of both shifted copies, clipped to [0, span);
-        # duplicates survive as zero-length intervals and contribute nothing
-        cands = []
-        for off in (off_a, off_b):
-            c = breaks - off
-            c = c[(c >= 0) & (c < span)]
-            cands.append(c)
-        pts = np.sort(np.concatenate(cands + [np.zeros(1, dtype=np.int64)]))
-        lens = np.diff(np.concatenate([pts, [span]]))
-        a = self.codes[
-            np.searchsorted(breaks, pts + off_a, side="right") - 1
-        ].astype(np.int64)
-        b = self.codes[
-            np.searchsorted(breaks, pts + off_b, side="right") - 1
-        ].astype(np.int64)
+        offs = (-tau, 0) if tau < 0 else (0, tau)
+        lens, ia, ib = _merge_views(breaks, offs, span)
         S = self.slabs.size
+        a = self.codes[ia].astype(np.intp)
+        b = self.codes[ib]
+        del ia, ib
         if H < (1 << 53):
             # float64 holds these integers exactly
             flat = np.bincount(a * S + b, weights=lens.astype(np.float64),
@@ -258,6 +285,90 @@ class FlowColumn:
             C = np.zeros((S, S), dtype=np.int64)
             np.add.at(C, (a, b), lens)
         return C, H
+
+    def window_counts(self, lo: Fraction, hi: Fraction) -> Tuple[np.ndarray, int]:
+        """Exact integral of the pair measure over the shifts t in [lo, hi];
+        returns (W, Z) with W / Z = (1/(hi-lo)) * integral of D(t) dt.
+
+        W holds int64, or Python ints when its entries may reach 2**63.
+        """
+        (LO, HI), f = self._ticks(lo, hi)
+        H = self.H_ticks * f
+        if not -H < LO < HI < H:
+            raise TimeOutOfRange(
+                f"window [{lo}, {hi}] is empty or reaches height {self.segments.total}"
+            )
+        M = HI - LO
+        # an entry over a window of P ticks lies in [0, 2*H*P]. Split the
+        # window into pieces short enough for int64; past _MAX_PIECES, one
+        # pass in Python ints is cheaper
+        piece = ((1 << 63) - 1) // (2 * H)
+        k = -(-M // piece)
+        if k == 1:
+            return self._window_table(LO, HI, f, np.int64), 2 * M * H
+        if k > _MAX_PIECES:
+            return self._window_table(LO, HI, f, object), 2 * M * H
+        cuts = [LO + M * i // k for i in range(k + 1)]
+        W = sum(
+            self._window_table(a, b, f, np.int64).astype(object)
+            for a, b in zip(cuts, cuts[1:])
+        )
+        return W, 2 * M * H
+
+    def _window_table(self, LO: int, HI: int, f: int, dtype) -> np.ndarray:
+        """2 * integral over tau in [LO, HI] of the tick pair counts C_tau.
+
+        Per symbol a, F_a (occupation of a below z) and 2*A_a (twice its
+        antiderivative) are tabulated at the interval edges, then
+        W[a][b] = sum over b-intervals [s, e) of
+        2*(A_a(e-LO) - A_a(s-LO) - A_a(e-HI) + A_a(s-HI)). int64 arithmetic
+        wraps mod 2**64, so the table values (up to (H + HI - LO)**2) may
+        wrap and entries below 2**63 still come out exact.
+        """
+        edges = np.append(self.breaks * f, self.H_ticks * f)
+        lens = np.diff(edges).astype(dtype, copy=False)
+        codes = self.codes
+        # where each shifted edge e - c falls: interval index j (n past the
+        # top) and its offset r into that interval; below 0 reads as 0
+        evals = []
+        for c in (LO, HI):
+            z = np.maximum(edges - c, 0)
+            j = np.searchsorted(edges, z, side="right") - 1
+            z -= edges[j]
+            evals.append((j, z.astype(dtype, copy=False)))
+        del edges, z
+        (j0, r0), (j1, r1) = evals
+        order = np.argsort(codes, kind="stable")
+        present, starts = np.unique(codes[order], return_index=True)
+        S = self.slabs.size
+        W = np.zeros((S, S), dtype=dtype)
+        for a in present:
+            own = np.append(codes == a, False)
+            mass = np.where(own[:-1], lens, 0)
+            Fa = np.zeros(len(own), dtype=dtype)
+            np.cumsum(mass, out=Fa[1:])
+            # across an interval, 2*A_a grows by (2*F_a + mass) * length
+            rise = mass
+            rise += 2 * Fa[:-1]
+            rise *= lens
+            A2 = np.zeros(len(own), dtype=dtype)
+            np.cumsum(rise, out=A2[1:])
+            del mass, rise
+            # D = 2*A_a(e - LO) - 2*A_a(e - HI) at every edge e
+            D = _twice_antiderivative(A2, Fa, own, j0, r0)
+            D -= _twice_antiderivative(A2, Fa, own, j1, r1)
+            W[a, present] = np.add.reduceat(np.diff(D)[order], starts)
+        return W
+
+
+def _twice_antiderivative(A2, Fa, own, j, r):
+    """2*A_a at the points x_j + r, from its tables at the interval edges:
+    A2[j] + 2*Fa[j]*r + r**2 where the interval j belongs to symbol a."""
+    v = own[j] * r
+    v += 2 * Fa[j]
+    v *= r
+    v += A2[j]
+    return v
 
 
 @dataclass(frozen=True)
@@ -298,46 +409,33 @@ def flow_corr(
 
 @dataclass(frozen=True)
 class PmResult:
-    """(1/m) * integral of D(t) over the window, with quadrature evidence."""
+    """(1/m) * integral of D(t) over the window, exactly counts / scale.
 
+    counts holds int64, or Python ints when the tick scale needs them;
+    matrix is the float value of the average.
+    """
+
+    counts: np.ndarray
+    scale: int
     matrix: np.ndarray
     window: Tuple[Fraction, Fraction]
-    delta: Fraction
-    quadrature_error: float
-    halvings: int
 
-
-def _node(column: FlowColumn, t: Fraction) -> np.ndarray:
-    C, H = column.pair_counts(t)
-    return C.astype(np.float64) / H
-
-
-def _trapezoid(column: FlowColumn, lo: Fraction, hi: Fraction, n: int) -> np.ndarray:
-    step = (hi - lo) / n
-    total = None
-    for k in range(n + 1):
-        D = _node(column, lo + step * k)
-        w = 0.5 if k in (0, n) else 1.0
-        total = D * w if total is None else total + D * w
-    return total / n
+    # the average is exact, so there are no quadrature halvings; kept for
+    # perfbench/spans.py, which counts them
+    halvings = 0
 
 
 def flow_Pm_matrix(
     segments: SegmentList,
     slabs: SlabAlgebra,
     m: Fraction,
-    delta: Optional[Fraction] = None,
     orientation: str = "negative",
-    tol: float = 1e-4,
-    max_halvings: int = 12,
     column: Optional[FlowColumn] = None,
 ) -> PmResult:
     """Markov average over an m-long window of flow times.
 
     orientation "negative" averages t in [-m, 0] (the window behind the
-    present), "positive" averages [0, m]. The trapezoid step starts at
-    delta (default m/4) and is halved until two successive estimates agree
-    within tol in max-abs.
+    present), "positive" averages [0, m].
     """
     m = Fraction(m)
     if m <= 0:
@@ -346,32 +444,9 @@ def flow_Pm_matrix(
         raise ValueError(f"unknown orientation {orientation!r}")
     lo, hi = (-m, Fraction(0)) if orientation == "negative" else (Fraction(0), m)
     col = column if column is not None else FlowColumn(segments, slabs)
-    delta = Fraction(delta) if delta is not None else m / 4
-    n = int(m / delta)
-    if n * delta != m:
-        raise ValueError("delta must divide m")
-    prev = _trapezoid(col, lo, hi, n)
-    for halving in range(1, max_halvings + 1):
-        # refine: old nodes are reused, only the midpoints are swept
-        step = (hi - lo) / (2 * n)
-        mids = None
-        for k in range(n):
-            D = _node(col, lo + step * (2 * k + 1))
-            mids = D if mids is None else mids + D
-        n *= 2
-        cur = prev / 2 + mids / n
-        err = float(np.abs(cur - prev).max())
-        prev = cur
-        if err < tol:
-            return PmResult(
-                matrix=cur,
-                window=(lo, hi),
-                delta=(hi - lo) / n,
-                quadrature_error=err,
-                halvings=halving,
-            )
-    raise NoConvergence(
-        f"quadrature did not reach {tol} after {max_halvings} halvings"
+    W, Z = col.window_counts(lo, hi)
+    return PmResult(
+        counts=W, scale=Z, matrix=W.astype(np.float64) / Z, window=(lo, hi)
     )
 
 
@@ -379,19 +454,17 @@ def pm_identity_gap(
     segments: SegmentList,
     slabs: SlabAlgebra,
     m: Fraction,
-    delta: Optional[Fraction] = None,
-    tol: float = 1e-4,
     column: Optional[FlowColumn] = None,
 ) -> float:
     """Max-abs gap between the two routes to the backward average:
-    direct sweeps over [-m, 0] versus transposed forward sweeps (the
-    matrix form of 'shift back, then average ahead, then adjoint')."""
+    the direct window [-m, 0] versus the transposed forward window [0, m]
+    (the matrix form of 'shift back, then average ahead, then adjoint').
+    Both are exact tables on the same scale, so the gap is 0 unless the
+    engine is wrong."""
     col = column if column is not None else FlowColumn(segments, slabs)
-    back = flow_Pm_matrix(segments, slabs, m, delta=delta, orientation="negative",
-                          tol=tol, column=col)
-    fwd = flow_Pm_matrix(segments, slabs, m, delta=delta, orientation="positive",
-                         tol=tol, column=col)
-    return float(np.abs(back.matrix - fwd.matrix.T).max())
+    back = flow_Pm_matrix(segments, slabs, m, orientation="negative", column=col)
+    fwd = flow_Pm_matrix(segments, slabs, m, orientation="positive", column=col)
+    return float(np.abs(back.counts - fwd.counts.T).max()) / back.scale
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +483,6 @@ class FlowLimitReport:
     orientation: str
     residual: float
     residual_mirror: float
-    quadrature_error: float
     family_best: Tuple[Fraction, Tuple[int, ...]]
     family_distance: float
 
@@ -422,7 +494,6 @@ def flow_limit_check(
     q: int,
     j: int,
     L: int = 16,
-    tol: float = 1e-4,
     shifts: Sequence[Fraction] = (),
     factors_grid: Sequence[Tuple[int, ...]] = ((1,), (2,), (1, 1), (1, 2), (2, 2)),
 ) -> FlowLimitReport:
@@ -444,7 +515,7 @@ def flow_limit_check(
         raise TimeOutOfRange(f"q*h_j = {lag} >= height {segments.total}")
 
     pm = flow_Pm_matrix(segments, slabs, Fraction(q), orientation="negative",
-                        tol=tol, column=col)
+                        column=col)
     Cp, _ = col.pair_counts(lag)
     Cm, _ = col.pair_counts(-lag)
     d_pos = float(np.abs(_unit(Cp) - pm.matrix).max())
@@ -492,7 +563,6 @@ def flow_limit_check(
         orientation=orientation,
         residual=residual,
         residual_mirror=mirror,
-        quadrature_error=pm.quadrature_error,
         family_best=best,
         family_distance=best_dist,
     )

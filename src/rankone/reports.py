@@ -37,7 +37,7 @@ __all__ = [
     "write_report",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _HEADERS = {
     "matrix": ("lag", "a", "b", "value"),

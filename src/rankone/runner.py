@@ -291,7 +291,6 @@ def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         params["q"],
         params["stage"],
         L=params["slabs"],
-        tol=params["tolerance"],
     )
     width, factors = rep.family_best
     payload = {
@@ -302,7 +301,6 @@ def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "orientation": rep.orientation,
         "residual": float(rep.residual),
         "residual_mirror": float(rep.residual_mirror),
-        "quadrature_error": float(rep.quadrature_error),
         "family_best": {"width": str(width), "factors": list(factors)},
         "family_distance": float(rep.family_distance),
     }

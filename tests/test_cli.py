@@ -70,7 +70,7 @@ def test_report_plan_echo_completeness(tmp_path):
     rig = plan["experiments"][1]
     assert rig["slack"] == 0.01
     assert rig["lags"]  # default stage lags were materialized
-    assert rep["version"] == "1"
+    assert rep["version"] == "2"
 
 
 def test_csv_format_emits_tables_with_headers(tmp_path):
@@ -157,6 +157,30 @@ experiment.rig.kind = rigidity
          "negative-h1", "catalog-a", "catalog-a-not-stochastic"],
 )
 def test_bad_construction_rule_exit_one_without_traceback(tmp_path, text, line):
+    _assert_config_error_at(tmp_path, text, line)
+
+
+CONVERGE = """
+construction.catalog = modified-chacon
+construction.depth = 10
+experiment.c.kind = converge
+experiment.c.lags = l[8]
+experiment.c.family = stochastic
+experiment.c.a = 1/2
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (CONVERGE.replace("a = 1/2", "a = 2"), 7),
+        (GOOD.replace("window = 4", "window = -1"), 8),
+        ("construction.catalog = chacon\nconstruction.depth = 63\n"
+         "experiment.m.kind = mixing\nexperiment.m.lags = 1\n", 2),
+    ],
+    ids=["stochastic-a", "scan-window", "word-length"],
+)
+def test_bad_experiment_parameter_exit_one_without_traceback(tmp_path, text, line):
     _assert_config_error_at(tmp_path, text, line)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from rankone.config import parse_config
 from rankone.construction import heights
+from rankone.correlation import COUNT_LIMIT
 from rankone.errors import ParseError, ValidationError
 
 BASE = """
@@ -216,7 +217,6 @@ def test_inline_flow_construction():
         "q": 1,
         "stage": 4,
         "slabs": 16,
-        "tolerance": 1e-4,
     }
 
 
@@ -302,6 +302,62 @@ def test_catalog_a_only_for_stochastic_entries():
         )
         with pytest.raises(ValidationError, match=r"line 3: construction\.a"):
             parse_config(text)
+
+
+CONVERGE = """
+construction.catalog = modified-chacon
+construction.depth = 10
+experiment.c.kind = converge
+experiment.c.lags = l[8]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        (BASE.format(lags="3") + "experiment.scan.window = -1\n", 6),
+        (CONVERGE + "experiment.c.family = identity\nexperiment.c.window = -2\n", 7),
+        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 2\n", 7),
+        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 0\n", 7),
+        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.m = -1\n"
+         "experiment.c.a = 1/2\n", 7),
+        (CONVERGE + "experiment.c.family = chacon-geometric\nexperiment.c.M = -1\n", 7),
+    ],
+    ids=["scan-window", "converge-window", "a-above-1", "a-zero", "m-negative",
+         "M-negative"],
+)
+def test_bad_experiment_parameters_refused_with_line(text, line):
+    with pytest.raises(ValidationError, match=rf"line {line}: experiment\.\w+\.\w+"):
+        parse_config(text)
+
+
+def test_stochastic_family_in_range_accepted():
+    plan = parse_config(
+        CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 3/4\n"
+        "experiment.c.k = -1\n"
+    )
+    assert plan.experiments[0].params["a"] == "3/4"
+    assert plan.experiments[0].params["k"] == -1
+
+
+def test_word_length_limit_checked_at_config_time():
+    # chacon l_J = 2**J - 1: J = 62 is the deepest the exact counter takes
+    text = (
+        "construction.catalog = chacon\nconstruction.depth = {J}\n"
+        "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
+    )
+    assert parse_config(text.format(J=62)).J == 62
+    with pytest.raises(ValidationError, match=rf"line 2: construction\.depth: .*{COUNT_LIMIT}"):
+        parse_config(text.format(J=63))
+
+
+def test_flow_limit_tolerance_is_unknown_key():
+    text = (
+        "construction.catalog = staircase-flow\nconstruction.depth = 5\n"
+        "experiment.f.kind = flow-limit\nexperiment.f.tolerance = 1e-4\n"
+    )
+    with pytest.raises(ValidationError, match=r"unknown key experiment\.f\.tolerance \(line 4\)"):
+        parse_config(text)
 
 
 def test_disjointness_reach_checked_against_cap():
