@@ -49,6 +49,7 @@ from .errors import (
     ScheduleError,
     ValidationError,
 )
+from .operators import build_family
 from .words import alphabet_size, default_base_stage
 
 __all__ = [
@@ -367,32 +368,30 @@ def _cap_check(lag: int, lJ: int, cap: int, label: str) -> int:
 
 def _family_params(kind_e: _Entry, sec: _Section, label: str) -> Dict[str, object]:
     name = kind_e.value
-    out: Dict[str, object] = {"family": name}
+    out: Dict[str, object] = {}
     if name == "chacon-geometric":
         m = sec.take(f"experiment.{label}.M")
-        out["M"] = _nonnegative(m) if m is not None else 16
+        out["M"] = _to_int(m) if m is not None else 16
     elif name == "stochastic":
-        for p in ("m", "n"):
+        for p in ("m", "n", "k"):
             e = sec.take(f"experiment.{label}.{p}")
-            out[p] = _nonnegative(e) if e is not None else 0
-        k_e = sec.take(f"experiment.{label}.k")
-        out["k"] = _to_int(k_e) if k_e is not None else 0
+            out[p] = _to_int(e) if e is not None else 0
         a_e = sec.take(f"experiment.{label}.a")
         if a_e is None:
             raise ValidationError(
                 f"experiment {label}: stochastic family needs 'a'"
             )
-        a = _to_fraction(a_e)
-        if not 0 < a < 1:
-            raise ValidationError(
-                f"line {a_e.line}: {a_e.key}: stochastic family wants 0 < a < 1, got {a}"
-            )
-        out["a"] = str(a)
+        out["a"] = str(_to_fraction(a_e))
     elif name not in ("identity", "modified-chacon-limit"):
         raise ValidationError(
             f"experiment {label}: unknown family {name!r}"
         )
-    return out
+    # the parameter ranges live in build_family
+    try:
+        build_family(name, **out)
+    except ValueError as exc:
+        raise ValidationError(f"line {kind_e.line}: {kind_e.key}: {exc}") from None
+    return {"family": name, **out}
 
 
 def parse_config(

@@ -49,9 +49,6 @@ __all__ = [
 SEGMENT_BUDGET = 10**7
 _BREAK_BUDGET = 3 * 10**7
 _TICK_LIMIT = 1 << 62
-# window pieces computed in int64 before one Python-int pass is cheaper
-# (Python-int arithmetic ran about 14x slower than int64 on a 12k-edge column)
-_MAX_PIECES = 8
 
 COPY = 0
 SPACER = 1
@@ -299,21 +296,10 @@ class FlowColumn:
                 f"window [{lo}, {hi}] is empty or reaches height {self.segments.total}"
             )
         M = HI - LO
-        # an entry over a window of P ticks lies in [0, 2*H*P]. Split the
-        # window into pieces short enough for int64; past _MAX_PIECES, one
-        # pass in Python ints is cheaper
-        piece = ((1 << 63) - 1) // (2 * H)
-        k = -(-M // piece)
-        if k == 1:
-            return self._window_table(LO, HI, f, np.int64), 2 * M * H
-        if k > _MAX_PIECES:
-            return self._window_table(LO, HI, f, object), 2 * M * H
-        cuts = [LO + M * i // k for i in range(k + 1)]
-        W = sum(
-            self._window_table(a, b, f, np.int64).astype(object)
-            for a, b in zip(cuts, cuts[1:])
-        )
-        return W, 2 * M * H
+        # an entry over a window of M ticks lies in [0, 2*H*M]; past int64,
+        # compute in Python ints
+        dtype = np.int64 if 2 * H * M < (1 << 63) else object
+        return self._window_table(LO, HI, f, dtype), 2 * M * H
 
     def _window_table(self, LO: int, HI: int, f: int, dtype) -> np.ndarray:
         """2 * integral over tau in [LO, HI] of the tick pair counts C_tau.

@@ -177,7 +177,7 @@ def build_family(name: str, **params) -> OperatorExpression:
     if name == "chacon-geometric":
         M = int(params.get("M", 16))
         if M < 0:
-            raise ValueError("chacon-geometric wants M >= 0")
+            raise ValueError(f"chacon-geometric wants M >= 0, got {M}")
         terms = {i: Fraction(1, 2 ** (i + 1)) for i in range(M + 1)}
         return OperatorExpression.make(terms, Fraction(1, 2 ** (M + 1)))
     if name == "stochastic":
@@ -189,7 +189,10 @@ def build_family(name: str, **params) -> OperatorExpression:
             raise UnknownFamily(f"stochastic family needs m, n, a (missing {exc})") from None
         k = int(params.get("k", 0))
         if m < 0 or n < 0 or not 0 < a < 1:
-            raise ValueError("stochastic family wants m, n >= 0 and 0 < a < 1")
+            raise ValueError(
+                f"stochastic family wants m, n >= 0 and 0 < a < 1, got m = {m}, "
+                f"n = {n}, a = {a}"
+            )
         # P^m = sum_i C(m,i) a^(m-i) (1-a)^i T^-i, and the adjoint mirror
         expr: Dict[int, Fraction] = {}
         for i in range(m + 1):

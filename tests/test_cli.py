@@ -173,7 +173,7 @@ experiment.c.a = 1/2
 @pytest.mark.parametrize(
     "text, line",
     [
-        (CONVERGE.replace("a = 1/2", "a = 2"), 7),
+        (CONVERGE.replace("a = 1/2", "a = 2"), 6),
         (GOOD.replace("window = 4", "window = -1"), 8),
         ("construction.catalog = chacon\nconstruction.depth = 63\n"
          "experiment.m.kind = mixing\nexperiment.m.lags = 1\n", 2),

@@ -313,21 +313,26 @@ experiment.c.lags = l[8]
 
 
 @pytest.mark.parametrize(
-    "text, line",
+    "text, line, key",
     [
-        (BASE.format(lags="3") + "experiment.scan.window = -1\n", 6),
-        (CONVERGE + "experiment.c.family = identity\nexperiment.c.window = -2\n", 7),
-        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 2\n", 7),
-        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 0\n", 7),
+        (BASE.format(lags="3") + "experiment.scan.window = -1\n", 6, "window"),
+        (CONVERGE + "experiment.c.family = identity\nexperiment.c.window = -2\n", 7,
+         "window"),
+        # family parameters out of range name the family key
+        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 2\n", 6,
+         r"family: .*a = 2"),
+        (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 0\n", 6,
+         r"family: .*a = 0"),
         (CONVERGE + "experiment.c.family = stochastic\nexperiment.c.m = -1\n"
-         "experiment.c.a = 1/2\n", 7),
-        (CONVERGE + "experiment.c.family = chacon-geometric\nexperiment.c.M = -1\n", 7),
+         "experiment.c.a = 1/2\n", 6, r"family: .*m = -1"),
+        (CONVERGE + "experiment.c.family = chacon-geometric\nexperiment.c.M = -1\n", 6,
+         r"family: .*M >= 0, got -1"),
     ],
     ids=["scan-window", "converge-window", "a-above-1", "a-zero", "m-negative",
          "M-negative"],
 )
-def test_bad_experiment_parameters_refused_with_line(text, line):
-    with pytest.raises(ValidationError, match=rf"line {line}: experiment\.\w+\.\w+"):
+def test_bad_experiment_parameters_refused_with_line(text, line, key):
+    with pytest.raises(ValidationError, match=rf"line {line}: experiment\.\w+\.{key}"):
         parse_config(text)
 
 

@@ -210,7 +210,7 @@ def test_pair_counts_match_interval_oracle(J, L, frac):
 
 
 @pytest.mark.parametrize("J, L", [(3, 3), (4, 2)])
-def test_window_counts_match_interval_oracle(J, L, monkeypatch):
+def test_window_counts_match_interval_oracle(J, L):
     rz = realize(catalog("staircase-flow"), J)
     seg = flow_segments(rz, J)
     col = FlowColumn(seg, SlabAlgebra(L))
@@ -241,11 +241,10 @@ def test_window_counts_match_interval_oracle(J, L, monkeypatch):
     ]:
         check(lo, hi)
     assert check(-tiny, F(0)).dtype == np.int64
-    # four int64 pieces, then the same window and a longer one in Python ints
-    assert check(-tiny, 3 * piece).dtype == object
+    assert check(-tiny, piece - tiny).dtype == np.int64
+    # one tick past int64, and a long window, in Python ints
+    assert check(-tiny, piece).dtype == object
     check(F(0), seg.total - tiny)
-    monkeypatch.setattr(flows, "_MAX_PIECES", 1)
-    check(-tiny, 3 * piece)
 
 
 def test_window_counts_rejects_empty_or_too_long_windows():
