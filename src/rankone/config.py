@@ -40,16 +40,18 @@ from .construction import (
     realize,
     validate_schedule,
 )
-from .correlation import COUNT_LIMIT, LAG_CAP_DIVISOR
+from .correlation import COUNT_LIMIT, LAG_CAP_DIVISOR, PAIR_CELL_LIMIT
 from .diagnostics import DISJOINTNESS_CELL_LIMIT, TRIPLE_CELL_LIMIT
 from .errors import (
     MalformedRule,
     NonPositiveCut,
     ParseError,
     ScheduleError,
+    SegmentBudgetExceeded,
     ValidationError,
 )
-from .operators import build_family
+from .flows import BREAK_BUDGET, MIN_SLABS, segment_counts
+from .operators import build_family, family_reach
 from .words import alphabet_size, default_base_stage
 
 __all__ = [
@@ -337,7 +339,9 @@ def _resolve_depth(
     if depth_e is not None:
         J = _to_int(depth_e)
         if not 2 <= J <= _MAX_DEPTH:
-            raise ValidationError(f"depth {J} outside 2..{_MAX_DEPTH}")
+            raise ValidationError(
+                f"line {depth_e.line}: {depth_e.key}: depth {J} outside 2..{_MAX_DEPTH}"
+            )
         return J, {"J": J, "source": "depth"}
     budget = _to_int(budget_e)
     if budget < 1:
@@ -357,16 +361,27 @@ def _resolve_depth(
         probe *= 2
 
 
-def _cap_check(lag: int, lJ: int, cap: int, label: str) -> int:
+def _cap_check(lag: int, lJ: int, cap: int, e: _Entry) -> int:
     if abs(lag) > cap:
         raise ValidationError(
-            f"experiment {label}: lag {lag} exceeds the reporting cap "
+            f"line {e.line}: {e.key}: lag {lag} exceeds the reporting cap "
             f"l_J/{LAG_CAP_DIVISOR} = {cap} (l_J = {lJ})"
         )
     return lag
 
 
-def _family_params(kind_e: _Entry, sec: _Section, label: str) -> Dict[str, object]:
+def _reach_check(reach: int, lJ: int, e: _Entry, what: str) -> None:
+    """The limit basis reads lags 0..reach, and counts need |lag| < l_J."""
+    if reach >= lJ:
+        raise ValidationError(
+            f"line {e.line}: {e.key}: {what} needs lags up to {reach}, "
+            f"beyond the word length l_J = {lJ}"
+        )
+
+
+def _family_params(
+    kind_e: _Entry, sec: _Section, label: str, lJ: int
+) -> Dict[str, object]:
     name = kind_e.value
     out: Dict[str, object] = {}
     if name == "chacon-geometric":
@@ -386,7 +401,9 @@ def _family_params(kind_e: _Entry, sec: _Section, label: str) -> Dict[str, objec
         raise ValidationError(
             f"experiment {label}: unknown family {name!r}"
         )
-    # the parameter ranges live in build_family
+    # the parameter ranges live in build_family; its reach is checked first,
+    # since a long family is slow to build
+    _reach_check(family_reach(name, **out), lJ, kind_e, f"family {name}")
     try:
         build_family(name, **out)
     except ValueError as exc:
@@ -421,7 +438,7 @@ def parse_config(
                 )
         if cat_e.value not in catalog_names():
             raise ValidationError(
-                f"unknown catalog entry {cat_e.value!r}; "
+                f"line {cat_e.line}: unknown catalog entry {cat_e.value!r}; "
                 f"known: {', '.join(catalog_names())}"
             )
         if a_e is not None and not catalog(cat_e.value).stochastic:
@@ -495,28 +512,31 @@ def parse_config(
 
         budget_e = _B()
     J, depth_echo = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
+    e = depth_e if depth_e is not None else budget_e
+    # where a size refusal points: the key that set the depth, or the flag
+    depth_at = f"line {e.line}: {e.key}" if e.line else "--budget"
     realized = realize(schedule, J, seed=plan_seed)
     hs = heights(realized, J)
     if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
-        e = depth_e if depth_e is not None else budget_e
         raise ValidationError(
-            f"line {e.line}: {e.key}: depth {J} word has {hs[J - 1]} symbols; "
+            f"{depth_at}: depth {J} word has {hs[J - 1]} symbols; "
             f"exact counting needs fewer than {COUNT_LIMIT}"
         )
 
     base_e = sec.take("construction.base")
-    if schedule.kind == "flow":
-        j0 = 1
-        if base_e is not None and base_e.value != "auto":
-            j0 = _to_int(base_e)
-            if not 1 <= j0 <= J:
-                raise ValidationError(f"base stage {j0} outside 1..{J}")
-    elif base_e is None or base_e.value == "auto":
-        j0 = default_base_stage(realized)
-    else:
+    if base_e is not None and base_e.value != "auto":
         j0 = _to_int(base_e)
         if not 1 <= j0 <= J:
-            raise ValidationError(f"base stage {j0} outside 1..{J}")
+            raise ValidationError(
+                f"line {base_e.line}: {base_e.key}: base stage {j0} outside 1..{J}"
+            )
+    else:
+        j0 = 1 if schedule.kind == "flow" else default_base_stage(realized)
+    if schedule.kind == "flow":
+        try:
+            copies, spacers = segment_counts(realized, J, j0)
+        except SegmentBudgetExceeded as exc:
+            raise ValidationError(f"{depth_at}: {exc}") from None
 
     stem_e = sec.take("output.stem")
     if stem_e is not None:
@@ -545,15 +565,21 @@ def parse_config(
         if S**power > limit:
             raise ValidationError(
                 f"line {kind_e.line}: experiment {label}: alphabet of {S} "
-                f"symbols makes the {what} tensor too large "
+                f"symbols makes the {what} too large "
                 f"({S}**{power} > {limit}); use a lower construction.base"
             )
 
     def lag_list(e: _Entry) -> List[int]:
         return [
-            _cap_check(_resolve_lag(tok, hs, e), lJ, cap, label)
+            _cap_check(_resolve_lag(tok, hs, e), lJ, cap, e)
             for tok in _split_list(e)
         ]
+
+    def window(e: Optional[_Entry]) -> int:
+        """The limit basis window K; the basis reads lags 0..K."""
+        K = _nonnegative(e) if e is not None else 8
+        _reach_check(K, lJ, e or kind_e, f"window {K}")
+        return K
 
     experiments: List[ExperimentSpec] = []
     for label in order:
@@ -563,15 +589,17 @@ def parse_config(
         kind = kind_e.value
         if kind not in EXPERIMENT_KINDS:
             raise ValidationError(
-                f"experiment {label}: unknown kind {kind!r}; "
+                f"line {kind_e.line}: experiment {label}: unknown kind {kind!r}; "
                 f"known: {', '.join(EXPERIMENT_KINDS)}"
             )
         wants_flow = kind == "flow-limit"
         if wants_flow != (schedule.kind == "flow"):
             raise ValidationError(
-                f"experiment {label}: kind {kind} does not apply to a "
+                f"line {kind_e.line}: experiment {label}: kind {kind} does not apply to a "
                 f"{schedule.kind} schedule"
             )
+        if not wants_flow:  # every transformation experiment reads pair counts
+            cell_check(2, PAIR_CELL_LIMIT, "pair-count table")
         params: Dict[str, object] = {}
         take = lambda key: sec.take(f"experiment.{label}.{key}")
         if kind == "limit-scan":
@@ -579,8 +607,7 @@ def parse_config(
             if lags_e is None:
                 raise ValidationError(f"experiment {label}: limit-scan needs lags")
             params["lags"] = lag_list(lags_e)
-            w = take("window")
-            params["window"] = _nonnegative(w) if w is not None else 8
+            params["window"] = window(take("window"))
             t = take("tolerance")
             params["tolerance"] = _to_float(t) if t is not None else 0.03
             mp = take("max-power")
@@ -595,9 +622,8 @@ def parse_config(
                     f"experiment {label}: converge needs lags and family"
                 )
             params["lags"] = lag_list(lags_e)
-            params.update(_family_params(fam_e, sec, label))
-            w = take("window")
-            params["window"] = _nonnegative(w) if w is not None else 8
+            params.update(_family_params(fam_e, sec, label, lJ))
+            params["window"] = window(take("window"))
             t = take("tolerance")
             params["tolerance"] = _to_float(t) if t is not None else 0.03
         elif kind == "rigidity":
@@ -606,9 +632,7 @@ def parse_config(
                 params["lags"] = lag_list(lags_e)
             else:
                 params["lags"] = [
-                    _cap_check(int(hs[j - 1]), lJ, cap, label)
-                    for j in range(j0 + 1, J)
-                    if int(hs[j - 1]) <= cap
+                    int(hs[j - 1]) for j in range(j0 + 1, J) if int(hs[j - 1]) <= cap
                 ]
             s = take("slack")
             params["slack"] = _to_float(s) if s is not None else 0.01
@@ -625,11 +649,12 @@ def parse_config(
                         f"experiment {label}: disjointness needs p, q, and N"
                     )
                 params[p] = _to_int(e)
+            N_e = take("N")
             if params["N"] < 1:
-                raise ValidationError(f"experiment {label}: N must be >= 1")
+                raise ValidationError(f"line {N_e.line}: {N_e.key}: N must be >= 1")
             reach = max(abs(params["p"]), abs(params["q"])) * params["N"]
-            _cap_check(reach, lJ, cap, label)
-            cell_check(4, DISJOINTNESS_CELL_LIMIT, "4-index")
+            _cap_check(reach, lJ, cap, N_e)
+            cell_check(4, DISJOINTNESS_CELL_LIMIT, "4-index tensor")
         elif kind == "triple":
             m_e, n_e = take("m"), take("n")
             if m_e is None or n_e is None:
@@ -640,25 +665,36 @@ def parse_config(
             ns = lag_list(n_e)
             if len(ms) != len(ns):
                 raise ValidationError(
-                    f"experiment {label}: m and n lists differ in length "
+                    f"line {n_e.line}: experiment {label}: m and n lists differ in length "
                     f"({len(ms)} vs {len(ns)})"
                 )
             params["pairs"] = list(zip(ms, ns))
-            cell_check(3, TRIPLE_CELL_LIMIT, "triple")
+            cell_check(3, TRIPLE_CELL_LIMIT, "triple tensor")
         else:  # flow-limit
             q_e = take("q")
             params["q"] = _to_int(q_e) if q_e is not None else 1
             if params["q"] < 1:
-                raise ValidationError(f"experiment {label}: q must be >= 1")
+                raise ValidationError(f"line {q_e.line}: {q_e.key}: q must be >= 1")
             st_e = take("stage")
             j = J - 1 if st_e is None else _resolve_stage(st_e.value, J, st_e)
             if not 1 <= j <= J - 1:
                 raise ValidationError(
-                    f"experiment {label}: stage {j} outside 1..{J - 1}"
+                    f"line {st_e.line}: {st_e.key}: stage {j} outside 1..{J - 1}"
                 )
             params["stage"] = j
             sl = take("slabs")
-            params["slabs"] = _to_int(sl) if sl is not None else 16
+            L = _to_int(sl) if sl is not None else 16
+            if L < MIN_SLABS:
+                raise ValidationError(
+                    f"line {sl.line}: {sl.key}: slabs must be >= {MIN_SLABS}, got {L}"
+                )
+            if copies * L + spacers > BREAK_BUDGET:
+                at = f"line {sl.line}: {sl.key}" if sl is not None else depth_at
+                raise ValidationError(
+                    f"{at}: the column needs {copies * L + spacers} "
+                    f"breakpoints (budget {BREAK_BUDGET})"
+                )
+            params["slabs"] = L
         experiments.append(ExperimentSpec(label=label, kind=kind, params=params))
 
     leftovers = sec.unused()

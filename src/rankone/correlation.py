@@ -11,10 +11,13 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   one another). Decomposing the source range at the coarsest stage d with
   l_d <= c turns every fully covered block into complete lower-stage tables
   (a length-l_d window overlapping a length-l_d block always induces a full,
-  possibly transposed, pair range) plus small spacer histogram edge terms;
-  the one block straddling c recurses with strictly smaller c. Small ranges
-  are read directly: ``_window`` returns W[lo:hi) in one descent through the
-  stage layouts, so a range costs O(depth + length).
+  possibly transposed, pair range) plus small spacer edge terms; the one
+  block straddling c recurses with strictly smaller c. An edge one symbol
+  wide adds 1 to one cell: ``_symbol`` reads W[p] as a Python int by one
+  bisect per stage, memoised by position (edges repeat across lags and
+  blocks). Wider edges and small ranges are read directly: ``_window``
+  returns W[lo:hi) in one descent through the stage layouts, so a range
+  costs O(depth + length).
 
 The same counter gives exact k-point counts (``PairCounter.triple_counts``
 for k = 3). T(U, c) counts (W[u+U_0], ..., W[u+U_{k-1}]) for u < c. Each
@@ -60,6 +63,7 @@ __all__ = [
     "corr_sequence",
     "LAG_CAP_DIVISOR",
     "COUNT_LIMIT",
+    "PAIR_CELL_LIMIT",
 ]
 
 #: Reported correlation matrices require |n| <= l_J / LAG_CAP_DIVISOR.
@@ -67,6 +71,9 @@ LAG_CAP_DIVISOR = 4
 
 #: Exact pair counting needs the word length l_J below this.
 COUNT_LIMIT = 1 << 62
+
+#: Largest S**2 a pair-count table may have (S symbols per index).
+PAIR_CELL_LIMIT = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +190,10 @@ class PairCounter:
         if self.lJ >= COUNT_LIMIT:
             raise DepthOverBudget(f"word length {self.lJ} too large for exact counting")
         self.S = alphabet_size(realized, j0)
+        if self.S**2 > PAIR_CELL_LIMIT:
+            raise ValueError(
+                f"alphabet of {self.S} symbols makes the pair-count table too large"
+            )
         self.star = self.S - 1
         self.enum_cutoff = enum_cutoff
         w = base_word(realized, j0)
@@ -197,6 +208,7 @@ class PairCounter:
         self._memo: Dict[tuple, np.ndarray] = {}
         self._tmemo: Dict[tuple, tuple] = {}
         self._wcounts: Dict[int, np.ndarray] = {}
+        self._symbols: Dict[int, int] = {}
 
     # -- layout helpers ----------------------------------------------------
 
@@ -282,6 +294,27 @@ class PairCounter:
             i += 1
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
+    def _symbol(self, p: int) -> int:
+        """W[p] as a Python int: one bisect per stage, memoised by position."""
+        sym = self._symbols.get(p)
+        if sym is None:
+            q = p
+            while q >= len(self.prefix):
+                if q < self.lengths[self.j0 - 1]:
+                    sym = q  # base word lists its levels in order
+                    break
+                g = bisect_right(self.lengths, q) + 1  # smallest stage with length > q
+                starts, kinds, _ = self._layout(g)
+                i = bisect_right(starts, q) - 1
+                if kinds[i]:
+                    sym = self.star
+                    break
+                q -= starts[i]
+            else:
+                sym = int(self.prefix[q])
+            self._symbols[p] = sym
+        return sym
+
     def _hist(self, lo: int, hi: int) -> np.ndarray:
         """Histogram of W[lo:hi); long windows via prefix histograms."""
         if hi - lo <= len(self.prefix):
@@ -361,7 +394,9 @@ class PairCounter:
             for seg in self._segments(d, 0, c):
                 if seg[0] == "g":
                     lo, hi = seg[1], min(seg[1] + seg[2], c)
-                    if lo < hi:
+                    if hi - lo == 1:  # a one-symbol spacer edge
+                        tab[self.star, self._symbol(lo + m)] += 1
+                    elif lo < hi:
                         tab[self.star, :] += self._hist(lo + m, hi + m)
                 else:
                     A = seg[1]
@@ -377,7 +412,9 @@ class PairCounter:
             if seg[0] == "g":
                 v0 = max(seg[1] - A - m, 0)
                 v1 = min(seg[1] + seg[2] - A - m, span)
-                if v0 < v1:
+                if v1 - v0 == 1:
+                    tab[self._symbol(v0), star] += 1
+                elif v0 < v1:
                     tab[:, star] += self._hist(v0, v1)
             else:
                 mp = m + A - seg[1]

@@ -35,6 +35,7 @@ __all__ = [
     "SegmentList",
     "SlabAlgebra",
     "FlowColumn",
+    "segment_counts",
     "flow_segments",
     "flow_corr",
     "FlowCorrMatrix",
@@ -44,10 +45,14 @@ __all__ = [
     "FlowLimitReport",
     "flow_limit_check",
     "SEGMENT_BUDGET",
+    "BREAK_BUDGET",
+    "MIN_SLABS",
 ]
 
 SEGMENT_BUDGET = 10**7
-_BREAK_BUDGET = 3 * 10**7
+BREAK_BUDGET = 3 * 10**7
+#: The slab algebra cuts the base fiber into at least this many slabs.
+MIN_SLABS = 2
 _TICK_LIMIT = 1 << 62
 
 COPY = 0
@@ -77,6 +82,22 @@ class SegmentList:
             yield ("copy" if k == COPY else "spacer", Fraction(int(n), int(d)))
 
 
+def segment_counts(realized: RealizedSchedule, J: int, j0: int = 1) -> Tuple[int, int]:
+    """(copies, spacer runs) of the depth-J segment list, without building it.
+
+    Raises SegmentBudgetExceeded once the segment count passes SEGMENT_BUDGET.
+    """
+    copies, spacers = 1, 0
+    for j in range(j0, J):
+        r, vec = realized.stage(j)
+        copies, spacers = copies * r, spacers * r + sum(1 for s in vec if s != 0)
+        if copies + spacers > SEGMENT_BUDGET:
+            raise SegmentBudgetExceeded(
+                f"depth {J} needs {copies + spacers}+ segments (budget {SEGMENT_BUDGET})"
+            )
+    return copies, spacers
+
+
 def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentList:
     """Segment decomposition: stage j+1 = r_j copies of stage j, a spacer
     run after each copy; zero-duration spacers are dropped."""
@@ -84,19 +105,9 @@ def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentLis
         raise ValueError("flow_segments wants a flow schedule")
     if not 1 <= j0 <= J:
         raise ValueError(f"need 1 <= j0 <= J, got j0={j0}, J={J}")
+    segment_counts(realized, J, j0)
     hs = heights(realized, J)
     base = hs[j0 - 1]
-
-    # budget precheck: copies * (1 + spacer share) bounded by the recursion
-    count = 1
-    for j in range(j0, J):
-        r, vec = realized.stage(j)
-        nonzero = sum(1 for s in vec if s != 0)
-        count = count * r + nonzero
-        if count > SEGMENT_BUDGET:
-            raise SegmentBudgetExceeded(
-                f"depth {J} needs {count}+ segments (budget {SEGMENT_BUDGET})"
-            )
 
     kinds = np.array([COPY], dtype=np.int8)
     nums = np.array([base.numerator], dtype=np.int64)
@@ -135,8 +146,8 @@ class SlabAlgebra:
     L: int
 
     def __post_init__(self):
-        if self.L < 2:
-            raise ValueError("slab algebra wants L >= 2")
+        if self.L < MIN_SLABS:
+            raise ValueError(f"slab algebra wants L >= {MIN_SLABS}")
 
     @property
     def size(self) -> int:
@@ -220,9 +231,9 @@ class FlowColumn:
         n_breaks = int((segments.kinds == COPY).sum()) * L + int(
             (segments.kinds == SPACER).sum()
         )
-        if n_breaks > _BREAK_BUDGET:
+        if n_breaks > BREAK_BUDGET:
             raise SegmentBudgetExceeded(
-                f"column needs {n_breaks} breakpoints (budget {_BREAK_BUDGET})"
+                f"column needs {n_breaks} breakpoints (budget {BREAK_BUDGET})"
             )
         copy_mask = segments.kinds == COPY
         copy_starts = starts[copy_mask]

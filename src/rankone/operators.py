@@ -34,6 +34,7 @@ __all__ = [
     "op_power",
     "build_family",
     "family_names",
+    "family_reach",
     "predicted_matrix",
     "JoiningMatrix",
     "joining_matrix",
@@ -207,6 +208,18 @@ def build_family(name: str, **params) -> OperatorExpression:
                 expr[p] = expr.get(p, Fraction(0)) + coeff
         return OperatorExpression.make(expr)
     raise UnknownFamily(f"no operator family named {name!r}")
+
+
+def family_reach(name: str, **params) -> int:
+    """Largest |i| with T^i in build_family(name, **params), read off the
+    parameters without building the coefficients (a long family is slow to
+    build)."""
+    if name == "chacon-geometric":
+        return int(params.get("M", 16))
+    if name == "stochastic":
+        k = int(params.get("k", 0))
+        return max(abs(k - int(params["m"])), abs(k + int(params["n"])))
+    return 1 if name == "modified-chacon-limit" else 0
 
 
 def predicted_matrix(

@@ -170,6 +170,10 @@ experiment.c.a = 1/2
 """
 
 
+CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
+FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperiment.f.kind = flow-limit\n"
+
+
 @pytest.mark.parametrize(
     "text, line",
     [
@@ -177,8 +181,22 @@ experiment.c.a = 1/2
         (GOOD.replace("window = 4", "window = -1"), 8),
         ("construction.catalog = chacon\nconstruction.depth = 63\n"
          "experiment.m.kind = mixing\nexperiment.m.lags = 1\n", 2),
+        # each of these used to pass the config and fail at run time (exit 2)
+        (CHACON10 + "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n"
+         "experiment.s.window = 100000000\n", 5),
+        (CHACON10 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+         "experiment.c.family = chacon-geometric\nexperiment.c.M = 100000\n", 5),
+        (FLOW.format(J=5) + "experiment.f.slabs = 1\n", 4),
+        (FLOW.format(J=40), 2),
+        # messages that used to carry no line number
+        (GOOD.replace("l[8], -l[8]", "l[J-1]"), 7),
+        (FLOW.format(J=6) + "experiment.f.q = 0\n", 4),
+        (FLOW.format(J=6) + "experiment.f.stage = 99\n", 4),
+        (GOOD.replace("base = 2", "base = 11"), 4),
     ],
-    ids=["stochastic-a", "scan-window", "word-length"],
+    ids=["stochastic-a", "scan-window", "word-length", "window-beyond-word",
+         "geometric-M-beyond-word", "slabs-1", "flow-segments", "lag-cap", "flow-q",
+         "flow-stage", "base-stage"],
 )
 def test_bad_experiment_parameter_exit_one_without_traceback(tmp_path, text, line):
     _assert_config_error_at(tmp_path, text, line)

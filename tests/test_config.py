@@ -7,6 +7,7 @@ import pytest
 from rankone.config import parse_config
 from rankone.construction import heights
 from rankone.correlation import COUNT_LIMIT
+from rankone.flows import BREAK_BUDGET, SEGMENT_BUDGET
 from rankone.errors import ParseError, ValidationError
 
 BASE = """
@@ -278,11 +279,14 @@ def test_triple_lists_zip_and_validate():
             "experiment.x.q = 2\nexperiment.x.N = 4", False),
         (6, "kind = disjointness\nexperiment.x.p = 1\n"
             "experiment.x.q = 2\nexperiment.x.N = 4", True),
+        (11, "kind = rigidity", False),
+        (12, "kind = rigidity", True),
     ],
 )
 def test_alphabet_limits_checked_at_config_time(base, experiment, refused):
     # chacon has l_j = 2**j - 1, so base j gives 2**j symbols: the triple
-    # limit S**3 <= 2**24 admits base 8, the S**4 <= 2**22 limit base 5
+    # limit S**3 <= 2**24 admits base 8, the S**4 <= 2**22 limit base 5,
+    # the pair-count limit S**2 <= 2**22 base 11
     text = (
         "construction.catalog = chacon\nconstruction.depth = 14\n"
         f"construction.base = {base}\nexperiment.x.{experiment}\n"
@@ -311,6 +315,9 @@ experiment.c.kind = converge
 experiment.c.lags = l[8]
 """
 
+# chacon depth 10: l_J = 1023, and the limit basis reads lags 0..reach
+CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
+
 
 @pytest.mark.parametrize(
     "text, line, key",
@@ -327,13 +334,41 @@ experiment.c.lags = l[8]
          "experiment.c.a = 1/2\n", 6, r"family: .*m = -1"),
         (CONVERGE + "experiment.c.family = chacon-geometric\nexperiment.c.M = -1\n", 6,
          r"family: .*M >= 0, got -1"),
+        # reaches beyond the word: the window's line, else the family's
+        (CHACON10 + "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n"
+         "experiment.s.window = 1023\n", 5, r"window: .*l_J = 1023"),
+        (CHACON10 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+         "experiment.c.family = identity\nexperiment.c.window = 1023\n", 6,
+         r"window: .*l_J = 1023"),
+        (CHACON10 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+         "experiment.c.family = chacon-geometric\nexperiment.c.M = 100000\n", 5,
+         r"family: .*up to 100000, .*l_J = 1023"),
+        (CHACON10 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+         "experiment.c.family = stochastic\nexperiment.c.a = 1/2\n"
+         "experiment.c.m = 1000\nexperiment.c.k = -23\n", 5,
+         r"family: .*up to 1023, .*l_J = 1023"),
+        # a defaulted window names the kind line (chacon depth 3: l_J = 7 < 8)
+        ("construction.catalog = chacon\nconstruction.depth = 3\n"
+         "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n", 3, r"kind: window 8"),
     ],
     ids=["scan-window", "converge-window", "a-above-1", "a-zero", "m-negative",
-         "M-negative"],
+         "M-negative", "scan-window-beyond-word", "converge-window-beyond-word",
+         "M-beyond-word", "stochastic-beyond-word", "default-window-beyond-word"],
 )
 def test_bad_experiment_parameters_refused_with_line(text, line, key):
     with pytest.raises(ValidationError, match=rf"line {line}: experiment\.\w+\.{key}"):
         parse_config(text)
+
+
+def test_basis_reach_just_inside_word_accepted():
+    plan = parse_config(
+        CHACON10 + "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n"
+        "experiment.s.window = 1022\n"
+        "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+        "experiment.c.family = chacon-geometric\nexperiment.c.M = 1022\n"
+    )
+    assert plan.experiments[0].params["window"] == 1022
+    assert plan.experiments[1].params["M"] == 1022
 
 
 def test_stochastic_family_in_range_accepted():
@@ -401,3 +436,51 @@ def test_base_auto_is_default_stage():
     assert hs[plan.j0 - 1] >= 8
     explicit = _plan(extra="construction.base = 2\n")
     assert explicit.j0 == 2
+
+
+FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperiment.f.kind = flow-limit\n"
+
+
+@pytest.mark.parametrize(
+    "J, extra, line, message",
+    [
+        (5, "experiment.f.slabs = 1\n", 4, r"experiment\.f\.slabs: slabs must be >= 2"),
+        (40, "", 2, rf"construction\.depth: .*segments \(budget {SEGMENT_BUDGET}\)"),
+        (10, "", 2, rf"construction\.depth: .*breakpoints \(budget {BREAK_BUDGET}\)"),
+        (5, "experiment.f.slabs = 100000000\n", 4,
+         rf"experiment\.f\.slabs: .*breakpoints \(budget {BREAK_BUDGET}\)"),
+        (5, "experiment.f.q = 0\n", 4, r"experiment\.f\.q: q must be >= 1"),
+        (6, "experiment.f.stage = 99\n", 4, r"experiment\.f\.stage: stage 99 outside 1\.\.5"),
+    ],
+    ids=["slabs-1", "segments", "breakpoints-depth", "breakpoints-slabs", "q-0", "stage-99"],
+)
+def test_flow_limits_refused_with_line(J, extra, line, message):
+    with pytest.raises(ValidationError, match=rf"line {line}: {message}"):
+        parse_config(FLOW.format(J=J) + extra)
+
+
+def test_budget_flag_refusal_names_the_flag():
+    with pytest.raises(ValidationError, match=r"^--budget: depth \d+ needs \d+\+ segments"):
+        parse_config(FLOW.format(J=5), budget=10**12)
+
+
+def test_flow_column_within_budgets_accepted():
+    # staircase depth 9 with 16 slabs: 6.2M breakpoints
+    plan = parse_config(FLOW.format(J=9))
+    assert plan.experiments[0].params["slabs"] == 16
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        (BASE.format(lags="l[J-1]"), 5, r"experiment\.scan\.lags: lag \d+ exceeds the reporting cap"),
+        (BASE.format(lags="3") + "construction.base = 11\n", 6,
+         r"construction\.base: base stage 11 outside 1\.\.10"),
+        (BASE.format(lags="3") + "experiment.d.kind = disjointness\nexperiment.d.p = 1\n"
+         "experiment.d.q = 3\nexperiment.d.N = 20000\n", 9, r"experiment\.d\.N: lag 60000 exceeds"),
+    ],
+    ids=["lag-cap", "base-stage", "disjointness-reach"],
+)
+def test_remaining_validation_errors_name_their_line(text, line, message):
+    with pytest.raises(ValidationError, match=rf"line {line}: {message}"):
+        parse_config(text)

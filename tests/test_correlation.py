@@ -1,6 +1,9 @@
 """Exact pair counts: frozen small-word oracles, engine agreement, and
 conservation laws."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +22,7 @@ from rankone.construction import (
 )
 from rankone.correlation import (
     LAG_CAP_DIVISOR,
+    PAIR_CELL_LIMIT,
     PairCounter,
     corr_matrix,
     corr_sequence,
@@ -383,3 +387,126 @@ def test_triple_memo_stays_sparse_at_32_symbols():
     # a dense (S, S, S) int64 entry alone takes 256 KiB
     assert len(pc._tmemo) > 100
     assert held < 8 << 20
+
+
+# ---------------------------------------------------------------------------
+# one-symbol spacer edges
+
+
+@given(
+    data=small_realization(),
+    cutoff=st.sampled_from([1, 4, 16]),
+    j0=st.sampled_from([1, 2]),
+)
+@example(  # prefix of 4 below the base word, l_2 = 6
+    data=(
+        realize(
+            ConstructionSchedule(
+                "transformation", ConstantCuts(3), PatternSpacers((2, 0, 1))
+            ),
+            5,
+        ),
+        5,
+    ),
+    cutoff=4,
+    j0=2,
+)
+@example(data=(realize(catalog("chacon"), 3), 3), cutoff=16, j0=1)  # l_J = 7 < 16
+@settings(max_examples=60, deadline=None)
+def test_symbol_matches_materialized_word(data, cutoff, j0):
+    rz, J = data
+    j0 = min(j0, J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=4)
+    w = materialize_word(rz, J, j0)
+    for p in range(len(w)):
+        assert pc._symbol(p) == w[p], p
+    # a second pass reads the memo
+    assert [pc._symbol(p) for p in range(len(w))] == w.tolist()
+
+
+@pytest.mark.parametrize("name", ["chacon", "stochastic-chacon", "long-spacer"])
+@pytest.mark.parametrize("cutoff", [1, 16])
+def test_symbol_matches_named_words(name, cutoff):
+    sched, seed, J, top_j0 = _TRIPLE_WORDS[name]
+    rz = realize(sched, J, seed=seed)
+    for j0 in sorted({1, top_j0}):
+        pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff)
+        w = materialize_word(rz, J, j0)
+        assert [pc._symbol(p) for p in range(len(w))] == w.tolist(), j0
+
+
+def _spacer_adjacent_lags(hs, j0, J):
+    """l_j - 1, l_j, l_j + 1 and their negatives for j0 < j < J."""
+    lags = []
+    for j in range(j0 + 1, J):
+        for n in (int(hs[j - 1]) - 1, int(hs[j - 1]), int(hs[j - 1]) + 1):
+            lags += [n, -n]
+    return lags
+
+
+# name -> (schedule, seed, depth, base stage); every word is longer than
+# the default materialize_cutoff
+_EDGE_WORDS = {
+    "chacon": (catalog("chacon"), None, 18, 2),
+    "stochastic-chacon": (catalog("stochastic-chacon"), 5, 9, 2),
+    "long-spacer": (
+        ConstructionSchedule(
+            "transformation", ConstantCuts(2), PatternSpacers((0, 3000))
+        ),
+        None,
+        7,
+        1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_WORDS))
+@pytest.mark.parametrize(
+    "cutoffs", [{}, {"materialize_cutoff": 16, "enum_cutoff": 4}], ids=["default", "small"]
+)
+def test_counts_at_spacer_adjacent_lags_match_naive(name, cutoffs):
+    sched, seed, J, j0 = _EDGE_WORDS[name]
+    rz = realize(sched, J, seed=seed)
+    lags = _spacer_adjacent_lags(heights(rz, J), j0, J)
+    pc = PairCounter(rz, J, j0, **cutoffs)
+    naive = lag_counts_naive(rz, J, j0, lags)
+    for n in lags:
+        assert np.array_equal(pc.counts(n), naive[n]), n
+    assert pc._symbols  # the one-symbol edge path ran
+
+
+def test_counts_do_not_depend_on_query_order():
+    rz = realize(catalog("chacon"), 24)
+    hs = heights(rz, 24)
+    lags = _spacer_adjacent_lags(hs, 3, 22) + [int(hs[15]) + 7, -2 * int(hs[19]) + 3]
+    shuffled = list(lags)
+    random.Random(0).shuffle(shuffled)
+    counters = []
+    for order in (lags, lags[::-1], shuffled):
+        pc = PairCounter(rz, 24, 3)
+        got = {n: pc.counts(n) for n in order}
+        counters.append((pc, got))
+    (ref_pc, ref), *others = counters
+    for pc, got in others:
+        for n in lags:
+            assert np.array_equal(got[n], ref[n]), n
+        assert pc._symbols == ref_pc._symbols
+    for n in lags[::7]:  # a counter that never saw another lag
+        assert np.array_equal(PairCounter(rz, 24, 3).counts(n), ref[n]), n
+
+
+def test_pair_alphabet_limit_refused_before_allocating():
+    # base 2 of this schedule has 20017 symbols: one (S, S) table is 3.2 GB
+    sched = ConstructionSchedule(
+        "transformation", ConstantCuts(2), PatternSpacers((0, 20000)), h1=7
+    )
+    rz = realize(sched, 12)
+    assert alphabet_size(rz, 2) ** 2 > PAIR_CELL_LIMIT
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="pair-count table"):
+            PairCounter(rz, 12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

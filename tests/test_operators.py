@@ -15,6 +15,7 @@ from rankone.operators import (
     build_family,
     classify_limit,
     family_names,
+    family_reach,
     identity_op,
     joining_matrix,
     op_add,
@@ -132,6 +133,25 @@ def test_family_names_and_unknown():
 def test_geometric_rejects_negative_depth():
     with pytest.raises(ValueError):
         build_family("chacon-geometric", M=-1)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("identity", {}),
+        ("modified-chacon-limit", {}),
+        ("chacon-geometric", {}),
+        ("chacon-geometric", {"M": 0}),
+        ("chacon-geometric", {"M": 5}),
+        ("stochastic", {"m": 2, "n": 0, "a": "1/2"}),
+        ("stochastic", {"m": 0, "n": 3, "k": -1, "a": "1/3"}),
+        ("stochastic", {"m": 2, "n": 1, "k": 4, "a": "3/4"}),
+        ("stochastic", {"m": 3, "n": 2, "k": -5, "a": "1/4"}),
+    ],
+)
+def test_family_reach_is_largest_built_power(name, params):
+    powers = build_family(name, **params).powers()
+    assert family_reach(name, **params) == max(abs(i) for i in powers)
 
 
 def test_predicted_matrix_is_linear():
