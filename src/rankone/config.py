@@ -43,6 +43,7 @@ from .construction import (
 from .correlation import COUNT_LIMIT, LAG_CAP_DIVISOR, PAIR_CELL_LIMIT
 from .diagnostics import DISJOINTNESS_CELL_LIMIT, TRIPLE_CELL_LIMIT
 from .errors import (
+    CutBudgetExceeded,
     MalformedRule,
     NonPositiveCut,
     ParseError,
@@ -168,7 +169,15 @@ def _to_fraction(e: _Entry, value: Optional[str] = None) -> Fraction:
 
 
 def _to_float(e: _Entry) -> float:
-    return float(_to_fraction(e))
+    """A finite float: Fraction refuses inf and nan, and an overflow is refused here."""
+    try:
+        return float(_to_fraction(e))
+    except OverflowError:
+        raise ParseError(
+            f"{e.key} is too large for a float, got {e.value!r}",
+            line=e.line,
+            column=e.col,
+        ) from None
 
 
 def _nonnegative(e: _Entry) -> int:
@@ -269,7 +278,7 @@ def _build_spacers(e: _Entry, kind: str):
             return PatternSpacers(tuple(vals))
         if v.startswith("bernoulli:"):
             return BernoulliSpacers(float(Fraction(v[len("bernoulli:") :])))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise ParseError(
             f"construction.spacers has a malformed number in {v!r}",
             line=e.line,
@@ -432,9 +441,10 @@ def parse_config(
         a_e = sec.take("construction.a")
         for k in ("construction.kind", "construction.cuts", "construction.spacers",
                   "construction.h1"):
-            if sec.take(k) is not None:
+            e = sec.take(k)
+            if e is not None:
                 raise ValidationError(
-                    f"{k} conflicts with construction.catalog"
+                    f"line {e.line}: {k} conflicts with construction.catalog"
                 )
         if cat_e.value not in catalog_names():
             raise ValidationError(
@@ -448,7 +458,7 @@ def parse_config(
             )
         try:
             schedule = (
-                catalog(cat_e.value, a=float(_to_fraction(a_e)))
+                catalog(cat_e.value, a=_to_float(a_e))
                 if a_e is not None
                 else catalog(cat_e.value)
             )
@@ -459,8 +469,10 @@ def parse_config(
         cuts_e = sec.take("construction.cuts")
         spac_e = sec.take("construction.spacers")
         if kind_e is None or cuts_e is None or spac_e is None:
+            at = next((e for e in entries if e.key.startswith("construction.")), None)
             raise ValidationError(
-                "inline construction needs kind, cuts, and spacers "
+                (f"line {at.line}: " if at else "")
+                + "inline construction needs kind, cuts, and spacers "
                 "(or use construction.catalog)"
             )
         if kind_e.value not in ("transformation", "flow"):
@@ -488,7 +500,7 @@ def parse_config(
         )
         try:
             validate_schedule(schedule)
-        except NonPositiveCut as exc:
+        except (NonPositiveCut, CutBudgetExceeded) as exc:
             raise _rule_error(cuts_e, exc) from None
         except ScheduleError as exc:  # negative spacers, or vectors not fitting the cuts
             raise _rule_error(spac_e, exc) from None
@@ -511,11 +523,14 @@ def parse_config(
             key, value, line, col = "construction.budget", str(budget), 0, 0
 
         budget_e = _B()
-    J, depth_echo = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
     e = depth_e if depth_e is not None else budget_e
     # where a size refusal points: the key that set the depth, or the flag
-    depth_at = f"line {e.line}: {e.key}" if e.line else "--budget"
-    realized = realize(schedule, J, seed=plan_seed)
+    depth_at = f"line {e.line}: {e.key}" if e is not None and e.line else "--budget"
+    try:
+        J, depth_echo = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
+        realized = realize(schedule, J, seed=plan_seed)
+    except CutBudgetExceeded as exc:  # deep stages of a wide cut rule
+        raise ValidationError(f"{depth_at}: {exc}") from None
     hs = heights(realized, J)
     if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
         raise ValidationError(
@@ -543,7 +558,7 @@ def parse_config(
         stem = stem_e.value
 
     # --- experiments, in first-appearance order
-    order: List[str] = []
+    order: Dict[str, _Entry] = {}  # label -> its first entry
     for e in entries:
         parts = e.key.split(".")
         if parts[0] == "experiment":
@@ -552,8 +567,7 @@ def parse_config(
                     f"experiment keys look like experiment.<label>.<key>, got {e.key} "
                     f"(line {e.line})"
                 )
-            if parts[1] not in order:
-                order.append(parts[1])
+            order.setdefault(parts[1], e)
     if not order:
         raise ValidationError("config declares no experiments")
 
@@ -582,10 +596,10 @@ def parse_config(
         return K
 
     experiments: List[ExperimentSpec] = []
-    for label in order:
+    for label, first in order.items():
         kind_e = sec.take(f"experiment.{label}.kind")
         if kind_e is None:
-            raise ValidationError(f"experiment {label} has no kind")
+            raise ValidationError(f"line {first.line}: experiment {label} has no kind")
         kind = kind_e.value
         if kind not in EXPERIMENT_KINDS:
             raise ValidationError(
@@ -605,7 +619,9 @@ def parse_config(
         if kind == "limit-scan":
             lags_e = take("lags")
             if lags_e is None:
-                raise ValidationError(f"experiment {label}: limit-scan needs lags")
+                raise ValidationError(
+                    f"line {kind_e.line}: experiment {label}: limit-scan needs lags"
+                )
             params["lags"] = lag_list(lags_e)
             params["window"] = window(take("window"))
             t = take("tolerance")
@@ -619,7 +635,8 @@ def parse_config(
             fam_e = take("family")
             if lags_e is None or fam_e is None:
                 raise ValidationError(
-                    f"experiment {label}: converge needs lags and family"
+                    f"line {kind_e.line}: experiment {label}: "
+                    "converge needs lags and family"
                 )
             params["lags"] = lag_list(lags_e)
             params.update(_family_params(fam_e, sec, label, lJ))
@@ -639,14 +656,17 @@ def parse_config(
         elif kind == "mixing":
             lags_e = take("lags")
             if lags_e is None:
-                raise ValidationError(f"experiment {label}: mixing needs lags")
+                raise ValidationError(
+                    f"line {kind_e.line}: experiment {label}: mixing needs lags"
+                )
             params["lags"] = lag_list(lags_e)
         elif kind == "disjointness":
             for p in ("p", "q", "N"):
                 e = take(p)
                 if e is None:
                     raise ValidationError(
-                        f"experiment {label}: disjointness needs p, q, and N"
+                        f"line {kind_e.line}: experiment {label}: "
+                        "disjointness needs p, q, and N"
                     )
                 params[p] = _to_int(e)
             N_e = take("N")
@@ -659,7 +679,8 @@ def parse_config(
             m_e, n_e = take("m"), take("n")
             if m_e is None or n_e is None:
                 raise ValidationError(
-                    f"experiment {label}: triple needs m and n lag lists"
+                    f"line {kind_e.line}: experiment {label}: "
+                    "triple needs m and n lag lists"
                 )
             ms = lag_list(m_e)
             ns = lag_list(n_e)

@@ -15,6 +15,7 @@ from typing import Optional, Sequence, Union
 
 from . import _rng
 from .errors import (
+    CutBudgetExceeded,
     MalformedRule,
     NegativeSpacer,
     NonPositiveCut,
@@ -23,6 +24,7 @@ from .errors import (
 )
 
 __all__ = [
+    "CUT_BUDGET",
     "ConstantCuts",
     "ExplicitCuts",
     "AffineCuts",
@@ -43,6 +45,10 @@ __all__ = [
 
 #: How many leading stages validate_schedule checks eagerly.
 VALIDATION_HORIZON = 64
+
+#: The most cuts realize or validate_schedule reads over the stages it
+#: covers; each cut holds one spacer value in memory.
+CUT_BUDGET = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +270,28 @@ def validate_schedule(schedule: ConstructionSchedule) -> ConstructionSchedule:
         raise MalformedRule(f"stage-1 height {schedule.h1!r} invalid")
     if schedule.kind == "flow" and schedule.h1 <= 0:
         raise MalformedRule("flow stage-1 duration must be positive")
-    for j in range(1, VALIDATION_HORIZON + 1):
+    rs = _cut_counts(schedule, VALIDATION_HORIZON + 1)
+    if not schedule.spacers.stochastic:
+        for j, r in enumerate(rs, start=1):
+            vec = schedule.spacers.value(j, r, schedule, 0)
+            _check_stage(schedule.kind, j, r, vec, schedule.bounds)
+    return schedule
+
+
+def _cut_counts(schedule: ConstructionSchedule, J: int) -> list:
+    """r_1..r_{J-1}, checked before any spacer is drawn."""
+    rs, total = [], 0
+    for j in range(1, J):
         r = schedule.cuts.value(j)
         if r < 2:
             raise NonPositiveCut(f"stage {j}: cut count {r} < 2")
-        if schedule.spacers.stochastic:
-            continue
-        vec = schedule.spacers.value(j, r, schedule, 0)
-        _check_stage(schedule.kind, j, r, vec, schedule.bounds)
-    return schedule
+        total += r
+        if total > CUT_BUDGET:
+            raise CutBudgetExceeded(
+                f"stages 1..{j} make {total} cuts, more than {CUT_BUDGET}"
+            )
+        rs.append(r)
+    return rs
 
 
 def realize(
@@ -299,8 +318,7 @@ def realize(
         raise UnrealizedStochastic("stochastic schedule needs an explicit seed")
     stages = []
     draw_base = 0
-    for j in range(1, J):
-        r = schedule.cuts.value(j)
+    for j, r in enumerate(_cut_counts(schedule, J), start=1):
         if schedule.spacers.stochastic:
             vec = schedule.spacers.draw(seed, r, draw_base)
         else:

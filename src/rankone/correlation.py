@@ -19,6 +19,12 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   returns W[lo:hi) in one descent through the stage layouts, so a range
   costs O(depth + length).
 
+A run of small lags 1 <= m <= K (``PairCounter.counts_many``) is counted in
+one pass over the stages instead: no pair at lag m <= l_d reaches past the
+next W_d copy, so the counts inside W_{d+1} are r_d times those inside W_d
+plus one junction term per spacer, read off the last K symbols of W_d, the
+spacer capped at K and the first K symbols of W_d in one bincount for all m.
+
 The same counter gives exact k-point counts (``PairCounter.triple_counts``
 for k = 3). T(U, c) counts (W[u+U_0], ..., W[u+U_{k-1}]) for u < c. Each
 coordinate's range is tiled at the stage d above, and the sources are cut
@@ -35,7 +41,8 @@ with boundary error |n|/l_J; negative lags are transposes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -171,7 +178,8 @@ class PairCounter:
     materialize_cutoff bounds the word prefix kept in memory (the recursion
     bottoms out on it, and it caps the windows read symbol by symbol);
     enum_cutoff sends residual ranges up to that length to one bincount over
-    two directly read windows. Both only trade speed; counts are exact.
+    two directly read windows, and counts_many lags up to it to one pass over
+    the stages. Both only trade speed; counts are exact.
     """
 
     def __init__(
@@ -530,6 +538,31 @@ class PairCounter:
 
     def counts(self, n: int) -> np.ndarray:
         """Exact C(n); negative lags via the transpose identity."""
+        return self._table(n)
+
+    def counts_many(self, lags: Iterable[int]) -> Dict[int, np.ndarray]:
+        """{lag: C(lag)} for each distinct lag, each equal to counts(lag).
+
+        Lags with 1 <= |lag| <= enum_cutoff are counted together in one pass
+        over the stages (``_small_lags``) and memoised, so a later counts()
+        of them is a memo hit; the rest go through the per-lag recursion.
+        """
+        lag_list = list(dict.fromkeys(int(n) for n in lags))
+        todo = sorted(
+            {
+                abs(n)
+                for n in lag_list
+                if 0 < abs(n) <= self.enum_cutoff
+                and abs(n) < self.lJ  # the rest are refused by _table
+                and (abs(n), self.lJ - abs(n)) not in self._memo
+            }
+        )
+        step = max(1, PAIR_CELL_LIMIT // self.S**2)  # cells per bincount
+        for i in range(0, len(todo), step):
+            self._small_lags(todo[i : i + step])
+        return {n: self._table(n) for n in lag_list}
+
+    def _table(self, n: int) -> np.ndarray:
         if n == 0:
             return np.diag(self._word_counts(self.J))
         if abs(n) >= self.lJ:
@@ -537,6 +570,55 @@ class PairCounter:
         if n > 0:
             return self._phi(n, self.lJ - n).copy()
         return self._phi(-n, self.lJ + n).T.copy()
+
+    def _small_lags(self, ms: List[int]) -> None:
+        """Memoise Phi(m, l_d - m) at every stage d above d* (so Phi(m, l_J - m)
+        too) for sorted lags 1 <= m <= K = ms[-1] < l_J.
+
+        P_d(m), the pairs at lag m inside W_d, starts from Phi at the first
+        stage d* >= j0 with l_d* >= K. Then W_{d+1} = W_d s_0 W_d ... W_d
+        s_{r-1}, and no pair at lag m <= l_d reaches past the copy after its
+        own, so P_{d+1}(m) = r P_d(m) plus one junction term per spacer: the
+        pairs of tail_K(W_d) + min(s, K) stars + head_K(W_d) that start
+        before the head and end after the tail (inside the run after the
+        last copy, where the word ends). A spacer longer than K also has
+        s - K star-star pairs that the capped run drops. Copies with equal
+        (s, last) share one junction.
+        """
+        K, star, S = ms[-1], self.star, self.S
+        d = max(self.j0, bisect_left(self.lengths, K) + 1)  # first stage with l_d >= K
+        ld = self.lengths[d - 1]
+        P = np.array([self._phi(m, ld - m) for m in ms])
+        mv = np.array(ms, dtype=np.int64)
+        lo = K - mv  # the first source whose target is past the tail
+        head = self._window(0, K).astype(np.int64)
+        tail = self._window(ld - K, ld).astype(np.int64)
+        for j in range(d, self.J):
+            r, vec = self.realized.stage(j)
+            P = P * r  # a new array: the stage before stays memoised
+            groups = Counter((int(s), i == r - 1) for i, s in enumerate(vec))
+            for (s, last), copies in groups.items():
+                run = np.full(min(s, K), star, dtype=np.int64)
+                X = np.concatenate([tail, run, head])
+                # sources K - m <= x < K + s, or x < K - m + s after the last copy
+                lens = np.full(len(ms), len(run)) if last else mv + len(run)
+                starts = np.cumsum(lens) - lens
+                which = np.repeat(np.arange(len(ms)), lens)
+                src = np.repeat(lo - starts, lens)
+                src += np.arange(len(src))
+                codes = which * S  # built in place: these arrays are the peak
+                codes += X[src]
+                codes *= S
+                src += mv[which]
+                codes += X[src]
+                junction = np.bincount(codes, minlength=len(ms) * S * S)
+                P += copies * junction.reshape(len(ms), S, S)
+                if s > K:
+                    P[:, star, star] += copies * (s - K)
+            s = min(int(vec[-1]), K)  # W_{d+1} ends with W_d and the last spacer
+            tail = np.concatenate([tail[s:], np.full(s, star, dtype=np.int64)])
+            for m, tab in zip(ms, P):  # the entries a per-lag descent would leave
+                self._memo[(m, self.lengths[j] - m)] = tab
 
 
 def lag_counts_block(
@@ -547,8 +629,7 @@ def lag_counts_block(
     **cutoffs,
 ) -> Dict[int, np.ndarray]:
     """Hierarchical pair counts for a set of lags (shared recursion cache)."""
-    pc = PairCounter(realized, J, j0, **cutoffs)
-    return {int(n): pc.counts(int(n)) for n in dict.fromkeys(lags)}
+    return PairCounter(realized, J, j0, **cutoffs).counts_many(lags)
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .operators import (
 from .words import alphabet_size, level_measures
 
 __all__ = [
+    "unit_mass",
     "limit_basis",
     "LimitScanRow",
     "LimitScan",
@@ -59,9 +60,9 @@ TRIPLE_CELL_LIMIT = 1 << 24
 DISJOINTNESS_CELL_LIMIT = 1 << 22
 
 
-def _unit_mass(counter: PairCounter, n: int) -> np.ndarray:
-    c = counter.counts(n)
-    return c.astype(np.float64) / (counter.lJ - abs(n))
+def unit_mass(c: np.ndarray, n: int, lJ: int) -> np.ndarray:
+    """Pair counts at lag n over their window of l_J - |n| sources."""
+    return c.astype(np.float64) / (lJ - abs(n))
 
 
 def _measure_vector(realized: RealizedSchedule, J: int, j0: int) -> np.ndarray:
@@ -85,8 +86,8 @@ def limit_basis(
         raise ValueError(f"window K must be nonnegative, got {K}")
     pc = counter if counter is not None else PairCounter(realized, J, j0)
     basis: Dict[Union[int, str], np.ndarray] = {}
-    for i in range(K + 1):
-        m = _unit_mass(pc, i)
+    for i, c in pc.counts_many(range(K + 1)).items():
+        m = unit_mass(c, i, pc.lJ)
         basis[i] = m
         if i:
             basis[-i] = m.T
@@ -149,12 +150,15 @@ def _named_candidates(
         out.append((f"chacon-geometric(M={K - 1})*", op_adjoint(geo)))
     if stochastic_a is not None:
         # the adjoint of every grid member is another grid member (swap m and
-        # n, negate k), so no starred variants are needed here
+        # n, negate k), so no starred variants are needed here; T^k only
+        # shifts the powers, so each (m, n) is built once
         for m in range(max_power + 1):
             for n in range(max_power + 1 - m):
+                base = build_family("stochastic", m=m, n=n, a=stochastic_a)
                 for k in range(m - K, K - n + 1):
-                    expr = build_family(
-                        "stochastic", m=m, n=n, k=k, a=stochastic_a
+                    expr = OperatorExpression(
+                        terms=tuple((p + k, c) for p, c in base.terms),
+                        theta=base.theta,
                     )
                     out.append((f"stochastic(m={m},n={n},k={k})", expr))
     return out
@@ -187,7 +191,7 @@ def limit_scan(
     ]
     rows = []
     for n in dict.fromkeys(int(x) for x in lags):
-        measured = _unit_mass(pc, n)
+        measured = unit_mass(pc.counts(n), n, pc.lJ)
         res = classify_limit(measured, basis, tol=tol)
         best_name, best_dist = "", np.inf
         for name, pred in predictions:
@@ -292,7 +296,7 @@ def mixing_diagnostics(
     peak = None
     floor = None
     for n in lags:
-        d = _unit_mass(pc, int(n))
+        d = unit_mass(pc.counts(int(n)), int(n), pc.lJ)
         ratio = np.full_like(d, np.nan)
         ratio[proper] = d[proper] / pair[proper]
         peak = np.diag(d).copy() if peak is None else np.maximum(peak, np.diag(d))
@@ -358,8 +362,11 @@ def cesaro_disjointness_probe(
     total = np.zeros((S, S, S, S))
     curve = []
     checkpoint = 1
+    tables = pc.counts_many([k * n for n in range(1, N + 1) for k in (p, q)])
     for n in range(1, N + 1):
-        total += np.multiply.outer(_unit_mass(pc, p * n), _unit_mass(pc, q * n))
+        total += np.multiply.outer(
+            unit_mass(tables[p * n], p * n, lJ), unit_mass(tables[q * n], q * n, lJ)
+        )
         if n == checkpoint or n == N:
             dev = float(np.abs(total / n - target).max())
             curve.append((n, dev))

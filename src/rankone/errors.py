@@ -13,6 +13,10 @@ class NonPositiveCut(ScheduleError):
     """A cut count r_j < 2 was produced by a cut rule."""
 
 
+class CutBudgetExceeded(ScheduleError):
+    """A cut rule makes more cuts than a realization may hold."""
+
+
 class NegativeSpacer(ScheduleError):
     """A spacer count below zero was produced by a spacer rule."""
 

@@ -262,10 +262,6 @@ class FlowColumn:
             )
         return [int(raw * f) for raw in raws], f
 
-    def phi_codes(self, u: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.breaks, u, side="right") - 1
-        return self.codes[idx]
-
     def pair_counts(self, t: Fraction) -> Tuple[np.ndarray, int]:
         """Exact tick counts of slab pairs at shift t; returns (C, H_scaled).
 

@@ -24,6 +24,7 @@ from .diagnostics import (
     mixing_diagnostics,
     rigidity_scan,
     triple_corr_probe,
+    unit_mass,
 )
 from .flows import flow_limit_check
 from .operators import build_family, classify_limit, joining_matrix
@@ -65,8 +66,7 @@ class _Ctx:
         return self._labels
 
     def unit(self, n: int) -> np.ndarray:
-        c = self.counter.counts(n)
-        return c.astype(np.float64) / (self.counter.lJ - abs(n))
+        return unit_mass(self.counter.counts(n), n, self.counter.lJ)
 
 
 def _coeff_list(coefficients: Dict[int, float]) -> List[Tuple[int, float]]:

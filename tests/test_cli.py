@@ -150,11 +150,12 @@ experiment.rig.kind = rigidity
         (INLINE.replace("cuts = 2", "cuts = affine:x,1"), 5),
         (INLINE.replace("pattern:0,1", "pattern:0,1,0"), 6),
         (INLINE + "construction.h1 = -2\n", 7),
+        (INLINE.replace("cuts = 2", "cuts = 99999999999999999999"), 5),
         (CATALOG_A, 3),
         (CATALOG_A_DETERMINISTIC, 3),
     ],
     ids=["cuts-1", "affine-cut-below-2", "affine-not-int", "pattern-length",
-         "negative-h1", "catalog-a", "catalog-a-not-stochastic"],
+         "negative-h1", "cuts-over-budget", "catalog-a", "catalog-a-not-stochastic"],
 )
 def test_bad_construction_rule_exit_one_without_traceback(tmp_path, text, line):
     _assert_config_error_at(tmp_path, text, line)
@@ -170,6 +171,13 @@ experiment.c.a = 1/2
 """
 
 
+STOCHASTIC = """
+construction.catalog = stochastic-chacon
+construction.a = 1/2
+construction.depth = 6
+construction.seed = 1
+experiment.r.kind = rigidity
+"""
 CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
 FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperiment.f.kind = flow-limit\n"
 
@@ -193,10 +201,30 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
         (FLOW.format(J=6) + "experiment.f.q = 0\n", 4),
         (FLOW.format(J=6) + "experiment.f.stage = 99\n", 4),
         (GOOD.replace("base = 2", "base = 11"), 4),
+        # floats too large for a float used to raise OverflowError
+        (GOOD + "experiment.scan.tolerance = 1e400\n", 11),
+        (GOOD + "experiment.rig.slack = 1e400\n", 11),
+        (STOCHASTIC.replace("a = 1/2", "a = 1e400"), 3),
+        (STOCHASTIC.replace("a = 1/2", "a = -1e400"), 3),
+        (STOCHASTIC.replace("a = 1/2", "a = inf"), 3),
+        # messages that used to carry no line number
+        (CHACON10 + "experiment.s.kind = limit-scan\n", 3),
+        (CHACON10 + "experiment.d.kind = disjointness\nexperiment.d.p = 1\n", 3),
+        (CHACON10 + "experiment.m.kind = mixing\n", 3),
+        (CHACON10 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n", 3),
+        (CHACON10 + "experiment.t.kind = triple\nexperiment.t.m = 1\n", 3),
+        (CHACON10 + "experiment.r.slack = 0.1\nexperiment.r.lags = 1\n", 3),
+        (CHACON10 + "construction.cuts = 3\nexperiment.r.kind = rigidity\n", 3),
+        ("construction.depth = 6\nconstruction.kind = transformation\n"
+         "experiment.r.kind = rigidity\n", 1),
     ],
     ids=["stochastic-a", "scan-window", "word-length", "window-beyond-word",
          "geometric-M-beyond-word", "slabs-1", "flow-segments", "lag-cap", "flow-q",
-         "flow-stage", "base-stage"],
+         "flow-stage", "base-stage", "tolerance-overflow", "slack-overflow",
+         "construction-a-overflow", "construction-a-negative-overflow",
+         "construction-a-inf", "scan-no-lags", "disjointness-no-N", "mixing-no-lags",
+         "converge-no-family", "triple-no-n", "no-kind", "catalog-conflict",
+         "inline-incomplete"],
 )
 def test_bad_experiment_parameter_exit_one_without_traceback(tmp_path, text, line):
     _assert_config_error_at(tmp_path, text, line)

@@ -1,9 +1,17 @@
 """Config parsing, lag grammar, and plan resolution."""
 
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rankone
 from rankone.config import parse_config
 from rankone.construction import heights
 from rankone.correlation import COUNT_LIMIT
@@ -484,3 +492,139 @@ def test_flow_column_within_budgets_accepted():
 def test_remaining_validation_errors_name_their_line(text, line, message):
     with pytest.raises(ValidationError, match=rf"line {line}: {message}"):
         parse_config(text)
+
+
+# ---------------------------------------------------------------------------
+# config fuzz: a mutated config is a config error, never anything else
+
+SIX = """
+construction.catalog = stochastic-chacon
+construction.depth = 8
+construction.seed = 3
+construction.base = 2
+experiment.scan.kind = limit-scan
+experiment.scan.lags = l[J-2], -l[6]+1
+experiment.scan.window = 4
+experiment.scan.tolerance = 0.05
+experiment.scan.max-power = 3
+experiment.conv.kind = converge
+experiment.conv.family = chacon-geometric
+experiment.conv.M = 3
+experiment.conv.lags = 2*l[5]
+experiment.rig.kind = rigidity
+experiment.rig.slack = 0.02
+experiment.mix.kind = mixing
+experiment.mix.lags = 1, l[4]
+experiment.dis.kind = disjointness
+experiment.dis.p = 1
+experiment.dis.q = 2
+experiment.dis.N = 16
+experiment.tri.kind = triple
+experiment.tri.m = 1
+experiment.tri.n = -2
+"""
+
+FLOW_FUZZ = """
+construction.kind = flow
+construction.cuts = affine:1,1
+construction.spacers = staircase
+construction.h1 = 1
+construction.depth = 5
+experiment.f.kind = flow-limit
+experiment.f.q = 1
+experiment.f.stage = J-1
+experiment.f.slabs = 4
+"""
+
+_FUZZ_VALUES = [
+    "", "0", "-1", "1", "2", "7", "1e400", "-1e400", "inf", "nan", "1/0", "0.5",
+    "3/2", "abc", "l[99]", "l[J]", "l[J]+1", "-l[J-1]-1", "h[2]", "2**70",
+    "99999999999999999999", "-99999999999999999999", "1,,2", "1, 2, 3", "J-1",
+    "J-40", "auto", "chacon", "stochastic", "identity", "converge", "flow-limit",
+    "pattern:0,1", "pattern:-1", "pattern:1/0", "bernoulli:1e400", "bernoulli:2",
+    "staircase", "affine:0,1", "explicit:2,x", "limit-scan", "transformation",
+]
+
+
+@st.composite
+def _mutated_config(draw):
+    base = draw(st.sampled_from([SIX, FLOW_FUZZ]))
+    lines = base.strip().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        key, _, _ = lines[i].partition(" = ")
+        op = draw(st.sampled_from(["value", "value", "drop", "duplicate", "key"]))
+        if op == "value":
+            lines[i] = f"{key} = {draw(st.sampled_from(_FUZZ_VALUES))}"
+        elif op == "drop":
+            del lines[i]
+            if not lines:
+                break
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            section = key.rsplit(".", 1)[0]
+            other = draw(st.sampled_from(lines)).partition(" = ")[0].rsplit(".", 1)[-1]
+            lines[i] = f"{section}.{other} = {draw(st.sampled_from(_FUZZ_VALUES))}"
+    flags = draw(
+        st.fixed_dictionaries(
+            {},
+            optional={
+                "seed": st.sampled_from([0, -1, 7, 2**70]),
+                "budget": st.sampled_from([0, -5, 1, 100, 10**6, 10**30]),
+            },
+        )
+    )
+    return "\n".join(lines) + "\n", flags
+
+
+# each of these once escaped parse_config as another exception, or hung
+_LEAKS = [
+    (SIX.replace("tolerance = 0.05", "tolerance = 1e400"), {}),
+    (SIX.replace("slack = 0.02", "slack = -1e400"), {}),
+    (SIX.replace("depth = 8", "depth = 8\nconstruction.a = 1e400"), {"seed": 2**70}),
+    (FLOW_FUZZ.replace("affine:1,1", "99999999999999999999"), {"budget": 10**30}),
+]
+
+
+@given(case=_mutated_config())
+@example(case=_LEAKS[0])
+@example(case=_LEAKS[1])
+@example(case=_LEAKS[2])
+@example(case=_LEAKS[3])
+@settings(max_examples=150, deadline=None)
+def test_mutated_config_raises_only_config_errors(case):
+    text, flags = case
+    try:
+        parse_config(text, **flags)
+    except (ParseError, ValidationError):
+        pass
+
+
+def test_mutated_config_sample_exits_one_without_traceback(tmp_path):
+    rng = random.Random(0)
+    sample = list(_LEAKS)
+    while len(sample) < 8:
+        lines = SIX.strip().splitlines()
+        i = rng.randrange(len(lines))
+        lines[i] = lines[i].partition(" = ")[0] + " = " + rng.choice(_FUZZ_VALUES)
+        text = "\n".join(lines) + "\n"
+        try:
+            parse_config(text)
+        except (ParseError, ValidationError):
+            sample.append((text, {}))
+    env = dict(os.environ, PYTHONPATH=str(Path(rankone.__file__).parents[1]))
+    for k, (text, flags) in enumerate(sample):
+        cfg = tmp_path / f"fuzz{k}.cfg"
+        cfg.write_text(text)
+        argv = ["run", str(cfg), "--out", str(tmp_path / "out")]
+        for flag, value in flags.items():
+            argv += [f"--{flag}", str(value)]
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from rankone.cli import main; sys.exit(main(sys.argv[1:]))",
+             *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, (text, flags, proc.stderr)
+        assert "Traceback" not in proc.stderr, (text, flags, proc.stderr)

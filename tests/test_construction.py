@@ -14,6 +14,7 @@ from rankone.construction import (
     ExplicitCuts,
     PatternSpacers,
     StageSpacers,
+    CUT_BUDGET,
     StaircaseSpacers,
     catalog,
     catalog_names,
@@ -23,6 +24,7 @@ from rankone.construction import (
     validate_schedule,
 )
 from rankone.errors import (
+    CutBudgetExceeded,
     MalformedRule,
     NegativeSpacer,
     NonPositiveCut,
@@ -92,6 +94,23 @@ def test_nonpositive_cut_rejected():
         validate_schedule(bad)
     with pytest.raises(NonPositiveCut):
         realize(bad, 4)
+
+
+def test_cut_budget_refused_before_any_spacer_is_built():
+    wide = ConstructionSchedule("flow", ConstantCuts(10**20), StaircaseSpacers())
+    with pytest.raises(CutBudgetExceeded):
+        validate_schedule(wide)
+    with pytest.raises(CutBudgetExceeded):
+        realize(wide, 2)
+    # each stage fits, but the deep stages of the rule add up past the budget
+    deep = ConstructionSchedule(
+        "transformation", AffineCuts(300, 0), BernoulliSpacers(0.5)
+    )
+    validate_schedule(deep)  # 624,000 cuts over the validation horizon
+    assert realize(deep, 3, seed=1).depth == 3
+    with pytest.raises(CutBudgetExceeded):
+        realize(deep, 90, seed=1)  # refused before any spacer is drawn
+    assert sum(300 * j for j in range(1, 89)) > CUT_BUDGET
 
 
 def test_negative_spacer_rejected():

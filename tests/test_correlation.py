@@ -20,6 +20,7 @@ from rankone.construction import (
     heights,
     realize,
 )
+from rankone import correlation
 from rankone.correlation import (
     LAG_CAP_DIVISOR,
     PAIR_CELL_LIMIT,
@@ -82,6 +83,8 @@ def test_lag_at_word_length_rejected():
         pc.counts(31)
     with pytest.raises(LagOutOfRange):
         pc.counts(-31)
+    with pytest.raises(LagOutOfRange):
+        pc.counts_many([1, 2, -31])
 
 
 def test_counter_matches_naive_oracle_across_lags():
@@ -510,3 +513,98 @@ def test_pair_alphabet_limit_refused_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# ---------------------------------------------------------------------------
+# batched small lags
+
+
+# l_1 = 8 and l_j = 2 l_{j-1} + 3000: every spacer is longer than enum_cutoff
+_LONG_SPACER = (
+    realize(
+        ConstructionSchedule(
+            "transformation", ConstantCuts(2), PatternSpacers((0, 3000)), h1=7
+        ),
+        5,
+    ),
+    5,
+)
+
+
+@given(
+    data=st.one_of(small_realization(), st.just(_LONG_SPACER)),
+    cutoff=st.sampled_from([4, 16, None]),
+    j0=st.sampled_from([1, 2, 3]),
+    small=st.lists(st.integers(-70, 70), max_size=12),
+    wide=st.lists(st.integers(0, 10**9), max_size=4),
+)
+@example(  # K = l_J - 1 >= l_{J-1}
+    data=(realize(catalog("chacon"), 6), 6), cutoff=None, j0=1, small=[1, 2, 62], wide=[]
+)
+@example(  # K below l_{j0} = 8, spacers longer than K
+    data=_LONG_SPACER, cutoff=None, j0=1, small=[5, -5, 5, 0, 7], wide=[]
+)
+@example(  # K = enum_cutoff, and lags just past it
+    data=_LONG_SPACER, cutoff=None, j0=1, small=[1, -1024, 1024, 1025, -1025], wide=[]
+)
+@example(  # K below l_{j0} = 7
+    data=(realize(catalog("chacon"), 9), 9), cutoff=4, j0=3, small=[3, 4, -2], wide=[]
+)
+@settings(max_examples=60, deadline=None)
+def test_counts_many_matches_naive(data, cutoff, j0, small, wide):
+    rz, J = data
+    j0 = 1 if data is _LONG_SPACER else min(j0, J)  # its base 2 has 3017 symbols
+    lJ = int(heights(rz, J)[J - 1])
+    lags = [n for n in small if abs(n) < lJ]
+    lags += [x % (2 * lJ - 1) - (lJ - 1) for x in wide]  # anywhere in (-l_J, l_J)
+    lags += lags[:2]  # duplicates
+    cutoffs = {} if cutoff is None else {"materialize_cutoff": cutoff, "enum_cutoff": cutoff}
+    pc = PairCounter(rz, J, j0, **cutoffs)
+    got = pc.counts_many(lags)
+    assert list(got) == list(dict.fromkeys(lags))
+    naive = lag_counts_naive(rz, J, j0, lags)
+    for n in lags:
+        assert np.array_equal(got[n], naive[n]), n
+
+
+def test_counts_many_slices_the_bincount(monkeypatch):
+    rz = realize(catalog("modified-chacon"), 9)
+    pc = PairCounter(rz, 9, 3)
+    cells = 3 * pc.S**2
+    monkeypatch.setattr(correlation, "PAIR_CELL_LIMIT", cells)
+    seen = []
+    batch = PairCounter._small_lags
+
+    def spy(self, ms):
+        seen.append(list(ms))
+        batch(self, ms)
+
+    monkeypatch.setattr(PairCounter, "_small_lags", spy)
+    lags = list(range(-40, 41)) + [5000]
+    got = pc.counts_many(lags)
+    assert sorted(m for ms in seen for m in ms) == list(range(1, 41))
+    assert all(len(ms) * pc.S**2 <= cells for ms in seen)
+    naive = lag_counts_naive(rz, 9, 3, lags)
+    for n in lags:
+        assert np.array_equal(got[n], naive[n]), n
+
+
+def test_counts_after_counts_many_read_the_stored_table():
+    rz = realize(catalog("chacon"), 30)
+    pc = PairCounter(rz, 30, 3)
+    lags = [1, 2, 3, 100, -7, 1024]
+    got = pc.counts_many(lags)
+    held = dict(pc._memo)
+    for n in lags:
+        m = abs(n)
+        assert (m, pc.lJ - m) in held
+        got[n][0, 0] += 1  # returned tables are copies
+        again = pc.counts(n)
+        assert np.array_equal(again, held[(m, pc.lJ - m)] if n > 0 else held[(m, pc.lJ - m)].T)
+        assert np.array_equal(again + (np.arange(pc.S**2) == 0).reshape(pc.S, pc.S), got[n])
+    assert pc._memo.keys() == held.keys()  # no counts() call recursed
+    # a large lag's descent reads the stage tables the batch left behind
+    hs = heights(rz, 30)
+    fresh = PairCounter(rz, 30, 3)
+    for n in lags + [int(hs[j]) + m for j in (10, 20, 27) for m in (1, 2, 3, -7)]:
+        assert np.array_equal(pc.counts(n), fresh.counts(n)), n
