@@ -52,7 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .flows import BREAK_BUDGET, MIN_SLABS, segment_counts
-from .operators import build_family, family_reach
+from .operators import check_family, family_reach
 from .words import alphabet_size, default_base_stage
 
 __all__ = [
@@ -410,11 +410,11 @@ def _family_params(
         raise ValidationError(
             f"experiment {label}: unknown family {name!r}"
         )
-    # the parameter ranges live in build_family; its reach is checked first,
-    # since a long family is slow to build
+    # the parameter ranges live in operators.check_family, which the runner's
+    # build_family also applies; the family is built only once, by the runner
     _reach_check(family_reach(name, **out), lJ, kind_e, f"family {name}")
     try:
-        build_family(name, **out)
+        check_family(name, **out)
     except ValueError as exc:
         raise ValidationError(f"line {kind_e.line}: {kind_e.key}: {exc}") from None
     return {"family": name, **out}

@@ -160,7 +160,7 @@ class BernoulliSpacers:
 
     def draw(self, seed: int, r: int, draw_base: int):
         return tuple(
-            0 if _rng.uniform(seed, draw_base + i) < self.a else 1 for i in range(r)
+            0 if u < self.a else 1 for u in _rng.uniforms(seed, draw_base, r).tolist()
         )
 
     @property

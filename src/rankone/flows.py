@@ -17,10 +17,21 @@ b-interval [s, e), A_a(e-lo) - A_a(s-lo) - A_a(e-hi) + A_a(s-hi), where A_a
 is the second antiderivative of symbol a's occupation. It is evaluated in
 integer ticks, one symbol at a time. The limit check compares D(q*h_j)
 against the averaged window, resolving the sign of the lag empirically.
+
+Small shifts read a stage view instead of the whole column. The column W_J
+is r_e copies of the stage-e column W_e, each followed by a spacer, so for
+|t| <= h_d the pair counts of W_J are N_d times those of W_d plus, for each
+copy at each stage e >= d, N_{e+1} times the counts of the junction (tail,
+spacer, head) less those of its tail and head alone. The view lays these
+column windows out with their integer weights, apart by voids longer than
+h_d, and a sweep or window on it sums lengths times weights; counts stay
+exact. When the view is no shorter than the column, it is the column.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -64,7 +75,9 @@ class SegmentList:
     """Ordered exact decomposition of the depth-J column.
 
     kinds[i] is COPY or SPACER; durations are nums[i]/dens[i]. Every copy
-    has duration base_duration; total is the exact tower height.
+    has duration base_duration; total is the exact tower height. stages
+    holds (r_e, spacer durations) for e = j0..J-1, zeros included: stage
+    e+1 is r_e copies of stage e, each followed by its spacer.
     """
 
     kinds: np.ndarray
@@ -73,6 +86,7 @@ class SegmentList:
     base_duration: Fraction
     total: Fraction
     copies: int
+    stages: Tuple[Tuple[int, Tuple[Fraction, ...]], ...]
 
     def __len__(self) -> int:
         return len(self.kinds)
@@ -112,8 +126,10 @@ def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentLis
     kinds = np.array([COPY], dtype=np.int8)
     nums = np.array([base.numerator], dtype=np.int64)
     dens = np.array([base.denominator], dtype=np.int64)
+    stages = []
     for j in range(j0, J):
         r, vec = realized.stage(j)
+        stages.append((r, tuple(Fraction(s) for s in vec)))
         parts_k, parts_n, parts_d = [], [], []
         for i in range(r):
             parts_k.append(kinds)
@@ -136,6 +152,7 @@ def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentLis
         base_duration=base,
         total=hs[J - 1],
         copies=copies,
+        stages=tuple(stages),
     )
 
 
@@ -202,13 +219,28 @@ def _merge_views(
     return lens, ia, ib
 
 
+@dataclass(frozen=True)
+class _View:
+    """A weighted column: interval i of [breaks[i], breaks[i+1]) (the last
+    one ends at height) carries codes[i] and counts weights[i] times. Pair
+    counts and windows read on it are the sums over its intervals."""
+
+    breaks: np.ndarray
+    codes: np.ndarray
+    weights: np.ndarray
+    height: int
+    mass: int  # sum of |length * weight|, a bound on every partial sum
+
+
 class FlowColumn:
     """Breakpoint representation of the column at integer ticks.
 
     Breakpoints mark every segment start plus every slab boundary inside a
     copy; codes give the symbol on the interval that follows. A sweep at
     one shift merges the breakpoints with their shifted copy; a window of
-    shifts is integrated from per-symbol antiderivative tables.
+    shifts is integrated from per-symbol antiderivative tables. Both read
+    a stage view (see _stage_view), which is much shorter than the column
+    when the shifts are small.
     """
 
     def __init__(self, segments: SegmentList, slabs: SlabAlgebra):
@@ -249,6 +281,15 @@ class FlowColumn:
         self.breaks = np.concatenate([slab_marks, gap_marks])[order]
         self.codes = np.concatenate([slab_codes, gap_codes])[order]
 
+        # stage heights h_{j0}..h_J and spacers in ticks, for the stage views
+        self._stages = [
+            (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages
+        ]
+        self._heights = [int(segments.base_duration * den)]
+        for r, gaps in self._stages:
+            self._heights.append(r * self._heights[-1] + sum(gaps))
+        self._views = {}
+
     def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:
         """([tau, ...], f): each t = tau / (f * den); f is the smallest extra
         scale factor that makes every t a whole number of ticks."""
@@ -262,6 +303,80 @@ class FlowColumn:
             )
         return [int(raw * f) for raw in raws], f
 
+    def _view(self, reach: int, f: int) -> _View:
+        """The view that answers every shift of at most reach ticks at scale
+        f: the stage view of the first stage d with h_d * f >= reach."""
+        d = bisect_left(self._heights, -(-reach // f))
+        if d not in self._views:
+            self._views[d] = self._stage_view(d)
+        return self._views[d]
+
+    def _stage_view(self, d: int) -> _View:
+        """Column pieces whose weighted pair counts equal the column's for
+        every |t| <= K = h_d (stage d counted from j0).
+
+        A stage-(e+1) column is r_e copies of W_e, each followed by its
+        spacer s_i, so for e >= d
+            C_t(W_J) = N_d C_t(W_d) + sum over e >= d and copies i of
+                       N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
+        with N_e the number of copies of W_e in W_J, tail_K and head_K the
+        last and first K ticks of W_e, and no head after the last copy.
+        W_J starts with W_{e+1} for every e, so every piece is a tick window
+        of the column; head_K is W_d itself, and equal junctions share one
+        window. Pieces are laid out apart by a void of K + 1 ticks that
+        carries the extra code S, so no pair of reach <= K joins two
+        pieces. When the view would not be shorter, it is the column.
+        """
+        K = self._heights[d]
+        N = 1
+        for r, _ in self._stages[d:]:
+            N *= r
+        weight = defaultdict(int)
+        weight[(0, K)] = N
+        junction = {}
+        for e in range(d, len(self._stages)):
+            r, gaps = self._stages[e]
+            h = self._heights[e]
+            N //= r
+            end = h  # where copy i of W_e ends inside the first W_{e+1}
+            for i, s in enumerate(gaps):
+                last = i == r - 1
+                if s or not last:
+                    piece = junction.setdefault(
+                        (e, s, last), (end - K, end + s + (0 if last else K))
+                    )
+                    weight[piece] += N
+                    weight[(h - K, h)] -= N
+                    if not last:
+                        weight[(0, K)] -= N
+                end += s + h
+        pieces = [(lo, hi, w) for (lo, hi), w in weight.items() if w]
+        cuts = [
+            (int(np.searchsorted(self.breaks, lo, side="right")) - 1,
+             int(np.searchsorted(self.breaks, hi, side="left")))
+            for lo, hi, _ in pieces
+        ]
+        if sum(i1 - i0 + 1 for i0, i1 in cuts) >= len(self.breaks):
+            return _View(self.breaks, self.codes,
+                         np.broadcast_to(np.int64(1), self.breaks.shape),
+                         self.H_ticks, self.H_ticks)
+        void = self.slabs.size
+        breaks, codes, weights, pos = [], [], [], 0
+        for (lo, hi, w), (i0, i1) in zip(pieces, cuts):
+            run = self.breaks[i0:i1] + (pos - lo)
+            run[0] = pos
+            breaks += [run, [pos + hi - lo]]
+            codes += [self.codes[i0:i1], [void]]
+            weights += [np.full(i1 - i0, w, dtype=np.int64), [0]]
+            pos += hi - lo + K + 1
+        return _View(
+            np.concatenate(breaks),
+            np.concatenate(codes).astype(self.codes.dtype),
+            np.concatenate(weights),
+            pos,
+            sum((hi - lo) * abs(w) for lo, hi, w in pieces),
+        )
+
     def pair_counts(self, t: Fraction) -> Tuple[np.ndarray, int]:
         """Exact tick counts of slab pairs at shift t; returns (C, H_scaled).
 
@@ -272,23 +387,25 @@ class FlowColumn:
         H = self.H_ticks * f
         if abs(tau) >= H:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
-        breaks = self.breaks * f if f != 1 else self.breaks
-        span = H - abs(tau)
+        view = self._view(abs(tau), f)
+        breaks = view.breaks * f if f != 1 else view.breaks
+        span = view.height * f - abs(tau)
         offs = (-tau, 0) if tau < 0 else (0, tau)
         lens, ia, ib = _merge_views(breaks, offs, span)
-        S = self.slabs.size
-        a = self.codes[ia].astype(np.intp)
-        b = self.codes[ib]
+        S = self.slabs.size + 1  # the symbols and the view's void code
+        a = view.codes[ia].astype(np.intp)
+        b = view.codes[ib]
+        lens *= view.weights[ia]
         del ia, ib
-        if H < (1 << 53):
-            # float64 holds these integers exactly
+        if view.mass * f < (1 << 53):
+            # float64 holds these integers and every partial sum exactly
             flat = np.bincount(a * S + b, weights=lens.astype(np.float64),
                                minlength=S * S)
             C = np.rint(flat).astype(np.int64).reshape(S, S)
         else:
             C = np.zeros((S, S), dtype=np.int64)
             np.add.at(C, (a, b), lens)
-        return C, H
+        return C[:-1, :-1], H
 
     def window_counts(self, lo: Fraction, hi: Fraction) -> Tuple[np.ndarray, int]:
         """Exact integral of the pair measure over the shifts t in [lo, hi];
@@ -306,21 +423,25 @@ class FlowColumn:
         # an entry over a window of M ticks lies in [0, 2*H*M]; past int64,
         # compute in Python ints
         dtype = np.int64 if 2 * H * M < (1 << 63) else object
-        return self._window_table(LO, HI, f, dtype), 2 * M * H
+        view = self._view(max(-LO, HI), f)
+        return self._window_table(view, LO, HI, f, dtype), 2 * M * H
 
-    def _window_table(self, LO: int, HI: int, f: int, dtype) -> np.ndarray:
+    def _window_table(self, view: _View, LO: int, HI: int, f: int, dtype) -> np.ndarray:
         """2 * integral over tau in [LO, HI] of the tick pair counts C_tau.
 
         Per symbol a, F_a (occupation of a below z) and 2*A_a (twice its
         antiderivative) are tabulated at the interval edges, then
         W[a][b] = sum over b-intervals [s, e) of
-        2*(A_a(e-LO) - A_a(s-LO) - A_a(e-HI) + A_a(s-HI)). int64 arithmetic
-        wraps mod 2**64, so the table values (up to (H + HI - LO)**2) may
-        wrap and entries below 2**63 still come out exact.
+        2*(A_a(e-LO) - A_a(s-LO) - A_a(e-HI) + A_a(s-HI)), each term times
+        the interval's weight. A void between view pieces is longer than
+        the window, so the occupation earlier pieces add to F_a cancels in
+        that difference. int64 arithmetic wraps mod 2**64, so the table
+        values (up to (height + HI - LO)**2) may wrap and entries below
+        2**63 still come out exact.
         """
-        edges = np.append(self.breaks * f, self.H_ticks * f)
+        edges = np.append(view.breaks * f, view.height * f)
         lens = np.diff(edges).astype(dtype, copy=False)
-        codes = self.codes
+        codes = view.codes
         # where each shifted edge e - c falls: interval index j (n past the
         # top) and its offset r into that interval; below 0 reads as 0
         evals = []
@@ -332,8 +453,9 @@ class FlowColumn:
         del edges, z
         (j0, r0), (j1, r1) = evals
         order = np.argsort(codes, kind="stable")
+        weights = view.weights[order].astype(dtype)
         present, starts = np.unique(codes[order], return_index=True)
-        S = self.slabs.size
+        S = self.slabs.size + 1  # the symbols and the view's void code
         W = np.zeros((S, S), dtype=dtype)
         for a in present:
             own = np.append(codes == a, False)
@@ -350,8 +472,8 @@ class FlowColumn:
             # D = 2*A_a(e - LO) - 2*A_a(e - HI) at every edge e
             D = _twice_antiderivative(A2, Fa, own, j0, r0)
             D -= _twice_antiderivative(A2, Fa, own, j1, r1)
-            W[a, present] = np.add.reduceat(np.diff(D)[order], starts)
-        return W
+            W[a, present] = np.add.reduceat(np.diff(D)[order] * weights, starts)
+        return W[:-1, :-1]
 
 
 def _twice_antiderivative(A2, Fa, own, j, r):
@@ -510,7 +632,7 @@ def flow_limit_check(
     pm = flow_Pm_matrix(segments, slabs, Fraction(q), orientation="negative",
                         column=col)
     Cp, _ = col.pair_counts(lag)
-    Cm, _ = col.pair_counts(-lag)
+    Cm = Cp.T  # C_{-t} is the transpose of C_t on the finite column
     d_pos = float(np.abs(_unit(Cp) - pm.matrix).max())
     d_neg = float(np.abs(_unit(Cm) - pm.matrix).max())
     if d_pos <= d_neg:
@@ -566,7 +688,6 @@ def _box_convolution_weights(ms: Tuple[int, ...], n: int) -> np.ndarray:
     normalized to integrate to 1, sampled on n+1 equally spaced nodes."""
     span = float(sum(ms))
     xs = np.linspace(-span, 0.0, n + 1)
-    k = np.ones(n + 1)
     # evaluate the convolution kernel by repeated numeric smoothing
     kern = None
     for m in ms:
@@ -578,8 +699,7 @@ def _box_convolution_weights(ms: Tuple[int, ...], n: int) -> np.ndarray:
             box_n = max(int(round(m / step)), 1)
             box = np.ones(box_n) / box_n
             kern = np.convolve(kern, box, mode="full")[: n + 1]
-    k = kern
-    w = k.copy()
+    w = kern.copy()
     w[0] *= 0.5
     w[-1] *= 0.5
     s = w.sum()

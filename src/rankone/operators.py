@@ -33,6 +33,7 @@ __all__ = [
     "op_adjoint",
     "op_power",
     "build_family",
+    "check_family",
     "family_names",
     "family_reach",
     "predicted_matrix",
@@ -171,29 +172,17 @@ def build_family(name: str, **params) -> OperatorExpression:
     Families are written for the negative-lag side; take op_adjoint for the
     mirror. a may be int, Fraction, or a string like "1/2".
     """
+    args = check_family(name, **params)
     if name == "identity":
         return identity_op()
     if name == "modified-chacon-limit":
         return OperatorExpression.make({0: Fraction(1, 2), 1: Fraction(1, 2)})
     if name == "chacon-geometric":
-        M = int(params.get("M", 16))
-        if M < 0:
-            raise ValueError(f"chacon-geometric wants M >= 0, got {M}")
+        M = args["M"]
         terms = {i: Fraction(1, 2 ** (i + 1)) for i in range(M + 1)}
         return OperatorExpression.make(terms, Fraction(1, 2 ** (M + 1)))
     if name == "stochastic":
-        try:
-            m = int(params["m"])
-            n = int(params["n"])
-            a = _frac(params["a"])
-        except KeyError as exc:
-            raise UnknownFamily(f"stochastic family needs m, n, a (missing {exc})") from None
-        k = int(params.get("k", 0))
-        if m < 0 or n < 0 or not 0 < a < 1:
-            raise ValueError(
-                f"stochastic family wants m, n >= 0 and 0 < a < 1, got m = {m}, "
-                f"n = {n}, a = {a}"
-            )
+        m, n, k, a = args["m"], args["n"], args["k"], args["a"]
         # P^m = sum_i C(m,i) a^(m-i) (1-a)^i T^-i, and the adjoint mirror
         expr: Dict[int, Fraction] = {}
         for i in range(m + 1):
@@ -208,6 +197,33 @@ def build_family(name: str, **params) -> OperatorExpression:
                 expr[p] = expr.get(p, Fraction(0)) + coeff
         return OperatorExpression.make(expr)
     raise UnknownFamily(f"no operator family named {name!r}")
+
+
+def check_family(name: str, **params) -> Dict[str, object]:
+    """The parameters of a named family, parsed and range-checked without
+    building it (a long family is slow to build): M for chacon-geometric,
+    m, n, k, a for stochastic, nothing for the others. Raises ValueError
+    for a value out of range and UnknownFamily for a missing one."""
+    if name == "chacon-geometric":
+        M = int(params.get("M", 16))
+        if M < 0:
+            raise ValueError(f"chacon-geometric wants M >= 0, got {M}")
+        return {"M": M}
+    if name == "stochastic":
+        try:
+            m = int(params["m"])
+            n = int(params["n"])
+            a = _frac(params["a"])
+        except KeyError as exc:
+            raise UnknownFamily(f"stochastic family needs m, n, a (missing {exc})") from None
+        k = int(params.get("k", 0))
+        if m < 0 or n < 0 or not 0 < a < 1:
+            raise ValueError(
+                f"stochastic family wants m, n >= 0 and 0 < a < 1, got m = {m}, "
+                f"n = {n}, a = {a}"
+            )
+        return {"m": m, "n": n, "k": k, "a": a}
+    return {}
 
 
 def family_reach(name: str, **params) -> int:

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rankone
+from rankone import config, operators
 from rankone.config import parse_config
 from rankone.construction import heights
 from rankone.correlation import COUNT_LIMIT
@@ -377,6 +378,25 @@ def test_basis_reach_just_inside_word_accepted():
     )
     assert plan.experiments[0].params["window"] == 1022
     assert plan.experiments[1].params["M"] == 1022
+
+
+def test_converge_family_validated_without_building(monkeypatch):
+    # only the runner builds a family; parse_config checks its parameters
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_config built a family")
+
+    monkeypatch.setattr(operators, "build_family", refuse)
+    monkeypatch.setattr(config, "build_family", refuse, raising=False)
+    plan = parse_config(
+        CHACON10 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+        "experiment.c.family = chacon-geometric\nexperiment.c.M = 1022\n"
+    )
+    assert plan.experiments[0].params["M"] == 1022
+    assert parse_config(
+        CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 1/2\n"
+    ).experiments[0].params["a"] == "1/2"
+    with pytest.raises(ValidationError, match=r"line 6: experiment\.c\.family: .*a = 2"):
+        parse_config(CONVERGE + "experiment.c.family = stochastic\nexperiment.c.a = 2\n")
 
 
 def test_stochastic_family_in_range_accepted():

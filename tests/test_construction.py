@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rankone import _rng
 from rankone.construction import (
     AffineCuts,
     BernoulliSpacers,
@@ -176,6 +177,21 @@ def test_bernoulli_draw_statistics():
     assert set(flat) <= {0, 1}
     zero_rate = flat.count(0) / len(flat)
     assert abs(zero_rate - 0.3) < 0.04  # 2360 draws, sigma ~ 0.009
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1, -12345, 2**64 + 987])
+def test_uniforms_equal_the_reference_draws(seed):
+    # uniform is the reference; uniforms reduces the seed mod 2**64 first
+    u = _rng.uniforms(seed, 0, 10**6 + 1)
+    ks = list(range(0, 10**6 + 1, 997)) + [10**6]
+    assert [u[k] for k in ks] == [_rng.uniform(seed, k) for k in ks]
+    assert _rng.uniforms(seed, 10**6 - 50, 51).tolist() == [
+        _rng.uniform(seed, k) for k in range(10**6 - 50, 10**6 + 1)
+    ]
+    rule = BernoulliSpacers(0.3)
+    assert rule.draw(seed, 500, 77) == tuple(
+        0 if _rng.uniform(seed, 77 + i) < 0.3 else 1 for i in range(500)
+    )
 
 
 def test_explicit_cuts_last_value_repeats():

@@ -10,7 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import flows
-from rankone.construction import catalog, heights, realize
+from rankone.construction import (
+    AffineCuts,
+    ConstantCuts,
+    ConstructionSchedule,
+    PatternSpacers,
+    StaircaseSpacers,
+    catalog,
+    heights,
+    realize,
+)
 from rankone.errors import SegmentBudgetExceeded, TimeOutOfRange
 from rankone.flows import (
     FlowColumn,
@@ -189,33 +198,101 @@ def _window_oracle(ivs, S, lo, hi):
     return W
 
 
-@settings(max_examples=60, deadline=None)
+# the stage views meet spacers of every kind: growing staircase spacers,
+# damped ones, an inline flow whose spacers (7/2, and zeros in the middle
+# and at the end) are longer than its stage-1 height 1/2, and one whose
+# equal junctions share a window
+FLOWS = {
+    "staircase": catalog("staircase-flow"),
+    "damped": ConstructionSchedule("flow", AffineCuts(1, 1), StaircaseSpacers(damping=True)),
+    "inline": ConstructionSchedule(
+        "flow", ConstantCuts(3), PatternSpacers((F(0), F(7, 2), F(0))), h1=F(1, 2)
+    ),
+    "repeated": ConstructionSchedule(
+        "flow", ConstantCuts(3), PatternSpacers((F(1, 3), F(1, 3), F(0)))
+    ),
+}
+
+# a shift at a stage height h_d, the largest one its stage view answers, or
+# one tick either side of it, possibly on a 7 times finer scale (f > 1)
+EDGES = st.tuples(
+    st.integers(0, 4), st.sampled_from([-1, 0, 1]), st.sampled_from([1, 7]),
+    st.sampled_from([1, -1]),
+)
+
+
+def _edge_shift(col, edge):
+    d, ticks, finer, sign = edge
+    h = col._heights[min(d, len(col._heights) - 1)]
+    return sign * F(h * finer + ticks, col.den * finer)
+
+
+@settings(max_examples=80, deadline=None)
 @given(
+    flow=st.sampled_from(sorted(FLOWS)),
     J=st.integers(1, 5),
+    j0=st.integers(1, 2),
     L=st.integers(2, 5),
     frac=st.fractions(-1, 1, max_denominator=1000).filter(lambda x: abs(x) < 1),
+    edge=st.none() | EDGES,
 )
-@example(J=5, L=2, frac=F(-1, 2))
-@example(J=3, L=3, frac=F(2, 17))
-@example(J=3, L=3, frac=F(-1, 7**17))  # tick scale past 2**53: integer sums
-def test_pair_counts_match_interval_oracle(J, L, frac):
-    rz = realize(catalog("staircase-flow"), J)
-    seg = flow_segments(rz, J)
-    t = seg.total * frac
-    C, H = FlowColumn(seg, SlabAlgebra(L)).pair_counts(t)
+@example(flow="staircase", J=5, j0=1, L=2, frac=F(-1, 2), edge=None)
+@example(flow="staircase", J=3, j0=1, L=3, frac=F(2, 17), edge=None)
+@example(flow="staircase", J=3, j0=1, L=3, frac=F(-1, 7**17), edge=None)  # past 2**53
+@example(flow="inline", J=5, j0=1, L=2, frac=F(0), edge=(0, 0, 1, -1))  # t = -K
+@example(flow="staircase", J=5, j0=2, L=2, frac=F(0), edge=(0, 0, 1, 1))  # t = K
+@example(flow="damped", J=5, j0=1, L=3, frac=F(0), edge=(1, 0, 1, 1))
+@example(flow="repeated", J=5, j0=1, L=2, frac=F(0), edge=(0, 0, 1, -1))
+@example(flow="inline", J=5, j0=2, L=3, frac=F(0), edge=(0, 1, 1, -1))  # next stage
+@example(flow="damped", J=5, j0=2, L=2, frac=F(0), edge=(1, -1, 7, 1))
+def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
+    j0 = min(j0, J)
+    seg = flow_segments(realize(FLOWS[flow], J), J, j0)
+    col = FlowColumn(seg, SlabAlgebra(L))
+    t = seg.total * frac if edge is None else _edge_shift(col, edge)
+    if abs(t) >= seg.total:
+        return
+    C, H = col.pair_counts(t)
     want = _pair_oracle(_intervals(seg, L), L + 1, t)
     assert [[F(int(c), H) for c in row] for row in C] == [
         [w / seg.total for w in row] for row in want
     ]
 
 
-@pytest.mark.parametrize("J, L", [(3, 3), (4, 2)])
-def test_window_counts_match_interval_oracle(J, L):
-    rz = realize(catalog("staircase-flow"), J)
-    seg = flow_segments(rz, J)
+def test_small_shifts_read_a_stage_view():
+    rz = realize(catalog("staircase-flow"), 7)
+    seg = flow_segments(rz, 7)
+    col = FlowColumn(seg, SlabAlgebra(16))
+    lag = heights(rz, 7)[5]  # the flow-limit lag q * h_{J-1}, q = 1
+    col.pair_counts(F(1, 2))
+    col.pair_counts(lag)
+    col.window_counts(F(-1), F(0))
+    # one view cached per stage: stage 1 (h = 1) for t = 1/2 and the
+    # window [-1, 0], and the column itself, with weight 1, for the lag
+    assert sorted(col._views) == [0, 5]
+    small, whole = col._views[0], col._views[5]
+    assert len(small.breaks) < len(col.breaks) // 20
+    assert whole.breaks is col.breaks and whole.weights.min() == 1 == whole.weights.max()
+    assert col._view(int(lag * col.den), 1) is whole and col._view(col.den // 2, 1) is small
+
+
+@pytest.mark.parametrize(
+    "flow, J, j0, L",
+    [
+        pytest.param("staircase", 3, 1, 3, id="3-3"),
+        pytest.param("staircase", 4, 1, 2, id="4-2"),
+        pytest.param("staircase", 5, 2, 2, id="staircase-5-2-2"),
+        pytest.param("damped", 5, 1, 2, id="damped-5-1-2"),
+        pytest.param("inline", 5, 1, 2, id="inline-5-1-2"),
+        pytest.param("repeated", 4, 1, 2, id="repeated-4-1-2"),
+    ],
+)
+def test_window_counts_match_interval_oracle(flow, J, j0, L):
+    seg = flow_segments(realize(FLOWS[flow], J), J, j0)
     col = FlowColumn(seg, SlabAlgebra(L))
     ivs = _intervals(seg, L)
-    hj = heights(rz, J)[J - 2]
+    hj = F(col._heights[-2], col.den)
+    tick = F(1, col.den)
     # windows on a tick scale 7**12 finer, whose squares wrap int64; the
     # longest window whose entries stay below 2**63 there is `piece`
     tiny = F(1, 7**12)
@@ -236,10 +313,24 @@ def test_window_counts_match_interval_oracle(J, L):
         (F(0), F(1)),
         (F(-3, 2), F(1, 4)),  # crosses 0
         (F(-2, 3), F(5, 7)),
-        (-hj, F(0)),  # m = h_j
-        (F(0), hj),
     ]:
         check(lo, hi)
+    # windows reaching a stage height h_d exactly (the largest reach its
+    # stage view answers) or one tick past it, on the column's tick scale
+    # and a 7 times finer one
+    for h in col._heights[:2]:
+        h = F(h, col.den)
+        for lo, hi in [(-h, F(1, 3)), (-h, -h + tick), (F(-1, 5), h + tick),
+                       (-h - tick / 7, tick / 7), (h - tick / 7, h)]:
+            if -seg.total < lo < hi < seg.total:
+                check(lo, hi)
+    if len(ivs) > 100:
+        # the oracle is quadratic in the intervals over a long window; the
+        # deeper columns check the short windows their stage views answer
+        assert len(col._views[0].breaks) < len(col.breaks)
+        return
+    check(-hj, F(0))  # m = h_j
+    check(F(0), hj)
     assert check(-tiny, F(0)).dtype == np.int64
     assert check(-tiny, piece - tiny).dtype == np.int64
     # one tick past int64, and a long window, in Python ints
