@@ -21,7 +21,7 @@ cap is enforced here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -340,7 +340,13 @@ def _resolve_depth(
     depth_e: Optional[_Entry],
     budget_e: Optional[_Entry],
     seed: Optional[int],
-) -> Tuple[int, Dict[str, object]]:
+) -> Tuple[int, Dict[str, object], RealizedSchedule]:
+    """(J, depth echo, a realization at depth >= J).
+
+    A budget keeps the realization of its last probe: deeper realizations
+    extend shallower ones exactly (see realize), so its first J - 1 stages
+    are realize(schedule, J, seed).
+    """
     if (depth_e is None) == (budget_e is None):
         raise ValidationError(
             "construction needs exactly one of 'depth' or 'budget'"
@@ -351,7 +357,7 @@ def _resolve_depth(
             raise ValidationError(
                 f"line {depth_e.line}: {depth_e.key}: depth {J} outside 2..{_MAX_DEPTH}"
             )
-        return J, {"J": J, "source": "depth"}
+        return J, {"J": J, "source": "depth"}, realize(schedule, J, seed=seed)
     budget = _to_int(budget_e)
     if budget < 1:
         raise ValidationError(f"budget must be positive, got {budget}")
@@ -366,7 +372,7 @@ def _resolve_depth(
                 f"budget {budget} is below the depth-2 size {hs[1]}"
             )
         if best < probe or probe == _MAX_DEPTH:
-            return best, {"J": best, "source": "budget", "budget": budget}
+            return best, {"J": best, "source": "budget", "budget": budget}, rz
         probe *= 2
 
 
@@ -527,10 +533,10 @@ def parse_config(
     # where a size refusal points: the key that set the depth, or the flag
     depth_at = f"line {e.line}: {e.key}" if e is not None and e.line else "--budget"
     try:
-        J, depth_echo = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
-        realized = realize(schedule, J, seed=plan_seed)
+        J, depth_echo, realized = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
     except CutBudgetExceeded as exc:  # deep stages of a wide cut rule
         raise ValidationError(f"{depth_at}: {exc}") from None
+    realized = replace(realized, stages=realized.stages[: J - 1])
     hs = heights(realized, J)
     if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
         raise ValidationError(

@@ -13,11 +13,19 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   (a length-l_d window overlapping a length-l_d block always induces a full,
   possibly transposed, pair range) plus small spacer edge terms; the one
   block straddling c recurses with strictly smaller c. An edge one symbol
-  wide adds 1 to one cell: ``_symbol`` reads W[p] as a Python int by one
-  bisect per stage, memoised by position (edges repeat across lags and
-  blocks). Wider edges and small ranges are read directly: ``_window``
-  returns W[lo:hi) in one descent through the stage layouts, so a range
-  costs O(depth + length).
+  wide adds 1 to one cell: ``_symbol`` reads W[p] as a Python int,
+  memoised by position (edges repeat across lags and blocks). Wider edges
+  and small ranges are read directly: ``_window`` returns W[lo:hi) in one
+  descent through the stage layouts.
+
+Every W_h copy ends with its nested last W_e copy and then the last spacers
+of stages e+1..h, all stars. The descents (the tiling ``_walk``, ``_window``
+and ``_symbol``) do not peel that tail a stage at a time: one bisect over
+U[e] = l_e - T[e], with T the prefix sums of the last spacers, finds the
+deepest nested copy that holds a position, and the stars after it are one
+run. So a range costs O(depth + length) even where it ends at a copy's end,
+and the suffix of W_J at granularity d tiles into one W_d copy and one run
+rather than J - d gaps.
 
 A run of small lags 1 <= m <= K (``PairCounter.counts_many``) is counted in
 one pass over the stages instead: no pair at lag m <= l_d reaches past the
@@ -212,6 +220,14 @@ class PairCounter:
             w = expand_once(w, r, vec, self.star)
             j += 1
         self.prefix = w[:target]
+        # W_h ends with its nested last W_e copy and then T[h] - T[e] stars:
+        # T[k] sums the last spacers of the stages up to W_k, and
+        # U[e] = l_e - T[e] does not decrease for e >= j0 (entries below j0
+        # are never searched).
+        self._T = [0] * (J + 1)
+        for k in range(j0 + 1, J + 1):
+            self._T[k] = self._T[k - 1] + int(realized.stage(k - 1)[1][-1])
+        self._U = [0] + [l - t for l, t in zip(self.lengths, self._T[1:])]
         self._layouts: Dict[int, tuple] = {}
         self._memo: Dict[tuple, np.ndarray] = {}
         self._tmemo: Dict[tuple, tuple] = {}
@@ -254,7 +270,27 @@ class PairCounter:
         self._walk(g, d, 0, t0, t1, out)
         return out
 
+    def _tail(self, g: int, floor: int, x: int):
+        """(e, run) for the position x symbols before the end of a W_g copy.
+
+        The copy ends with its nested last W_e copy and then run stars; e is
+        the deepest such copy, floor <= e <= g, that starts at or before the
+        position. So the position is a star when x <= run, and otherwise lies
+        in that W_e copy outside its own nested last copies.
+        """
+        e = bisect_left(self._U, x - self._T[g], floor, g)
+        return e, self._T[g] - self._T[e]
+
     def _walk(self, g, d, base, lo, hi, out):
+        if g > d and hi == base + self.lengths[g - 1]:
+            # the range reaches the copy's end: the nested copy, then one star run
+            e, run = self._tail(g, d, hi - lo)
+            if e < g:
+                if lo < hi - run:
+                    self._walk(e, d, hi - run - self.lengths[e - 1], lo, hi - run, out)
+                if run:
+                    out.append(("g", hi - run, run))
+                return
         if g == d:
             out.append(("b", base))
             return
@@ -288,6 +324,15 @@ class PairCounter:
         if hi <= self.lengths[self.j0 - 1]:
             return np.arange(lo, hi, dtype=DTYPE)  # base word lists its levels in order
         g = bisect_right(self.lengths, hi - 1) + 1  # smallest stage with length >= hi
+        if hi == self.lengths[g - 1]:  # W_g's end: its star run, then the nested copy
+            e, run = self._tail(g, self.j0, hi - lo)
+            if e < g:
+                stars = np.full(min(run, hi - lo), self.star, dtype=DTYPE)
+                cut = hi - run  # the nested W_e copy ends here
+                if lo >= cut:
+                    return stars
+                le = self.lengths[e - 1]
+                return np.concatenate([self._window(lo - cut + le, le), stars])
         starts, kinds, lens = self._layout(g)
         i = bisect_right(starts, lo) - 1
         parts = []
@@ -303,7 +348,12 @@ class PairCounter:
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _symbol(self, p: int) -> int:
-        """W[p] as a Python int: one bisect per stage, memoised by position."""
+        """W[p] as a Python int, memoised by position.
+
+        Each step jumps to the deepest nested last copy holding the position
+        (a star if it lies in the run after that copy), then takes one block
+        of that copy's layout.
+        """
         sym = self._symbols.get(p)
         if sym is None:
             q = p
@@ -312,6 +362,14 @@ class PairCounter:
                     sym = q  # base word lists its levels in order
                     break
                 g = bisect_right(self.lengths, q) + 1  # smallest stage with length > q
+                end = self.lengths[g - 1]
+                e, run = self._tail(g, self.j0, end - q)
+                if end - q <= run:
+                    sym = self.star
+                    break
+                if e < g:
+                    q -= end - run - self.lengths[e - 1]
+                    continue
                 starts, kinds, _ = self._layout(g)
                 i = bisect_right(starts, q) - 1
                 if kinds[i]:

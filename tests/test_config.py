@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import rankone
 from rankone import config, operators
 from rankone.config import parse_config
-from rankone.construction import heights
+from rankone.construction import heights, realize
 from rankone.correlation import COUNT_LIMIT
 from rankone.flows import BREAK_BUDGET, SEGMENT_BUDGET
 from rankone.errors import ParseError, ValidationError
@@ -173,6 +173,28 @@ def test_budget_override_kwarg():
     plan = parse_config(BASE.format(lags="3"), budget=2000)
     assert plan.J == 7  # (3^7 - 1)/2 = 1093 <= 2000 < 3280
     assert plan.echo["depth"]["source"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "construction",
+    [
+        "construction.catalog = stochastic-chacon\n",
+        "construction.kind = transformation\nconstruction.cuts = 3\n"
+        "construction.spacers = bernoulli:1/3\n",
+    ],
+    ids=["stochastic-chacon", "bernoulli"],
+)
+def test_budget_keeps_the_probe_realization(construction):
+    # the budget's probe realizes deeper than J; its first J - 1 stages are
+    # the depth-J realization
+    text = construction + (
+        "construction.budget = 100000\nconstruction.seed = 7\n"
+        "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
+    )
+    plan = parse_config(text)
+    assert plan.echo["depth"]["source"] == "budget"
+    assert plan.realized == realize(plan.schedule, plan.J, seed=7)
+    assert plan.realized.depth == plan.J
 
 
 def test_stochastic_requires_seed():

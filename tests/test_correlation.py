@@ -274,6 +274,80 @@ def test_window_every_range_of_a_small_word():
             ), (lo, hi)
 
 
+# ---------------------------------------------------------------------------
+# stage tilings
+
+
+@st.composite
+def tailed_realization(draw):
+    """Random small schedules whose last spacers are 0, 1 or longer."""
+    vecs = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(2, 3))
+        head = [draw(st.integers(0, 2)) for _ in range(r - 1)]
+        vecs.append(tuple(head) + (draw(st.sampled_from([0, 1, 3])),))
+    J = draw(st.integers(2, 7))
+    sched = ConstructionSchedule(
+        "transformation",
+        ExplicitCuts([len(v) for v in vecs]),
+        StageSpacers(vecs),
+        h1=draw(st.integers(0, 2)),
+    )
+    return realize(sched, J), J
+
+
+@given(
+    data=tailed_realization(),
+    j0=st.sampled_from([1, 2]),
+    u=st.lists(st.integers(0, 10**6), min_size=3, max_size=3),
+)
+@example(  # chacon: one-symbol last spacers, a range reaching the word's end
+    data=(realize(catalog("chacon"), 7), 7), j0=1, u=[0, 100, 10**6]
+)
+@settings(max_examples=80, deadline=None)
+def test_segments_tile_the_materialized_word(data, j0, u):
+    rz, J = data
+    j0 = min(j0, J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=4, enum_cutoff=4)
+    w = materialize_word(rz, J, j0)
+    d = j0 + u[0] % (J - j0 + 1)
+    t0 = u[1] % pc.lJ
+    t1 = t0 + 1 + u[2] % (pc.lJ - t0)
+    ld = pc.lengths[d - 1]
+    segs = pc._segments(d, t0, t1)
+    ends = [s[1] + (ld if s[0] == "b" else s[2]) for s in segs]
+    # sorted, disjoint and contiguous over [t0, t1)
+    assert segs[0][1] <= t0 < ends[0] and segs[-1][1] < t1 <= ends[-1]
+    assert all(e == s[1] for e, s in zip(ends, segs[1:])), segs
+    for seg, end in zip(segs, ends):
+        if seg[0] == "b":
+            assert np.array_equal(w[seg[1] : end], w[:ld]), seg
+        else:
+            assert seg[2] > 0 and (w[seg[1] : end] == pc.star).all(), seg
+
+
+def test_suffix_tiling_and_tail_window_skip_the_star_runs():
+    # chacon's W_J ends with its nested W_d copy and J - d one-symbol last
+    # spacers; the tiling takes them as one run, not J - d gaps
+    J, j0 = 56, 2
+    pc = PairCounter(realize(catalog("chacon"), J), J, j0)
+    for d in (5, 20, 40):
+        ld = pc.lengths[d - 1]
+        segs = pc._segments(d, pc.lJ - ld, pc.lJ)
+        assert len(segs) <= 2, (d, segs)
+        assert segs[-1] == ("g", pc.lJ - (J - d), J - d)
+        if len(segs) == 2:
+            assert segs[0] == ("b", pc.lJ - (J - d) - ld)
+    # W_56 ends with W_12 and 44 stars; W_12 is small enough to materialize
+    w12 = materialize_word(realize(catalog("chacon"), 12), 12, j0)
+    tail = np.concatenate([w12[-20:], np.full(44, pc.star)])
+    assert np.array_equal(pc._window(pc.lJ - 64, pc.lJ), tail)
+    for J in (8, 12):
+        small = PairCounter(realize(catalog("chacon"), J), J, j0, materialize_cutoff=16)
+        w = materialize_word(realize(catalog("chacon"), J), J, j0)
+        assert np.array_equal(small._window(small.lJ - 64, small.lJ), w[-64:]), J
+
+
 @pytest.mark.parametrize("cutoffs", [{}, {"materialize_cutoff": 1024}])
 def test_long_spacer_runs_match_naive_oracle(cutoffs):
     sched = ConstructionSchedule(
