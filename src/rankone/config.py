@@ -12,7 +12,8 @@ the realized heights, so one config works across constructions:
 
 parse_config does all resolution up front (catalog expansion, depth from
 budget, base stage, lag arithmetic, cap and alphabet-size checks) and
-returns a plan whose echo carries every filled-in default. Reported lags
+returns a plan whose echo carries every filled-in default. Each experiment
+kind's keys, readers and defaults are one entry of EXPERIMENT_KEYS. Reported lags
 obey the engine cap |n| <= l_J / LAG_CAP_DIVISOR; the programmatic library
 deliberately accepts more, but configs are the reporting surface, so the
 cap is enforced here.
@@ -23,7 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .construction import (
     AffineCuts,
@@ -59,20 +60,18 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentPlan",
     "parse_config",
+    "BASIS_REACH_LIMIT",
+    "EXPERIMENT_KEYS",
     "EXPERIMENT_KINDS",
+    "FAMILY_KEYS",
+    "REQUIRED",
 ]
 
-EXPERIMENT_KINDS = (
-    "limit-scan",
-    "converge",
-    "rigidity",
-    "mixing",
-    "disjointness",
-    "triple",
-    "flow-limit",
-)
-
 _MAX_DEPTH = 200
+
+# the longest limit basis or converge family a config may ask for: PairCounter's
+# default enum_cutoff, so every basis lag is counted in its one stage pass
+BASIS_REACH_LIMIT = 1 << 10
 
 _LAG_TOKEN = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
@@ -115,6 +114,17 @@ class _Entry:
     used: bool = False
 
 
+def _refuse(e: _Entry, message, error=ValidationError):
+    """The error naming the entry at fault. A ParseError (a value that does not
+    parse) carries its line and column; any other refusal reads 'line N: key:
+    message', or 'flag: message' for a value a command-line flag set (a flag's
+    entry has line 0)."""
+    if error is ParseError:
+        return ParseError(f"{e.key}: {message}", line=e.line, column=e.col)
+    where = f"line {e.line}: {e.key}" if e.line else e.key
+    return error(f"{where}: {message}")
+
+
 def _tokenize(text: str) -> List[_Entry]:
     entries = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -151,48 +161,44 @@ def _to_int(e: _Entry) -> int:
     try:
         return int(e.value)
     except ValueError:
-        raise ParseError(
-            f"{e.key} wants an integer, got {e.value!r}", line=e.line, column=e.col
-        ) from None
+        raise _refuse(e, f"wants an integer, got {e.value!r}", ParseError) from None
 
 
-def _to_fraction(e: _Entry, value: Optional[str] = None) -> Fraction:
-    text = e.value if value is None else value
+def _to_fraction(e: _Entry) -> Fraction:
     try:
-        return Fraction(text)
+        return Fraction(e.value)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"{e.key} wants a number or p/q, got {text!r}",
-            line=e.line,
-            column=e.col,
-        ) from None
+        raise _refuse(e, f"wants a number or p/q, got {e.value!r}", ParseError) from None
 
 
-def _to_float(e: _Entry) -> float:
-    """A finite float: Fraction refuses inf and nan, and an overflow is refused here."""
+def _finite(e: _Entry, s=None) -> float:
+    """finite number or p/q"""
+    # Fraction refuses inf and nan, and an overflow is refused here
     try:
         return float(_to_fraction(e))
     except OverflowError:
-        raise ParseError(
-            f"{e.key} is too large for a float, got {e.value!r}",
-            line=e.line,
-            column=e.col,
+        raise _refuse(
+            e, f"too large for a float, got {e.value!r}", ParseError
         ) from None
 
 
-def _nonnegative(e: _Entry) -> int:
-    v = _to_int(e)
-    if v < 0:
-        raise ValidationError(f"line {e.line}: {e.key} must be >= 0, got {v}")
-    return v
+def _integer(lo: Optional[int] = None):
+    """A reader of an integer, >= lo if lo is given (see the experiment keys)."""
+
+    def read(e: _Entry, s=None) -> int:
+        v = _to_int(e)
+        if lo is not None and v < lo:
+            raise _refuse(e, f"{e.key.rsplit('.', 1)[-1]} must be >= {lo}, got {v}")
+        return v
+
+    read.__doc__ = "integer" if lo is None else f"integer ≥ {lo}"
+    return read
 
 
 def _split_list(e: _Entry) -> List[str]:
     parts = [p.strip() for p in e.value.split(",")]
     if any(not p for p in parts):
-        raise ParseError(
-            f"{e.key} has an empty list element", line=e.line, column=e.col
-        )
+        raise _refuse(e, "empty list element", ParseError)
     return parts
 
 
@@ -205,10 +211,8 @@ def _resolve_stage(token: str, J: int, e: _Entry) -> int:
             return J - int(t[2:])
         return int(t)
     except ValueError:
-        raise ParseError(
-            f"{e.key} wants a stage (INT, J, or J-k), got {token!r}",
-            line=e.line,
-            column=e.col,
+        raise _refuse(
+            e, f"wants a stage (INT, J, or J-k), got {token!r}", ParseError
         ) from None
 
 
@@ -223,15 +227,11 @@ def _resolve_lag(token: str, hs: Sequence[int], e: _Entry) -> int:
         pass
     m = _LAG_TOKEN.match(token)
     if m is None:
-        raise ParseError(
-            f"bad lag expression {token!r} in {e.key}", line=e.line, column=e.col
-        )
+        raise _refuse(e, f"bad lag expression {token!r}", ParseError)
     J = len(hs)
     stage = _resolve_stage(m.group("stage"), J, e)
     if not 1 <= stage <= J:
-        raise ValidationError(
-            f"{e.key}: stage {stage} outside 1..{J} (line {e.line})"
-        )
+        raise _refuse(e, f"stage {stage} outside 1..{J}")
     base = int(hs[stage - 1])
     if m.group("kind") == "h":
         base -= 1  # top level index; l[j] = h[j] + 1
@@ -244,11 +244,6 @@ def _resolve_lag(token: str, hs: Sequence[int], e: _Entry) -> int:
     return val
 
 
-def _rule_error(e: _Entry, exc: ScheduleError) -> ValidationError:
-    """A construction rule error, reported at the line of the key that set it."""
-    return ValidationError(f"line {e.line}: {e.key}: {exc}")
-
-
 def _build_cuts(e: _Entry):
     v = e.value
     try:
@@ -259,10 +254,8 @@ def _build_cuts(e: _Entry):
             return ExplicitCuts([int(p) for p in v[len("explicit:") :].split(",")])
         return ConstantCuts(int(v))
     except ValueError:
-        raise ParseError(
-            f"construction.cuts wants INT, 'affine:a,b' or 'explicit:...', got {v!r}",
-            line=e.line,
-            column=e.col,
+        raise _refuse(
+            e, f"wants INT, 'affine:a,b' or 'explicit:...', got {v!r}", ParseError
         ) from None
 
 
@@ -279,21 +272,15 @@ def _build_spacers(e: _Entry, kind: str):
         if v.startswith("bernoulli:"):
             return BernoulliSpacers(float(Fraction(v[len("bernoulli:") :])))
     except (ValueError, ZeroDivisionError, OverflowError):
-        raise ParseError(
-            f"construction.spacers has a malformed number in {v!r}",
-            line=e.line,
-            column=e.col,
-        ) from None
+        raise _refuse(e, f"malformed number in {v!r}", ParseError) from None
     except MalformedRule as exc:
-        raise _rule_error(e, exc) from None
+        raise _refuse(e, exc) from None
     if v == "staircase":
         return StaircaseSpacers()
     if v == "staircase-damped":
         return StaircaseSpacers(damping=True)
-    raise ParseError(
-        f"construction.spacers wants 'pattern:...', 'bernoulli:a' or 'staircase', got {v!r}",
-        line=e.line,
-        column=e.col,
+    raise _refuse(
+        e, f"wants 'pattern:...', 'bernoulli:a' or 'staircase', got {v!r}", ParseError
     )
 
 
@@ -336,31 +323,23 @@ class _Section:
 
 
 def _resolve_depth(
-    schedule: ConstructionSchedule,
-    depth_e: Optional[_Entry],
-    budget_e: Optional[_Entry],
-    seed: Optional[int],
+    schedule: ConstructionSchedule, e: _Entry, seed: Optional[int]
 ) -> Tuple[int, Dict[str, object], RealizedSchedule]:
-    """(J, depth echo, a realization at depth >= J).
+    """(J, depth echo, a realization at depth >= J) from construction.depth,
+    or from a budget: construction.budget or the --budget flag.
 
     A budget keeps the realization of its last probe: deeper realizations
     extend shallower ones exactly (see realize), so its first J - 1 stages
     are realize(schedule, J, seed).
     """
-    if (depth_e is None) == (budget_e is None):
-        raise ValidationError(
-            "construction needs exactly one of 'depth' or 'budget'"
-        )
-    if depth_e is not None:
-        J = _to_int(depth_e)
+    if e.key == "construction.depth":
+        J = _to_int(e)
         if not 2 <= J <= _MAX_DEPTH:
-            raise ValidationError(
-                f"line {depth_e.line}: {depth_e.key}: depth {J} outside 2..{_MAX_DEPTH}"
-            )
+            raise _refuse(e, f"depth {J} outside 2..{_MAX_DEPTH}")
         return J, {"J": J, "source": "depth"}, realize(schedule, J, seed=seed)
-    budget = _to_int(budget_e)
+    budget = _to_int(e)
     if budget < 1:
-        raise ValidationError(f"budget must be positive, got {budget}")
+        raise _refuse(e, f"budget must be positive, got {budget}")
     probe = 8
     while True:
         probe = min(probe, _MAX_DEPTH)
@@ -368,9 +347,7 @@ def _resolve_depth(
         hs = heights(rz, probe)
         best = max((j for j in range(2, probe + 1) if hs[j - 1] <= budget), default=0)
         if best == 0:
-            raise ValidationError(
-                f"budget {budget} is below the depth-2 size {hs[1]}"
-            )
+            raise _refuse(e, f"budget {budget} is below the depth-2 size {hs[1]}")
         if best < probe or probe == _MAX_DEPTH:
             return best, {"J": best, "source": "budget", "budget": budget}, rz
         probe *= 2
@@ -378,52 +355,164 @@ def _resolve_depth(
 
 def _cap_check(lag: int, lJ: int, cap: int, e: _Entry) -> int:
     if abs(lag) > cap:
-        raise ValidationError(
-            f"line {e.line}: {e.key}: lag {lag} exceeds the reporting cap "
-            f"l_J/{LAG_CAP_DIVISOR} = {cap} (l_J = {lJ})"
+        raise _refuse(
+            e,
+            f"lag {lag} exceeds the reporting cap l_J/{LAG_CAP_DIVISOR} = {cap} "
+            f"(l_J = {lJ})",
         )
     return lag
 
 
-def _reach_check(reach: int, lJ: int, e: _Entry, what: str) -> None:
-    """The limit basis reads lags 0..reach, and counts need |lag| < l_J."""
+def _reach_check(reach: int, lJ: int, e: _Entry, what: str, span: int = 0) -> None:
+    """The limit basis reads lags 0..reach, and counts need |lag| < l_J. Past
+    BASIS_REACH_LIMIT the basis leaves the counter's stage pass, and a family
+    spanning that many powers (a stochastic one spans m + n) is slow to build."""
     if reach >= lJ:
-        raise ValidationError(
-            f"line {e.line}: {e.key}: {what} needs lags up to {reach}, "
-            f"beyond the word length l_J = {lJ}"
+        raise _refuse(
+            e, f"{what} needs lags up to {reach}, beyond the word length l_J = {lJ}"
+        )
+    if max(reach, span) > BASIS_REACH_LIMIT:
+        raise _refuse(
+            e,
+            f"{what} spans {max(reach, span)} powers, over "
+            f"BASIS_REACH_LIMIT = {BASIS_REACH_LIMIT}",
         )
 
 
-def _family_params(
-    kind_e: _Entry, sec: _Section, label: str, lJ: int
-) -> Dict[str, object]:
-    name = kind_e.value
-    out: Dict[str, object] = {}
-    if name == "chacon-geometric":
-        m = sec.take(f"experiment.{label}.M")
-        out["M"] = _to_int(m) if m is not None else 16
-    elif name == "stochastic":
-        for p in ("m", "n", "k"):
-            e = sec.take(f"experiment.{label}.{p}")
-            out[p] = _to_int(e) if e is not None else 0
-        a_e = sec.take(f"experiment.{label}.a")
-        if a_e is None:
-            raise ValidationError(
-                f"experiment {label}: stochastic family needs 'a'"
-            )
-        out["a"] = str(_to_fraction(a_e))
-    elif name not in ("identity", "modified-chacon-limit"):
-        raise ValidationError(
-            f"experiment {label}: unknown family {name!r}"
-        )
+# --- experiment keys. A reader (_finite, _integer(...) and those below) turns
+# one entry into a parameter; its docstring is the key's "check" in the README.
+
+REQUIRED = None  # a key with no default
+
+
+@dataclass(frozen=True)
+class _Scope:
+    """What one experiment's readers resolve against."""
+
+    hs: Sequence[int]
+    J: int
+    j0: int
+    lJ: Optional[int]  # None for a flow
+    take: Callable[[str], Optional[_Entry]]  # the experiment's own keys
+
+    @property
+    def cap(self) -> int:
+        return self.lJ // LAG_CAP_DIVISOR
+
+
+def _lags(e: _Entry, s: _Scope) -> List[int]:
+    """comma-separated lags, each within the cap l_J/4"""
+    return [
+        _cap_check(_resolve_lag(tok, s.hs, e), s.lJ, s.cap, e) for tok in _split_list(e)
+    ]
+
+
+def _stage_lengths(s: _Scope) -> List[int]:
+    """the stage lengths l[j], j0 < j < J, within the cap"""
+    return [int(s.hs[j - 1]) for j in range(s.j0 + 1, s.J) if int(s.hs[j - 1]) <= s.cap]
+
+
+def _window(e: _Entry, s: _Scope) -> int:
+    """integer K, 0 ≤ K < l_J and K ≤ BASIS_REACH_LIMIT"""
+    K = _integer(0)(e)
+    _reach_check(K, s.lJ, e, f"window {K}")  # the basis reads lags 0..K
+    return K
+
+
+def _stage(e: _Entry, s: _Scope) -> int:
+    """stage (INT, J or J-k) in 1..J-1"""
+    j = _resolve_stage(e.value, s.J, e)
+    if not 1 <= j <= s.J - 1:
+        raise _refuse(e, f"stage {j} outside 1..{s.J - 1}")
+    return j
+
+
+def _fraction(e: _Entry, s: _Scope) -> str:
+    """number or p/q"""
+    return str(_to_fraction(e))
+
+
+def _family(e: _Entry, s: _Scope) -> Dict[str, object]:
+    """family name; its keys and ranges in the family table, reach < l_J"""
+    keys = FAMILY_KEYS.get(e.value)
+    if keys is None:
+        raise _refuse(e, f"unknown family {e.value!r}")
+    params = _read_keys(keys, e, s)
     # the parameter ranges live in operators.check_family, which the runner's
     # build_family also applies; the family is built only once, by the runner
-    _reach_check(family_reach(name, **out), lJ, kind_e, f"family {name}")
     try:
-        check_family(name, **out)
+        check_family(e.value, **params)
     except ValueError as exc:
-        raise ValidationError(f"line {kind_e.line}: {kind_e.key}: {exc}") from None
-    return {"family": name, **out}
+        raise _refuse(e, exc) from None
+    span = params.get("m", 0) + params.get("n", 0)
+    _reach_check(family_reach(e.value, **params), s.lJ, e, f"family {e.value}", span)
+    return {"family": e.value, **params}
+
+
+# each kind's keys in parameter order: (key, reader, default); a text default
+# is read as if written at the kind line, a callable one is computed
+EXPERIMENT_KEYS = {
+    "limit-scan": (
+        ("lags", _lags, REQUIRED),
+        ("window", _window, "8"),
+        ("tolerance", _finite, "0.03"),
+        ("max-power", _integer(0), "6"),
+    ),
+    "converge": (
+        ("lags", _lags, REQUIRED),
+        ("family", _family, REQUIRED),
+        ("window", _window, "8"),
+        ("tolerance", _finite, "0.03"),
+    ),
+    "rigidity": (("lags", _lags, _stage_lengths), ("slack", _finite, "0.01")),
+    "mixing": (("lags", _lags, REQUIRED),),
+    "disjointness": (
+        ("p", _integer(), REQUIRED),
+        ("q", _integer(), REQUIRED),
+        ("N", _integer(1), REQUIRED),
+    ),
+    "triple": (("m", _lags, REQUIRED), ("n", _lags, REQUIRED)),
+    "flow-limit": (
+        ("q", _integer(1), "1"),
+        ("stage", _stage, "J-1"),
+        ("slabs", _integer(MIN_SLABS), "16"),
+    ),
+}
+EXPERIMENT_KINDS = tuple(EXPERIMENT_KEYS)
+
+# a converge family's own keys, read at the family line
+FAMILY_KEYS = {
+    "identity": (),
+    "modified-chacon-limit": (),
+    "chacon-geometric": (("M", _integer(), "16"),),
+    "stochastic": (
+        ("m", _integer(), "0"),
+        ("n", _integer(), "0"),
+        ("k", _integer(), "0"),
+        ("a", _fraction, REQUIRED),
+    ),
+}
+
+
+def _read_keys(table, at: _Entry, s: _Scope) -> Dict[str, object]:
+    """The parameters a key table names, in its order. at is the kind (or
+    family) entry: missing required keys are refused together at its line, and
+    a text default is read as if written there."""
+    found = [(key, reader, default, s.take(key)) for key, reader, default in table]
+    missing = [key for key, _, default, e in found if e is None and default is REQUIRED]
+    if missing:
+        raise _refuse(at, f"{at.value} needs {', '.join(missing)}")
+    params: Dict[str, object] = {}
+    for key, reader, default, e in found:
+        if e is None and callable(default):
+            value = default(s)
+        else:
+            value = reader(e or replace(at, value=default), s)
+        if isinstance(value, dict):  # a family and its own keys
+            params.update(value)
+        else:
+            params[key.replace("-", "_")] = value
+    return params
 
 
 def parse_config(
@@ -440,6 +529,8 @@ def parse_config(
     """
     entries = _tokenize(text)
     sec = _Section(entries)
+    # where a construction refusal with no key of its own points
+    con_e = next((e for e in entries if e.key.startswith("construction.")), None)
 
     # --- construction
     cat_e = sec.take("construction.catalog")
@@ -449,42 +540,39 @@ def parse_config(
                   "construction.h1"):
             e = sec.take(k)
             if e is not None:
-                raise ValidationError(
-                    f"line {e.line}: {k} conflicts with construction.catalog"
-                )
+                raise _refuse(e, "conflicts with construction.catalog")
         if cat_e.value not in catalog_names():
-            raise ValidationError(
-                f"line {cat_e.line}: unknown catalog entry {cat_e.value!r}; "
-                f"known: {', '.join(catalog_names())}"
+            raise _refuse(
+                cat_e,
+                f"unknown catalog entry {cat_e.value!r}; "
+                f"known: {', '.join(catalog_names())}",
             )
         if a_e is not None and not catalog(cat_e.value).stochastic:
-            raise ValidationError(
-                f"line {a_e.line}: {a_e.key} applies only to stochastic "
-                f"catalog entries, not {cat_e.value!r}"
+            raise _refuse(
+                a_e, f"applies only to stochastic catalog entries, not {cat_e.value!r}"
             )
         try:
             schedule = (
-                catalog(cat_e.value, a=_to_float(a_e))
+                catalog(cat_e.value, a=_finite(a_e))
                 if a_e is not None
                 else catalog(cat_e.value)
             )
         except MalformedRule as exc:
-            raise _rule_error(a_e, exc) from None
+            raise _refuse(a_e, exc) from None
     else:
         kind_e = sec.take("construction.kind")
         cuts_e = sec.take("construction.cuts")
         spac_e = sec.take("construction.spacers")
+        if con_e is None:
+            raise ValidationError("config declares no construction")
         if kind_e is None or cuts_e is None or spac_e is None:
-            at = next((e for e in entries if e.key.startswith("construction.")), None)
-            raise ValidationError(
-                (f"line {at.line}: " if at else "")
-                + "inline construction needs kind, cuts, and spacers "
-                "(or use construction.catalog)"
+            raise _refuse(
+                con_e,
+                "inline construction needs kind, cuts, and spacers "
+                "(or use construction.catalog)",
             )
         if kind_e.value not in ("transformation", "flow"):
-            raise ValidationError(
-                f"construction.kind must be transformation or flow, got {kind_e.value!r}"
-            )
+            raise _refuse(kind_e, f"must be transformation or flow, got {kind_e.value!r}")
         h1_e = sec.take("construction.h1")
         h1 = None
         if h1_e is not None:
@@ -494,9 +582,7 @@ def parse_config(
                 else _to_int(h1_e)
             )
             if h1 < 0 or (h1 == 0 and kind_e.value == "flow"):
-                raise ValidationError(
-                    f"line {h1_e.line}: {h1_e.key}: stage-1 height {h1} invalid"
-                )
+                raise _refuse(h1_e, f"stage-1 height {h1} invalid")
         schedule = ConstructionSchedule(
             kind_e.value,
             _build_cuts(cuts_e),
@@ -507,57 +593,53 @@ def parse_config(
         try:
             validate_schedule(schedule)
         except (NonPositiveCut, CutBudgetExceeded) as exc:
-            raise _rule_error(cuts_e, exc) from None
+            raise _refuse(cuts_e, exc) from None
         except ScheduleError as exc:  # negative spacers, or vectors not fitting the cuts
-            raise _rule_error(spac_e, exc) from None
+            raise _refuse(spac_e, exc) from None
 
     seed_e = sec.take("construction.seed")
     plan_seed = seed if seed is not None else (
         _to_int(seed_e) if seed_e is not None else None
     )
     if schedule.stochastic and plan_seed is None:
-        raise ValidationError(
-            "stochastic spacers need a seed (construction.seed or --seed)"
+        raise _refuse(
+            con_e, "stochastic spacers need a seed (construction.seed or --seed)"
         )
 
     depth_e = sec.take("construction.depth")
     budget_e = sec.take("construction.budget")
-    if budget is not None:
-        depth_e = None
-
-        class _B:  # synthesized entry for the CLI override
-            key, value, line, col = "construction.budget", str(budget), 0, 0
-
-        budget_e = _B()
-    e = depth_e if depth_e is not None else budget_e
-    # where a size refusal points: the key that set the depth, or the flag
-    depth_at = f"line {e.line}: {e.key}" if e is not None and e.line else "--budget"
+    if budget is not None:  # the flag overrides both keys
+        depth_e, budget_e = None, _Entry("--budget", str(budget), line=0, col=0)
+    if (depth_e is None) == (budget_e is None):
+        raise _refuse(
+            budget_e or con_e, "construction needs exactly one of 'depth' or 'budget'"
+        )
+    size_e = depth_e or budget_e  # where a size refusal points
     try:
-        J, depth_echo, realized = _resolve_depth(schedule, depth_e, budget_e, plan_seed)
+        J, depth_echo, realized = _resolve_depth(schedule, size_e, plan_seed)
     except CutBudgetExceeded as exc:  # deep stages of a wide cut rule
-        raise ValidationError(f"{depth_at}: {exc}") from None
+        raise _refuse(size_e, exc) from None
     realized = replace(realized, stages=realized.stages[: J - 1])
     hs = heights(realized, J)
     if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
-        raise ValidationError(
-            f"{depth_at}: depth {J} word has {hs[J - 1]} symbols; "
-            f"exact counting needs fewer than {COUNT_LIMIT}"
+        raise _refuse(
+            size_e,
+            f"depth {J} word has {hs[J - 1]} symbols; "
+            f"exact counting needs fewer than {COUNT_LIMIT}",
         )
 
     base_e = sec.take("construction.base")
     if base_e is not None and base_e.value != "auto":
         j0 = _to_int(base_e)
         if not 1 <= j0 <= J:
-            raise ValidationError(
-                f"line {base_e.line}: {base_e.key}: base stage {j0} outside 1..{J}"
-            )
+            raise _refuse(base_e, f"base stage {j0} outside 1..{J}")
     else:
         j0 = 1 if schedule.kind == "flow" else default_base_stage(realized)
     if schedule.kind == "flow":
         try:
             copies, spacers = segment_counts(realized, J, j0)
         except SegmentBudgetExceeded as exc:
-            raise ValidationError(f"{depth_at}: {exc}") from None
+            raise _refuse(size_e, exc) from None
 
     stem_e = sec.take("output.stem")
     if stem_e is not None:
@@ -569,159 +651,64 @@ def parse_config(
         parts = e.key.split(".")
         if parts[0] == "experiment":
             if len(parts) != 3:
-                raise ValidationError(
-                    f"experiment keys look like experiment.<label>.<key>, got {e.key} "
-                    f"(line {e.line})"
-                )
+                raise _refuse(e, "experiment keys look like experiment.<label>.<key>")
             order.setdefault(parts[1], e)
     if not order:
         raise ValidationError("config declares no experiments")
 
     lJ = int(hs[J - 1]) if schedule.kind == "transformation" else None
-    cap = lJ // LAG_CAP_DIVISOR if lJ is not None else None
 
-    def cell_check(power: int, limit: int, what: str) -> None:
+    def cell_check(kind_e: _Entry, power: int, limit: int, what: str) -> None:
         S = alphabet_size(realized, j0)
         if S**power > limit:
-            raise ValidationError(
-                f"line {kind_e.line}: experiment {label}: alphabet of {S} "
-                f"symbols makes the {what} too large "
-                f"({S}**{power} > {limit}); use a lower construction.base"
+            raise _refuse(
+                kind_e,
+                f"alphabet of {S} symbols makes the {what} too large "
+                f"({S}**{power} > {limit}); use a lower construction.base",
             )
-
-    def lag_list(e: _Entry) -> List[int]:
-        return [
-            _cap_check(_resolve_lag(tok, hs, e), lJ, cap, e)
-            for tok in _split_list(e)
-        ]
-
-    def window(e: Optional[_Entry]) -> int:
-        """The limit basis window K; the basis reads lags 0..K."""
-        K = _nonnegative(e) if e is not None else 8
-        _reach_check(K, lJ, e or kind_e, f"window {K}")
-        return K
 
     experiments: List[ExperimentSpec] = []
     for label, first in order.items():
-        kind_e = sec.take(f"experiment.{label}.kind")
+        take = lambda key: sec.take(f"experiment.{label}.{key}")
+        kind_e = take("kind")
         if kind_e is None:
-            raise ValidationError(f"line {first.line}: experiment {label} has no kind")
+            raise _refuse(first, f"experiment {label} has no kind")
         kind = kind_e.value
         if kind not in EXPERIMENT_KINDS:
-            raise ValidationError(
-                f"line {kind_e.line}: experiment {label}: unknown kind {kind!r}; "
-                f"known: {', '.join(EXPERIMENT_KINDS)}"
+            raise _refuse(
+                kind_e, f"unknown kind {kind!r}; known: {', '.join(EXPERIMENT_KINDS)}"
             )
-        wants_flow = kind == "flow-limit"
-        if wants_flow != (schedule.kind == "flow"):
-            raise ValidationError(
-                f"line {kind_e.line}: experiment {label}: kind {kind} does not apply to a "
-                f"{schedule.kind} schedule"
+        if (kind == "flow-limit") != (schedule.kind == "flow"):
+            raise _refuse(
+                kind_e, f"kind {kind} does not apply to a {schedule.kind} schedule"
             )
-        if not wants_flow:  # every transformation experiment reads pair counts
-            cell_check(2, PAIR_CELL_LIMIT, "pair-count table")
-        params: Dict[str, object] = {}
-        take = lambda key: sec.take(f"experiment.{label}.{key}")
-        if kind == "limit-scan":
-            lags_e = take("lags")
-            if lags_e is None:
-                raise ValidationError(
-                    f"line {kind_e.line}: experiment {label}: limit-scan needs lags"
-                )
-            params["lags"] = lag_list(lags_e)
-            params["window"] = window(take("window"))
-            t = take("tolerance")
-            params["tolerance"] = _to_float(t) if t is not None else 0.03
-            mp = take("max-power")
-            params["max_power"] = _to_int(mp) if mp is not None else 6
-            if isinstance(schedule.spacers, BernoulliSpacers):
-                params["stochastic_a"] = schedule.spacers.a
-        elif kind == "converge":
-            lags_e = take("lags")
-            fam_e = take("family")
-            if lags_e is None or fam_e is None:
-                raise ValidationError(
-                    f"line {kind_e.line}: experiment {label}: "
-                    "converge needs lags and family"
-                )
-            params["lags"] = lag_list(lags_e)
-            params.update(_family_params(fam_e, sec, label, lJ))
-            params["window"] = window(take("window"))
-            t = take("tolerance")
-            params["tolerance"] = _to_float(t) if t is not None else 0.03
-        elif kind == "rigidity":
-            lags_e = take("lags")
-            if lags_e is not None:
-                params["lags"] = lag_list(lags_e)
-            else:
-                params["lags"] = [
-                    int(hs[j - 1]) for j in range(j0 + 1, J) if int(hs[j - 1]) <= cap
-                ]
-            s = take("slack")
-            params["slack"] = _to_float(s) if s is not None else 0.01
-        elif kind == "mixing":
-            lags_e = take("lags")
-            if lags_e is None:
-                raise ValidationError(
-                    f"line {kind_e.line}: experiment {label}: mixing needs lags"
-                )
-            params["lags"] = lag_list(lags_e)
+        if kind != "flow-limit":  # every transformation experiment reads pair counts
+            cell_check(kind_e, 2, PAIR_CELL_LIMIT, "pair-count table")
+        s = _Scope(hs=hs, J=J, j0=j0, lJ=lJ, take=take)
+        params = _read_keys(EXPERIMENT_KEYS[kind], kind_e, s)
+        # checks across keys
+        if kind == "limit-scan" and isinstance(schedule.spacers, BernoulliSpacers):
+            params["stochastic_a"] = schedule.spacers.a
         elif kind == "disjointness":
-            for p in ("p", "q", "N"):
-                e = take(p)
-                if e is None:
-                    raise ValidationError(
-                        f"line {kind_e.line}: experiment {label}: "
-                        "disjointness needs p, q, and N"
-                    )
-                params[p] = _to_int(e)
-            N_e = take("N")
-            if params["N"] < 1:
-                raise ValidationError(f"line {N_e.line}: {N_e.key}: N must be >= 1")
             reach = max(abs(params["p"]), abs(params["q"])) * params["N"]
-            _cap_check(reach, lJ, cap, N_e)
-            cell_check(4, DISJOINTNESS_CELL_LIMIT, "4-index tensor")
+            _cap_check(reach, lJ, s.cap, take("N"))
+            cell_check(kind_e, 4, DISJOINTNESS_CELL_LIMIT, "4-index tensor")
         elif kind == "triple":
-            m_e, n_e = take("m"), take("n")
-            if m_e is None or n_e is None:
-                raise ValidationError(
-                    f"line {kind_e.line}: experiment {label}: "
-                    "triple needs m and n lag lists"
-                )
-            ms = lag_list(m_e)
-            ns = lag_list(n_e)
+            ms, ns = params.pop("m"), params.pop("n")
             if len(ms) != len(ns):
-                raise ValidationError(
-                    f"line {n_e.line}: experiment {label}: m and n lists differ in length "
-                    f"({len(ms)} vs {len(ns)})"
+                raise _refuse(
+                    take("n"),
+                    f"m and n lists differ in length ({len(ms)} vs {len(ns)})",
                 )
             params["pairs"] = list(zip(ms, ns))
-            cell_check(3, TRIPLE_CELL_LIMIT, "triple tensor")
-        else:  # flow-limit
-            q_e = take("q")
-            params["q"] = _to_int(q_e) if q_e is not None else 1
-            if params["q"] < 1:
-                raise ValidationError(f"line {q_e.line}: {q_e.key}: q must be >= 1")
-            st_e = take("stage")
-            j = J - 1 if st_e is None else _resolve_stage(st_e.value, J, st_e)
-            if not 1 <= j <= J - 1:
-                raise ValidationError(
-                    f"line {st_e.line}: {st_e.key}: stage {j} outside 1..{J - 1}"
+            cell_check(kind_e, 3, TRIPLE_CELL_LIMIT, "triple tensor")
+        elif kind == "flow-limit":
+            breaks = copies * params["slabs"] + spacers
+            if breaks > BREAK_BUDGET:
+                raise _refuse(
+                    take("slabs") or size_e,
+                    f"the column needs {breaks} breakpoints (budget {BREAK_BUDGET})",
                 )
-            params["stage"] = j
-            sl = take("slabs")
-            L = _to_int(sl) if sl is not None else 16
-            if L < MIN_SLABS:
-                raise ValidationError(
-                    f"line {sl.line}: {sl.key}: slabs must be >= {MIN_SLABS}, got {L}"
-                )
-            if copies * L + spacers > BREAK_BUDGET:
-                at = f"line {sl.line}: {sl.key}" if sl is not None else depth_at
-                raise ValidationError(
-                    f"{at}: the column needs {copies * L + spacers} "
-                    f"breakpoints (budget {BREAK_BUDGET})"
-                )
-            params["slabs"] = L
         experiments.append(ExperimentSpec(label=label, kind=kind, params=params))
 
     leftovers = sec.unused()

@@ -151,9 +151,11 @@ def _named_candidates(
     if stochastic_a is not None:
         # the adjoint of every grid member is another grid member (swap m and
         # n, negate k), so no starred variants are needed here; T^k only
-        # shifts the powers, so each (m, n) is built once
-        for m in range(max_power + 1):
-            for n in range(max_power + 1 - m):
+        # shifts the powers, so each (m, n) is built once; past m + n = 2K no
+        # shift k fits the window
+        top = min(max_power, 2 * K)
+        for m in range(top + 1):
+            for n in range(top + 1 - m):
                 base = build_family("stochastic", m=m, n=n, a=stochastic_a)
                 for k in range(m - K, K - n + 1):
                     expr = OperatorExpression(

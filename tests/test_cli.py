@@ -217,6 +217,18 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
         (CHACON10 + "construction.cuts = 3\nexperiment.r.kind = rigidity\n", 3),
         ("construction.depth = 6\nconstruction.kind = transformation\n"
          "experiment.r.kind = rigidity\n", 1),
+        (CHACON10 + "construction.budget = 100\nexperiment.m.kind = mixing\n"
+         "experiment.m.lags = 1\n", 3),
+        ("construction.catalog = chacon\nexperiment.m.kind = mixing\n"
+         "experiment.m.lags = 1\n", 1),
+        ("construction.catalog = chacon\nconstruction.budget = 0\n"
+         "experiment.m.kind = mixing\nexperiment.m.lags = 1\n", 2),
+        ("construction.catalog = chacon\nconstruction.budget = 2\n"
+         "experiment.m.kind = mixing\nexperiment.m.lags = 1\n", 2),
+        (INLINE.replace("kind = transformation", "kind = map"), 3),
+        (STOCHASTIC.replace("construction.seed = 1\n", ""), 2),
+        (CONVERGE.replace("experiment.c.a = 1/2\n", ""), 6),
+        (CONVERGE.replace("family = stochastic", "family = poisson"), 6),
     ],
     ids=["stochastic-a", "scan-window", "word-length", "window-beyond-word",
          "geometric-M-beyond-word", "slabs-1", "flow-segments", "lag-cap", "flow-q",
@@ -224,7 +236,9 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
          "construction-a-overflow", "construction-a-negative-overflow",
          "construction-a-inf", "scan-no-lags", "disjointness-no-N", "mixing-no-lags",
          "converge-no-family", "triple-no-n", "no-kind", "catalog-conflict",
-         "inline-incomplete"],
+         "inline-incomplete", "depth-and-budget", "neither-depth-nor-budget",
+         "budget-0", "budget-below-depth-2", "inline-kind", "stochastic-no-seed",
+         "stochastic-family-no-a", "unknown-family"],
 )
 def test_bad_experiment_parameter_exit_one_without_traceback(tmp_path, text, line):
     _assert_config_error_at(tmp_path, text, line)

@@ -2,6 +2,7 @@
 
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -348,6 +349,8 @@ experiment.c.lags = l[8]
 
 # chacon depth 10: l_J = 1023, and the limit basis reads lags 0..reach
 CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
+# chacon depth 30: l_J is far past BASIS_REACH_LIMIT
+CHACON30 = "construction.catalog = chacon\nconstruction.depth = 30\n"
 
 
 @pytest.mark.parametrize(
@@ -381,10 +384,24 @@ CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
         # a defaulted window names the kind line (chacon depth 3: l_J = 7 < 8)
         ("construction.catalog = chacon\nconstruction.depth = 3\n"
          "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n", 3, r"kind: window 8"),
+        # past BASIS_REACH_LIMIT, inside the word
+        (CHACON30 + "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n"
+         "experiment.s.window = 1025\n", 5, r"window: window 1025 spans 1025 .*BASIS_REACH_LIMIT"),
+        (CHACON30 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+         "experiment.c.family = chacon-geometric\nexperiment.c.M = 1025\n", 5,
+         r"family: .*spans 1025 .*BASIS_REACH_LIMIT"),
+        (CHACON30 + "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+         "experiment.c.family = stochastic\nexperiment.c.a = 1/2\n"
+         "experiment.c.m = 600\nexperiment.c.n = 600\n", 5,
+         r"family: .*spans 1200 .*BASIS_REACH_LIMIT"),
+        (BASE.format(lags="3") + "experiment.scan.max-power = -5\n", 6,
+         r"max-power: max-power must be >= 0, got -5"),
     ],
     ids=["scan-window", "converge-window", "a-above-1", "a-zero", "m-negative",
          "M-negative", "scan-window-beyond-word", "converge-window-beyond-word",
-         "M-beyond-word", "stochastic-beyond-word", "default-window-beyond-word"],
+         "M-beyond-word", "stochastic-beyond-word", "default-window-beyond-word",
+         "window-over-limit", "M-over-limit", "stochastic-span-over-limit",
+         "max-power-negative"],
 )
 def test_bad_experiment_parameters_refused_with_line(text, line, key):
     with pytest.raises(ValidationError, match=rf"line {line}: experiment\.\w+\.{key}"):
@@ -400,6 +417,18 @@ def test_basis_reach_just_inside_word_accepted():
     )
     assert plan.experiments[0].params["window"] == 1022
     assert plan.experiments[1].params["M"] == 1022
+
+
+def test_basis_reach_limit_accepted():
+    plan = parse_config(
+        CHACON30 + "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n"
+        f"experiment.s.window = {config.BASIS_REACH_LIMIT}\n"
+        "experiment.c.kind = converge\nexperiment.c.lags = 1\n"
+        "experiment.c.family = stochastic\nexperiment.c.a = 1/2\n"
+        "experiment.c.m = 512\nexperiment.c.n = 512\n"
+    )
+    assert plan.experiments[0].params["window"] == config.BASIS_REACH_LIMIT == 1024
+    assert plan.experiments[1].params["m"] + plan.experiments[1].params["n"] == 1024
 
 
 def test_converge_family_validated_without_building(monkeypatch):
@@ -472,6 +501,11 @@ def test_experiments_keep_declaration_order():
 def test_no_experiments_rejected():
     with pytest.raises(ValidationError, match="no experiments"):
         parse_config("construction.catalog = chacon\nconstruction.depth = 6\n")
+
+
+def test_no_construction_rejected():
+    with pytest.raises(ValidationError, match="no construction"):
+        parse_config("experiment.m.kind = mixing\nexperiment.m.lags = 1\n")
 
 
 def test_output_stem_key():
@@ -630,6 +664,8 @@ _LEAKS = [
 
 
 @given(case=_mutated_config())
+@example(case=(SIX, {"budget": 0}))
+@example(case=(SIX, {"budget": 1}))
 @example(case=_LEAKS[0])
 @example(case=_LEAKS[1])
 @example(case=_LEAKS[2])
@@ -639,8 +675,12 @@ def test_mutated_config_raises_only_config_errors(case):
     text, flags = case
     try:
         parse_config(text, **flags)
-    except (ParseError, ValidationError):
-        pass
+    except (ParseError, ValidationError) as exc:
+        # every refusal names a line, or the flag that set the value
+        message = str(exc)
+        assert message == "config declares no experiments" or re.search(
+            r"line \d+|lines \d+|--budget|--seed", message
+        ), message
 
 
 def test_mutated_config_sample_exits_one_without_traceback(tmp_path):

@@ -85,6 +85,26 @@ def test_limit_scan_stochastic_grid_contains_named_power():
     assert scan.rows[0].family_distance <= 0.25
 
 
+def test_stochastic_grid_builds_no_family_past_the_window(monkeypatch):
+    # stochastic(m, n) has a shift k in [m - K, K - n] only when m + n <= 2K
+    from rankone import diagnostics
+
+    K, built = 4, []
+    real = diagnostics.build_family
+
+    def counting(name, **params):
+        built.append(params)
+        return real(name, **params)
+
+    monkeypatch.setattr(diagnostics, "build_family", counting)
+    wide = diagnostics._named_candidates(K, 0.5, max_power=3 * K)
+    assert built and all(p.get("m", 0) + p.get("n", 0) <= 2 * K for p in built)
+    monkeypatch.setattr(diagnostics, "build_family", real)
+    narrow = diagnostics._named_candidates(K, 0.5, max_power=2 * K)
+    assert [name for name, _ in wide] == [name for name, _ in narrow]
+    assert all(w.terms == n.terms for (_, w), (_, n) in zip(wide, narrow))
+
+
 def test_rigidity_dyadic_odometer_vanishes_exactly():
     # D(2^j) differs from D(0) only through the window boundary
     rz = realize(catalog("dyadic-odometer"), 14)
