@@ -1,9 +1,11 @@
 """Rank-one cutting-and-stacking constructions: exact correlation
 statistics, limit-operator classification, and experiment plumbing.
 
-The usual flow is catalog -> realize -> corr_sequence / limit_scan, or a
+The usual flow is catalog -> realize -> PairCounter.counts -> unit_mass ->
+classify_limit against limit_basis (or limit_scan for a whole sweep), or a
 config file through parse_config and run_plan (the `rankone` command wraps
-that). Flows get their own segment-based engine in rankone.flows.
+that). Flows get their own segment-based engine in rankone.flows, whose
+FlowColumn.pair_counts feeds the same unit_mass.
 """
 
 from .construction import (
@@ -26,13 +28,10 @@ from .construction import (
 )
 from .correlation import (
     LAG_CAP_DIVISOR,
-    CorrMatrix,
-    CorrSequence,
     PairCounter,
-    corr_matrix,
-    corr_sequence,
     lag_counts_block,
     lag_counts_naive,
+    unit_mass,
 )
 from .diagnostics import (
     CesaroReport,
@@ -57,8 +56,8 @@ from .errors import (
 )
 from .flows import (
     FlowLimitReport,
+    FlowColumn,
     SlabAlgebra,
-    flow_corr,
     flow_limit_check,
     flow_Pm_matrix,
     flow_segments,
@@ -118,10 +117,7 @@ __all__ = [
     "level_measures",
     # correlation
     "PairCounter",
-    "CorrMatrix",
-    "CorrSequence",
-    "corr_matrix",
-    "corr_sequence",
+    "unit_mass",
     "lag_counts_naive",
     "lag_counts_block",
     "LAG_CAP_DIVISOR",
@@ -153,7 +149,7 @@ __all__ = [
     # flows
     "flow_segments",
     "SlabAlgebra",
-    "flow_corr",
+    "FlowColumn",
     "flow_Pm_matrix",
     "pm_identity_gap",
     "flow_limit_check",

@@ -42,7 +42,11 @@ from .construction import (
     validate_schedule,
 )
 from .correlation import COUNT_LIMIT, LAG_CAP_DIVISOR, PAIR_CELL_LIMIT
-from .diagnostics import DISJOINTNESS_CELL_LIMIT, TRIPLE_CELL_LIMIT
+from .diagnostics import (
+    DISJOINTNESS_CELL_LIMIT,
+    TRIPLE_CELL_LIMIT,
+    stochastic_grid_size,
+)
 from .errors import (
     CutBudgetExceeded,
     MalformedRule,
@@ -61,6 +65,7 @@ __all__ = [
     "ExperimentPlan",
     "parse_config",
     "BASIS_REACH_LIMIT",
+    "FAMILY_GRID_LIMIT",
     "EXPERIMENT_KEYS",
     "EXPERIMENT_KINDS",
     "FAMILY_KEYS",
@@ -72,6 +77,10 @@ _MAX_DEPTH = 200
 # the longest limit basis or converge family a config may ask for: PairCounter's
 # default enum_cutoff, so every basis lag is counted in its one stage pass
 BASIS_REACH_LIMIT = 1 << 10
+
+# the most stochastic candidates a limit-scan on a Bernoulli schedule may fit
+# (each is built and compared at every lag)
+FAMILY_GRID_LIMIT = 10_000
 
 _LAG_TOKEN = re.compile(
     r"""^\s*(?P<sign>[+-])?\s*
@@ -689,6 +698,14 @@ def parse_config(
         # checks across keys
         if kind == "limit-scan" and isinstance(schedule.spacers, BernoulliSpacers):
             params["stochastic_a"] = schedule.spacers.a
+            K, power = params["window"], params["max_power"]
+            grid = stochastic_grid_size(K, power)
+            if grid > FAMILY_GRID_LIMIT:
+                raise _refuse(
+                    take("max-power") or take("window") or kind_e,
+                    f"max-power {power} with window {K} fits {grid} stochastic "
+                    f"candidates, over FAMILY_GRID_LIMIT = {FAMILY_GRID_LIMIT}",
+                )
         elif kind == "disjointness":
             reach = max(abs(params["p"]), abs(params["q"])) * params["N"]
             _cap_check(reach, lJ, s.cap, take("N"))

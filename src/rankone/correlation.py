@@ -43,21 +43,21 @@ the copy, at hi <= l_d. Ranges with two offsets go to Phi, ranges with one
 to a histogram; k >= 3 entries are memoised sparse (sorted flat codes plus
 counts), since most of the S**k cells are empty.
 
-Normalized matrices D(n) = C(n)/l_J estimate mu(level_a  T^{-n} level_b)
-with boundary error |n|/l_J; negative lags are transposes.
+Counts become matrices in one place, ``unit_mass``: C(n) over its window of
+l_J - |n| sources estimates mu(level_a ∩ T^{-n} level_b) with mass one;
+negative lags are transposes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 import numpy as np
 
 from .construction import RealizedSchedule, heights
-from .errors import DepthOverBudget, LagOutOfRange, MissingLag
+from .errors import DepthOverBudget, LagOutOfRange
 from .words import (
     DEFAULT_BUDGET,
     DTYPE,
@@ -72,10 +72,7 @@ __all__ = [
     "PairCounter",
     "lag_counts_naive",
     "lag_counts_block",
-    "CorrMatrix",
-    "corr_matrix",
-    "CorrSequence",
-    "corr_sequence",
+    "unit_mass",
     "LAG_CAP_DIVISOR",
     "COUNT_LIMIT",
     "PAIR_CELL_LIMIT",
@@ -690,106 +687,11 @@ def lag_counts_block(
     return PairCounter(realized, J, j0, **cutoffs).counts_many(lags)
 
 
-# ---------------------------------------------------------------------------
-# normalized matrices
+def unit_mass(c: np.ndarray, n: int, lJ: int) -> np.ndarray:
+    """Pair counts at lag n over their window of l_J - |n| sources.
 
-@dataclass(frozen=True)
-class CorrMatrix:
-    """D(n) = C(n)/l_J plus its boundary error bound |n|/l_J."""
-
-    lag: int
-    matrix: np.ndarray
-    boundary_error: float
-    word_length: int
-
-
-_ENGINES = {"block": lag_counts_block, "naive": lag_counts_naive}
-
-
-def _engine(name: str):
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        raise ValueError(f"engine must be 'block' or 'naive', got {name!r}") from None
-
-
-def _normalized(n: int, c: np.ndarray, lJ: int) -> CorrMatrix:
-    return CorrMatrix(
-        lag=n,
-        matrix=c.astype(np.float64) / lJ,
-        boundary_error=abs(n) / lJ,
-        word_length=lJ,
-    )
-
-
-def corr_matrix(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    n: int,
-    engine: str = "block",
-    counter: Optional[PairCounter] = None,
-) -> CorrMatrix:
-    """Normalized correlation matrix at one lag.
-
-    Any |n| < l_J is accepted; boundary_error = |n|/l_J tells the caller how
-    much of the window was lost to truncation.  Experiment configs apply the
-    stricter l_J/LAG_CAP_DIVISOR cap before ever reaching this function.
-    engine "block" is the hierarchical counter (or the given counter),
-    "naive" the streaming oracle.
+    Every reported matrix is normalized here, so it has mass one and
+    compares directly with the limit basis; the flow engine calls it with
+    the shift and the column height in ticks.
     """
-    count = _engine(engine)
-    lJ = int(heights(realized, J)[J - 1])
-    if abs(n) >= lJ:
-        raise LagOutOfRange(f"|lag| {n} >= word length {lJ}")
-    c = counter.counts(n) if counter is not None else count(realized, J, j0, [n])[n]
-    return _normalized(n, c, lJ)
-
-
-class CorrSequence:
-    """Correlation matrices for a family of lags, queried by lag."""
-
-    def __init__(self, word_length: int):
-        self.word_length = word_length
-        self._by_lag: Dict[int, CorrMatrix] = {}
-
-    def add(self, cm: CorrMatrix) -> None:
-        self._by_lag[cm.lag] = cm
-
-    @property
-    def lags(self) -> List[int]:
-        return list(self._by_lag)
-
-    def matrix(self, lag: int) -> CorrMatrix:
-        try:
-            return self._by_lag[lag]
-        except KeyError:
-            raise MissingLag(f"lag {lag} was not computed") from None
-
-    def __contains__(self, lag: int) -> bool:
-        return lag in self._by_lag
-
-    def __iter__(self):
-        return iter(self._by_lag.values())
-
-
-def corr_sequence(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    lags: Sequence[int],
-    engine: str = "block",
-) -> CorrSequence:
-    """Correlation matrices for each distinct lag, order-preserving.
-
-    engine "block" shares one hierarchical counter's cache across the lags;
-    "naive" counts them all in one streaming pass (the oracle).
-    """
-    count = _engine(engine)
-    lag_list = list(dict.fromkeys(int(n) for n in lags))
-    lJ = int(heights(realized, J)[J - 1])
-    tables = count(realized, J, j0, lag_list)
-    seq = CorrSequence(lJ)
-    for n in lag_list:
-        seq.add(_normalized(n, tables[n], lJ))
-    return seq
+    return c.astype(np.float64) / (lJ - abs(n))

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .construction import RealizedSchedule, heights
-from .correlation import PairCounter
+from .correlation import PairCounter, unit_mass
 from .errors import LagOutOfRange
 from .operators import (
     ClassifyResult,
@@ -35,11 +35,11 @@ from .operators import (
 from .words import alphabet_size, level_measures
 
 __all__ = [
-    "unit_mass",
     "limit_basis",
     "LimitScanRow",
     "LimitScan",
     "limit_scan",
+    "stochastic_grid_size",
     "RigidityRow",
     "RigidityScan",
     "rigidity_scan",
@@ -58,11 +58,6 @@ __all__ = [
 TRIPLE_CELL_LIMIT = 1 << 24
 #: Largest S**4 the disjointness probe's 4-index tensor may have.
 DISJOINTNESS_CELL_LIMIT = 1 << 22
-
-
-def unit_mass(c: np.ndarray, n: int, lJ: int) -> np.ndarray:
-    """Pair counts at lag n over their window of l_J - |n| sources."""
-    return c.astype(np.float64) / (lJ - abs(n))
 
 
 def _measure_vector(realized: RealizedSchedule, J: int, j0: int) -> np.ndarray:
@@ -133,6 +128,13 @@ class LimitScan:
         tally = Counter(r.family for r in self.rows)
         top = max(tally.values())
         return min(name for name, k in tally.items() if k == top)
+
+
+def stochastic_grid_size(K: int, max_power: int) -> int:
+    """Stochastic candidates limit_scan fits at window K: each m + n = s up
+    to min(max_power, 2K) gives s + 1 pairs (m, n), each with the 2K - s + 1
+    shifts k that keep its powers inside the window."""
+    return sum((s + 1) * (2 * K - s + 1) for s in range(min(max_power, 2 * K) + 1))
 
 
 def _named_candidates(

@@ -45,10 +45,6 @@ class LagOutOfRange(RankOneError):
     """A correlation lag outside the supported range for the depth."""
 
 
-class MissingLag(RankOneError):
-    """A correlation matrix was requested for a lag that was not computed."""
-
-
 class MissingBasisLag(RankOneError):
     """Classification needs a basis lag that was not supplied."""
 

@@ -6,10 +6,11 @@ every duration is scaled to integer ticks on a common denominator, so set
 measures come out as integer tick counts with no floating-point error.
 
 Correlations live on a slab algebra: the base fiber [0, h_{j0}) cut into L
-equal slabs, spacers mapped to a star symbol. D(t)[a][b] is the Lebesgue
-measure of {u : phi(u) in slab_a, phi(u+t) in slab_b} divided by the total
-height, computed by one sweep over the merged breakpoints of the column and
-its t-shift.
+equal slabs, spacers mapped to a star symbol. C(t)[a][b] is the Lebesgue
+measure, in ticks, of {u : phi(u) in slab_a, phi(u+t) in slab_b}, computed
+by one sweep over the merged breakpoints of the column and its t-shift
+(FlowColumn.pair_counts); correlation.unit_mass turns it into the unit-mass
+matrix D(t) over its window of H - |t| ticks.
 
 Time averages P_m = (1/m) * integral of T_t over an m-long window are exact:
 the integral of the pair measure over a window [lo, hi] is, for each
@@ -34,12 +35,14 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import gcd
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .construction import RealizedSchedule, heights
+from .correlation import unit_mass
 from .errors import SegmentBudgetExceeded, TimeOutOfRange
 
 __all__ = [
@@ -48,8 +51,6 @@ __all__ = [
     "FlowColumn",
     "segment_counts",
     "flow_segments",
-    "flow_corr",
-    "FlowCorrMatrix",
     "PmResult",
     "flow_Pm_matrix",
     "pm_identity_gap",
@@ -486,39 +487,6 @@ def _twice_antiderivative(A2, Fa, own, j, r):
     return v
 
 
-@dataclass(frozen=True)
-class FlowCorrMatrix:
-    """Normalized flow correlation at one time shift."""
-
-    time: Fraction
-    matrix: np.ndarray
-    boundary_error: float
-    total_duration: Fraction
-
-
-def flow_corr(
-    segments: SegmentList,
-    slabs: SlabAlgebra,
-    t: Fraction,
-    column: Optional[FlowColumn] = None,
-    exact: bool = False,
-):
-    """D(t) = pair measure / total height. Pass a prebuilt FlowColumn when
-    sweeping many times; exact=True returns a Fraction matrix instead."""
-    col = column if column is not None else FlowColumn(segments, slabs)
-    C, H = col.pair_counts(Fraction(t))
-    if exact:
-        S = slabs.size
-        return [[Fraction(int(C[i, j]), H) for j in range(S)] for i in range(S)]
-    tf = Fraction(t)
-    return FlowCorrMatrix(
-        time=tf,
-        matrix=C.astype(np.float64) / H,
-        boundary_error=float(abs(tf) / segments.total),
-        total_duration=segments.total,
-    )
-
-
 # ---------------------------------------------------------------------------
 # time averages
 
@@ -585,9 +553,10 @@ def pm_identity_gap(
 # ---------------------------------------------------------------------------
 # limit check
 
-def _unit(C: np.ndarray) -> np.ndarray:
-    s = C.sum()
-    return C.astype(np.float64) / s if s else C.astype(np.float64)
+# flow_limit_check's family grid: shifts a and factor sets (m_1, ...) of
+# the candidates T_a prod_i P_{m_i}
+_FIT_SHIFTS = tuple(Fraction(k, 2) for k in range(-4, 5))
+_FIT_FACTORS = ((1,), (2,), (1, 1), (1, 2), (2, 2))
 
 
 @dataclass(frozen=True)
@@ -609,13 +578,11 @@ def flow_limit_check(
     q: int,
     j: int,
     L: int = 16,
-    shifts: Sequence[Fraction] = (),
-    factors_grid: Sequence[Tuple[int, ...]] = ((1,), (2,), (1, 1), (1, 2), (2, 2)),
 ) -> FlowLimitReport:
     """Compare D(q*h_j) at depth J against the q-long Markov average.
 
     The sign of the lag is resolved empirically: both D(+q h_j) and
-    D(-q h_j) are measured (window-normalized) and the closer one is
+    D(-q h_j) are measured (unit mass) and the closer one is
     reported, with the other as the mirror. A small exact grid over
     shifted products T_a * prod_i P_{m_i} is also fitted; the kernel of a
     product of window averages is the convolution of their boxes, so its
@@ -631,34 +598,30 @@ def flow_limit_check(
 
     pm = flow_Pm_matrix(segments, slabs, Fraction(q), orientation="negative",
                         column=col)
-    Cp, _ = col.pair_counts(lag)
-    Cm = Cp.T  # C_{-t} is the transpose of C_t on the finite column
-    d_pos = float(np.abs(_unit(Cp) - pm.matrix).max())
-    d_neg = float(np.abs(_unit(Cm) - pm.matrix).max())
+
+    @cache  # the family grid below shares its nodes across candidates
+    def unit(t: Fraction) -> np.ndarray:
+        C, H = col.pair_counts(t)
+        (tau,), _ = col._ticks(t)  # the shift on the scale pair_counts used
+        return unit_mass(C, tau, H)
+
+    pos = unit(lag)
+    neg = pos.T  # C_{-t} is the transpose of C_t on the finite column
+    d_pos = float(np.abs(pos - pm.matrix).max())
+    d_neg = float(np.abs(neg - pm.matrix).max())
     if d_pos <= d_neg:
-        orientation, residual, mirror = "positive-lag", d_pos, d_neg
-        measured = _unit(Cp)
+        orientation, residual, mirror, measured = "positive-lag", d_pos, d_neg, pos
     else:
-        orientation, residual, mirror = "negative-lag", d_neg, d_pos
-        measured = _unit(Cm)
+        orientation, residual, mirror, measured = "negative-lag", d_neg, d_pos, neg
 
     # family grid: T_a prod P_{m_i} has kernel box(m_1) * ... (convolution)
     # supported on [a - sum m_i, a]; sample everything on one coarse grid
     # so candidates share their sweeps. Descriptive output, not a verdict.
     delta_fit = Fraction(1, 8)
-    shift_grid = list(shifts) if shifts else [Fraction(k, 2) for k in range(-4, 5)]
     best = (Fraction(0), (q,))
     best_dist = float("inf")
-    cache = {}
-
-    def node(t: Fraction) -> np.ndarray:
-        if t not in cache:
-            C, H = col.pair_counts(t)
-            cache[t] = C.astype(np.float64) / H
-        return cache[t]
-
-    for a in shift_grid:
-        for ms in factors_grid:
+    for a in _FIT_SHIFTS:
+        for ms in _FIT_FACTORS:
             span = Fraction(sum(ms))
             lo = a - span
             if abs(lo) >= segments.total or abs(a) >= segments.total:
@@ -666,7 +629,7 @@ def flow_limit_check(
             n = int(span / delta_fit)
             ts = [lo + delta_fit * k for k in range(n + 1)]
             w = _box_convolution_weights(ms, n)
-            mat = sum(wk * node(t) for wk, t in zip(w, ts))
+            mat = sum(wk * unit(t) for wk, t in zip(w, ts))
             dist = float(np.abs(mat - measured).max())
             if dist < best_dist - 1e-15:
                 best_dist = dist
@@ -684,23 +647,20 @@ def flow_limit_check(
 
 
 def _box_convolution_weights(ms: Tuple[int, ...], n: int) -> np.ndarray:
-    """Trapezoid weights for the kernel = convolution of boxes of widths ms,
-    normalized to integrate to 1, sampled on n+1 equally spaced nodes."""
-    span = float(sum(ms))
-    xs = np.linspace(-span, 0.0, n + 1)
-    # evaluate the convolution kernel by repeated numeric smoothing
-    kern = None
-    for m in ms:
-        if kern is None:
-            kern = np.where((xs >= -m) & (xs <= 0), 1.0 / m, 0.0)
-        else:
-            # convolve with box of width m on the same grid
-            step = span / n
-            box_n = max(int(round(m / step)), 1)
-            box = np.ones(box_n) / box_n
-            kern = np.convolve(kern, box, mode="full")[: n + 1]
-    w = kern.copy()
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    s = w.sum()
-    return w / s if s else w
+    """Trapezoid weights for the kernel of prod_i P_{m_i}, sampled on n+1
+    equally spaced nodes over [-sum(ms), 0] and normalized to sum to 1.
+
+    The kernel is the density of a sum of independent uniforms on [-m_i, 0]:
+    the box 1/m for one factor; for two, the overlap length of [-m_1, 0]
+    and [x, x + m_2], over m_1 * m_2.
+    """
+    xs = np.linspace(-float(sum(ms)), 0.0, n + 1)
+    if len(ms) == 1:
+        kern = np.full(n + 1, 1.0 / ms[0])
+    else:
+        m1, m2 = ms
+        overlap = np.minimum(0.0, xs + m2) - np.maximum(-float(m1), xs)
+        kern = np.maximum(overlap, 0.0) / (m1 * m2)
+    kern[0] *= 0.5
+    kern[-1] *= 0.5
+    return kern / kern.sum()

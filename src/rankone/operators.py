@@ -183,20 +183,21 @@ def build_family(name: str, **params) -> OperatorExpression:
         return OperatorExpression.make(terms, Fraction(1, 2 ** (M + 1)))
     if name == "stochastic":
         m, n, k, a = args["m"], args["n"], args["k"], args["a"]
-        # P^m = sum_i C(m,i) a^(m-i) (1-a)^i T^-i, and the adjoint mirror
-        expr: Dict[int, Fraction] = {}
-        for i in range(m + 1):
-            for j in range(n + 1):
-                coeff = (
-                    comb(m, i)
-                    * comb(n, j)
-                    * a ** (m - i + n - j)
-                    * (1 - a) ** (i + j)
-                )
-                p = k - i + j
-                expr[p] = expr.get(p, Fraction(0)) + coeff
-        return OperatorExpression.make(expr)
+        # with a = p/q, q^m P^m = sum_i C(m,i) p^(m-i) (q-p)^i T^-i and
+        # q^n (P*)^n mirrors it: convolve the two integer rows once
+        p, q = a.numerator, a.denominator
+        back = np.array(_binomial_row(m, p, q - p)[::-1], dtype=object)  # T^-m..I
+        ahead = np.array(_binomial_row(n, p, q - p), dtype=object)  # I..T^n
+        scale = q ** (m + n)
+        return OperatorExpression.make(
+            {k - m + i: Fraction(c, scale) for i, c in enumerate(np.convolve(back, ahead))}
+        )
     raise UnknownFamily(f"no operator family named {name!r}")
+
+
+def _binomial_row(m: int, x: int, y: int) -> list:
+    """[C(m, i) x^(m-i) y^i for i = 0..m] as Python ints."""
+    return [comb(m, i) * x ** (m - i) * y**i for i in range(m + 1)]
 
 
 def check_family(name: str, **params) -> Dict[str, object]:
@@ -268,8 +269,8 @@ def predicted_matrix(
 class JoiningMatrix:
     """Matrix of an operator expression over a finite-depth basis.
 
-    Entries are nonnegative and the marginals track the level measures up to
-    the boundary mass the basis matrices lost at their own lags.
+    Entries are nonnegative and the marginals track the level measures of
+    the finite-depth basis.
     """
 
     matrix: np.ndarray
@@ -277,41 +278,16 @@ class JoiningMatrix:
     construction: str = ""
 
 
-def _basis_lookup(seq, power: int) -> np.ndarray:
-    """Unit-mass matrix for one power out of a lag-indexed sequence."""
-    for lag in (power, -power):
-        if lag in seq:
-            cm = seq.matrix(lag)
-            m = cm.matrix / (1.0 - cm.boundary_error)
-            return m if lag == power else m.T
-    raise MissingBasisLag(f"no stored lag covers power {power}")
-
-
 def joining_matrix(
     expr: OperatorExpression,
-    basis,
-    product: np.ndarray = None,
+    basis: Mapping[Union[int, str], np.ndarray],
     depth: int = 0,
     construction: str = "",
 ) -> JoiningMatrix:
-    """Evaluate sum c_i D(i) + theta * product over measured basis matrices.
-
-    basis is either a mapping (integer powers plus optional "theta", as
-    produced by limit_basis) or a lag-keyed sequence from corr_sequence; in
-    the latter case stored matrices are rescaled to unit mass and a missing
-    negative lag is served by transposing the positive one. The optional
-    product argument supplies (or overrides) the theta matrix.
-    """
-    if hasattr(basis, "matrix") and not isinstance(basis, Mapping):
-        mapping: Dict[Union[int, str], np.ndarray] = {
-            p: _basis_lookup(basis, p) for p in expr.powers()
-        }
-    else:
-        mapping = dict(basis)
-    if product is not None:
-        mapping["theta"] = np.asarray(product, dtype=np.float64)
+    """Evaluate sum c_i D(i) + theta * product over the unit-mass basis that
+    limit_basis builds (integer powers plus "theta")."""
     return JoiningMatrix(
-        matrix=predicted_matrix(expr, mapping),
+        matrix=predicted_matrix(expr, basis),
         depth=depth,
         construction=construction,
     )
@@ -320,15 +296,15 @@ def joining_matrix(
 # ---------------------------------------------------------------------------
 # classification
 
-def _nnls(A: np.ndarray, b: np.ndarray, max_iter: int = 0) -> np.ndarray:
+def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Nonnegative least squares by the classic active-set iteration.
 
     Deterministic: ties in the gradient pick the smallest index. Problems
     here are tiny (tens of columns), so lstsq on the passive set is cheap.
+    More than 3n + 30 outer steps over n columns means it is cycling.
     """
     m, n = A.shape
-    if max_iter <= 0:
-        max_iter = 3 * n + 30
+    max_iter = 3 * n + 30
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     w = A.T @ (b - A @ x)
@@ -362,6 +338,10 @@ def _nnls(A: np.ndarray, b: np.ndarray, max_iter: int = 0) -> np.ndarray:
     return x
 
 
+#: Weight of the sum-to-one row in classify_limit's least-squares system.
+_SUM_WEIGHT = 1e3
+
+
 @dataclass(frozen=True)
 class ClassifyResult:
     """Best nonnegative sum-to-one combination of the basis."""
@@ -378,7 +358,6 @@ def classify_limit(
     measured: np.ndarray,
     basis: Mapping[Union[int, str], np.ndarray],
     tol: float = 0.03,
-    penalty: float = 1e3,
 ) -> ClassifyResult:
     """Fit measured ~ sum_i c_i D(i) + c_theta * product, c >= 0, sum c = 1.
 
@@ -388,8 +367,6 @@ def classify_limit(
     residual_frobenius its Frobenius norm; identified means the max-abs
     residual is <= tol.
     """
-    if isinstance(measured, JoiningMatrix):
-        measured = measured.matrix
     keys = sorted((k for k in basis if isinstance(k, int)))
     has_theta = "theta" in basis
     cols = [np.asarray(basis[k], dtype=np.float64).ravel() for k in keys]
@@ -399,8 +376,8 @@ def classify_limit(
         raise MissingBasisLag("empty basis")
     target = np.asarray(measured, dtype=np.float64).ravel()
     A = np.stack(cols, axis=1)
-    A = np.vstack([A, np.full((1, A.shape[1]), penalty)])
-    b = np.concatenate([target, [penalty]])
+    A = np.vstack([A, np.full((1, A.shape[1]), _SUM_WEIGHT)])
+    b = np.concatenate([target, [_SUM_WEIGHT]])
     x = _nnls(A, b)
     s = float(x.sum())
     if s <= 0:

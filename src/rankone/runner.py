@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .config import ExperimentPlan, ExperimentSpec
-from .correlation import PairCounter
+from .correlation import PairCounter, unit_mass
 from .diagnostics import (
     cesaro_disjointness_probe,
     limit_basis,
@@ -24,7 +24,6 @@ from .diagnostics import (
     mixing_diagnostics,
     rigidity_scan,
     triple_corr_probe,
-    unit_mass,
 )
 from .flows import flow_limit_check
 from .operators import build_family, classify_limit, joining_matrix

@@ -408,6 +408,34 @@ def test_bad_experiment_parameters_refused_with_line(text, line, key):
         parse_config(text)
 
 
+STOCHASTIC_SCAN = """
+construction.catalog = stochastic-chacon
+construction.depth = 14
+construction.seed = 1
+experiment.s.kind = limit-scan
+experiment.s.lags = 1
+experiment.s.window = {K}
+"""
+
+
+def test_stochastic_grid_over_limit_refused():
+    # sum over s <= min(max-power, 2K) of (s + 1)(2K - s + 1) candidates
+    with pytest.raises(
+        ValidationError,
+        match=r"line 8: experiment\.s\.max-power: .* fits 47905 .*FAMILY_GRID_LIMIT = 10000",
+    ):
+        parse_config(STOCHASTIC_SCAN.format(K=32) + "experiment.s.max-power = 64\n")
+    # with max-power at its default, the window's line
+    with pytest.raises(ValidationError, match=r"line 7: experiment\.s\.window: max-power 6"):
+        parse_config(STOCHASTIC_SCAN.format(K=1024))
+    plan = parse_config(STOCHASTIC_SCAN.format(K=16) + "experiment.s.max-power = 32\n")
+    assert plan.experiments[0].params["max_power"] == 32
+    # a schedule without Bernoulli spacers fits no stochastic grid
+    assert parse_config(
+        BASE.format(lags="3") + "experiment.scan.window = 32\nexperiment.scan.max-power = 64\n"
+    ).experiments[0].params["max_power"] == 64
+
+
 def test_basis_reach_just_inside_word_accepted():
     plan = parse_config(
         CHACON10 + "experiment.s.kind = limit-scan\nexperiment.s.lags = 1\n"

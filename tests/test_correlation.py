@@ -25,12 +25,11 @@ from rankone.correlation import (
     LAG_CAP_DIVISOR,
     PAIR_CELL_LIMIT,
     PairCounter,
-    corr_matrix,
-    corr_sequence,
     lag_counts_block,
     lag_counts_naive,
+    unit_mass,
 )
-from rankone.errors import LagOutOfRange, MissingLag
+from rankone.errors import LagOutOfRange
 from rankone.words import alphabet_size, materialize_word
 
 
@@ -117,32 +116,15 @@ def test_block_equals_naive_engine_every_catalog_map():
             assert np.array_equal(blk[n], naive[n]), (name, n)
 
 
-def test_corr_matrix_normalization_and_boundary():
+def test_unit_mass_normalizes_over_the_window():
     rz = realize(catalog("chacon"), 10)
-    lJ = heights(rz, 10)[9]
-    cm = corr_matrix(rz, 10, 1, 7)
-    assert cm.lag == 7
-    assert cm.word_length == lJ
-    assert cm.boundary_error == 7 / lJ
     pc = PairCounter(rz, 10, 1)
-    assert np.allclose(cm.matrix, pc.counts(7) / lJ)
-    assert cm.matrix.sum() == pytest.approx(1.0 - 7 / lJ)
-
-
-def test_corr_sequence_lookup_and_missing_lag():
-    rz = realize(catalog("chacon"), 9)
-    seq = corr_sequence(rz, 9, 1, [3, -3, 17])
-    assert set(seq.lags) == {3, -3, 17}
-    assert 3 in seq and 4 not in seq
-    assert seq.matrix(17).lag == 17
-    with pytest.raises(MissingLag):
-        seq.matrix(4)
-
-
-def test_corr_sequence_preserves_duplicate_free_order():
-    rz = realize(catalog("chacon"), 9)
-    seq = corr_sequence(rz, 9, 1, [5, 2, 5, 2, 9])
-    assert [cm.lag for cm in seq] == [5, 2, 9]
+    for n in (0, 7, -7, pc.lJ - 1):
+        c = pc.counts(n)
+        d = unit_mass(c, n, pc.lJ)
+        assert d.dtype == np.float64
+        assert np.array_equal(d, c / (pc.lJ - abs(n)))
+        assert d.sum() == pytest.approx(1.0, abs=1e-12), n
 
 
 def test_lag_cap_divisor_exported():
@@ -362,22 +344,6 @@ def test_long_spacer_runs_match_naive_oracle(cutoffs):
     naive = lag_counts_naive(rz, J, 1, lags)
     for n in lags:
         assert np.array_equal(blk[n], naive[n]), n
-
-
-def test_corr_engines_agree_and_unknown_engine_rejected():
-    rz = realize(catalog("modified-chacon"), 8)
-    lags = [4, -13, 121]
-    blk = corr_sequence(rz, 8, 2, lags)
-    naive = corr_sequence(rz, 8, 2, lags, engine="naive")
-    for n in lags:
-        assert np.array_equal(blk.matrix(n).matrix, naive.matrix(n).matrix)
-        one = corr_matrix(rz, 8, 2, n, engine="naive")
-        assert np.array_equal(one.matrix, naive.matrix(n).matrix)
-    for bad in ("auto", "Block", ""):
-        with pytest.raises(ValueError, match="engine"):
-            corr_sequence(rz, 8, 2, lags, engine=bad)
-        with pytest.raises(ValueError, match="engine"):
-            corr_matrix(rz, 8, 2, 4, engine=bad)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,10 @@ def test_stochastic_grid_builds_no_family_past_the_window(monkeypatch):
     narrow = diagnostics._named_candidates(K, 0.5, max_power=2 * K)
     assert [name for name, _ in wide] == [name for name, _ in narrow]
     assert all(w.terms == n.terms for (_, w), (_, n) in zip(wide, narrow))
+    for power in (0, 3, 2 * K, 3 * K):  # the count the config bounds
+        grid = diagnostics._named_candidates(K, 0.5, max_power=power)
+        stochastic = [name for name, _ in grid if name.startswith("stochastic")]
+        assert len(stochastic) == diagnostics.stochastic_grid_size(K, power)
 
 
 def test_rigidity_dyadic_odometer_vanishes_exactly():

@@ -20,12 +20,12 @@ from rankone.construction import (
     heights,
     realize,
 )
+from rankone.correlation import unit_mass
 from rankone.errors import SegmentBudgetExceeded, TimeOutOfRange
 from rankone.flows import (
     FlowColumn,
     SlabAlgebra,
     flow_Pm_matrix,
-    flow_corr,
     flow_limit_check,
     flow_segments,
     pm_identity_gap,
@@ -65,64 +65,61 @@ def test_segment_budget_guard():
         flow_segments(rz, 40)
 
 
+def _counts(rz, J, L):
+    """The pair_counts of the depth-J column cut into L slabs."""
+    return FlowColumn(flow_segments(rz, J), SlabAlgebra(L)).pair_counts
+
+
 def test_time_zero_is_diagonal_slab_measure():
     rz = realize(catalog("staircase-flow"), 2)
-    cm = flow_corr(flow_segments(rz, 2), SlabAlgebra(4), F(0))
-    assert np.allclose(cm.matrix, np.diag([0.2] * 5), atol=1e-15)
-    assert cm.boundary_error == 0.0
+    C, H = _counts(rz, 2, 4)(F(0))
+    assert np.array_equal(5 * C, np.diag([H] * 5))
 
 
 def test_single_column_shift_is_superdiagonal():
     rz = realize(catalog("staircase-flow"), 1)
-    cm = flow_corr(flow_segments(rz, 1), SlabAlgebra(4), F(1, 4))
+    C, H = _counts(rz, 1, 4)(F(1, 4))
     want = np.zeros((5, 5))
-    want[0, 1] = want[1, 2] = want[2, 3] = 0.25
-    assert np.allclose(cm.matrix, want, atol=1e-15)
-    assert cm.boundary_error == pytest.approx(0.25)
+    want[0, 1] = want[1, 2] = want[2, 3] = 1 / 3  # the window is 3/4 of the column
+    assert np.allclose(unit_mass(C, H // 4, H), want, atol=1e-15)
 
 
 def test_mass_conservation_inside_window():
     rz = realize(catalog("staircase-flow"), 5)
     seg = flow_segments(rz, 5)
-    sl = SlabAlgebra(8)
-    H = heights(rz, 5)[4]
-    col = FlowColumn(seg, sl)
+    col = FlowColumn(seg, SlabAlgebra(8))
     for t in (F(1, 3), F(2), F(7, 2)):
-        cm = flow_corr(seg, sl, t, column=col)
-        assert cm.matrix.sum() == pytest.approx(float((H - t) / H), abs=1e-12)
-        assert cm.boundary_error == pytest.approx(float(t / H))
+        C, H = col.pair_counts(t)
+        assert F(int(C.sum()), H) == 1 - t / seg.total
 
 
 def test_negative_time_is_transpose():
     rz = realize(catalog("staircase-flow"), 5)
-    seg = flow_segments(rz, 5)
-    sl = SlabAlgebra(6)
-    col = FlowColumn(seg, sl)
+    col = FlowColumn(flow_segments(rz, 5), SlabAlgebra(6))
     for t in (F(1, 2), F(3), F(22, 7)):
-        fwd = flow_corr(seg, sl, t, column=col).matrix
-        bwd = flow_corr(seg, sl, -t, column=col).matrix
+        fwd, _ = col.pair_counts(t)
+        bwd, _ = col.pair_counts(-t)
         assert np.array_equal(bwd, fwd.T)
 
 
 def test_time_beyond_height_rejected():
     rz = realize(catalog("staircase-flow"), 3)
-    seg = flow_segments(rz, 3)
     with pytest.raises(TimeOutOfRange):
-        flow_corr(seg, SlabAlgebra(4), F(17, 2))
+        _counts(rz, 3, 4)(F(17, 2))
 
 
 def test_exact_mode_agrees_with_float():
+    # the exact tick counts over their window, as Fractions, against unit_mass
     rz = realize(catalog("staircase-flow"), 4)
     seg = flow_segments(rz, 4)
-    sl = SlabAlgebra(5)
     t = F(5, 3)
-    ex = flow_corr(seg, sl, t, exact=True)
-    fl = flow_corr(seg, sl, t)
-    H = heights(rz, 4)[3]
-    assert all(isinstance(v, F) for row in ex for v in row)
-    assert sum(v for row in ex for v in row) == (H - t) / H
+    C, H = FlowColumn(seg, SlabAlgebra(5)).pair_counts(t)
+    tau = t * H / seg.total
+    assert tau.denominator == 1  # a whole number of ticks
+    ex = [[F(int(c), H - int(tau)) for c in row] for row in C]
+    assert sum(v for row in ex for v in row) == 1
     exf = np.array([[float(v) for v in row] for row in ex])
-    assert np.allclose(fl.matrix, exf, atol=1e-15)
+    assert np.allclose(unit_mass(C, int(tau), H), exf, atol=1e-15)
 
 
 def test_window_average_row_mass():
@@ -357,9 +354,24 @@ def test_exact_window_matches_fine_trapezoid():
     n = 2048
     for lo, hi in ((F(-1), F(0)), (F(0), F(1)), (F(-3, 2), F(1, 4))):
         W, Z = col.window_counts(lo, hi)
-        trap = sum(
-            (0.5 if k in (0, n) else 1.0) * flow_corr(seg, sl, lo + (hi - lo) * k / n,
-                                                       column=col).matrix
-            for k in range(n + 1)
-        ) / n
+        trap = 0.0
+        for k in range(n + 1):
+            C, H = col.pair_counts(lo + (hi - lo) * k / n)
+            trap += (0.5 if k in (0, n) else 1.0) * C / H
+        trap /= n
         assert np.abs(W / Z - trap).max() < 1e-6, (lo, hi)
+
+
+@pytest.mark.parametrize("ms", [(1,), (2,), (1, 1), (1, 2), (2, 2)])
+def test_family_kernel_is_the_product_of_boxes(ms):
+    # prod_i P_{m_i} averages T_t with the density of a sum of uniforms on
+    # [-m_i, 0]: support [-sum(ms), 0], mean -sum(ms)/2
+    span = sum(ms)
+    n = 8 * span
+    w = flows._box_convolution_weights(ms, n)
+    xs = np.linspace(-span, 0, n + 1)
+    assert (w >= 0).all()
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    assert float(w @ xs) == pytest.approx(-span / 2, abs=1e-12)
+    inside = xs[w > 0]
+    assert inside[0] <= -span + 1 / 8 and inside[-1] >= -1 / 8

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.construction import catalog, realize
-from rankone.correlation import corr_sequence
 from rankone.diagnostics import limit_basis
 from rankone.errors import MissingBasisLag, UnknownFamily
 from rankone.operators import (
@@ -167,36 +166,30 @@ def test_predicted_matrix_is_linear():
     assert np.allclose(half_sum, direct, atol=1e-15)
 
 
-def test_joining_matrix_from_corr_sequence():
+def test_joining_matrix_from_limit_basis():
     rz = realize(catalog("modified-chacon"), 10)
-    seq = corr_sequence(rz, 10, 2, [0, 1, 2])
-    mu = seq.matrix(0).matrix.sum(axis=1)
-    prod = np.outer(mu, mu)
+    basis = limit_basis(rz, 10, 2, K=1)
     e = build_family("modified-chacon-limit")
-    jm = joining_matrix(e, seq, product=prod, depth=10, construction=rz.name)
-    lJ = seq.word_length
-    d0 = seq.matrix(0).matrix / (1.0 - 0 / lJ)
-    d1 = seq.matrix(1).matrix / (1.0 - 1 / lJ)
-    assert np.allclose(jm.matrix, 0.5 * d0 + 0.5 * d1, atol=1e-15)
+    jm = joining_matrix(e, basis, depth=10, construction=rz.name)
+    assert np.allclose(jm.matrix, 0.5 * basis[0] + 0.5 * basis[1], atol=1e-15)
     assert jm.depth == 10
+    assert jm.construction == rz.name
 
 
 def test_joining_matrix_negative_power_uses_transpose():
     rz = realize(catalog("modified-chacon"), 10)
-    seq = corr_sequence(rz, 10, 2, [0, 1])
+    basis = limit_basis(rz, 10, 2, K=1)
     e = build_family("stochastic", m=1, n=0, a=F(1, 2))  # powers {0, -1}
-    jm = joining_matrix(e, seq)
-    d0 = seq.matrix(0).matrix
-    d1 = seq.matrix(1).matrix / (1.0 - seq.matrix(1).boundary_error)
-    assert np.allclose(jm.matrix, 0.5 * d0 + 0.5 * d1.T, atol=1e-15)
+    jm = joining_matrix(e, basis)
+    assert np.allclose(jm.matrix, 0.5 * basis[0] + 0.5 * basis[1].T, atol=1e-15)
 
 
 def test_joining_matrix_missing_basis_lag():
     rz = realize(catalog("modified-chacon"), 10)
-    seq = corr_sequence(rz, 10, 2, [0])
+    basis = limit_basis(rz, 10, 2, K=0)
     e = build_family("modified-chacon-limit")  # needs power 1
     with pytest.raises(MissingBasisLag):
-        joining_matrix(e, seq)
+        joining_matrix(e, basis)
 
 
 def _exact_basis():
@@ -254,18 +247,6 @@ def test_classify_residual_norms_ordered():
     assert res.residual > 0
 
 
-def test_classify_accepts_joining_matrix_wrapper():
-    rz = realize(catalog("modified-chacon"), 11)
-    basis = limit_basis(rz, 11, 3, K=4)
-    seq = corr_sequence(rz, 11, 3, [0, 1, 2, 3, 4])
-    mu = seq.matrix(0).matrix.sum(axis=1)
-    jm = joining_matrix(
-        build_family("modified-chacon-limit"), seq, product=np.outer(mu, mu)
-    )
-    res = classify_limit(jm, basis)
-    assert res.residual <= 1e-9
-
-
 @given(
     m=st.integers(0, 3),
     n=st.integers(0, 3),
@@ -279,3 +260,20 @@ def test_stochastic_family_mass_one(m, n, k, num):
     assert e.mass() == 1
     assert min(e.powers(), default=0) >= k - m
     assert max(e.powers(), default=0) <= k + n
+
+
+@given(
+    m=st.integers(0, 5),
+    n=st.integers(0, 5),
+    k=st.integers(-3, 3),
+    a=st.fractions(min_value=0, max_value=1, max_denominator=12).filter(
+        lambda a: 0 < a < 1
+    ),
+)
+@settings(max_examples=60, deadline=None)
+def test_stochastic_family_is_the_operator_product(m, n, k, a):
+    P = op_add(op_scale(identity_op(), a), op_scale(shift_op(-1), 1 - a))
+    product = op_convolve(op_power(P, m), op_power(op_adjoint(P), n))
+    assert build_family("stochastic", m=m, n=n, k=k, a=a) == op_convolve(
+        shift_op(k), product
+    )
