@@ -14,7 +14,6 @@ from .construction import (
     ConstantCuts,
     ConstructionSchedule,
     ExplicitCuts,
-    ObservableMass,
     PatternSpacers,
     RealizedSchedule,
     StageSpacers,
@@ -22,7 +21,6 @@ from .construction import (
     catalog,
     catalog_names,
     heights,
-    observable_mass,
     realize,
     validate_schedule,
 )
@@ -102,13 +100,11 @@ __all__ = [
     "StaircaseSpacers",
     "ConstructionSchedule",
     "RealizedSchedule",
-    "ObservableMass",
     "validate_schedule",
     "realize",
     "heights",
     "catalog",
     "catalog_names",
-    "observable_mass",
     # words
     "alphabet_size",
     "default_base_stage",

@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .construction import (
@@ -38,6 +39,7 @@ from .construction import (
     catalog,
     catalog_names,
     heights,
+    iter_stages,
     realize,
     validate_schedule,
 )
@@ -334,12 +336,12 @@ class _Section:
 def _resolve_depth(
     schedule: ConstructionSchedule, e: _Entry, seed: Optional[int]
 ) -> Tuple[int, Dict[str, object], RealizedSchedule]:
-    """(J, depth echo, a realization at depth >= J) from construction.depth,
+    """(J, depth echo, realize(schedule, J, seed)) from construction.depth,
     or from a budget: construction.budget or the --budget flag.
 
-    A budget keeps the realization of its last probe: deeper realizations
-    extend shallower ones exactly (see realize), so its first J - 1 stages
-    are realize(schedule, J, seed).
+    A budget grows one realization a stage at a time and stops at the first
+    stage whose size passes it (stage sizes grow, since every cut is >= 2),
+    or at depth _MAX_DEPTH.
     """
     if e.key == "construction.depth":
         J = _to_int(e)
@@ -349,17 +351,18 @@ def _resolve_depth(
     budget = _to_int(e)
     if budget < 1:
         raise _refuse(e, f"budget must be positive, got {budget}")
-    probe = 8
-    while True:
-        probe = min(probe, _MAX_DEPTH)
-        rz = realize(schedule, probe, seed=seed)
-        hs = heights(rz, probe)
-        best = max((j for j in range(2, probe + 1) if hs[j - 1] <= budget), default=0)
-        if best == 0:
-            raise _refuse(e, f"budget {budget} is below the depth-2 size {hs[1]}")
-        if best < probe or probe == _MAX_DEPTH:
-            return best, {"J": best, "source": "budget", "budget": budget}, rz
-        probe *= 2
+    rz = realize(schedule, 1, seed=seed)
+    stages, size = [], heights(rz)[0]
+    for r, vec in islice(iter_stages(schedule, seed), _MAX_DEPTH - 1):
+        size = size * r + sum(vec)
+        if size > budget:
+            break
+        stages.append((r, vec))
+    if not stages:
+        raise _refuse(e, f"budget {budget} is below the depth-2 size {size}")
+    J = len(stages) + 1
+    echo = {"J": J, "source": "budget", "budget": budget}
+    return J, echo, replace(rz, stages=tuple(stages))
 
 
 def _cap_check(lag: int, lJ: int, cap: int, e: _Entry) -> int:
@@ -628,7 +631,6 @@ def parse_config(
         J, depth_echo, realized = _resolve_depth(schedule, size_e, plan_seed)
     except CutBudgetExceeded as exc:  # deep stages of a wide cut rule
         raise _refuse(size_e, exc) from None
-    realized = replace(realized, stages=realized.stages[: J - 1])
     hs = heights(realized, J)
     if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
         raise _refuse(

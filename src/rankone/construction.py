@@ -9,9 +9,10 @@ per-stage cut and spacer values have been made explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from itertools import count, islice
+from typing import Iterator, Optional, Sequence, Union
 
 from . import _rng
 from .errors import (
@@ -35,12 +36,11 @@ __all__ = [
     "ConstructionSchedule",
     "RealizedSchedule",
     "validate_schedule",
+    "iter_stages",
     "realize",
     "heights",
     "catalog",
     "catalog_names",
-    "observable_mass",
-    "ObservableMass",
 ]
 
 #: How many leading stages validate_schedule checks eagerly.
@@ -159,9 +159,7 @@ class BernoulliSpacers:
         )
 
     def draw(self, seed: int, r: int, draw_base: int):
-        return tuple(
-            0 if u < self.a else 1 for u in _rng.uniforms(seed, draw_base, r).tolist()
-        )
+        return tuple((_rng.uniforms(seed, draw_base, r) >= self.a).astype(int).tolist())
 
     @property
     def stochastic(self) -> bool:
@@ -243,16 +241,20 @@ class RealizedSchedule:
 def _check_stage(kind: str, j: int, r, vec, bounds) -> None:
     if r < 2:
         raise NonPositiveCut(f"stage {j}: cut count {r} < 2")
-    for i, s in enumerate(vec, start=1):
-        if s < 0:
-            raise NegativeSpacer(f"stage {j}, column {i}: spacer {s} < 0")
-        if kind == "transformation" and not isinstance(s, int):
-            raise MalformedRule(f"stage {j}: transformation spacers must be integers")
+    # min, max and the set of types take one pass in C; a stage they flag is
+    # walked in order to name its first bad spacer
+    ints = kind != "transformation" or all(issubclass(t, int) for t in set(map(type, vec)))
+    if not ints or min(vec, default=0) < 0:
+        for i, s in enumerate(vec, start=1):
+            if s < 0:
+                raise NegativeSpacer(f"stage {j}, column {i}: spacer {s} < 0")
+            if kind == "transformation" and not isinstance(s, int):
+                raise MalformedRule(f"stage {j}: transformation spacers must be integers")
     if bounds is not None:
         s_bound, r_bound = bounds
         if r_bound is not None and not r < r_bound:
             raise MalformedRule(f"stage {j}: cut count {r} violates declared bound < {r_bound}")
-        if s_bound is not None:
+        if s_bound is not None and vec and not max(vec) < s_bound:
             for i, s in enumerate(vec, start=1):
                 if not s < s_bound:
                     raise MalformedRule(
@@ -270,18 +272,16 @@ def validate_schedule(schedule: ConstructionSchedule) -> ConstructionSchedule:
         raise MalformedRule(f"stage-1 height {schedule.h1!r} invalid")
     if schedule.kind == "flow" and schedule.h1 <= 0:
         raise MalformedRule("flow stage-1 duration must be positive")
-    rs = _cut_counts(schedule, VALIDATION_HORIZON + 1)
-    if not schedule.spacers.stochastic:
-        for j, r in enumerate(rs, start=1):
-            vec = schedule.spacers.value(j, r, schedule, 0)
-            _check_stage(schedule.kind, j, r, vec, schedule.bounds)
+    _cut_counts(schedule, VALIDATION_HORIZON + 1)
+    if not schedule.spacers.stochastic:  # build and check each stage's spacers
+        list(islice(iter_stages(schedule), VALIDATION_HORIZON))
     return schedule
 
 
-def _cut_counts(schedule: ConstructionSchedule, J: int) -> list:
-    """r_1..r_{J-1}, checked before any spacer is drawn."""
-    rs, total = [], 0
-    for j in range(1, J):
+def _cuts(schedule: ConstructionSchedule) -> Iterator[int]:
+    """r_1, r_2, ..., each checked, the running total held to CUT_BUDGET."""
+    total = 0
+    for j in count(1):
         r = schedule.cuts.value(j)
         if r < 2:
             raise NonPositiveCut(f"stage {j}: cut count {r} < 2")
@@ -290,8 +290,32 @@ def _cut_counts(schedule: ConstructionSchedule, J: int) -> list:
             raise CutBudgetExceeded(
                 f"stages 1..{j} make {total} cuts, more than {CUT_BUDGET}"
             )
-        rs.append(r)
-    return rs
+        yield r
+
+
+def _cut_counts(schedule: ConstructionSchedule, J: int) -> list:
+    """r_1..r_{J-1}, checked before any spacer is drawn."""
+    return list(islice(_cuts(schedule), J - 1))
+
+
+def iter_stages(
+    schedule: ConstructionSchedule, seed: Optional[int] = None
+) -> Iterator[tuple]:
+    """Stages (r_j, spacer vector) for j = 1, 2, ... without end, checked as
+    realize checks them; a stage's cut is checked against CUT_BUDGET before
+    its spacers are built. Lets a caller grow one realization until some
+    size is reached (see config's depth budget)."""
+    if schedule.stochastic and seed is None:
+        raise UnrealizedStochastic("stochastic schedule needs an explicit seed")
+    draw_base = 0
+    for j, r in enumerate(_cuts(schedule), start=1):
+        if schedule.spacers.stochastic:
+            vec = schedule.spacers.draw(seed, r, draw_base)
+        else:
+            vec = tuple(schedule.spacers.value(j, r, schedule, draw_base))
+        _check_stage(schedule.kind, j, r, vec, schedule.bounds)
+        yield r, vec
+        draw_base += r
 
 
 def realize(
@@ -316,20 +340,11 @@ def realize(
         raise MalformedRule(f"depth must be >= 1, got {J}")
     if schedule.stochastic and seed is None:
         raise UnrealizedStochastic("stochastic schedule needs an explicit seed")
-    stages = []
-    draw_base = 0
-    for j, r in enumerate(_cut_counts(schedule, J), start=1):
-        if schedule.spacers.stochastic:
-            vec = schedule.spacers.draw(seed, r, draw_base)
-        else:
-            vec = tuple(schedule.spacers.value(j, r, schedule, draw_base))
-        _check_stage(schedule.kind, j, r, vec, schedule.bounds)
-        stages.append((r, tuple(vec)))
-        draw_base += r
+    _cut_counts(schedule, J)  # every cut is checked before any spacer is drawn
     return RealizedSchedule(
         kind=schedule.kind,
         h1=schedule.h1,
-        stages=tuple(stages),
+        stages=tuple(islice(iter_stages(schedule, seed), J - 1)),
         name=schedule.name,
         seed=seed if schedule.stochastic else None,
     )
@@ -355,23 +370,6 @@ def heights(realized: RealizedSchedule, J: Optional[int] = None) -> list:
         r, vec = realized.stage(j)
         out.append(out[-1] * r + sum(vec))
     return out
-
-
-@dataclass(frozen=True)
-class ObservableMass:
-    """Total word length and base-column width ratio at depth J."""
-
-    word_length: Union[int, Fraction]
-    width_ratio: Fraction
-
-
-def observable_mass(realized: RealizedSchedule, J: int, j0: int) -> ObservableMass:
-    """Depth-J word length plus the width w_J / w_{j0} = 1 / prod(r_k)."""
-    hs = heights(realized, J)
-    ratio = Fraction(1)
-    for k in range(j0, J):
-        ratio /= realized.stage(k)[0]
-    return ObservableMass(word_length=hs[J - 1], width_ratio=ratio)
 
 
 # ---------------------------------------------------------------------------

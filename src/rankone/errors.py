@@ -37,10 +37,6 @@ class DepthOverBudget(RankOneError):
     """Requested depth produces a word longer than the symbol budget."""
 
 
-class WindowTooLong(RankOneError):
-    """A prefix/suffix window longer than the word was requested."""
-
-
 class LagOutOfRange(RankOneError):
     """A correlation lag outside the supported range for the depth."""
 

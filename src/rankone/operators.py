@@ -7,9 +7,11 @@ of integer powers of T together with a Fraction theta mass. Composition,
 adjoint, and the named families are computed in exact rational arithmetic.
 
 Classification goes the other way: given a measured matrix and exact
-finite-depth basis matrices {D(i)} plus the product matrix, find the best
-nonnegative, sum-to-one combination (a small non-negative least squares
-problem solved by an active-set iteration) and report the max-abs residual.
+finite-depth basis matrices {D(i)} plus the product matrix, find the convex
+combination (coefficients >= 0 summing to exactly 1) closest in Frobenius
+norm, and report its max-abs residual. The fit is an active-set iteration
+on the Gram matrix of the basis whose KKT system holds the sum-to-one
+equality exactly, so the coefficients are those of the constrained optimum.
 """
 
 from __future__ import annotations
@@ -274,72 +276,67 @@ class JoiningMatrix:
     """
 
     matrix: np.ndarray
-    depth: int = 0
-    construction: str = ""
 
 
 def joining_matrix(
-    expr: OperatorExpression,
-    basis: Mapping[Union[int, str], np.ndarray],
-    depth: int = 0,
-    construction: str = "",
+    expr: OperatorExpression, basis: Mapping[Union[int, str], np.ndarray]
 ) -> JoiningMatrix:
     """Evaluate sum c_i D(i) + theta * product over the unit-mass basis that
     limit_basis builds (integer powers plus "theta")."""
-    return JoiningMatrix(
-        matrix=predicted_matrix(expr, basis),
-        depth=depth,
-        construction=construction,
-    )
+    return JoiningMatrix(matrix=predicted_matrix(expr, basis))
 
 
 # ---------------------------------------------------------------------------
 # classification
 
-def _nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Nonnegative least squares by the classic active-set iteration.
+def _simplex_lstsq(G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """argmin 1/2 x'Gx - c'x over the simplex x >= 0, sum x = 1.
 
-    Deterministic: ties in the gradient pick the smallest index. Problems
-    here are tiny (tens of columns), so lstsq on the passive set is cheap.
-    More than 3n + 30 outer steps over n columns means it is cycling.
+    With G = A'A and c = A'b this is the least-squares fit of b by convex
+    combinations of A's columns: Lawson and Hanson's NNLS on the normal
+    equations (as in Bro and de Jong) with the equality held exactly. From
+    the best vertex, while a column outside the passive set P has a negative
+    multiplier mu = g - mean(g_P), g = Gx - c, add the most negative (ties
+    pick the smallest index) and solve [G_PP 1; 1' 0][z; nu] = [c_P; 1]; if
+    some z_P <= 0, step from x toward z until a coordinate reaches 0 and drop
+    it. x stays on the simplex. More than 3n + 30 columns added means cycling.
     """
-    m, n = A.shape
-    max_iter = 3 * n + 30
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
-    w = A.T @ (b - A @ x)
-    # roundoff floor for the gradient: eps times the largest column energy
-    scale = float((A * A).sum(axis=0).max()) or 1.0
-    tol = 100 * np.finfo(np.float64).eps * scale
-    outer = 0
-    while (~passive).any() and (w[~passive] > tol).any():
-        outer += 1
-        if outer > max_iter:
-            raise SolverDivergence("active-set iteration did not converge")
-        cand = np.where(~passive)[0]
-        j = cand[int(np.argmax(w[cand]))]
+    n = len(c)
+    # the bordered system [G 1; 1' 0][x; nu] = [c; 1]: P solves rows P + [n]
+    kkt = np.ones((n + 1, n + 1))
+    kkt[:n, :n] = G
+    kkt[n, n] = 0.0
+    rhs = np.append(c, 1.0)
+    rows = np.arange(n + 1) == n
+    passive = rows[:n]  # a view: marking a passive column marks its row
+    passive[int(np.argmin(0.5 * np.diag(G) - c))] = True
+    x = passive.astype(np.float64)
+    # roundoff floor for the multipliers: eps times the largest column energy
+    tol = 100 * np.finfo(np.float64).eps * (float(np.diag(G).max()) or 1.0)
+    for _ in range(3 * n + 31):
+        g = G @ x - c
+        mu = g - g[passive].mean()
+        mu[passive] = np.inf
+        j = int(np.argmin(mu))
+        if mu[j] >= -tol:
+            return x
         passive[j] = True
         while True:
-            z = np.zeros(n)
-            sol, _, _, _ = np.linalg.lstsq(A[:, passive], b, rcond=None)
-            z[passive] = sol
-            if (z[passive] > 0).all():
-                x = z
+            sel = np.flatnonzero(rows)
+            idx = sel[:-1]
+            z = np.linalg.lstsq(kkt[sel][:, sel], rhs[sel], rcond=None)[0][:-1]
+            if z.min() > 0:
+                x = np.zeros(n)
+                x[idx] = z
                 break
-            bad = passive & (z <= 0)
-            idx = np.where(bad)[0]
-            denom = x[idx] - z[idx]
-            steps = np.where(denom > 0, x[idx] / np.where(denom > 0, denom, 1.0), np.inf)
-            alpha = float(steps.min())
-            x = x + alpha * (z - x)
-            passive &= np.abs(x) > 1e-14
+            bad = z <= 0
+            xb = x[idx][bad]
+            gap = xb - z[bad]  # >= 0; 0 only where x = z = 0
+            steps = np.divide(xb, gap, out=np.zeros_like(gap), where=gap > 0)
+            x[idx] += float(steps.min()) * (z - x[idx])
+            passive &= x > 1e-14
             x[~passive] = 0.0
-        w = A.T @ (b - A @ x)
-    return x
-
-
-#: Weight of the sum-to-one row in classify_limit's least-squares system.
-_SUM_WEIGHT = 1e3
+    raise SolverDivergence("active-set iteration did not converge")
 
 
 @dataclass(frozen=True)
@@ -361,38 +358,27 @@ def classify_limit(
 ) -> ClassifyResult:
     """Fit measured ~ sum_i c_i D(i) + c_theta * product, c >= 0, sum c = 1.
 
-    The sum-to-one constraint rides along as a heavily weighted extra row;
-    the solution is then renormalized exactly so coefficients sum to one.
-    residual is the max-abs entry of the misfit at those coefficients and
-    residual_frobenius its Frobenius norm; identified means the max-abs
-    residual is <= tol.
+    With A the flattened basis matrices as columns (integer powers in
+    order, then theta) and b the flattened measured matrix, the coefficients
+    x minimize the Frobenius misfit |A x - b| over the simplex exactly: an
+    active set on the Gram matrix A'A and A'b, whose KKT system carries the
+    sum-to-one constraint as an equality (_simplex_lstsq). residual is the
+    max-abs entry of the misfit A x - b and residual_frobenius its Frobenius
+    norm; identified means the max-abs residual is <= tol.
     """
-    keys = sorted((k for k in basis if isinstance(k, int)))
-    has_theta = "theta" in basis
-    cols = [np.asarray(basis[k], dtype=np.float64).ravel() for k in keys]
-    if has_theta:
-        cols.append(np.asarray(basis["theta"], dtype=np.float64).ravel())
-    if not cols:
+    keys = sorted(k for k in basis if isinstance(k, int))
+    keys += ["theta"] if "theta" in basis else []
+    if not keys:
         raise MissingBasisLag("empty basis")
+    A = np.stack([np.asarray(basis[k], dtype=np.float64).ravel() for k in keys], axis=1)
     target = np.asarray(measured, dtype=np.float64).ravel()
-    A = np.stack(cols, axis=1)
-    A = np.vstack([A, np.full((1, A.shape[1]), _SUM_WEIGHT)])
-    b = np.concatenate([target, [_SUM_WEIGHT]])
-    x = _nnls(A, b)
-    s = float(x.sum())
-    if s <= 0:
-        raise SolverDivergence("degenerate fit: all coefficients vanished")
-    x = x / s
-    fit = np.zeros_like(target)
-    for i, c in enumerate(cols):
-        fit += x[i] * c
-    misfit = fit - target
+    x = _simplex_lstsq(A.T @ A, A.T @ target)
+    misfit = A @ x - target
     residual = float(np.abs(misfit).max())
-    coeffs = {k: float(x[i]) for i, k in enumerate(keys)}
-    theta = float(x[len(keys)]) if has_theta else 0.0
+    coeffs = dict(zip(keys, x.tolist()))
     return ClassifyResult(
-        coefficients=coeffs,
-        theta=theta,
+        coefficients={k: c for k, c in coeffs.items() if k != "theta"},
+        theta=coeffs.get("theta", 0.0),
         residual=residual,
         residual_frobenius=float(np.sqrt((misfit * misfit).sum())),
         identified=residual <= tol,

@@ -143,7 +143,7 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
     expr = build_family(params["family"], **kwargs)
     K = max([params["window"]] + [abs(i) for i in expr.powers()])
     basis = limit_basis(p.realized, p.J, p.j0, K=K, counter=ctx.counter)
-    jm = joining_matrix(expr, basis, depth=p.J, construction=p.realized.name)
+    jm = joining_matrix(expr, basis)
     rows = []
     mat_table: List[tuple] = []
     cls_table: List[tuple] = []

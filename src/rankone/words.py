@@ -15,12 +15,12 @@ transformation's level sets.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 import numpy as np
 
 from .construction import RealizedSchedule, heights
-from .errors import DepthOverBudget, MalformedRule, WindowTooLong
+from .errors import DepthOverBudget, MalformedRule
 
 __all__ = [
     "DTYPE",
@@ -32,7 +32,6 @@ __all__ = [
     "expand_once",
     "materialize_word",
     "stream_word",
-    "prefix_suffix",
     "level_measures",
 ]
 
@@ -153,34 +152,6 @@ def stream_word(
             size = len(rest)
     if size:
         yield np.concatenate(buf)
-
-
-def prefix_suffix(realized: RealizedSchedule, j: int, j0: int, L: int):
-    """First and last L symbols of W_j without building it.
-
-    The prefix stabilizes once a stage reaches length L; the suffix is pushed
-    up one stage at a time, appending each stage's final spacer run.
-    """
-    _require_transformation(realized)
-    hs = heights(realized, j)
-    lj = int(hs[j - 1])
-    if L > lj:
-        raise WindowTooLong(f"window {L} exceeds word length {lj} at stage {j}")
-    if L <= 0:
-        empty = np.empty(0, dtype=DTYPE)
-        return empty, empty
-    p = j0
-    while int(hs[p - 1]) < L:
-        p += 1
-    wp = materialize_word(realized, p, j0)
-    prefix = wp[:L].copy()
-    suffix = wp[-L:].copy()
-    star = spacer_symbol(realized, j0)
-    for k in range(p, j):
-        s_last = int(realized.stage(k)[1][-1])
-        if s_last:
-            suffix = np.concatenate([suffix, np.full(s_last, star, dtype=DTYPE)])[-L:]
-    return prefix, suffix
 
 
 def level_measures(realized: RealizedSchedule, J: int, j0: int) -> List[Fraction]:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import rankone
 from rankone import config, operators
 from rankone.config import parse_config
-from rankone.construction import heights, realize
+from rankone.construction import CUT_BUDGET, BernoulliSpacers, heights, realize
 from rankone.correlation import COUNT_LIMIT
 from rankone.flows import BREAK_BUDGET, SEGMENT_BUDGET
 from rankone.errors import ParseError, ValidationError
@@ -186,8 +186,8 @@ def test_budget_override_kwarg():
     ids=["stochastic-chacon", "bernoulli"],
 )
 def test_budget_keeps_the_probe_realization(construction):
-    # the budget's probe realizes deeper than J; its first J - 1 stages are
-    # the depth-J realization
+    # a budget grows one realization until a stage passes it; what it keeps
+    # is the depth-J realization
     text = construction + (
         "construction.budget = 100000\nconstruction.seed = 7\n"
         "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
@@ -196,6 +196,41 @@ def test_budget_keeps_the_probe_realization(construction):
     assert plan.echo["depth"]["source"] == "budget"
     assert plan.realized == realize(plan.schedule, plan.J, seed=7)
     assert plan.realized.depth == plan.J
+
+
+def test_budget_draws_each_stage_once(monkeypatch):
+    draws = []
+    draw = BernoulliSpacers.draw
+
+    def counted(self, seed, r, draw_base):
+        draws.append(draw_base)
+        return draw(self, seed, r, draw_base)
+
+    monkeypatch.setattr(BernoulliSpacers, "draw", counted)
+    plan = parse_config(
+        "construction.catalog = stochastic-chacon\n"
+        "construction.budget = 100000\nconstruction.seed = 7\n"
+        "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
+    )
+    # stages 1..J, each once: stage J is the one whose word passes the budget
+    assert len(draws) == len(set(draws)) == plan.J
+
+
+def test_budget_refuses_a_wide_cut_rule_at_the_budget_line():
+    # l_84 has under 400 digits, so a 900-digit budget needs stage 84, whose
+    # cuts take the running total past CUT_BUDGET
+    text = (
+        "construction.kind = transformation\nconstruction.cuts = affine:300,0\n"
+        "construction.spacers = bernoulli:1/2\n"
+        f"construction.budget = {10**900}\nconstruction.seed = 1\n"
+        "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
+    )
+    with pytest.raises(
+        ValidationError,
+        match=rf"^line 4: construction\.budget: stages 1\.\.84 make 1071000 cuts, "
+        rf"more than {CUT_BUDGET}$",
+    ):
+        parse_config(text)
 
 
 def test_stochastic_requires_seed():

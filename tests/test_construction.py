@@ -20,7 +20,6 @@ from rankone.construction import (
     catalog,
     catalog_names,
     heights,
-    observable_mass,
     realize,
     validate_schedule,
 )
@@ -210,14 +209,6 @@ def test_staircase_damping_divides_by_stage():
     damped = StaircaseSpacers(damping=True)
     assert plain.value(3, 4, None, 0) == tuple(Fraction(i, 4) for i in range(4))
     assert damped.value(3, 4, None, 0) == tuple(Fraction(i, 12) for i in range(4))
-
-
-def test_observable_mass_ratio():
-    # chacon cuts in two at every stage: width shrinks by 2^(J - j0)
-    rz = realize(catalog("chacon"), 10)
-    om = observable_mass(rz, 10, 3)
-    assert om.word_length == 2**10 - 1
-    assert om.width_ratio == Fraction(1, 2**7)
 
 
 @given(

@@ -1,13 +1,22 @@
 """Exact operator-expression algebra and the simplex classifier."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankone.construction import catalog, realize
+from rankone.construction import (
+    ConstantCuts,
+    ConstructionSchedule,
+    PatternSpacers,
+    catalog,
+    heights,
+    realize,
+)
+from rankone.correlation import PairCounter, unit_mass
 from rankone.diagnostics import limit_basis
 from rankone.errors import MissingBasisLag, UnknownFamily
 from rankone.operators import (
@@ -170,10 +179,8 @@ def test_joining_matrix_from_limit_basis():
     rz = realize(catalog("modified-chacon"), 10)
     basis = limit_basis(rz, 10, 2, K=1)
     e = build_family("modified-chacon-limit")
-    jm = joining_matrix(e, basis, depth=10, construction=rz.name)
+    jm = joining_matrix(e, basis)
     assert np.allclose(jm.matrix, 0.5 * basis[0] + 0.5 * basis[1], atol=1e-15)
-    assert jm.depth == 10
-    assert jm.construction == rz.name
 
 
 def test_joining_matrix_negative_power_uses_transpose():
@@ -245,6 +252,109 @@ def test_classify_residual_norms_ordered():
     res = classify_limit(noisy, basis)
     assert res.residual <= res.residual_frobenius + 1e-15
     assert res.residual > 0
+
+
+def _solve_exact(M, rhs):
+    """Solve M y = rhs over Fractions by Gauss-Jordan; None if M is singular."""
+    n = len(M)
+    a = [row[:] + [r] for row, r in zip(M, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [u - f * v for u, v in zip(a[r], a[col])]
+    return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def _simplex_kkt_points(cols, target):
+    """Every minimizer of |A x - b|^2 / 2 over x >= 0, sum x = 1 that is a KKT
+    point of some support P, found exactly: solve
+    [G_PP 1; 1' 0][z; nu] = [c_P; 1] over Fractions (G = A'A, c = A'b) and
+    keep z >= 0 whose multipliers g_i + nu (g = Gx - c) outside P are >= 0.
+    Maps each distinct x to its objective. A minimizer's fit is a convex
+    combination of affinely independent columns, whose system is regular,
+    so every optimal vertex is found."""
+    A = [[F(float(v)) for v in col] for col in cols]
+    b = [F(float(v)) for v in target]
+    n = len(A)
+    G = [[sum(p * q for p, q in zip(A[i], A[j])) for j in range(n)] for i in range(n)]
+    c = [sum(p * q for p, q in zip(A[i], b)) for i in range(n)]
+    points = {}
+    for k in range(1, n + 1):
+        for P in combinations(range(n), k):
+            kkt = [[G[i][j] for j in P] + [F(1)] for i in P] + [[F(1)] * k + [F(0)]]
+            sol = _solve_exact(kkt, [c[i] for i in P] + [F(1)])
+            if sol is None or min(sol[:k]) < 0:
+                continue
+            x = [F(0)] * n
+            for i, v in zip(P, sol):
+                x[i] = v
+            g = [sum(G[i][j] * x[j] for j in range(n)) - c[i] for i in range(n)]
+            if any(g[i] + sol[k] < 0 for i in range(n) if i not in P):
+                continue
+            fit = [sum(A[j][r] * x[j] for j in range(n)) for r in range(len(b))]
+            points[tuple(x)] = sum((u - v) ** 2 for u, v in zip(fit, b)) / 2
+    return points
+
+
+@st.composite
+def _simplex_problems(draw):
+    """3-6 random S x S basis matrices (the last one theta, or not) and a
+    target; entries are multiples of 1/8, so every float is exact."""
+    S = draw(st.integers(2, 3))
+    n = draw(st.integers(3, 6))
+    cell = st.integers(0, 8).map(lambda v: v / 8)
+    mats = [
+        np.array(draw(st.lists(cell, min_size=S * S, max_size=S * S))).reshape(S, S)
+        for _ in range(n + 1)
+    ]
+    basis = dict(enumerate(mats[:n]))
+    if draw(st.booleans()):
+        basis["theta"] = basis.pop(n - 1)
+    return basis, mats[n]
+
+
+@given(problem=_simplex_problems())
+@settings(max_examples=100, deadline=None)
+def test_classify_matches_exact_simplex_optimum(problem):
+    basis, target = problem
+    keys = sorted(k for k in basis if isinstance(k, int)) + (
+        ["theta"] if "theta" in basis else []
+    )
+    points = _simplex_kkt_points([basis[k].ravel() for k in keys], target.ravel())
+    assert points
+    assert len(set(points.values())) == 1  # the problem is convex
+    best = float(next(iter(points.values())))
+    res = classify_limit(target, basis)
+    x = [res.theta if k == "theta" else res.coefficients[k] for k in keys]
+    assert min(x) >= 0
+    assert sum(x) == pytest.approx(1.0, abs=1e-12)
+    assert 0.5 * res.residual_frobenius**2 == pytest.approx(best, abs=1e-12)
+    if len(points) == 1:  # a unique optimum
+        exact = [float(v) for v in next(iter(points))]
+        assert x == pytest.approx(exact, abs=1e-9)
+
+
+def test_classify_holds_the_simplex_exactly_on_a_long_spacer_basis():
+    # cuts 2, spacers 0 and 20000 (perfbench's long-spacer), window 4: at
+    # lag l_8 + 3 the best simplex fit leaves a max-abs misfit of 1.7e-7, far
+    # below the 2.67e-5 that a 1e3-weighted sum-to-one row leaves here
+    rz = realize(
+        ConstructionSchedule(
+            "transformation", ConstantCuts(2), PatternSpacers((0, 20000)), h1=7
+        ),
+        12,
+    )
+    lag = heights(rz, 12)[7] + 3
+    pc = PairCounter(rz, 12, 1)
+    basis = limit_basis(rz, 12, 1, K=4, counter=pc)
+    res = classify_limit(unit_mass(pc.counts(lag), lag, pc.lJ), basis)
+    assert res.residual < 1e-6
+    assert sum(res.coefficients.values()) + res.theta == pytest.approx(1.0, abs=1e-12)
 
 
 @given(

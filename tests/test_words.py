@@ -16,7 +16,6 @@ from rankone.words import (
     expand_once,
     level_measures,
     materialize_word,
-    prefix_suffix,
     spacer_symbol,
     stream_word,
 )
@@ -108,15 +107,6 @@ def test_default_base_stage_targets_small_alphabet():
     hs = heights(rz, 12)
     assert hs[j0 - 1] >= 8
     assert j0 == 1 or hs[j0 - 2] < 8
-
-
-def test_prefix_suffix_identity():
-    rz = realize(catalog("chacon"), 8)
-    hs = heights(rz, 8)
-    w = materialize_word(rz, 8, 1)
-    pre, suf = prefix_suffix(rz, 8, 1, 100)
-    assert np.array_equal(pre, w[:100])
-    assert np.array_equal(suf, w[hs[7] - 100 :])
 
 
 def test_level_measures_chacon():
