@@ -365,6 +365,17 @@ def _resolve_depth(
     return J, echo, replace(rz, stages=tuple(stages))
 
 
+def _short_int(n: int) -> str:
+    """n in full up to 20 digits, else its leading digits and digit count.
+
+    Integer arithmetic only: a float overflows past 1e308, and str() of a
+    long enough int raises."""
+    k = (n.bit_length() - 1) * 30102 // 100000  # at most floor(log10(n))
+    while 10 ** (k + 1) <= n:
+        k += 1
+    return str(n) if k < 20 else f"{n // 10 ** (k - 3)}... ({k + 1} digits)"
+
+
 def _cap_check(lag: int, lJ: int, cap: int, e: _Entry) -> int:
     if abs(lag) > cap:
         raise _refuse(
@@ -635,8 +646,8 @@ def parse_config(
     if schedule.kind == "transformation" and hs[J - 1] >= COUNT_LIMIT:
         raise _refuse(
             size_e,
-            f"depth {J} word has {hs[J - 1]} symbols; "
-            f"exact counting needs fewer than {COUNT_LIMIT}",
+            f"depth {J} word has {_short_int(hs[J - 1])} symbols; "
+            f"exact counting needs fewer than 2^{COUNT_LIMIT.bit_length() - 1}",
         )
 
     base_e = sec.take("construction.base")

@@ -26,12 +26,16 @@ copy at each stage e >= d, N_{e+1} times the counts of the junction (tail,
 spacer, head) less those of its tail and head alone. The view lays these
 column windows out with their integer weights, apart by voids longer than
 h_d, and a sweep or window on it sums lengths times weights; counts stay
-exact. When the view is no shorter than the column, it is the column.
+exact. A shift whose view would be no shorter than the column, such as the
+lag q*h_{J-1}, follows the copy recursion instead: a pair of copies of
+W_{J-1} starting p apart adds C_{t-p}(W_{J-1}), found the same way one stage
+down, and a pair with a spacer adds an occupation of W_{J-1} times the star.
+No sweep reads the whole column; only a window too long for a view does.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -249,7 +253,7 @@ class FlowColumn:
         self.slabs = slabs
         L = slabs.L
         den = 1
-        for d in set(int(x) for x in np.unique(segments.dens)):
+        for d in set(segments.dens.tolist()):
             den = _lcm(den, d)
         width = segments.base_duration / L
         den = _lcm(den, width.denominator)
@@ -282,13 +286,26 @@ class FlowColumn:
         self.breaks = np.concatenate([slab_marks, gap_marks])[order]
         self.codes = np.concatenate([slab_codes, gap_codes])[order]
 
-        # stage heights h_{j0}..h_J and spacers in ticks, for the stage views
+        # stage heights h_{j0}..h_J and spacers in ticks, for the stage views;
+        # W_{e+1}'s parts (start, end, is a copy, copies before it) and the
+        # ticks each symbol takes in W_e, for the copy recursion
         self._stages = [
             (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages
         ]
         self._heights = [int(segments.base_duration * den)]
+        self._totals = [np.append(np.full(L, self.width_ticks, dtype=np.int64), 0)]
+        self._parts = []
         for r, gaps in self._stages:
-            self._heights.append(r * self._heights[-1] + sum(gaps))
+            h, pos, parts = self._heights[-1], 0, []
+            for i, s in enumerate(gaps):
+                parts.append((pos, pos + h, True, i))
+                if s:
+                    parts.append((pos + h, pos + h + s, False, i + 1))
+                pos += h + s
+            self._parts.append(parts)
+            self._heights.append(pos)
+            self._totals.append(r * self._totals[-1])
+            self._totals[-1][slabs.star] += sum(gaps)
         self._views = {}
 
     def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:
@@ -304,38 +321,41 @@ class FlowColumn:
             )
         return [int(raw * f) for raw in raws], f
 
-    def _view(self, reach: int, f: int) -> _View:
-        """The view that answers every shift of at most reach ticks at scale
-        f: the stage view of the first stage d with h_d * f >= reach."""
-        d = bisect_left(self._heights, -(-reach // f))
-        if d not in self._views:
-            self._views[d] = self._stage_view(d)
-        return self._views[d]
+    def _view(self, reach: int, f: int, top: int) -> Optional[_View]:
+        """The view of W_top that answers every shift of at most reach ticks
+        at scale f: the stage view of the first stage d with h_d * f >= reach,
+        or None where that view would be no shorter than W_top."""
+        key = (bisect_left(self._heights, -(-reach // f)), top)
+        if key not in self._views:
+            self._views[key] = self._stage_view(*key)
+        return self._views[key]
 
-    def _stage_view(self, d: int) -> _View:
-        """Column pieces whose weighted pair counts equal the column's for
-        every |t| <= K = h_d (stage d counted from j0).
+    def _stage_view(self, d: int, top: int) -> Optional[_View]:
+        """Column pieces whose weighted pair counts equal those of W_top, the
+        column's prefix of height h_top, for every |t| <= K = h_d (stages
+        counted from j0).
 
         A stage-(e+1) column is r_e copies of W_e, each followed by its
-        spacer s_i, so for e >= d
-            C_t(W_J) = N_d C_t(W_d) + sum over e >= d and copies i of
-                       N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
-        with N_e the number of copies of W_e in W_J, tail_K and head_K the
+        spacer s_i, so for d <= e < top
+            C_t(W_top) = N_d C_t(W_d) + sum over e and copies i of
+                         N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
+        with N_e the number of copies of W_e in W_top, tail_K and head_K the
         last and first K ticks of W_e, and no head after the last copy.
-        W_J starts with W_{e+1} for every e, so every piece is a tick window
-        of the column; head_K is W_d itself, and equal junctions share one
+        The column starts with W_{e+1} for every e, so every piece is a tick
+        window of it; head_K is W_d itself, and equal junctions share one
         window. Pieces are laid out apart by a void of K + 1 ticks that
         carries the extra code S, so no pair of reach <= K joins two
-        pieces. When the view would not be shorter, it is the column.
+        pieces. Returns None when top > 0 and the view would not be
+        shorter than W_top.
         """
         K = self._heights[d]
         N = 1
-        for r, _ in self._stages[d:]:
+        for r, _ in self._stages[d:top]:
             N *= r
         weight = defaultdict(int)
         weight[(0, K)] = N
         junction = {}
-        for e in range(d, len(self._stages)):
+        for e in range(d, top):
             r, gaps = self._stages[e]
             h = self._heights[e]
             N //= r
@@ -357,10 +377,9 @@ class FlowColumn:
              int(np.searchsorted(self.breaks, hi, side="left")))
             for lo, hi, _ in pieces
         ]
-        if sum(i1 - i0 + 1 for i0, i1 in cuts) >= len(self.breaks):
-            return _View(self.breaks, self.codes,
-                         np.broadcast_to(np.int64(1), self.breaks.shape),
-                         self.H_ticks, self.H_ticks)
+        n_top = int(np.searchsorted(self.breaks, self._heights[top], side="left"))
+        if top and sum(i1 - i0 + 1 for i0, i1 in cuts) >= n_top:
+            return None
         void = self.slabs.size
         breaks, codes, weights, pos = [], [], [], 0
         for (lo, hi, w), (i0, i1) in zip(pieces, cuts):
@@ -383,16 +402,40 @@ class FlowColumn:
 
         C[a][b] = ticks{u in [0, H-|t|) : phi(u + max(-t,0)) = a,
                                           phi(u + max(t,0)) = b}.
+
+        A shift whose stage view would be no shorter than the column splits
+        the column into its copies of the stage below (see _split) and adds
+        up their pair counts, each found the same way one stage down. Equal
+        shifts of one stage are swept once, C_{-t} being C_t transposed.
         """
         (tau,), f = self._ticks(t)
         H = self.H_ticks * f
         if abs(tau) >= H:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
-        view = self._view(abs(tau), f)
+        S = self.slabs.size
+        C = np.zeros((S, S), dtype=np.int64)
+        shifts = {tau: 1}  # shifts of W_e with their multiplicities
+        for e in range(len(self._stages), -1, -1):
+            below = defaultdict(int)
+            for a in {abs(d) for d in shifts}:
+                fwd, bwd = shifts.get(a, 0), shifts.get(-a, 0) if a else 0
+                view = self._view(a, f, e)
+                if view is not None:
+                    M = self._sweep(view, a, f)
+                else:
+                    M, copies = self._split(e - 1, a, f)
+                    for d, n in copies.items():
+                        below[d] += n * fwd
+                        below[-d] += n * bwd
+                C += fwd * M + bwd * M.T
+            shifts = {d: n for d, n in below.items() if n}
+        return C, H
+
+    def _sweep(self, view: _View, tau: int, f: int) -> np.ndarray:
+        """Tick counts (scale f) of the symbol pairs at shift tau >= 0 on a
+        view: one merge of its breakpoints with their shift."""
         breaks = view.breaks * f if f != 1 else view.breaks
-        span = view.height * f - abs(tau)
-        offs = (-tau, 0) if tau < 0 else (0, tau)
-        lens, ia, ib = _merge_views(breaks, offs, span)
+        lens, ia, ib = _merge_views(breaks, (0, tau), view.height * f - tau)
         S = self.slabs.size + 1  # the symbols and the view's void code
         a = view.codes[ia].astype(np.intp)
         b = view.codes[ib]
@@ -406,7 +449,59 @@ class FlowColumn:
         else:
             C = np.zeros((S, S), dtype=np.int64)
             np.add.at(C, (a, b), lens)
-        return C[:-1, :-1], H
+        return C[:-1, :-1]
+
+    def _split(self, e: int, a: int, f: int) -> Tuple[np.ndarray, dict]:
+        """C_a of W_{e+1} at scale f, a >= 0, over the pairs of its parts:
+        its r_e copies of W_e and the spacers after them.
+
+        A copy-to-copy pair whose starts lie p apart adds C_{a-p}(W_e); these
+        come back as {a - p: how many pairs}. A copy-to-spacer pair adds the
+        occupation of W_e on the copy's interval that lands in the spacer,
+        times the star, spacer-to-copy the transpose, and spacer-to-spacer
+        their star overlap; these come back summed in one matrix.
+        """
+        star = self.slabs.star
+        parts = [(lo * f, hi * f, c) for lo, hi, c, _ in self._parts[e]]
+        starts = [lo for lo, _, _ in parts]
+        ends = [hi for _, hi, _ in parts]
+        D = np.zeros((star + 1, star + 1), dtype=np.int64)
+        copies = defaultdict(int)
+        for lo, hi, src in parts:
+            for l2, h2, dst in parts[bisect_right(ends, lo + a):bisect_left(starts, hi + a)]:
+                x0, x1 = max(lo + a, l2), min(hi + a, h2)  # the overlap, landed
+                if src and dst:
+                    copies[a - (l2 - lo)] += 1
+                elif src:
+                    D[:, star] += self._occupation(e, x1 - a - lo, f)
+                    D[:, star] -= self._occupation(e, x0 - a - lo, f)
+                elif dst:
+                    D[star] += self._occupation(e, x1 - l2, f)
+                    D[star] -= self._occupation(e, x0 - l2, f)
+                else:
+                    D[star, star] += x1 - x0
+        return D, copies
+
+    def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
+        """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
+        found by descending through the part of each stage that holds x."""
+        star = self.slabs.star
+        occ = np.zeros(star + 1, dtype=np.int64)
+        while e:
+            e -= 1
+            parts = self._parts[e]
+            lo, _, is_copy, n = parts[bisect_right(parts, (x // f, 1 << 63)) - 1]
+            occ += n * f * self._totals[e]
+            occ[star] += (lo - n * self._heights[e]) * f
+            x -= lo * f
+            if not is_copy:
+                occ[star] += x
+                return occ
+        n, rest = divmod(x, self.width_ticks * f)
+        occ[:n] += self.width_ticks * f
+        if rest:
+            occ[n] += rest
+        return occ
 
     def window_counts(self, lo: Fraction, hi: Fraction) -> Tuple[np.ndarray, int]:
         """Exact integral of the pair measure over the shifts t in [lo, hi];
@@ -424,7 +519,9 @@ class FlowColumn:
         # an entry over a window of M ticks lies in [0, 2*H*M]; past int64,
         # compute in Python ints
         dtype = np.int64 if 2 * H * M < (1 << 63) else object
-        view = self._view(max(-LO, HI), f)
+        view = self._view(max(-LO, HI), f, len(self._stages)) or _View(
+            self.breaks, self.codes, np.broadcast_to(np.int64(1), self.breaks.shape),
+            self.H_ticks, self.H_ticks)
         return self._window_table(view, LO, HI, f, dtype), 2 * M * H
 
     def _window_table(self, view: _View, LO: int, HI: int, f: int, dtype) -> np.ndarray:
@@ -599,11 +696,14 @@ def flow_limit_check(
     pm = flow_Pm_matrix(segments, slabs, Fraction(q), orientation="negative",
                         column=col)
 
-    @cache  # the family grid below shares its nodes across candidates
     def unit(t: Fraction) -> np.ndarray:
         C, H = col.pair_counts(t)
         (tau,), _ = col._ticks(t)  # the shift on the scale pair_counts used
         return unit_mass(C, tau, H)
+
+    @cache  # the family grid below shares its nodes t = k/8 across candidates
+    def node(k: int) -> np.ndarray:
+        return unit(Fraction(k, 8)) if k >= 0 else node(-k).T
 
     pos = unit(lag)
     neg = pos.T  # C_{-t} is the transpose of C_t on the finite column
@@ -615,21 +715,20 @@ def flow_limit_check(
         orientation, residual, mirror, measured = "negative-lag", d_neg, d_pos, neg
 
     # family grid: T_a prod P_{m_i} has kernel box(m_1) * ... (convolution)
-    # supported on [a - sum m_i, a]; sample everything on one coarse grid
-    # so candidates share their sweeps. Descriptive output, not a verdict.
-    delta_fit = Fraction(1, 8)
+    # supported on [a - sum m_i, a]; sample everything on the grid t = k/8
+    # so candidates share their nodes, and sweep each |t| once. Descriptive
+    # output, not a verdict.
     best = (Fraction(0), (q,))
     best_dist = float("inf")
     for a in _FIT_SHIFTS:
         for ms in _FIT_FACTORS:
-            span = Fraction(sum(ms))
+            span = sum(ms)
             lo = a - span
             if abs(lo) >= segments.total or abs(a) >= segments.total:
                 continue
-            n = int(span / delta_fit)
-            ts = [lo + delta_fit * k for k in range(n + 1)]
+            k0, n = int(8 * lo), 8 * span
             w = _box_convolution_weights(ms, n)
-            mat = sum(wk * unit(t) for wk, t in zip(w, ts))
+            mat = sum(wk * node(k0 + k) for k, wk in enumerate(w))
             dist = float(np.abs(mat - measured).max())
             if dist < best_dist - 1e-15:
                 best_dist = dist

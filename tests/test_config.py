@@ -233,6 +233,30 @@ def test_budget_refuses_a_wide_cut_rule_at_the_budget_line():
         parse_config(text)
 
 
+def test_deep_budget_refusal_is_short():
+    # l_77 of this rule has 300 digits: the refusal gives its leading digits
+    # and digit count, not the number
+    text = (
+        "construction.kind = transformation\nconstruction.cuts = affine:300,0\n"
+        "construction.spacers = bernoulli:1/2\n"
+        f"construction.budget = {10**300}\nconstruction.seed = 1\n"
+        "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
+    )
+    with pytest.raises(ValidationError) as exc:
+        parse_config(text)
+    message = str(exc.value)
+    assert len(message) < 200, message
+    assert re.fullmatch(
+        r"line 4: construction\.budget: depth 77 word has 4994\.\.\. \(300 digits\) "
+        r"symbols; exact counting needs fewer than 2\^62",
+        message,
+    ), message
+    for n in (10**20 - 1, 10**20, 2**1000 + 1, 10**900, 3 * 10**900 - 1):
+        digits = len(str(n))
+        want = str(n) if digits <= 20 else f"{str(n)[:4]}... ({digits} digits)"
+        assert config._short_int(n) == want
+
+
 def test_stochastic_requires_seed():
     text = (
         "construction.catalog = stochastic-chacon\nconstruction.depth = 8\n"
@@ -529,7 +553,12 @@ def test_word_length_limit_checked_at_config_time():
         "experiment.m.kind = mixing\nexperiment.m.lags = 1\n"
     )
     assert parse_config(text.format(J=62)).J == 62
-    with pytest.raises(ValidationError, match=rf"line 2: construction\.depth: .*{COUNT_LIMIT}"):
+    assert COUNT_LIMIT == 1 << 62
+    with pytest.raises(
+        ValidationError,
+        match=r"^line 2: construction\.depth: depth 63 word has 9223372036854775807 "
+        r"symbols; exact counting needs fewer than 2\^62$",
+    ):
         parse_config(text.format(J=63))
 
 

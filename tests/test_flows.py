@@ -1,8 +1,12 @@
 """Suspension-flow correlation machinery: exact segments, sweeps, window
 averages, and the finite-depth limit check."""
 
+import os
+import subprocess
+import sys
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,20 +215,22 @@ FLOWS = {
 }
 
 # a shift at a stage height h_d, the largest one its stage view answers, or
-# one tick either side of it, possibly on a 7 times finer scale (f > 1)
+# at q * h_d, where the view may be no shorter than the column and the copy
+# recursion takes over; or one tick either side of it, possibly on a 7 times
+# finer scale (f > 1)
 EDGES = st.tuples(
-    st.integers(0, 4), st.sampled_from([-1, 0, 1]), st.sampled_from([1, 7]),
-    st.sampled_from([1, -1]),
+    st.integers(1, 4), st.integers(0, 4), st.sampled_from([-1, 0, 1]),
+    st.sampled_from([1, 7]), st.sampled_from([1, -1]),
 )
 
 
 def _edge_shift(col, edge):
-    d, ticks, finer, sign = edge
+    q, d, ticks, finer, sign = edge
     h = col._heights[min(d, len(col._heights) - 1)]
-    return sign * F(h * finer + ticks, col.den * finer)
+    return sign * F(q * h * finer + ticks, col.den * finer)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
     flow=st.sampled_from(sorted(FLOWS)),
     J=st.integers(1, 5),
@@ -236,12 +242,17 @@ def _edge_shift(col, edge):
 @example(flow="staircase", J=5, j0=1, L=2, frac=F(-1, 2), edge=None)
 @example(flow="staircase", J=3, j0=1, L=3, frac=F(2, 17), edge=None)
 @example(flow="staircase", J=3, j0=1, L=3, frac=F(-1, 7**17), edge=None)  # past 2**53
-@example(flow="inline", J=5, j0=1, L=2, frac=F(0), edge=(0, 0, 1, -1))  # t = -K
-@example(flow="staircase", J=5, j0=2, L=2, frac=F(0), edge=(0, 0, 1, 1))  # t = K
-@example(flow="damped", J=5, j0=1, L=3, frac=F(0), edge=(1, 0, 1, 1))
-@example(flow="repeated", J=5, j0=1, L=2, frac=F(0), edge=(0, 0, 1, -1))
-@example(flow="inline", J=5, j0=2, L=3, frac=F(0), edge=(0, 1, 1, -1))  # next stage
-@example(flow="damped", J=5, j0=2, L=2, frac=F(0), edge=(1, -1, 7, 1))
+@example(flow="inline", J=5, j0=1, L=2, frac=F(0), edge=(1, 0, 0, 1, -1))  # t = -K
+@example(flow="staircase", J=5, j0=2, L=2, frac=F(0), edge=(1, 0, 0, 1, 1))  # t = K
+@example(flow="damped", J=5, j0=1, L=3, frac=F(0), edge=(1, 1, 0, 1, 1))
+@example(flow="repeated", J=5, j0=1, L=2, frac=F(0), edge=(1, 0, 0, 1, -1))
+@example(flow="inline", J=5, j0=2, L=3, frac=F(0), edge=(1, 0, 1, 1, -1))  # next stage
+@example(flow="damped", J=5, j0=2, L=2, frac=F(0), edge=(1, 1, -1, 7, 1))
+@example(flow="staircase", J=5, j0=1, L=2, frac=F(0), edge=(1, 3, 0, 1, 1))  # h_{J-1}
+@example(flow="staircase", J=5, j0=1, L=3, frac=F(0), edge=(3, 2, 1, 1, -1))
+@example(flow="inline", J=5, j0=1, L=2, frac=F(0), edge=(1, 3, -1, 1, 1))
+@example(flow="repeated", J=5, j0=2, L=2, frac=F(0), edge=(2, 2, 0, 7, -1))
+@example(flow="damped", J=4, j0=1, L=3, frac=F(0), edge=(1, 2, 1, 1, 1))
 def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
     j0 = min(j0, J)
     seg = flow_segments(realize(FLOWS[flow], J), J, j0)
@@ -264,13 +275,74 @@ def test_small_shifts_read_a_stage_view():
     col.pair_counts(F(1, 2))
     col.pair_counts(lag)
     col.window_counts(F(-1), F(0))
-    # one view cached per stage: stage 1 (h = 1) for t = 1/2 and the
-    # window [-1, 0], and the column itself, with weight 1, for the lag
-    assert sorted(col._views) == [0, 5]
-    small, whole = col._views[0], col._views[5]
+    # views cached by (stage, top): the column's stage-1 view (h = 1) for
+    # t = 1/2 and the window [-1, 0]; none for the lag, whose stage view
+    # would be no shorter than the column, so it splits the column into its
+    # seven copies of W_6 and reads W_6's stage-1 view at the small shifts
+    # between them (one spacer or none)
+    top = len(col._stages)
+    assert sorted(col._views) == [(0, top - 1), (0, top), (top - 1, top)]
+    small, copies = col._views[0, top], col._views[0, top - 1]
+    assert col._views[top - 1, top] is None
     assert len(small.breaks) < len(col.breaks) // 20
-    assert whole.breaks is col.breaks and whole.weights.min() == 1 == whole.weights.max()
-    assert col._view(int(lag * col.den), 1) is whole and col._view(col.den // 2, 1) is small
+    assert len(copies.breaks) < len(col.breaks) // 100
+    assert col._view(int(lag * col.den), 1, top) is None
+    assert col._view(col.den // 2, 1, top) is small
+
+
+def _column_counts(col, t):
+    """C_t from one sweep of the whole column: the reference the copy
+    recursion replaces."""
+    (tau,), f = col._ticks(t)
+    H = col.H_ticks * f
+    lens, ia, ib = flows._merge_views(col.breaks * f, (max(-tau, 0), max(tau, 0)), H - abs(tau))
+    S = col.slabs.size
+    C = np.zeros((S, S), dtype=np.int64)
+    np.add.at(C, (col.codes[ia], col.codes[ib]), lens)
+    return C
+
+
+def test_copy_recursion_matches_the_column_sweep(monkeypatch):
+    # staircase J=7: the flow-limit lags q*h_stage at the default keys
+    # (q = 1, stage J-1) and at three other (q, stage), either sign; none
+    # of pair_counts' sweeps reads as many breakpoints as the column has
+    J = 7
+    rz = realize(catalog("staircase-flow"), J)
+    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    hs = heights(rz, J)
+    read = []
+    merge = flows._merge_views
+
+    def spy(breaks, offs, span):
+        read.append(len(breaks))
+        return merge(breaks, offs, span)
+
+    for q, stage in [(1, J - 1), (2, J - 1), (1, J - 3), (3, J - 2)]:
+        for t in (q * hs[stage - 1], -q * hs[stage - 1]):
+            want = _column_counts(col, t)
+            monkeypatch.setattr(flows, "_merge_views", spy)
+            C, H = col.pair_counts(t)
+            monkeypatch.setattr(flows, "_merge_views", merge)
+            assert np.array_equal(C, want), (q, stage, t)
+            assert int(C.sum()) == H - abs(t) * col.den
+    assert read and max(read) < len(col.breaks)
+
+
+def test_flow_run_does_not_import_numpy_ma():
+    # numpy 2's plain np.unique imports numpy.ma on its first call; older
+    # numpy imports it with numpy itself, and then there is nothing to check
+    code = (
+        "import sys, rankone\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from rankone.flows import flow_limit_check\n"
+        "flow_limit_check(rankone.realize(rankone.catalog('staircase-flow'), 5), 5, 1, 1, 4)\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(flows.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    before, after = proc.stdout.split()
+    assert before == "True" or after == "False", "flow_limit_check imported numpy.ma"
 
 
 @pytest.mark.parametrize(
@@ -324,7 +396,7 @@ def test_window_counts_match_interval_oracle(flow, J, j0, L):
     if len(ivs) > 100:
         # the oracle is quadratic in the intervals over a long window; the
         # deeper columns check the short windows their stage views answer
-        assert len(col._views[0].breaks) < len(col.breaks)
+        assert len(col._views[0, len(col._stages)].breaks) < len(col.breaks)
         return
     check(-hj, F(0))  # m = h_j
     check(F(0), hj)
