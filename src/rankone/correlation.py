@@ -8,24 +8,37 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
 * a hierarchical counter (``PairCounter`` / ``lag_counts_block``) that never
   builds the word. It evaluates Phi(m, c) = counts of pairs (u, u+m) with
   u < c read against the inductive-limit word (stage words are prefixes of
-  one another). Decomposing the source range at the coarsest stage d with
+  one another). Every C(n) is a full range, Phi(m, l_D - m) with D = J:
+  the pairs inside W_D at lag m. If c > l_{D-1}, W_D splits into its
+  copies of W_{D-1} and their spacers; copies starting p apart add the
+  full range Phi(m - p, .) of W_{D-1} (its transpose when m < p, the
+  diagonal of symbol counts when m = p), a copy and a spacer add a star
+  column or row, two spacers their overlap of stars. Otherwise the targets
+  are the last c symbols of W_D, which are the suffix of a nested W_e copy
+  followed by a star run (the nested-tail jump below), so the table is the
+  full range Phi(l_e - c', c') of W_e plus a star column. Both cases
+  recurse only into full ranges.
+
+  Partial ranges, which only the k-point counts below read, are tiled
+  instead: decomposing the source range at the coarsest stage d with
   l_d <= c turns every fully covered block into complete lower-stage tables
   (a length-l_d window overlapping a length-l_d block always induces a full,
   possibly transposed, pair range) plus small spacer edge terms; the one
-  block straddling c recurses with strictly smaller c. An edge one symbol
-  wide adds 1 to one cell: ``_symbol`` reads W[p] as a Python int,
-  memoised by position (edges repeat across lags and blocks). Wider edges
-  and small ranges are read directly: ``_window`` returns W[lo:hi) in one
-  descent through the stage layouts.
+  block straddling c recurses with strictly smaller c.
+
+  An edge one symbol wide adds 1 to one cell: ``_symbol`` reads W[p] as a
+  Python int, memoised by position (edges repeat across lags and blocks).
+  Wider edges and small ranges are read directly: ``_window`` returns
+  W[lo:hi) in one descent through the stage layouts.
 
 Every W_h copy ends with its nested last W_e copy and then the last spacers
-of stages e+1..h, all stars. The descents (the tiling ``_walk``, ``_window``
-and ``_symbol``) do not peel that tail a stage at a time: one bisect over
-U[e] = l_e - T[e], with T the prefix sums of the last spacers, finds the
-deepest nested copy that holds a position, and the stars after it are one
-run. So a range costs O(depth + length) even where it ends at a copy's end,
-and the suffix of W_J at granularity d tiles into one W_d copy and one run
-rather than J - d gaps.
+of stages e+1..h, all stars. The descents (the nested-tail jump of a full
+range, the tiling ``_walk``, ``_window`` and ``_symbol``) do not peel that
+tail a stage at a time: one bisect over U[e] = l_e - T[e], with T the
+prefix sums of the last spacers, finds the deepest nested copy that holds a
+position, and the stars after it are one run. So a range costs
+O(depth + length) even where it ends at a copy's end, and the suffix of W_J
+at granularity d tiles into one W_d copy and one run rather than J - d gaps.
 
 A run of small lags 1 <= m <= K (``PairCounter.counts_many``) is counted in
 one pass over the stages instead: no pair at lag m <= l_d reaches past the
@@ -51,7 +64,7 @@ negative lags are transposes.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from typing import Dict, Iterable, List
 
 import numpy as np
@@ -99,8 +112,10 @@ def _count_into(tables, ext, tail_len, g, lags, S):
     """
     if not lags:
         return
-    ext = ext.astype(np.intp)  # one cast per chunk, shared by every lag
-    src = ext * S
+    # one cast per chunk, shared by every lag; pair codes below 256 fit a
+    # byte, and the sums and bincounts below run about 1.5 times faster on it
+    ext = ext.astype(np.uint8 if S * S <= 256 else np.intp)
+    src = ext * ext.dtype.type(S)
     end = g + len(ext) - tail_len
     for n in lags:
         lo = max(0, g - n)  # first source position with target in this chunk
@@ -434,7 +449,14 @@ class PairCounter:
     # -- the recursion -----------------------------------------------------
 
     def _phi(self, m: int, c: int) -> np.ndarray:
-        """Counts of pairs (W[u], W[u+m]) for u in [0, c); m >= 1."""
+        """Counts of pairs (W[u], W[u+m]) for u in [0, c); m >= 1.
+
+        A leaf (the whole range inside the prefix, c <= enum_cutoff or
+        c < l_{j0}) is one bincount over two read windows. A full range,
+        m + c = l_D, goes to the copy split or the nested-tail jump
+        (``_full``); any other range is tiled at the coarsest stage d with
+        l_d <= c (``_segments``, ``_add_block``). Results are memoised.
+        """
         S = self.S
         if c <= 0:
             return np.zeros((S, S), dtype=np.int64)
@@ -451,22 +473,78 @@ class PairCounter:
             b = self._window(m, m + c)
             tab = np.bincount(a * S + b, minlength=S * S).reshape(S, S)
         else:
-            tab = np.zeros((S, S), dtype=np.int64)
-            d = bisect_right(self.lengths, c)  # largest stage with length <= c
-            ld = self.lengths[d - 1]
-            for seg in self._segments(d, 0, c):
-                if seg[0] == "g":
-                    lo, hi = seg[1], min(seg[1] + seg[2], c)
-                    if hi - lo == 1:  # a one-symbol spacer edge
-                        tab[self.star, self._symbol(lo + m)] += 1
-                    elif lo < hi:
-                        tab[self.star, :] += self._hist(lo + m, hi + m)
-                else:
-                    A = seg[1]
-                    span = min(c - A, ld)
-                    self._add_block(tab, A, m, span, d, ld)
+            D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
+            if self.lengths[D - 1] == m + c:
+                tab = self._full(m, c, D)
+            else:
+                tab = np.zeros((S, S), dtype=np.int64)
+                d = bisect_right(self.lengths, c)  # largest stage with length <= c
+                ld = self.lengths[d - 1]
+                for seg in self._segments(d, 0, c):
+                    if seg[0] == "g":
+                        lo, hi = seg[1], min(seg[1] + seg[2], c)
+                        self._edge(tab[self.star, :], lo + m, hi + m)
+                    else:
+                        A = seg[1]
+                        span = min(c - A, ld)
+                        self._add_block(tab, A, m, span, d, ld)
         self._memo[key] = tab
         return tab
+
+    def _full(self, m: int, c: int, D: int) -> np.ndarray:
+        """Phi(m, c) with m + c = l_D: all pairs inside W_D at lag m.
+
+        When c > l_{D-1}, W_D splits into its copies of W_{D-1} and their
+        spacers. Copies starting p apart add Phi(m - p, .) of W_{D-1} (or
+        its transpose, or the diagonal of symbol counts at m = p), a copy
+        and a spacer add a star column or row, two spacers their overlap
+        of stars. Otherwise the targets are the last c symbols of W_D:
+        those of its nested last W_e copy, then a run of stars.
+        """
+        S, star = self.S, self.star
+        lb = self.lengths[D - 2]
+        if c <= lb:
+            e, run = self._tail(D, self.j0, c)
+            inner = max(c - run, 0)  # sources whose target is in the W_e copy
+            le = self.lengths[e - 1]
+            if inner == le:
+                tab = np.diag(self._word_counts(e))
+            elif inner:
+                tab = self._phi(le - inner, inner).copy()
+            else:
+                tab = np.zeros((S, S), dtype=np.int64)
+            self._edge(tab[:, star], inner, c)
+            return tab
+        tab = np.zeros((S, S), dtype=np.int64)
+        starts, kinds, lens = self._layout(D)
+        ends = [p + n for p, n in zip(starts, lens)]
+        copies = defaultdict(int)  # shift inside W_{D-1} -> copy pairs
+        for lo, hi, gap in zip(starts, ends, kinds):
+            for k in range(bisect_right(ends, lo + m), bisect_left(starts, hi + m)):
+                x0, x1 = max(lo + m, starts[k]), min(hi + m, ends[k])  # targets
+                if not gap and not kinds[k]:
+                    copies[m - (starts[k] - lo)] += 1
+                elif not gap:
+                    self._edge(tab[:, star], x0 - m - lo, x1 - m - lo)
+                elif not kinds[k]:
+                    self._edge(tab[star, :], x0 - starts[k], x1 - starts[k])
+                else:
+                    tab[star, star] += x1 - x0
+        for d, n in copies.items():
+            if d:
+                sub = self._phi(d, lb - d) if d > 0 else self._phi(-d, lb + d).T
+                tab += sub if n == 1 else n * sub
+            else:
+                tab.reshape(-1)[:: S + 1] += n * self._word_counts(D - 1)  # diagonal
+        return tab
+
+    def _edge(self, line: np.ndarray, lo: int, hi: int) -> None:
+        """Add the symbols of W[lo:hi) to line, a star row or column of a
+        table; a one-symbol edge is one scalar read."""
+        if hi - lo == 1:
+            line[self._symbol(lo)] += 1
+        elif lo < hi:
+            line += self._hist(lo, hi)
 
     def _add_block(self, tab, A, m, span, d, ld):
         """Pairs with source in W_d-copy at A, offsets [0, span)."""
@@ -475,10 +553,7 @@ class PairCounter:
             if seg[0] == "g":
                 v0 = max(seg[1] - A - m, 0)
                 v1 = min(seg[1] + seg[2] - A - m, span)
-                if v1 - v0 == 1:
-                    tab[self._symbol(v0), star] += 1
-                elif v0 < v1:
-                    tab[:, star] += self._hist(v0, v1)
+                self._edge(tab[:, star], v0, v1)
             else:
                 mp = m + A - seg[1]
                 if mp == 0:

@@ -26,11 +26,14 @@ copy at each stage e >= d, N_{e+1} times the counts of the junction (tail,
 spacer, head) less those of its tail and head alone. The view lays these
 column windows out with their integer weights, apart by voids longer than
 h_d, and a sweep or window on it sums lengths times weights; counts stay
-exact. A shift whose view would be no shorter than the column, such as the
-lag q*h_{J-1}, follows the copy recursion instead: a pair of copies of
+exact. A shift can also follow the copy recursion: a pair of copies of
 W_{J-1} starting p apart adds C_{t-p}(W_{J-1}), found the same way one stage
 down, and a pair with a spacer adds an occupation of W_{J-1} times the star.
-No sweep reads the whole column; only a window too long for a view does.
+Each shift takes the route that reads fewer breakpoints (a fixed cost per
+sweep and per split part included): the split wherever the view would be no
+shorter than the column, such as the lag q*h_{J-1}, and wherever a long view
+of a mid-stage lag costs more than the small views the split leaves. No
+sweep reads the whole column; only a window too long for a view does.
 """
 
 from __future__ import annotations
@@ -70,6 +73,12 @@ BREAK_BUDGET = 3 * 10**7
 #: The slab algebra cuts the base fiber into at least this many slabs.
 MIN_SLABS = 2
 _TICK_LIMIT = 1 << 62
+# pair_counts weighs a sweep against a split in breakpoints. Measured on a
+# 2-core Xeon with numpy 2.4, a sweep reads ~45 ns a breakpoint after a fixed
+# cost of about 1,500 breakpoints, and a split costs about 500 breakpoints
+# for each part (copy or spacer) of the column it splits
+_SWEEP_COST = 1500
+_PART_COST = 500
 
 COPY = 0
 SPACER = 1
@@ -244,7 +253,7 @@ class FlowColumn:
     copy; codes give the symbol on the interval that follows. A sweep at
     one shift merges the breakpoints with their shifted copy; a window of
     shifts is integrated from per-symbol antiderivative tables. Both read
-    a stage view (see _stage_view), which is much shorter than the column
+    a stage view (see _pieces), which is much shorter than the column
     when the shifts are small.
     """
 
@@ -307,6 +316,8 @@ class FlowColumn:
             self._totals.append(r * self._totals[-1])
             self._totals[-1][slabs.star] += sum(gaps)
         self._views = {}
+        self._cuts = {}  # _pieces by (stage, top)
+        self._plans = {}
 
     def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:
         """([tau, ...], f): each t = tau / (f * den); f is the smallest extra
@@ -327,27 +338,30 @@ class FlowColumn:
         or None where that view would be no shorter than W_top."""
         key = (bisect_left(self._heights, -(-reach // f)), top)
         if key not in self._views:
-            self._views[key] = self._stage_view(*key)
+            pieces = self._pieces(*key)
+            self._views[key] = pieces and self._stage_view(key[0], pieces[0])
         return self._views[key]
 
-    def _stage_view(self, d: int, top: int) -> Optional[_View]:
-        """Column pieces whose weighted pair counts equal those of W_top, the
-        column's prefix of height h_top, for every |t| <= K = h_d (stages
-        counted from j0).
+    def _pieces(self, d: int, top: int):
+        """(pieces, breakpoints) of the stage view _stage_view builds, or
+        None when top > 0 and the view would not be shorter than W_top, in
+        which case _views records the view as None too.
 
         A stage-(e+1) column is r_e copies of W_e, each followed by its
-        spacer s_i, so for d <= e < top
+        spacer s_i, so for d <= e < top and |t| <= K = h_d (stages counted
+        from j0)
             C_t(W_top) = N_d C_t(W_d) + sum over e and copies i of
                          N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
         with N_e the number of copies of W_e in W_top, tail_K and head_K the
         last and first K ticks of W_e, and no head after the last copy.
         The column starts with W_{e+1} for every e, so every piece is a tick
-        window of it; head_K is W_d itself, and equal junctions share one
-        window. Pieces are laid out apart by a void of K + 1 ticks that
-        carries the extra code S, so no pair of reach <= K joins two
-        pieces. Returns None when top > 0 and the view would not be
-        shorter than W_top.
+        window (lo, hi) of it with a weight w, cut from the column's
+        breakpoints i0..i1; head_K is W_d itself, and equal junctions share
+        one window.
         """
+        key = (d, top)
+        if key in self._cuts:
+            return self._cuts[key]
         K = self._heights[d]
         N = 1
         for r, _ in self._stages[d:top]:
@@ -371,18 +385,30 @@ class FlowColumn:
                     if not last:
                         weight[(0, K)] -= N
                 end += s + h
-        pieces = [(lo, hi, w) for (lo, hi), w in weight.items() if w]
-        cuts = [
-            (int(np.searchsorted(self.breaks, lo, side="right")) - 1,
+        pieces = [
+            (lo, hi, w,
+             int(np.searchsorted(self.breaks, lo, side="right")) - 1,
              int(np.searchsorted(self.breaks, hi, side="left")))
-            for lo, hi, _ in pieces
+            for (lo, hi), w in weight.items() if w
         ]
+        size = sum(i1 - i0 + 1 for _, _, _, i0, i1 in pieces)
         n_top = int(np.searchsorted(self.breaks, self._heights[top], side="left"))
-        if top and sum(i1 - i0 + 1 for i0, i1 in cuts) >= n_top:
-            return None
+        if top and size >= n_top:
+            self._views[key] = self._cuts[key] = None
+        else:
+            self._cuts[key] = (pieces, size)
+        return self._cuts[key]
+
+    def _stage_view(self, d: int, pieces: list) -> _View:
+        """Column pieces whose weighted pair counts equal those of W_top, the
+        column's prefix of height h_top, for every |t| <= K = h_d (see
+        _pieces). Pieces are laid out apart by a void of K + 1 ticks that
+        carries the extra code S, so no pair of reach <= K joins two pieces.
+        """
+        K = self._heights[d]
         void = self.slabs.size
         breaks, codes, weights, pos = [], [], [], 0
-        for (lo, hi, w), (i0, i1) in zip(pieces, cuts):
+        for lo, hi, w, i0, i1 in pieces:
             run = self.breaks[i0:i1] + (pos - lo)
             run[0] = pos
             breaks += [run, [pos + hi - lo]]
@@ -394,8 +420,31 @@ class FlowColumn:
             np.concatenate(codes).astype(self.codes.dtype),
             np.concatenate(weights),
             pos,
-            sum((hi - lo) * abs(w) for lo, hi, w in pieces),
+            sum((hi - lo) * abs(w) for lo, hi, w, _, _ in pieces),
         )
+
+    def _plan(self, a: int, f: int, e: int) -> Tuple[float, bool]:
+        """(cost, sweep) for C_a of W_e at scale f, a >= 0: whether sweeping
+        its stage view or splitting W_e into copies of W_{e-1} (_split) is
+        cheaper, and that cost in breakpoints.
+
+        A sweep costs its view's breakpoints plus _SWEEP_COST; a split costs
+        _PART_COST for each part of W_e plus the cheaper route of every
+        shift it leaves, found the same way one stage down. A split is only
+        tried when its part cost alone is below the view's cost.
+        """
+        key = (a, f, e)
+        plan = self._plans.get(key)
+        if plan is None:
+            pieces = self._pieces(bisect_left(self._heights, -(-a // f)), e)
+            view = pieces[1] + _SWEEP_COST if pieces else float("inf")
+            split = _PART_COST * len(self._parts[e - 1]) if e else float("inf")
+            if split < view:
+                shifts = {abs(d) for d in self._split(e - 1, a, f, copies_only=True)}
+                split += sum(self._plan(d, f, e - 1)[0] for d in shifts)
+            plan = (view, True) if view <= split else (split, False)
+            self._plans[key] = plan
+        return plan
 
     def pair_counts(self, t: Fraction) -> Tuple[np.ndarray, int]:
         """Exact tick counts of slab pairs at shift t; returns (C, H_scaled).
@@ -403,10 +452,11 @@ class FlowColumn:
         C[a][b] = ticks{u in [0, H-|t|) : phi(u + max(-t,0)) = a,
                                           phi(u + max(t,0)) = b}.
 
-        A shift whose stage view would be no shorter than the column splits
-        the column into its copies of the stage below (see _split) and adds
-        up their pair counts, each found the same way one stage down. Equal
-        shifts of one stage are swept once, C_{-t} being C_t transposed.
+        A shift sweeps its stage view, or, where _plan finds that dearer,
+        splits the column into its copies of the stage below (see _split)
+        and adds up their pair counts, each found the same way one stage
+        down. Equal shifts of one stage are counted once, C_{-t} being C_t
+        transposed.
         """
         (tau,), f = self._ticks(t)
         H = self.H_ticks * f
@@ -419,9 +469,8 @@ class FlowColumn:
             below = defaultdict(int)
             for a in {abs(d) for d in shifts}:
                 fwd, bwd = shifts.get(a, 0), shifts.get(-a, 0) if a else 0
-                view = self._view(a, f, e)
-                if view is not None:
-                    M = self._sweep(view, a, f)
+                if self._plan(a, f, e)[1]:
+                    M = self._sweep(self._view(a, f, e), a, f)
                 else:
                     M, copies = self._split(e - 1, a, f)
                     for d, n in copies.items():
@@ -451,7 +500,7 @@ class FlowColumn:
             np.add.at(C, (a, b), lens)
         return C[:-1, :-1]
 
-    def _split(self, e: int, a: int, f: int) -> Tuple[np.ndarray, dict]:
+    def _split(self, e: int, a: int, f: int, copies_only: bool = False):
         """C_a of W_{e+1} at scale f, a >= 0, over the pairs of its parts:
         its r_e copies of W_e and the spacers after them.
 
@@ -459,7 +508,8 @@ class FlowColumn:
         come back as {a - p: how many pairs}. A copy-to-spacer pair adds the
         occupation of W_e on the copy's interval that lands in the spacer,
         times the star, spacer-to-copy the transpose, and spacer-to-spacer
-        their star overlap; these come back summed in one matrix.
+        their star overlap; these come back summed in one matrix, which
+        copies_only leaves out (only the copy pairs are returned).
         """
         star = self.slabs.star
         parts = [(lo * f, hi * f, c) for lo, hi, c, _ in self._parts[e]]
@@ -472,6 +522,8 @@ class FlowColumn:
                 x0, x1 = max(lo + a, l2), min(hi + a, h2)  # the overlap, landed
                 if src and dst:
                     copies[a - (l2 - lo)] += 1
+                elif copies_only:
+                    continue
                 elif src:
                     D[:, star] += self._occupation(e, x1 - a - lo, f)
                     D[:, star] -= self._occupation(e, x0 - a - lo, f)
@@ -480,7 +532,7 @@ class FlowColumn:
                     D[star] -= self._occupation(e, x0 - l2, f)
                 else:
                     D[star, star] += x1 - x0
-        return D, copies
+        return copies if copies_only else (D, copies)
 
     def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
         """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,

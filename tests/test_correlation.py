@@ -1,6 +1,7 @@
 """Exact pair counts: frozen small-word oracles, engine agreement, and
 conservation laws."""
 
+import hashlib
 import random
 import tracemalloc
 
@@ -179,6 +180,18 @@ def test_naive_engine_chunking_invariance(chunk):
     got = lag_counts_naive(rz, 7, 1, lags, chunk_size=chunk)
     for n in lags:
         assert np.array_equal(ref[n], got[n])
+
+
+@pytest.mark.parametrize("j0", [4, 5])
+def test_naive_engine_byte_and_wide_pair_codes(j0):
+    # chacon's base j0 has S = 2**j0 symbols: 256 pair codes fit a byte at
+    # j0 = 4, 1024 do not at j0 = 5
+    rz = realize(catalog("chacon"), 11)
+    lags = [1, 2, 31, 300, -17]
+    got = lag_counts_naive(rz, 11, j0, lags, chunk_size=333)
+    want = PairCounter(rz, 11, j0).counts_many(lags)
+    for n in lags:
+        assert np.array_equal(got[n], want[n]), n
 
 
 def _window_kinds(pc, u):
@@ -648,3 +661,105 @@ def test_counts_after_counts_many_read_the_stored_table():
     fresh = PairCounter(rz, 30, 3)
     for n in lags + [int(hs[j]) + m for j in (10, 20, 27) for m in (1, 2, 3, -7)]:
         assert np.array_equal(pc.counts(n), fresh.counts(n)), n
+
+
+# ---------------------------------------------------------------------------
+# full-range keys: the copy split and the nested-tail jump
+
+
+@st.composite
+def copy_split_realization(draw):
+    """Up to six copies a stage, short inner spacers and a long last one,
+    with the depth cut back until the word fits in 20000 symbols."""
+    rs, vecs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(2, 6))
+        inner = [draw(st.integers(0, 2)) for _ in range(r - 1)]
+        vecs.append(tuple(inner + [draw(st.integers(0, 40))]))
+        rs.append(r)
+    sched = ConstructionSchedule("transformation", ExplicitCuts(rs), StageSpacers(vecs))
+    J = draw(st.integers(2, 5))
+    hs = heights(realize(sched, J), J)
+    while J > 2 and hs[J - 1] > 20000:
+        J -= 1
+    return realize(sched, J), J
+
+
+def _structural_lags(pc):
+    """Lags whose full-range keys hit the split's edge cases: copy-start
+    differences of W_J (a copy pair at shift 0) and the starts of W_J's
+    nested last copies (a tail jump landing on a whole W_e)."""
+    J, lJ = pc.J, pc.lJ
+    starts, kinds, _ = pc._layout(J)
+    copy_starts = [p for p, k in zip(starts, kinds) if not k]
+    lags = {q - p for p in copy_starts for q in copy_starts if q > p}
+    for e in range(pc.j0, J):
+        lags.add(lJ - (pc._T[J] - pc._T[e]) - pc.lengths[e - 1])
+    return sorted(m for m in lags if 0 < m < lJ)
+
+
+@given(
+    data=copy_split_realization(),
+    cutoff=st.sampled_from([4, 16]),
+    j0=st.sampled_from([1, 2]),
+    picks=st.lists(st.integers(0, 10**9), min_size=1, max_size=8),
+)
+@example(  # chacon: one-star last spacers, every lag a tail jump or a split
+    data=(realize(catalog("chacon"), 8), 8), cutoff=4, j0=1, picks=[0, 5, 17, 99]
+)
+@settings(max_examples=80, deadline=None)
+def test_full_range_counts_match_materialized_word(data, cutoff, j0, picks):
+    rz, J = data
+    j0 = min(j0, J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=4)
+    w = materialize_word(rz, J, j0).astype(np.int64)
+    S, lJ = pc.S, pc.lJ
+    structural = _structural_lags(pc)
+    lags = structural + [x % (lJ - 1) + 1 for x in picks]
+    lags += [-m for m in lags[::3]]
+    for n in lags:
+        m = abs(n)
+        want = np.bincount(w[: lJ - m] * S + w[m:], minlength=S * S).reshape(S, S)
+        assert np.array_equal(pc.counts(n), want if n > 0 else want.T), n
+
+
+def _chacon_56_lags(pc):
+    """The rigidity scan's stage lengths l_j, j0 < j < J, then the lags of
+    the chacon-deep benchmark config at seed 0 and its basis lags 0..8."""
+    l = [None] + pc.lengths  # l[j] is the stage-j word length
+    rigidity = [l[j] for j in range(pc.j0 + 1, pc.J)]
+    deep = [
+        l[30] + 7, -2 * l[32] + 7, l[34] + 5, -3 * l[36] + 7, l[38] + 5,
+        -2 * l[40] + 6, l[42] + 9, -2 * l[44] + 2, l[46] + 6, -3 * l[48] + 7,
+        l[50] + 7, -2 * l[52] + 1,  # limit-scan
+        l[31] + 2, l[35] + 6, l[39] + 2, l[43] + 3, l[47] + 9, l[50] + 8,
+        l[53] + 2,  # mixing
+        l[40] + 3, -l[40] + 1, l[50] + 6, -l[50] + 1,  # converge
+    ]
+    return rigidity + deep + list(range(9))
+
+
+def test_full_range_counts_at_chacon_56_never_tile(monkeypatch):
+    rz = realize(catalog("chacon"), 56)
+    pc = PairCounter(rz, 56, 4)
+
+    def refuse(*args):
+        raise AssertionError("a full-range key reached the tiling")
+
+    monkeypatch.setattr(PairCounter, "_segments", refuse)
+    lags = _chacon_56_lags(pc)
+    assert len(lags) == 51 + 23 + 9
+    for n in lags:
+        assert pc.counts(n).sum() == pc.lJ - abs(n)
+
+
+def test_full_range_counts_at_chacon_56_keep_their_digest():
+    # SHA-256 of the int64 tables as the generic tiling computed them
+    rz = realize(catalog("chacon"), 56)
+    pc = PairCounter(rz, 56, 4)
+    digest = hashlib.sha256()
+    for n in _chacon_56_lags(pc):
+        digest.update(pc.counts(n).astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "75b566abe7f691066886657a75a4d737530755b9bf9bba0c5c2f707379bb067b"
+    )

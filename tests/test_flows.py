@@ -290,6 +290,31 @@ def test_small_shifts_read_a_stage_view():
     assert col._view(col.den // 2, 1, top) is small
 
 
+def test_long_stage_view_gives_way_to_the_copy_split(monkeypatch):
+    # staircase J=9, q = 1 at stage J-3: the stage view for h_6 is shorter
+    # than the column but still 587,162 breakpoints long; splitting W_9 and
+    # W_8 into their copies leaves small shifts whose views are a few
+    # hundred to a few thousand breakpoints
+    rz = realize(catalog("staircase-flow"), 9)
+    col = FlowColumn(flow_segments(rz, 9), SlabAlgebra(16))
+    top = len(col._stages)
+    (tau,), f = col._ticks(heights(rz, 9)[5])
+    swept = []
+    sweep = FlowColumn._sweep
+
+    def spy(self, view, t, scale):
+        swept.append(len(view.breaks))
+        return sweep(self, view, t, scale)
+
+    monkeypatch.setattr(FlowColumn, "_sweep", spy)
+    C, H = col.pair_counts(F(tau, col.den))
+    assert col._pieces(bisect_left(col._heights, -(-tau // f)), top)[1] == 587162
+    assert col._plan(tau, f, top)[1] is False  # split, not swept
+    assert col._plan(tau, f, top - 1)[1] is False
+    assert max(swept) < 3000 and sum(swept) < 20000
+    assert np.array_equal(C, sweep(col, col._view(tau, f, top), tau, f))
+
+
 def _column_counts(col, t):
     """C_t from one sweep of the whole column: the reference the copy
     recursion replaces."""
