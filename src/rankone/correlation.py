@@ -17,7 +17,10 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   are the last c symbols of W_D, which are the suffix of a nested W_e copy
   followed by a star run (the nested-tail jump below), so the table is the
   full range Phi(l_e - c', c') of W_e plus a star column. Both cases
-  recurse only into full ranges.
+  recurse only into full ranges. A full range is read directly (a leaf)
+  only when it is short: c <= enum_cutoff, or inside the in-memory prefix
+  with c <= 4 enum_cutoff. A longer one splits even inside the prefix,
+  since the shorter full ranges it recurses into are mostly memoised.
 
   Partial ranges, which only the k-point counts below read, are tiled
   instead: decomposing the source range at the coarsest stage d with
@@ -198,8 +201,10 @@ class PairCounter:
     materialize_cutoff bounds the word prefix kept in memory (the recursion
     bottoms out on it, and it caps the windows read symbol by symbol);
     enum_cutoff sends residual ranges up to that length to one bincount over
-    two directly read windows, and counts_many lags up to it to one pass over
-    the stages. Both only trade speed; counts are exact.
+    two directly read windows, bounds the full ranges read that way inside
+    the prefix to 4 enum_cutoff sources (longer ones split), and sends
+    counts_many lags up to it to one pass over the stages. Both only trade
+    speed; counts are exact.
     """
 
     def __init__(
@@ -451,10 +456,13 @@ class PairCounter:
     def _phi(self, m: int, c: int) -> np.ndarray:
         """Counts of pairs (W[u], W[u+m]) for u in [0, c); m >= 1.
 
-        A leaf (the whole range inside the prefix, c <= enum_cutoff or
-        c < l_{j0}) is one bincount over two read windows. A full range,
+        A leaf (c <= enum_cutoff, c < l_{j0}, or the whole range inside the
+        prefix) is one bincount over two read windows. A full range,
         m + c = l_D, goes to the copy split or the nested-tail jump
-        (``_full``); any other range is tiled at the coarsest stage d with
+        (``_full``) unless it is a leaf; inside the prefix it stays one
+        only while c <= 4 enum_cutoff, since the split of a longer one
+        reads a few short edges and mostly memoised keys instead of 2c
+        symbols. Any other range is tiled at the coarsest stage d with
         l_d <= c (``_segments``, ``_add_block``). Results are memoised.
         """
         S = self.S
@@ -464,30 +472,30 @@ class PairCounter:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
+        D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
+        full = self.lengths[D - 1] == m + c
         if (
-            c + m <= len(self.prefix)
-            or c <= self.enum_cutoff
+            c <= self.enum_cutoff
             or c < self.lengths[self.j0 - 1]
+            or (c + m <= len(self.prefix) and not (full and c > 4 * self.enum_cutoff))
         ):
             a = self._window(0, c).astype(np.int64)
             b = self._window(m, m + c)
             tab = np.bincount(a * S + b, minlength=S * S).reshape(S, S)
+        elif full:
+            tab = self._full(m, c, D)
         else:
-            D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
-            if self.lengths[D - 1] == m + c:
-                tab = self._full(m, c, D)
-            else:
-                tab = np.zeros((S, S), dtype=np.int64)
-                d = bisect_right(self.lengths, c)  # largest stage with length <= c
-                ld = self.lengths[d - 1]
-                for seg in self._segments(d, 0, c):
-                    if seg[0] == "g":
-                        lo, hi = seg[1], min(seg[1] + seg[2], c)
-                        self._edge(tab[self.star, :], lo + m, hi + m)
-                    else:
-                        A = seg[1]
-                        span = min(c - A, ld)
-                        self._add_block(tab, A, m, span, d, ld)
+            tab = np.zeros((S, S), dtype=np.int64)
+            d = bisect_right(self.lengths, c)  # largest stage with length <= c
+            ld = self.lengths[d - 1]
+            for seg in self._segments(d, 0, c):
+                if seg[0] == "g":
+                    lo, hi = seg[1], min(seg[1] + seg[2], c)
+                    self._edge(tab[self.star, :], lo + m, hi + m)
+                else:
+                    A = seg[1]
+                    span = min(c - A, ld)
+                    self._add_block(tab, A, m, span, d, ld)
         self._memo[key] = tab
         return tab
 

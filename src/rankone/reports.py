@@ -17,7 +17,6 @@ matrix. Experiments without tabular payloads appear only in the JSON.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -130,11 +129,9 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) for v in row])
+    # no field needs quoting: ints, float reprs, level labels and "*"
+    lines = [",".join(header)] + [",".join([_fmt(v) for v in row]) for row in rows]
+    path.write_text("\n".join(lines) + "\n", newline="")
 
 
 def write_report(report: Report, out_dir, fmt: str = "json") -> List[Path]:

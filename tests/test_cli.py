@@ -94,6 +94,31 @@ def test_csv_format_emits_tables_with_headers(tmp_path):
     assert all(float(r[2]) >= 0 for r in crows[1:])
 
 
+def test_csv_lines_match_the_csv_module(tmp_path):
+    # the writer joins fields itself; csv.writer would quote none of them
+    from rankone.reports import _HEADERS, _fmt, _write_csv
+
+    nan, inf = float("nan"), float("inf")
+    rows = [
+        (-3, "*", "0", nan),
+        (7, "0", "*", inf),
+        (-12, "*", "*", -inf),
+        (0, "10", "2", -0.0),
+        (5, 1, 0.25, 1 / 3, 2.5e-17),
+    ]
+    header = _HEADERS["classify"]
+    ours = tmp_path / "ours.csv"
+    _write_csv(ours, header, rows)
+    theirs = tmp_path / "theirs.csv"
+    with theirs.open("w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) for v in row])
+    assert ours.read_bytes() == theirs.read_bytes()
+    assert ours.read_bytes().splitlines()[1] == b"-3,*,0,nan"
+
+
 def test_csv_only_format_skips_json(tmp_path):
     cfg = _write(tmp_path, GOOD)
     main(["run", str(cfg), "--out", str(tmp_path / "out"), "--format", "csv"])

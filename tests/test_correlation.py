@@ -763,3 +763,53 @@ def test_full_range_counts_at_chacon_56_keep_their_digest():
     assert digest.hexdigest() == (
         "75b566abe7f691066886657a75a4d737530755b9bf9bba0c5c2f707379bb067b"
     )
+
+
+def _count_full_range_routes(monkeypatch):
+    """Record every full-range key _phi evaluates and those sent to _full."""
+    evaluated, split = {}, set()
+    phi, full = PairCounter._phi, PairCounter._full
+
+    def spy_phi(self, m, c):
+        if c > 0 and (m, c) not in self._memo and m + c in self.lengths:
+            evaluated[m, c] = len(self.prefix) >= m + c
+        return phi(self, m, c)
+
+    def spy_full(self, m, c, D):
+        split.add((m, c))
+        return full(self, m, c, D)
+
+    monkeypatch.setattr(PairCounter, "_phi", spy_phi)
+    monkeypatch.setattr(PairCounter, "_full", spy_full)
+    return evaluated, split
+
+
+@pytest.mark.parametrize("name,J", [("chacon", 8), ("modified-chacon", 7)])
+@pytest.mark.parametrize("j0", [1, 2])
+def test_full_ranges_split_inside_the_prefix_match_materialized_word(
+    monkeypatch, name, J, j0
+):
+    # enum_cutoff 4 makes every full range longer than 16 split, even the
+    # ones inside the 256-symbol prefix
+    rz = realize(catalog(name), J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=256, enum_cutoff=4)
+    evaluated, split = _count_full_range_routes(monkeypatch)
+    w = materialize_word(rz, J, j0).astype(np.int64)
+    S, lJ = pc.S, pc.lJ
+    for m in range(1, lJ):
+        want = np.bincount(w[: lJ - m] * S + w[m:], minlength=S * S).reshape(S, S)
+        assert np.array_equal(pc.counts(m), want), m
+    in_prefix = [(m, c) for (m, c), inside in evaluated.items() if inside and c > 16]
+    assert len(in_prefix) > 100
+    assert set(in_prefix) <= split
+
+
+def test_full_range_leaves_at_chacon_56_read_short_windows(monkeypatch):
+    rz = realize(catalog("chacon"), 56)
+    pc = PairCounter(rz, 56, 4)
+    evaluated, split = _count_full_range_routes(monkeypatch)
+    for n in _chacon_56_lags(pc):
+        pc.counts(n)
+    leaves = [c for m, c in evaluated if (m, c) not in split]
+    assert leaves and split
+    assert max(leaves) <= 4 * pc.enum_cutoff
