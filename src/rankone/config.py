@@ -733,6 +733,13 @@ def parse_config(
             params["pairs"] = list(zip(ms, ns))
             cell_check(kind_e, 3, TRIPLE_CELL_LIMIT, "triple tensor")
         elif kind == "flow-limit":
+            q, j = params["q"], params["stage"]
+            if max(q, q * hs[j - 1]) >= hs[J - 1]:  # the lag and the window [-q, 0]
+                raise _refuse(
+                    take("q") or kind_e,
+                    f"q = {q} reaches the column height {hs[J - 1]}: the lag "
+                    f"q*h_{j} = {q * hs[j - 1]} and q must both stay below it",
+                )
             breaks = copies * params["slabs"] + spacers
             if breaks > BREAK_BUDGET:
                 raise _refuse(

@@ -9,25 +9,24 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   builds the word. It evaluates Phi(m, c) = counts of pairs (u, u+m) with
   u < c read against the inductive-limit word (stage words are prefixes of
   one another). Every C(n) is a full range, Phi(m, l_D - m) with D = J:
-  the pairs inside W_D at lag m. If c > l_{D-1}, W_D splits into its
-  copies of W_{D-1} and their spacers; copies starting p apart add the
-  full range Phi(m - p, .) of W_{D-1} (its transpose when m < p, the
-  diagonal of symbol counts when m = p), a copy and a spacer add a star
-  column or row, two spacers their overlap of stars. Otherwise the targets
-  are the last c symbols of W_D, which are the suffix of a nested W_e copy
-  followed by a star run (the nested-tail jump below), so the table is the
-  full range Phi(l_e - c', c') of W_e plus a star column. Both cases
-  recurse only into full ranges. A full range is read directly (a leaf)
-  only when it is short: c <= enum_cutoff, or inside the in-memory prefix
-  with c <= 4 enum_cutoff. A longer one splits even inside the prefix,
-  since the shorter full ranges it recurses into are mostly memoised.
+  the pairs inside W_D at lag m. Any range is read in the first stage word
+  W_D with l_D >= m + c, split into its copies of W_{D-1} and their
+  spacers, the sources cut at c. Copies starting p apart add Phi(m - p, v)
+  of W_{D-1} over the v sources they pair (its transpose when m < p, the
+  counts of the first v symbols on the diagonal when m = p), a copy and a
+  spacer add a star column or row, two spacers their overlap of stars; so
+  the recursion stays in prefix ranges. A full range with c <= l_{D-1}
+  takes the nested-tail jump instead: its targets are the last c symbols
+  of W_D, the suffix of a nested W_e copy and then a star run, so the
+  table is the full range Phi(l_e - c', c') of W_e plus a star column. A
+  range is read directly (a leaf) only when it is short: c <= enum_cutoff,
+  or inside the in-memory prefix with c <= 4 enum_cutoff. A longer one
+  splits even inside the prefix, since the shorter ranges it recurses into
+  are mostly memoised.
 
-  Partial ranges, which only the k-point counts below read, are tiled
-  instead: decomposing the source range at the coarsest stage d with
-  l_d <= c turns every fully covered block into complete lower-stage tables
-  (a length-l_d window overlapping a length-l_d block always induces a full,
-  possibly transposed, pair range) plus small spacer edge terms; the one
-  block straddling c recurses with strictly smaller c.
+  The k-point counts below tile their source ranges instead: decomposing a
+  range at the coarsest stage d with l_d <= c turns it into W_d blocks and
+  spacer gaps (``_segments``, ``_walk``).
 
   An edge one symbol wide adds 1 to one cell: ``_symbol`` reads W[p] as a
   Python int, memoised by position (edges repeat across lags and blocks).
@@ -200,9 +199,9 @@ class PairCounter:
 
     materialize_cutoff bounds the word prefix kept in memory (the recursion
     bottoms out on it, and it caps the windows read symbol by symbol);
-    enum_cutoff sends residual ranges up to that length to one bincount over
-    two directly read windows, bounds the full ranges read that way inside
-    the prefix to 4 enum_cutoff sources (longer ones split), and sends
+    enum_cutoff sends pair ranges up to that length to one bincount over two
+    directly read windows, bounds the ranges read that way inside the
+    prefix to 4 enum_cutoff sources (longer ones split), and sends
     counts_many lags up to it to one pass over the stages. Both only trade
     speed; counts are exact.
     """
@@ -457,13 +456,10 @@ class PairCounter:
         """Counts of pairs (W[u], W[u+m]) for u in [0, c); m >= 1.
 
         A leaf (c <= enum_cutoff, c < l_{j0}, or the whole range inside the
-        prefix) is one bincount over two read windows. A full range,
-        m + c = l_D, goes to the copy split or the nested-tail jump
-        (``_full``) unless it is a leaf; inside the prefix it stays one
-        only while c <= 4 enum_cutoff, since the split of a longer one
-        reads a few short edges and mostly memoised keys instead of 2c
-        symbols. Any other range is tiled at the coarsest stage d with
-        l_d <= c (``_segments``, ``_add_block``). Results are memoised.
+        prefix with c <= 4 enum_cutoff) is one bincount over two read
+        windows. Any other range goes to the copy split or the nested-tail
+        jump (``_split``), whose sub-ranges are shorter and mostly memoised,
+        even inside the prefix. Results are memoised.
         """
         S = self.S
         if c <= 0:
@@ -472,46 +468,36 @@ class PairCounter:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
-        full = self.lengths[D - 1] == m + c
         if (
             c <= self.enum_cutoff
             or c < self.lengths[self.j0 - 1]
-            or (c + m <= len(self.prefix) and not (full and c > 4 * self.enum_cutoff))
+            or (c + m <= len(self.prefix) and c <= 4 * self.enum_cutoff)
         ):
             a = self._window(0, c).astype(np.int64)
             b = self._window(m, m + c)
             tab = np.bincount(a * S + b, minlength=S * S).reshape(S, S)
-        elif full:
-            tab = self._full(m, c, D)
         else:
-            tab = np.zeros((S, S), dtype=np.int64)
-            d = bisect_right(self.lengths, c)  # largest stage with length <= c
-            ld = self.lengths[d - 1]
-            for seg in self._segments(d, 0, c):
-                if seg[0] == "g":
-                    lo, hi = seg[1], min(seg[1] + seg[2], c)
-                    self._edge(tab[self.star, :], lo + m, hi + m)
-                else:
-                    A = seg[1]
-                    span = min(c - A, ld)
-                    self._add_block(tab, A, m, span, d, ld)
+            D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
+            tab = self._split(m, c, D)
         self._memo[key] = tab
         return tab
 
-    def _full(self, m: int, c: int, D: int) -> np.ndarray:
-        """Phi(m, c) with m + c = l_D: all pairs inside W_D at lag m.
+    def _split(self, m: int, c: int, D: int) -> np.ndarray:
+        """Phi(m, c) with l_{D-1} < m + c <= l_D, read inside W_D.
 
-        When c > l_{D-1}, W_D splits into its copies of W_{D-1} and their
-        spacers. Copies starting p apart add Phi(m - p, .) of W_{D-1} (or
-        its transpose, or the diagonal of symbol counts at m = p), a copy
-        and a spacer add a star column or row, two spacers their overlap
-        of stars. Otherwise the targets are the last c symbols of W_D:
-        those of its nested last W_e copy, then a run of stars.
+        A full range (m + c = l_D) with c <= l_{D-1} has its targets in the
+        last c symbols of W_D: those of its nested last W_e copy, then a run
+        of stars. Otherwise W_D splits into its copies of W_{D-1} and their
+        spacers, the sources cut at c. A copy pair at shift delta whose
+        sources end at v1 inside their copy adds Phi(delta, v1) of W_{D-1}
+        (Phi(-delta, v1 + delta) transposed when delta < 0, the symbol
+        counts of its first v1 symbols on the diagonal at delta = 0), a copy
+        and a spacer add a star column or row, two spacers their overlap of
+        stars.
         """
         S, star = self.S, self.star
         lb = self.lengths[D - 2]
-        if c <= lb:
+        if c <= lb and m + c == self.lengths[D - 1]:
             e, run = self._tail(D, self.j0, c)
             inner = max(c - run, 0)  # sources whose target is in the W_e copy
             le = self.lengths[e - 1]
@@ -526,24 +512,28 @@ class PairCounter:
         tab = np.zeros((S, S), dtype=np.int64)
         starts, kinds, lens = self._layout(D)
         ends = [p + n for p, n in zip(starts, lens)]
-        copies = defaultdict(int)  # shift inside W_{D-1} -> copy pairs
+        copies = defaultdict(int)  # (shift, source end) inside W_{D-1} -> copy pairs
         for lo, hi, gap in zip(starts, ends, kinds):
+            if lo >= c:
+                break
+            hi = min(hi, c)
             for k in range(bisect_right(ends, lo + m), bisect_left(starts, hi + m)):
                 x0, x1 = max(lo + m, starts[k]), min(hi + m, ends[k])  # targets
                 if not gap and not kinds[k]:
-                    copies[m - (starts[k] - lo)] += 1
+                    copies[m - (starts[k] - lo), x1 - m - lo] += 1
                 elif not gap:
                     self._edge(tab[:, star], x0 - m - lo, x1 - m - lo)
                 elif not kinds[k]:
                     self._edge(tab[star, :], x0 - starts[k], x1 - starts[k])
                 else:
                     tab[star, star] += x1 - x0
-        for d, n in copies.items():
+        for (d, v1), n in copies.items():
             if d:
-                sub = self._phi(d, lb - d) if d > 0 else self._phi(-d, lb + d).T
+                sub = self._phi(d, v1) if d > 0 else self._phi(-d, v1 + d).T
                 tab += sub if n == 1 else n * sub
             else:
-                tab.reshape(-1)[:: S + 1] += n * self._word_counts(D - 1)  # diagonal
+                h = self._word_counts(D - 1) if v1 == lb else self._prefix_hist(v1)
+                tab.reshape(-1)[:: S + 1] += n * h  # diagonal
         return tab
 
     def _edge(self, line: np.ndarray, lo: int, hi: int) -> None:
@@ -553,29 +543,6 @@ class PairCounter:
             line[self._symbol(lo)] += 1
         elif lo < hi:
             line += self._hist(lo, hi)
-
-    def _add_block(self, tab, A, m, span, d, ld):
-        """Pairs with source in W_d-copy at A, offsets [0, span)."""
-        star = self.star
-        for seg in self._segments(d, A + m, A + m + span):
-            if seg[0] == "g":
-                v0 = max(seg[1] - A - m, 0)
-                v1 = min(seg[1] + seg[2] - A - m, span)
-                self._edge(tab[:, star], v0, v1)
-            else:
-                mp = m + A - seg[1]
-                if mp == 0:
-                    h = (
-                        self._word_counts(d)
-                        if span == ld
-                        else self._prefix_hist(span)
-                    )
-                    tab[np.arange(self.S), np.arange(self.S)] += h
-                elif mp > 0:
-                    tab += self._phi(mp, min(span, ld - mp))
-                else:
-                    sub = self._phi(-mp, span + mp)  # span-(-mp), sources shifted
-                    tab += sub.T
 
     # -- k-point counts ----------------------------------------------------
 

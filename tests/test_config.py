@@ -627,12 +627,38 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
          rf"experiment\.f\.slabs: .*breakpoints \(budget {BREAK_BUDGET}\)"),
         (5, "experiment.f.q = 0\n", 4, r"experiment\.f\.q: q must be >= 1"),
         (6, "experiment.f.stage = 99\n", 4, r"experiment\.f\.stage: stage 99 outside 1\.\.5"),
+        # h_4 = 71/2 and h_5 = 359/2: q = 5 is the largest lag q*h_4 inside the column
+        (5, "experiment.f.q = 7\n", 4,
+         r"experiment\.f\.q: q = 7 reaches the column height 359/2: the lag q\*h_4 = 497/2"),
+        (5, "experiment.f.q = 6\n", 4, r"experiment\.f\.q: q = 6 reaches the column height 359/2"),
+        (5, "experiment.f.stage = 2\nexperiment.f.q = 180\n", 5,
+         r"experiment\.f\.q: q = 180 reaches the column height 359/2"),
     ],
-    ids=["slabs-1", "segments", "breakpoints-depth", "breakpoints-slabs", "q-0", "stage-99"],
+    ids=["slabs-1", "segments", "breakpoints-depth", "breakpoints-slabs", "q-0", "stage-99",
+         "q-lag-past-height", "q-lag-at-boundary", "q-past-height-stage-2"],
 )
 def test_flow_limits_refused_with_line(J, extra, line, message):
     with pytest.raises(ValidationError, match=rf"line {line}: {message}"):
         parse_config(FLOW.format(J=J) + extra)
+
+
+def test_largest_flow_lag_inside_the_column_accepted():
+    plan = parse_config(FLOW.format(J=5) + "experiment.f.q = 5\n")
+    assert plan.experiments[0].params["q"] == 5
+
+
+def test_defaulted_flow_q_past_height_names_the_kind_line():
+    # h_1 = 1/8 and h_2 = 3/4: the default q = 1 leaves no window [-q, 0]
+    text = (
+        "construction.kind = flow\n"
+        "construction.cuts = 2\n"
+        "construction.spacers = staircase\n"
+        "construction.h1 = 1/8\n"
+        "construction.depth = 2\n"
+        "experiment.f.kind = flow-limit\n"
+    )
+    with pytest.raises(ValidationError, match=r"line 6: experiment\.f\.kind: q = 1 reaches"):
+        parse_config(text)
 
 
 def test_budget_flag_refusal_names_the_flag():

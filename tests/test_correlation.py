@@ -723,6 +723,57 @@ def test_full_range_counts_match_materialized_word(data, cutoff, j0, picks):
         assert np.array_equal(pc.counts(n), want if n > 0 else want.T), n
 
 
+def _partial_keys(pc):
+    """Partial ranges Phi(m, c) whose split of W_J cuts a source copy short:
+    the second W_{J-1} copy paired with itself at a positive shift, cut
+    halfway; the first copy against the second at shift 0, cut one symbol
+    before its end (a prefix histogram on the diagonal); and the first copy
+    against the second at a negative shift."""
+    starts, kinds, _ = pc._layout(pc.J)
+    s1 = [p for p, k in zip(starts, kinds) if not k][1]  # the second copy
+    lb = pc.lengths[pc.J - 2]
+    half = lb // 2
+    return [(1 + half // 2, s1 + half), (s1, lb - 1), (s1 - half, lb)]
+
+
+_CATALOG_WORDS = [
+    (realize(catalog("chacon"), 9), 9),
+    (realize(catalog("modified-chacon"), 7), 7),
+    (realize(catalog("stochastic-chacon"), 8, seed=5), 8),
+]
+
+
+@given(
+    data=st.one_of(copy_split_realization(), st.sampled_from(_CATALOG_WORDS)),
+    cutoff=st.sampled_from([4, 16]),
+    j0=st.sampled_from([1, 2]),
+    picks=st.lists(st.integers(0, 10**9), min_size=2, max_size=8),
+)
+@example(data=_CATALOG_WORDS[0], cutoff=4, j0=1, picks=[0, 5, 17, 99])
+@example(data=_CATALOG_WORDS[1], cutoff=16, j0=2, picks=[7, 3])
+@example(data=_CATALOG_WORDS[2], cutoff=4, j0=2, picks=[12, 40])
+@settings(max_examples=80, deadline=None)
+def test_partial_range_counts_match_materialized_word(data, cutoff, j0, picks):
+    rz, J = data
+    j0 = min(j0, J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=4)
+    with pytest.MonkeyPatch.context() as mp:
+        _, sent = _count_full_range_routes(mp)
+        w = materialize_word(rz, J, j0).astype(np.int64)
+        S, lJ = pc.S, pc.lJ
+        keys = _partial_keys(pc)
+        for x, y in zip(picks, picks[1:]):
+            m = x % (lJ - 1) + 1
+            keys.append((m, y % (lJ - m) + 1))
+        for m, c in keys:
+            want = np.bincount(w[:c] * S + w[m : m + c], minlength=S * S)
+            assert np.array_equal(pc._phi(m, c), want.reshape(S, S)), (m, c)
+        # the structural keys are not leaves: they reach the split
+        for m, c in keys[:3]:
+            if c > 16 and c >= pc.lengths[j0 - 1]:
+                assert (m, c) in sent, (m, c)
+
+
 def _chacon_56_lags(pc):
     """The rigidity scan's stage lengths l_j, j0 < j < J, then the lags of
     the chacon-deep benchmark config at seed 0 and its basis lags 0..8."""
@@ -744,13 +795,26 @@ def test_full_range_counts_at_chacon_56_never_tile(monkeypatch):
     pc = PairCounter(rz, 56, 4)
 
     def refuse(*args):
-        raise AssertionError("a full-range key reached the tiling")
+        raise AssertionError("a pair-count key reached the tiling")
 
     monkeypatch.setattr(PairCounter, "_segments", refuse)
     lags = _chacon_56_lags(pc)
     assert len(lags) == 51 + 23 + 9
     for n in lags:
         assert pc.counts(n).sum() == pc.lJ - abs(n)
+    # partial ranges that triples at this depth read, e.g. (l_21 + 3, -l_46)
+    l = [None] + pc.lengths
+    partial = [
+        (2 * l[45] - l[21] - 2, l[21] + 2), (2 * l[45] - l[21] - 2, 2 * l[20] - 5),
+        (l[50], l[51] + 2), (l[40] + 6, 3 * l[40] - 4), (l[40] + 4, 2 * l[39] - 5),
+        (l[40] + 5, 2 * l[47] - l[40] - 5), (l[40] + 7, l[52] - l[40] - 6),
+        (1, l[27] - 4), (3, 2 * l[21] - 6),
+    ]
+    for m, c in partial:
+        assert m + c not in pc.lengths
+        tab = pc._phi(m, c)
+        assert np.array_equal(tab.sum(axis=1), pc._prefix_hist(c))
+        assert np.array_equal(tab.sum(axis=0), pc._prefix_hist(m + c) - pc._prefix_hist(m))
 
 
 def test_full_range_counts_at_chacon_56_keep_their_digest():
@@ -766,22 +830,23 @@ def test_full_range_counts_at_chacon_56_keep_their_digest():
 
 
 def _count_full_range_routes(monkeypatch):
-    """Record every full-range key _phi evaluates and those sent to _full."""
-    evaluated, split = {}, set()
-    phi, full = PairCounter._phi, PairCounter._full
+    """Record every full-range key _phi evaluates and every key sent to
+    _split."""
+    evaluated, sent = {}, set()
+    phi, split = PairCounter._phi, PairCounter._split
 
     def spy_phi(self, m, c):
         if c > 0 and (m, c) not in self._memo and m + c in self.lengths:
             evaluated[m, c] = len(self.prefix) >= m + c
         return phi(self, m, c)
 
-    def spy_full(self, m, c, D):
-        split.add((m, c))
-        return full(self, m, c, D)
+    def spy_split(self, m, c, D):
+        sent.add((m, c))
+        return split(self, m, c, D)
 
     monkeypatch.setattr(PairCounter, "_phi", spy_phi)
-    monkeypatch.setattr(PairCounter, "_full", spy_full)
-    return evaluated, split
+    monkeypatch.setattr(PairCounter, "_split", spy_split)
+    return evaluated, sent
 
 
 @pytest.mark.parametrize("name,J", [("chacon", 8), ("modified-chacon", 7)])
