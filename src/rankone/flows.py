@@ -7,17 +7,20 @@ measures come out as integer tick counts with no floating-point error.
 
 Correlations live on a slab algebra: the base fiber [0, h_{j0}) cut into L
 equal slabs, spacers mapped to a star symbol. C(t)[a][b] is the Lebesgue
-measure, in ticks, of {u : phi(u) in slab_a, phi(u+t) in slab_b}, computed
-by one sweep over the merged breakpoints of the column and its t-shift
-(FlowColumn.pair_counts); correlation.unit_mass turns it into the unit-mass
-matrix D(t) over its window of H - |t| ticks.
+measure, in ticks, of {u : phi(u) in slab_a, phi(u+t) in slab_b}
+(FlowColumn.pair_counts), found by sweeps that merge the breakpoints of a
+stage view with their t-shift, or by the copy recursion below;
+correlation.unit_mass turns it into the unit-mass matrix D(t) over its
+window of H - |t| ticks.
 
 Time averages P_m = (1/m) * integral of T_t over an m-long window are exact:
 the integral of the pair measure over a window [lo, hi] is, for each
 b-interval [s, e), A_a(e-lo) - A_a(s-lo) - A_a(e-hi) + A_a(s-hi), where A_a
 is the second antiderivative of symbol a's occupation. It is evaluated in
 integer ticks, one symbol at a time. The limit check compares D(q*h_j)
-against the averaged window, resolving the sign of the lag empirically.
+against the averaged window, resolving the sign of the lag empirically, and
+reports the lag's exact copy-split kernel: the small shifts that the copy
+recursion leaves, each weighted by the mass of its pairs.
 
 Small shifts read a stage view instead of the whole column. The column W_J
 is r_e copies of the stage-e column W_e, each followed by a spacer, so for
@@ -42,7 +45,6 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from typing import Iterator, List, Optional, Tuple
 
@@ -464,21 +466,32 @@ class FlowColumn:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
         S = self.slabs.size
         C = np.zeros((S, S), dtype=np.int64)
+        swept = lambda a, e: self._plan(a, f, e)[1]
+        for e, a, fwd, bwd, M in self._descend(tau, f, swept):
+            if M is None:
+                M = self._sweep(self._view(a, f, e), a, f)
+            C += fwd * M + bwd * M.T
+        return C, H
+
+    def _descend(self, tau: int, f: int, leaf):
+        """Follow C_tau of the column down the copy recursion (see _split):
+        yields (e, a, fwd, bwd, D) for each shift size a >= 0 of W_e reached,
+        which adds fwd C_a(W_e) + bwd C_a(W_e)^T. D is None where leaf(a, e)
+        holds; otherwise a is split once, D holds the split's star terms and
+        its copy pairs go one stage down."""
         shifts = {tau: 1}  # shifts of W_e with their multiplicities
         for e in range(len(self._stages), -1, -1):
             below = defaultdict(int)
             for a in {abs(d) for d in shifts}:
                 fwd, bwd = shifts.get(a, 0), shifts.get(-a, 0) if a else 0
-                if self._plan(a, f, e)[1]:
-                    M = self._sweep(self._view(a, f, e), a, f)
-                else:
-                    M, copies = self._split(e - 1, a, f)
-                    for d, n in copies.items():
+                D = None
+                if not leaf(a, e):
+                    D, copies = self._split(e - 1, a, f)
+                    for d, n in copies.items():  # C_{-a} splits into the C_{-d}
                         below[d] += n * fwd
                         below[-d] += n * bwd
-                C += fwd * M + bwd * M.T
+                yield e, a, fwd, bwd, D
             shifts = {d: n for d, n in below.items() if n}
-        return C, H
 
     def _sweep(self, view: _View, tau: int, f: int) -> np.ndarray:
         """Tick counts (scale f) of the symbol pairs at shift tau >= 0 on a
@@ -702,22 +715,21 @@ def pm_identity_gap(
 # ---------------------------------------------------------------------------
 # limit check
 
-# flow_limit_check's family grid: shifts a and factor sets (m_1, ...) of
-# the candidates T_a prod_i P_{m_i}
-_FIT_SHIFTS = tuple(Fraction(k, 2) for k in range(-4, 5))
-_FIT_FACTORS = ((1,), (2,), (1, 1), (1, 2), (2, 2))
-
-
 @dataclass(frozen=True)
 class FlowLimitReport:
+    """flow_limit_check's result. kernel holds (shift, weight) pairs, taken
+    in the reported orientation; its weights and spacer_share sum to 1."""
+
     lag_time: Fraction
     q: int
     stage: int
     orientation: str
     residual: float
     residual_mirror: float
-    family_best: Tuple[Fraction, Tuple[int, ...]]
-    family_distance: float
+    kernel: Tuple[Tuple[Fraction, Fraction], ...]
+    spacer_share: Fraction
+    kernel_defect: float
+    kernel_distance: float
 
 
 def flow_limit_check(
@@ -732,10 +744,10 @@ def flow_limit_check(
 
     The sign of the lag is resolved empirically: both D(+q h_j) and
     D(-q h_j) are measured (unit mass) and the closer one is
-    reported, with the other as the mirror. A small exact grid over
-    shifted products T_a * prod_i P_{m_i} is also fitted; the kernel of a
-    product of window averages is the convolution of their boxes, so its
-    matrix is a weighted sum of already swept D(t) nodes.
+    reported, with the other as the mirror. The lag's copy-split kernel
+    nu (see _lag_kernel) is reported too, with kernel_defect, the max-abs
+    gap between the measured D and sum nu(d) D(d), and kernel_distance,
+    the max-abs gap between that sum and the Markov average.
     """
     segments = flow_segments(realized, J, j0)
     slabs = SlabAlgebra(L)
@@ -753,10 +765,6 @@ def flow_limit_check(
         (tau,), _ = col._ticks(t)  # the shift on the scale pair_counts used
         return unit_mass(C, tau, H)
 
-    @cache  # the family grid below shares its nodes t = k/8 across candidates
-    def node(k: int) -> np.ndarray:
-        return unit(Fraction(k, 8)) if k >= 0 else node(-k).T
-
     pos = unit(lag)
     neg = pos.T  # C_{-t} is the transpose of C_t on the finite column
     d_pos = float(np.abs(pos - pm.matrix).max())
@@ -766,25 +774,9 @@ def flow_limit_check(
     else:
         orientation, residual, mirror, measured = "negative-lag", d_neg, d_pos, neg
 
-    # family grid: T_a prod P_{m_i} has kernel box(m_1) * ... (convolution)
-    # supported on [a - sum m_i, a]; sample everything on the grid t = k/8
-    # so candidates share their nodes, and sweep each |t| once. Descriptive
-    # output, not a verdict.
-    best = (Fraction(0), (q,))
-    best_dist = float("inf")
-    for a in _FIT_SHIFTS:
-        for ms in _FIT_FACTORS:
-            span = sum(ms)
-            lo = a - span
-            if abs(lo) >= segments.total or abs(a) >= segments.total:
-                continue
-            k0, n = int(8 * lo), 8 * span
-            w = _box_convolution_weights(ms, n)
-            mat = sum(wk * node(k0 + k) for k, wk in enumerate(w))
-            dist = float(np.abs(mat - measured).max())
-            if dist < best_dist - 1e-15:
-                best_dist = dist
-                best = (a, tuple(ms))
+    signed = lag if orientation == "positive-lag" else -lag
+    kernel, share = _lag_kernel(col, signed, Fraction(q))
+    fit = sum(float(w) * unit(d) for d, w in kernel)
     return FlowLimitReport(
         lag_time=lag,
         q=q,
@@ -792,26 +784,36 @@ def flow_limit_check(
         orientation=orientation,
         residual=residual,
         residual_mirror=mirror,
-        family_best=best,
-        family_distance=best_dist,
+        kernel=kernel,
+        spacer_share=share,
+        kernel_defect=float(np.abs(measured - fit).max()),
+        kernel_distance=float(np.abs(fit - pm.matrix).max()),
     )
 
 
-def _box_convolution_weights(ms: Tuple[int, ...], n: int) -> np.ndarray:
-    """Trapezoid weights for the kernel of prod_i P_{m_i}, sampled on n+1
-    equally spaced nodes over [-sum(ms), 0] and normalized to sum to 1.
+def _lag_kernel(
+    col: FlowColumn, lag: Fraction, reach: Fraction
+) -> Tuple[Tuple[Tuple[Fraction, Fraction], ...], Fraction]:
+    """((shift d, weight nu(d)), ...) in increasing d, and the spacer share,
+    of the lag: together they sum to exactly 1.
 
-    The kernel is the density of a sum of independent uniforms on [-m_i, 0]:
-    the box 1/m for one factor; for two, the overlap length of [-m_1, 0]
-    and [x, x + m_2], over m_1 * m_2.
+    _split writes C_lag as a sum of C_d(W_e) over pairs of copies of W_e
+    plus star terms; a shift with |d| > reach is split again one stage down.
+    n pairs at |d| <= reach (or of the base stage) weigh n (h_e - |d|), and
+    the star terms their ticks; both are taken over H - |lag|.
     """
-    xs = np.linspace(-float(sum(ms)), 0.0, n + 1)
-    if len(ms) == 1:
-        kern = np.full(n + 1, 1.0 / ms[0])
-    else:
-        m1, m2 = ms
-        overlap = np.minimum(0.0, xs + m2) - np.maximum(-float(m1), xs)
-        kern = np.maximum(overlap, 0.0) / (m1 * m2)
-    kern[0] *= 0.5
-    kern[-1] *= 0.5
-    return kern / kern.sum()
+    (tau, K), f = col._ticks(lag, reach)
+    weights = defaultdict(int)
+    star = 0
+    for e, a, fwd, bwd, D in col._descend(tau, f, lambda a, e: a <= K or not e):
+        if D is None:
+            weights[a] += fwd * (col._heights[e] * f - a)
+            weights[-a] += bwd * (col._heights[e] * f - a)
+        else:
+            star += (fwd + bwd) * int(D.sum())
+    Z = col.H_ticks * f - abs(tau)
+    kernel = tuple(
+        (Fraction(d, col.den * f), Fraction(w, Z))
+        for d, w in sorted(weights.items()) if w
+    )
+    return kernel, Fraction(star, Z)

@@ -80,12 +80,6 @@ class OperatorExpression:
         canon = tuple(sorted((p, c) for p, c in acc.items() if c != 0))
         return OperatorExpression(terms=canon, theta=_frac(theta))
 
-    def coefficient(self, power: int) -> Fraction:
-        for p, c in self.terms:
-            if p == power:
-                return c
-        return Fraction(0)
-
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.terms)
 

@@ -36,7 +36,7 @@ __all__ = [
     "write_report",
 ]
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 _HEADERS = {
     "matrix": ("lag", "a", "b", "value"),

@@ -291,7 +291,6 @@ def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         params["stage"],
         L=params["slabs"],
     )
-    width, factors = rep.family_best
     payload = {
         "q": rep.q,
         "stage": rep.stage,
@@ -300,8 +299,10 @@ def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "orientation": rep.orientation,
         "residual": float(rep.residual),
         "residual_mirror": float(rep.residual_mirror),
-        "family_best": {"width": str(width), "factors": list(factors)},
-        "family_distance": float(rep.family_distance),
+        "kernel": [[str(d), str(w)] for d, w in rep.kernel],
+        "spacer_share": str(rep.spacer_share),
+        "kernel_defect": float(rep.kernel_defect),
+        "kernel_distance": float(rep.kernel_distance),
     }
     return ExperimentResult(
         label=spec.label, kind=spec.kind, status="ok", payload=payload

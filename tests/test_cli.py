@@ -70,7 +70,7 @@ def test_report_plan_echo_completeness(tmp_path):
     rig = plan["experiments"][1]
     assert rig["slack"] == 0.01
     assert rig["lags"]  # default stage lags were materialized
-    assert rep["version"] == "2"
+    assert rep["version"] == "3"
 
 
 def test_csv_format_emits_tables_with_headers(tmp_path):

@@ -459,16 +459,99 @@ def test_exact_window_matches_fine_trapezoid():
         assert np.abs(W / Z - trap).max() < 1e-6, (lo, hi)
 
 
-@pytest.mark.parametrize("ms", [(1,), (2,), (1, 1), (1, 2), (2, 2)])
-def test_family_kernel_is_the_product_of_boxes(ms):
-    # prod_i P_{m_i} averages T_t with the density of a sum of uniforms on
-    # [-m_i, 0]: support [-sum(ms), 0], mean -sum(ms)/2
-    span = sum(ms)
-    n = 8 * span
-    w = flows._box_convolution_weights(ms, n)
-    xs = np.linspace(-span, 0, n + 1)
-    assert (w >= 0).all()
-    assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    assert float(w @ xs) == pytest.approx(-span / 2, abs=1e-12)
-    inside = xs[w > 0]
-    assert inside[0] <= -span + 1 / 8 and inside[-1] >= -1 / 8
+# ---------------------------------------------------------------------------
+# the lag's copy-split kernel
+
+def _lags(rz, J):
+    """(q, +-q*h_stage) for q in 1..3 and every stage the config allows."""
+    hs = heights(rz, J)
+    return [(q, sign * q * hs[j - 1]) for q in (1, 2, 3) for j in range(1, J)
+            for sign in (1, -1) if max(q, q * hs[j - 1]) < hs[J - 1]]
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_kernel_and_spacer_share_sum_to_one(flow):
+    # the node weights come from the copy pairs and the share from the star
+    # terms of the same splits; together they are all of C_lag's mass
+    for J in range(2, 6):
+        rz = realize(FLOWS[flow], J)
+        col = FlowColumn(flow_segments(rz, J), SlabAlgebra(3))
+        for q, lag in _lags(rz, J):
+            kernel, share = flows._lag_kernel(col, lag, F(q))
+            assert sum(w for _, w in kernel) + share == 1, (J, q, lag)
+            assert all(w > 0 and abs(d) < col.segments.total for d, w in kernel)
+            assert 0 <= share < 1
+
+
+def _kernel_oracle(seg, lag, reach):
+    """The lag's kernel from every pair of copies of every stage column W_e
+    in the segment list, as Fractions: the pair (i, k) at shift
+    d = lag - (start_k - start_i) is a node when |d| <= reach (or W_e is the
+    base) and the pairs of copies holding it at every stage above it have
+    |d| > reach; it weighs h_e - |d|."""
+    starts, pos = [], F(0)
+    for kind, dur in seg:
+        if kind == "copy":
+            starts.append(pos)
+        pos += dur
+    size, h, stages = 1, seg.base_duration, []  # (base copies in W_e, h_e)
+    for r, gaps in seg.stages:
+        stages.append((size, h))
+        size, h = size * r, r * h + sum(gaps)
+    stages.append((size, h))
+
+    def shift(e, i, k):
+        size = stages[e][0]
+        return lag - (starts[k * size] - starts[i * size])
+
+    weights = {}
+    for e, (size, h) in enumerate(stages):
+        n = seg.copies // size
+        for i in range(n):
+            for k in range(n):
+                d = shift(e, i, k)
+                if abs(d) >= h or (e and abs(d) > reach):
+                    continue
+                up, i2, k2 = e, i, k
+                while up + 1 < len(stages):
+                    r = seg.stages[up][0]
+                    up, i2, k2 = up + 1, i2 // r, k2 // r
+                    if abs(shift(up, i2, k2)) <= reach:
+                        break
+                else:
+                    weights[d] = weights.get(d, 0) + h - abs(d)
+    return {d: w / (seg.total - abs(lag)) for d, w in weights.items()}
+
+
+@pytest.mark.parametrize("flow", sorted(FLOWS))
+def test_kernel_matches_copy_pair_oracle(flow):
+    for J in range(2, 5):
+        for j0 in range(1, J):
+            rz = realize(FLOWS[flow], J)
+            seg = flow_segments(rz, J, j0)
+            col = FlowColumn(seg, SlabAlgebra(2))
+            for q, lag in _lags(rz, J):
+                kernel, _ = flows._lag_kernel(col, lag, F(q))
+                assert dict(kernel) == _kernel_oracle(seg, lag, q), (J, j0, q, lag)
+
+
+def test_default_lag_kernel_nodes_at_depth_7():
+    # q = 1 at stage J-1: W_7 is seven copies of W_6, and the pairs of copies
+    # one apart leave the six shifts -i/7 (one spacer of i/7 or none)
+    rz = realize(catalog("staircase-flow"), 7)
+    rep = flow_limit_check(rz, 7, 1, 1, 6)
+    assert rep.orientation == "positive-lag"
+    assert [d for d, _ in rep.kernel] == [F(-i, 7) for i in range(5, -1, -1)]
+    assert sum(w for _, w in rep.kernel) + rep.spacer_share == 1
+
+
+def test_kernel_defect_is_small_and_falls_with_depth():
+    # measured at the default keys: 1.0e-3, 3.3e-4, 6.9e-5, 1.1e-5 at J=5..8
+    defects = []
+    for J in range(5, 9):
+        rep = flow_limit_check(realize(catalog("staircase-flow"), J), J, 1, 1, J - 1)
+        assert rep.kernel_defect < 5e-3, J
+        # |max|A - P| - max|B - P|| <= max|A - B|
+        assert abs(rep.kernel_distance - rep.residual) <= rep.kernel_defect + 1e-12
+        defects.append(rep.kernel_defect)
+    assert all(b < a / 2 for a, b in zip(defects, defects[1:])), defects
