@@ -45,8 +45,11 @@ at granularity d tiles into one W_d copy and one run rather than J - d gaps.
 A run of small lags 1 <= m <= K (``PairCounter.counts_many``) is counted in
 one pass over the stages instead: no pair at lag m <= l_d reaches past the
 next W_d copy, so the counts inside W_{d+1} are r_d times those inside W_d
-plus one junction term per spacer, read off the last K symbols of W_d, the
-spacer capped at K and the first K symbols of W_d in one bincount for all m.
+plus one junction term per spacer. The first K symbols of W_d stay the
+same from stage to stage, and its last K only shift in the stars of the
+last spacers, so every junction, for all m at once, is one row of a single
+cross table (the pairs of the last k symbols of the first W_d against its
+first k) plus a star row, a star column and star-star pairs.
 
 The same counter gives exact k-point counts (``PairCounter.triple_counts``
 for k = 3). T(U, c) counts (W[u+U_0], ..., W[u+U_{k-1}]) for u < c. Each
@@ -101,6 +104,10 @@ COUNT_LIMIT = 1 << 62
 
 #: Largest S**2 a pair-count table may have (S symbols per index).
 PAIR_CELL_LIMIT = 1 << 22
+
+#: Pairs per bincount when the small-lag pass builds its cross table; a
+#: block's int32 index arrays (128 KiB each) then stay in cache.
+_CROSS_BLOCK = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +658,9 @@ class PairCounter:
         Lags with 1 <= |lag| <= enum_cutoff are counted together in one pass
         over the stages (``_small_lags``) and memoised, so a later counts()
         of them is a memo hit; the rest go through the per-lag recursion.
+        The pass runs in batches of at most PAIR_CELL_LIMIT table cells;
+        each batch builds one tail/head cross table, and every spacer
+        junction of every stage is a row of it plus star edges.
         """
         lag_list = list(dict.fromkeys(int(n) for n in lags))
         todo = sorted(
@@ -683,47 +693,119 @@ class PairCounter:
         P_d(m), the pairs at lag m inside W_d, starts from Phi at the first
         stage d* >= j0 with l_d* >= K. Then W_{d+1} = W_d s_0 W_d ... W_d
         s_{r-1}, and no pair at lag m <= l_d reaches past the copy after its
-        own, so P_{d+1}(m) = r P_d(m) plus one junction term per spacer: the
-        pairs of tail_K(W_d) + min(s, K) stars + head_K(W_d) that start
-        before the head and end after the tail (inside the run after the
-        last copy, where the word ends). A spacer longer than K also has
-        s - K star-star pairs that the capped run drops. Copies with equal
-        (s, last) share one junction.
+        own, so P_{d+1}(m) = r P_d(m) plus one junction term per spacer s:
+        the pairs from the tail T (last K symbols of W_d) or the run of s
+        stars into the run or the head H (first K symbols of W_d), or only
+        into the run after the last copy, where the word ends.
+
+        H is the same at every stage, and T is T0[tau:] followed by tau
+        stars: T0 is the tail of W_d*, tau the stars the last spacers added
+        since, capped at K. With s' = min(s, K) and k0 = max(m - s' - tau, 0)
+        a junction is
+          * the cross table row Q0[k0] = sum_{y < k0} e(T0[K-k0+y]) x e(H[y])
+            and the star row of H[k0:m] (a spacer before a copy only),
+          * the star column of T[K-m : K-m+min(m, s')]: the last m - tau
+            symbols of T0 less its last k0, and the rest stars,
+          * max(s' - m, 0) star-star pairs inside the run, plus s - K more
+            for a spacer longer than K (the capped run drops them).
+        Q0 is built once, for the rows the batch reads (_cross_table), so a
+        spacer group costs O(len(ms) S^2) gathers at each stage.
         """
         K, star, S = ms[-1], self.star, self.S
         d = max(self.j0, bisect_left(self.lengths, K) + 1)  # first stage with l_d >= K
         ld = self.lengths[d - 1]
         P = np.array([self._phi(m, ld - m) for m in ms])
+        if d == self.J:
+            return
         mv = np.array(ms, dtype=np.int64)
-        lo = K - mv  # the first source whose target is past the tail
-        head = self._window(0, K).astype(np.int64)
         tail = self._window(ld - K, ld).astype(np.int64)
-        for j in range(d, self.J):
+        head = self._window(0, K).astype(np.int64)
+        # the spacer groups (s, last) of every stage, copies with equal
+        # (s, last) sharing one junction; first[i] is stage i's first group
+        groups, first, taus, tau = [], [], [], 0
+        for i, j in enumerate(range(d, self.J)):
             r, vec = self.realized.stage(j)
-            P = P * r  # a new array: the stage before stays memoised
-            groups = Counter((int(s), i == r - 1) for i, s in enumerate(vec))
-            for (s, last), copies in groups.items():
-                run = np.full(min(s, K), star, dtype=np.int64)
-                X = np.concatenate([tail, run, head])
-                # sources K - m <= x < K + s, or x < K - m + s after the last copy
-                lens = np.full(len(ms), len(run)) if last else mv + len(run)
-                starts = np.cumsum(lens) - lens
-                which = np.repeat(np.arange(len(ms)), lens)
-                src = np.repeat(lo - starts, lens)
-                src += np.arange(len(src))
-                codes = which * S  # built in place: these arrays are the peak
-                codes += X[src]
-                codes *= S
-                src += mv[which]
-                codes += X[src]
-                junction = np.bincount(codes, minlength=len(ms) * S * S)
-                P += copies * junction.reshape(len(ms), S, S)
-                if s > K:
-                    P[:, star, star] += copies * (s - K)
-            s = min(int(vec[-1]), K)  # W_{d+1} ends with W_d and the last spacer
-            tail = np.concatenate([tail[s:], np.full(s, star, dtype=np.int64)])
+            count = Counter((int(s), k == r - 1) for k, s in enumerate(vec))
+            first.append(len(groups))
+            groups += [(i, s, last, n) for (s, last), n in count.items()]
+            taus.append(tau)
+            tau = min(tau + int(vec[-1]), K)
+        stage, s, last, copies = (np.array(x)[:, None] for x in zip(*groups))
+        joins = ~last[:, 0]
+        tau = np.array(taus)[:, None]
+        gt, sc = tau[stage[:, 0]], np.minimum(s, K)  # each group's tau and capped run
+        k0 = np.maximum(mv - sc - gt, 0)
+        # SUF[k] and CH[k]: histograms of the last k symbols of T0 and the
+        # first k of H; A[k] = Q0[k] less the star row CH[k] and the star
+        # column SUF[k], the parts of a join's edges that depend on k0
+        SUF = _cumulative_hist(tail[::-1], S)
+        CH = _cumulative_hist(head, S)
+        reads = np.flatnonzero(np.bincount(k0[joins].ravel(), minlength=K + 1))
+        A = self._cross_table(tail, head, reads)
+        A[:, star, :] -= CH[reads]
+        A[:, :, star] -= SUF[reads]
+        at = np.zeros(K + 1, dtype=np.intp)
+        at[reads] = np.arange(len(reads))
+        steps = [[] for _ in taus]  # (copies, A row of each lag) of each join
+        for g in np.flatnonzero(joins):
+            steps[stage[g, 0]].append((int(copies[g, 0]), at[k0[g]]))
+        # the rest of each stage's edges: SUF[m - tau] for every copy, less
+        # SUF[k0] for the last one (a stage has one), CH[m] for every join,
+        # and the stars of the star columns and runs
+        stars = copies * (
+            np.minimum(mv, gt)
+            - np.minimum(np.maximum(mv - sc, 0), gt)
+            + np.maximum(sc - mv, 0)
+            + np.maximum(s - K, 0)
+        )
+        star_cols = np.add.reduceat(copies, first)[:, :, None] * np.take(
+            SUF, np.maximum(mv - tau, 0), axis=0
+        )
+        star_cols -= np.take(SUF, k0[~joins], axis=0)
+        star_cols[:, :, star] += np.add.reduceat(stars, first)
+        star_rows = np.add.reduceat(copies * joins[:, None], first)[:, :, None] * CH[mv]
+        for i, j in enumerate(range(d, self.J)):
+            P = P * self.realized.stage(j)[0]  # a new array: the stage before stays memoised
+            for c, k in steps[i]:
+                P += c * np.take(A, k, axis=0)
+            P[:, :, star] += star_cols[i]
+            P[:, star, :] += star_rows[i]
             for m, tab in zip(ms, P):  # the entries a per-lag descent would leave
                 self._memo[(m, self.lengths[j] - m)] = tab
+
+    def _cross_table(self, tail: np.ndarray, head: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), S, S) counts of the pairs (tail[K - k + y], head[y]) for
+        y < k, one table for each k in rows (sorted, each at most K).
+
+        Rows go to one bincount per block of at most PAIR_CELL_LIMIT cells
+        and, where rows are short enough, _CROSS_BLOCK pairs.
+        """
+        S, K = self.S, len(tail)
+        # int32 throughout: every code is below PAIR_CELL_LIMIT, every index below 2K
+        X = np.concatenate([tail, head]).astype(np.int32)
+        XS = X * np.int32(S)
+        out = np.empty((len(rows), S, S), dtype=np.int64)
+        ends = np.cumsum(rows)
+        i, step = 0, max(1, PAIR_CELL_LIMIT // S**2)
+        while i < len(rows):
+            n = int(np.searchsorted(ends, ends[i] - rows[i] + _CROSS_BLOCK, "right")) - i
+            ks = rows[i : i + min(max(n, 1), step)].astype(np.int32)
+            src = np.repeat(K - np.cumsum(ks, dtype=np.int32), ks)  # sources K - k <= x < K
+            src += np.arange(len(src), dtype=np.int32)
+            codes = np.repeat(np.arange(len(ks), dtype=np.int32) * np.int32(S * S), ks)
+            codes += XS[src]
+            src += np.repeat(ks, ks)
+            codes += X[src]
+            out[i : i + len(ks)] = np.bincount(codes, minlength=len(ks) * S * S).reshape(-1, S, S)
+            i += len(ks)
+        return out
+
+
+def _cumulative_hist(x: np.ndarray, S: int) -> np.ndarray:
+    """(len(x) + 1, S) table whose row i is the histogram of x[:i]."""
+    out = np.zeros((len(x) + 1, S), dtype=np.int64)
+    out[np.arange(1, len(x) + 1), x] = 1
+    return out.cumsum(axis=0)
 
 
 def lag_counts_block(

@@ -190,21 +190,20 @@ def limit_scan(
     pc = counter if counter is not None else PairCounter(realized, J, j0)
     basis = limit_basis(realized, J, j0, K, counter=pc)
     candidates = _named_candidates(K, stochastic_a, max_power)
-    predictions = [
-        (name, predicted_matrix(expr, basis)) for name, expr in candidates
-    ]
+    names = [name for name, _ in candidates]
+    predictions = np.array([predicted_matrix(expr, basis) for _, expr in candidates])
     rows = []
     for n in dict.fromkeys(int(x) for x in lags):
         measured = unit_mass(pc.counts(n), n, pc.lJ)
         res = classify_limit(measured, basis, tol=tol)
-        best_name, best_dist = "", np.inf
-        for name, pred in predictions:
-            d = float(np.abs(pred - measured).max())
-            if d < best_dist:
-                best_name, best_dist = name, d
+        dist = np.abs(predictions - measured).max(axis=(1, 2))
+        best = int(np.argmin(dist))  # the first of equally near families
         rows.append(
             LimitScanRow(
-                lag=n, result=res, family=best_name, family_distance=best_dist
+                lag=n,
+                result=res,
+                family=names[best],
+                family_distance=float(dist[best]),
             )
         )
     return LimitScan(rows=tuple(rows), window=K, tolerance=tol)

@@ -442,7 +442,7 @@ class FlowColumn:
             view = pieces[1] + _SWEEP_COST if pieces else float("inf")
             split = _PART_COST * len(self._parts[e - 1]) if e else float("inf")
             if split < view:
-                shifts = {abs(d) for d in self._split(e - 1, a, f, copies_only=True)}
+                shifts = {abs(d) for d in self._split(e - 1, a, f, copies_only=True)[1]}
                 split += sum(self._plan(d, f, e - 1)[0] for d in shifts)
             plan = (view, True) if view <= split else (split, False)
             self._plans[key] = plan
@@ -467,30 +467,30 @@ class FlowColumn:
         S = self.slabs.size
         C = np.zeros((S, S), dtype=np.int64)
         swept = lambda a, e: self._plan(a, f, e)[1]
-        for e, a, fwd, bwd, M in self._descend(tau, f, swept):
-            if M is None:
-                M = self._sweep(self._view(a, f, e), a, f)
+        for e, a, fwd, bwd, D, copies in self._descend(tau, f, swept):
+            M = D if copies is not None else self._sweep(self._view(a, f, e), a, f)
             C += fwd * M + bwd * M.T
         return C, H
 
-    def _descend(self, tau: int, f: int, leaf):
+    def _descend(self, tau: int, f: int, leaf, stars: bool = True):
         """Follow C_tau of the column down the copy recursion (see _split):
-        yields (e, a, fwd, bwd, D) for each shift size a >= 0 of W_e reached,
-        which adds fwd C_a(W_e) + bwd C_a(W_e)^T. D is None where leaf(a, e)
-        holds; otherwise a is split once, D holds the split's star terms and
-        its copy pairs go one stage down."""
+        yields (e, a, fwd, bwd, D, copies) for each shift size a >= 0 of W_e
+        reached, which adds fwd C_a(W_e) + bwd C_a(W_e)^T. copies is None
+        where leaf(a, e) holds; otherwise a is split once, copies holds the
+        split's copy pairs, which go one stage down, and D its star terms
+        (None when stars is false)."""
         shifts = {tau: 1}  # shifts of W_e with their multiplicities
         for e in range(len(self._stages), -1, -1):
             below = defaultdict(int)
             for a in {abs(d) for d in shifts}:
                 fwd, bwd = shifts.get(a, 0), shifts.get(-a, 0) if a else 0
-                D = None
+                D = copies = None
                 if not leaf(a, e):
-                    D, copies = self._split(e - 1, a, f)
+                    D, copies = self._split(e - 1, a, f, copies_only=not stars)
                     for d, n in copies.items():  # C_{-a} splits into the C_{-d}
                         below[d] += n * fwd
                         below[-d] += n * bwd
-                yield e, a, fwd, bwd, D
+                yield e, a, fwd, bwd, D, copies
             shifts = {d: n for d, n in below.items() if n}
 
     def _sweep(self, view: _View, tau: int, f: int) -> np.ndarray:
@@ -521,14 +521,14 @@ class FlowColumn:
         come back as {a - p: how many pairs}. A copy-to-spacer pair adds the
         occupation of W_e on the copy's interval that lands in the spacer,
         times the star, spacer-to-copy the transpose, and spacer-to-spacer
-        their star overlap; these come back summed in one matrix, which
-        copies_only leaves out (only the copy pairs are returned).
+        their star overlap; these come back summed in one matrix D, which
+        copies_only leaves out (D is None). Returns (D, copies).
         """
         star = self.slabs.star
         parts = [(lo * f, hi * f, c) for lo, hi, c, _ in self._parts[e]]
         starts = [lo for lo, _, _ in parts]
         ends = [hi for _, hi, _ in parts]
-        D = np.zeros((star + 1, star + 1), dtype=np.int64)
+        D = None if copies_only else np.zeros((star + 1, star + 1), dtype=np.int64)
         copies = defaultdict(int)
         for lo, hi, src in parts:
             for l2, h2, dst in parts[bisect_right(ends, lo + a):bisect_left(starts, hi + a)]:
@@ -545,7 +545,7 @@ class FlowColumn:
                     D[star] -= self._occupation(e, x0 - l2, f)
                 else:
                     D[star, star] += x1 - x0
-        return copies if copies_only else (D, copies)
+        return D, copies
 
     def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
         """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
@@ -800,17 +800,24 @@ def _lag_kernel(
     _split writes C_lag as a sum of C_d(W_e) over pairs of copies of W_e
     plus star terms; a shift with |d| > reach is split again one stage down.
     n pairs at |d| <= reach (or of the base stage) weigh n (h_e - |d|), and
-    the star terms their ticks; both are taken over H - |lag|.
+    the star terms their ticks; both are taken over H - |lag|. A split of
+    C_a(W_e) holds h_e - a ticks, so its star terms hold what its copy
+    pairs leave: (h_e - a) - sum n (h_{e-1} - |d|), with no star matrix
+    built.
     """
     (tau, K), f = col._ticks(lag, reach)
     weights = defaultdict(int)
     star = 0
-    for e, a, fwd, bwd, D in col._descend(tau, f, lambda a, e: a <= K or not e):
-        if D is None:
-            weights[a] += fwd * (col._heights[e] * f - a)
-            weights[-a] += bwd * (col._heights[e] * f - a)
+    h = [x * f for x in col._heights]
+    for e, a, fwd, bwd, _, copies in col._descend(
+        tau, f, lambda a, e: a <= K or not e, stars=False
+    ):
+        if copies is None:
+            weights[a] += fwd * (h[e] - a)
+            weights[-a] += bwd * (h[e] - a)
         else:
-            star += (fwd + bwd) * int(D.sum())
+            inner = sum(n * (h[e - 1] - abs(d)) for d, n in copies.items())
+            star += (fwd + bwd) * (h[e] - a - inner)
     Z = col.H_ticks * f - abs(tau)
     kernel = tuple(
         (Fraction(d, col.den * f), Fraction(w, Z))

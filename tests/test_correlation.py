@@ -663,6 +663,67 @@ def test_counts_after_counts_many_read_the_stored_table():
         assert np.array_equal(pc.counts(n), fresh.counts(n)), n
 
 
+@st.composite
+def stage_pass_realization(draw):
+    """Up to five copies a stage with mixed inner spacers (several spacer
+    groups a stage), inner spacers up to 20 and last spacers up to 30, so
+    runs longer than K = 4 or 16 and tails filled with stars both occur;
+    the depth is cut back until the word fits in 20000 symbols."""
+    rs, vecs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(2, 5))
+        inner = [draw(st.integers(0, 20)) for _ in range(r - 1)]
+        vecs.append(tuple(inner + [draw(st.integers(0, 30))]))
+        rs.append(r)
+    sched = ConstructionSchedule("transformation", ExplicitCuts(rs), StageSpacers(vecs))
+    J = draw(st.integers(3, 8))
+    hs = heights(realize(sched, J), J)
+    while J > 3 and hs[J - 1] > 20000:
+        J -= 1
+    return realize(sched, J), J
+
+
+def _schedule(rs, vecs, J):
+    sched = ConstructionSchedule("transformation", ExplicitCuts(rs), StageSpacers(vecs))
+    return realize(sched, J), J
+
+
+@given(
+    data=stage_pass_realization(),
+    cutoff=st.sampled_from([4, 16]),
+    j0=st.sampled_from([1, 2, 3]),
+    lags=st.lists(st.integers(1, 16), min_size=1, max_size=8),
+)
+@example(  # last spacer 1: the tail takes one star a stage until tau >= K = 4
+    data=(realize(catalog("chacon"), 10), 10), cutoff=4, j0=1, lags=[1, 2, 3, 4]
+)
+@example(  # runs of 20 and 25 longer than K = 16, tau = K after one stage
+    data=_schedule([3], [(20, 0, 25)], 5), cutoff=16, j0=2, lags=[1, 5, 16]
+)
+@example(  # r = 5 with three spacer groups and a last spacer of 0 (tau stays 0)
+    data=_schedule([5, 3], [(0, 2, 0, 2, 0), (1, 17, 3)], 6), cutoff=16, j0=3, lags=[2, 7, 9, 15]
+)
+@settings(max_examples=60, deadline=None)
+def test_stage_pass_tables_match_materialized_stage_words(data, cutoff, j0, lags):
+    rz, J = data
+    j0 = min(j0, J)
+    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=cutoff)
+    lags = sorted({m for m in lags if m <= cutoff and m < pc.lJ})
+    if not lags:
+        return
+    pc.counts_many(lags)
+    S, K = pc.S, lags[-1]
+    first = max(j0, next(d for d in range(1, J + 1) if pc.lengths[d - 1] >= K))
+    for d in range(first, J + 1):
+        w = materialize_word(rz, d, j0).astype(np.int64)
+        ld = len(w)
+        for m in lags:
+            if m == ld:
+                continue  # an empty range, never stored
+            want = np.bincount(w[: ld - m] * S + w[m:], minlength=S * S).reshape(S, S)
+            assert np.array_equal(pc._memo[(m, ld - m)], want), (d, m)
+
+
 # ---------------------------------------------------------------------------
 # full-range keys: the copy split and the nested-tail jump
 
