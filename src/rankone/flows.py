@@ -8,8 +8,7 @@ measures come out as integer tick counts with no floating-point error.
 Correlations live on a slab algebra: the base fiber [0, h_{j0}) cut into L
 equal slabs, spacers mapped to a star symbol. C(t)[a][b] is the Lebesgue
 measure, in ticks, of {u : phi(u) in slab_a, phi(u+t) in slab_b}
-(FlowColumn.pair_counts), found by sweeps that merge the breakpoints of a
-stage view with their t-shift, or by the copy recursion below;
+(FlowColumn.pair_counts), found by the copy recursion below;
 correlation.unit_mass turns it into the unit-mass matrix D(t) over its
 window of H - |t| ticks.
 
@@ -22,21 +21,23 @@ against the averaged window, resolving the sign of the lag empirically, and
 reports the lag's exact copy-split kernel: the small shifts that the copy
 recursion leaves, each weighted by the mass of its pairs.
 
-Small shifts read a stage view instead of the whole column. The column W_J
-is r_e copies of the stage-e column W_e, each followed by a spacer, so for
-|t| <= h_d the pair counts of W_J are N_d times those of W_d plus, for each
-copy at each stage e >= d, N_{e+1} times the counts of the junction (tail,
-spacer, head) less those of its tail and head alone. The view lays these
-column windows out with their integer weights, apart by voids longer than
-h_d, and a sweep or window on it sums lengths times weights; counts stay
-exact. A shift can also follow the copy recursion: a pair of copies of
-W_{J-1} starting p apart adds C_{t-p}(W_{J-1}), found the same way one stage
-down, and a pair with a spacer adds an occupation of W_{J-1} times the star.
-Each shift takes the route that reads fewer breakpoints (a fixed cost per
-sweep and per split part included): the split wherever the view would be no
-shorter than the column, such as the lag q*h_{J-1}, and wherever a long view
-of a mid-stage lag costs more than the small views the split leaves. No
-sweep reads the whole column; only a window too long for a view does.
+A shift follows the copy recursion. The column W_J is r_e copies of the
+stage-e column W_e, each followed by a spacer, so a pair of copies of
+W_{J-1} starting p apart adds C_{t-p}(W_{J-1}), split the same way one stage
+down, until the shift is 0 or the copies are base copies. A base-copy pair
+at shift a = k*w + r (w the slab width) adds w - r to every slab pair
+(i, i+k) and r to every (i, i+k+1), and shift 0 adds a copy's slab measure
+to the diagonal, so the slab block of C_t is one band of diagonals. The
+pairs with a spacer are what the two marginals leave: the symbols below
+H - |t| and above |t|, less the slab block's row and column sums.
+
+A window of small shifts reads a stage view instead of the whole column.
+For |t| <= h_d the pair counts of W_J are N_d times those of W_d plus, for
+each copy at each stage e >= d, N_{e+1} times the counts of the junction
+(tail, spacer, head) less those of its tail and head alone. The view lays
+these column windows out with their integer weights, apart by voids longer
+than h_d, and a window on it sums lengths times weights; counts stay exact.
+Only a window too long for a view reads the whole column.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,12 +76,6 @@ BREAK_BUDGET = 3 * 10**7
 #: The slab algebra cuts the base fiber into at least this many slabs.
 MIN_SLABS = 2
 _TICK_LIMIT = 1 << 62
-# pair_counts weighs a sweep against a split in breakpoints. Measured on a
-# 2-core Xeon with numpy 2.4, a sweep reads ~45 ns a breakpoint after a fixed
-# cost of about 1,500 breakpoints, and a split costs about 500 breakpoints
-# for each part (copy or spacer) of the column it splits
-_SWEEP_COST = 1500
-_PART_COST = 500
 
 COPY = 0
 SPACER = 1
@@ -195,46 +190,6 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
-def _merge_views(
-    breaks: np.ndarray, offs: Tuple[int, int], span: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge what two views of the column, u -> u + off, see for u in [0, span).
-
-    Returns (lens, ia, ib): the length of every merged interval and the
-    index of the column interval each view reads on it.
-    """
-    # each view's breakpoints inside (0, span), and the interval it starts in
-    runs, heads = [], []
-    for off in offs:
-        lo = int(np.searchsorted(breaks, off, side="right"))
-        hi = int(np.searchsorted(breaks, off + span, side="left"))
-        runs.append(breaks[lo:hi] - off)
-        heads.append(lo - 1)
-    # a stable sort merges the two sorted runs in linear time (ties in either
-    # order leave a zero-length interval); the count of view-a points up to
-    # each merged point is view a's interval index there. Temporaries are
-    # dropped as soon as they are used, to keep the sweep's peak memory low
-    na = len(runs[0])
-    both = np.concatenate(runs)
-    del runs
-    order = np.argsort(both, kind="stable")
-    pts = np.empty(len(both) + 2, dtype=np.int64)
-    pts[0] = 0
-    np.take(both, order, out=pts[1:-1])
-    pts[-1] = span
-    del both
-    lens = np.diff(pts)
-    del pts
-    ia = np.empty(len(lens), dtype=np.intp)
-    ia[0] = 0
-    np.cumsum(order < na, out=ia[1:])
-    del order
-    ib = np.arange(heads[1], heads[1] + len(lens))
-    ib -= ia
-    ia += heads[0]
-    return lens, ia, ib
-
-
 @dataclass(frozen=True)
 class _View:
     """A weighted column: interval i of [breaks[i], breaks[i+1]) (the last
@@ -245,18 +200,18 @@ class _View:
     codes: np.ndarray
     weights: np.ndarray
     height: int
-    mass: int  # sum of |length * weight|, a bound on every partial sum
 
 
 class FlowColumn:
-    """Breakpoint representation of the column at integer ticks.
+    """The column at integer ticks: its stages for the copy recursion, and
+    its breakpoints for windows.
 
-    Breakpoints mark every segment start plus every slab boundary inside a
-    copy; codes give the symbol on the interval that follows. A sweep at
-    one shift merges the breakpoints with their shifted copy; a window of
-    shifts is integrated from per-symbol antiderivative tables. Both read
-    a stage view (see _pieces), which is much shorter than the column
-    when the shifts are small.
+    Pair counts at one shift follow the copy recursion down to pairs of
+    base copies (see pair_counts). Breakpoints mark every segment start
+    plus every slab boundary inside a copy; codes give the symbol on the
+    interval that follows. A window of shifts is integrated from per-symbol
+    antiderivative tables over a stage view (see _pieces), which is much
+    shorter than the column when the shifts are small.
     """
 
     def __init__(self, segments: SegmentList, slabs: SlabAlgebra):
@@ -298,8 +253,9 @@ class FlowColumn:
         self.codes = np.concatenate([slab_codes, gap_codes])[order]
 
         # stage heights h_{j0}..h_J and spacers in ticks, for the stage views;
-        # W_{e+1}'s parts (start, end, is a copy, copies before it) and the
-        # ticks each symbol takes in W_e, for the copy recursion
+        # W_{e+1}'s parts (start, is a copy, copies before it) and the
+        # ticks each symbol takes in W_e, for the copy recursion and the
+        # occupations
         self._stages = [
             (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages
         ]
@@ -309,17 +265,17 @@ class FlowColumn:
         for r, gaps in self._stages:
             h, pos, parts = self._heights[-1], 0, []
             for i, s in enumerate(gaps):
-                parts.append((pos, pos + h, True, i))
+                parts.append((pos, True, i))
                 if s:
-                    parts.append((pos + h, pos + h + s, False, i + 1))
+                    parts.append((pos + h, False, i + 1))
                 pos += h + s
             self._parts.append(parts)
             self._heights.append(pos)
             self._totals.append(r * self._totals[-1])
             self._totals[-1][slabs.star] += sum(gaps)
-        self._views = {}
-        self._cuts = {}  # _pieces by (stage, top)
-        self._plans = {}
+        self._views = {}  # stage views of the column by stage
+        self._starts = {}  # copy starts of W_{e+1} by (e, f)
+        self._splits = {}  # _split by (e, a, f)
 
     def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:
         """([tau, ...], f): each t = tau / (f * den); f is the smallest extra
@@ -334,44 +290,41 @@ class FlowColumn:
             )
         return [int(raw * f) for raw in raws], f
 
-    def _view(self, reach: int, f: int, top: int) -> Optional[_View]:
-        """The view of W_top that answers every shift of at most reach ticks
-        at scale f: the stage view of the first stage d with h_d * f >= reach,
-        or None where that view would be no shorter than W_top."""
-        key = (bisect_left(self._heights, -(-reach // f)), top)
-        if key not in self._views:
-            pieces = self._pieces(*key)
-            self._views[key] = pieces and self._stage_view(key[0], pieces[0])
-        return self._views[key]
+    def _view(self, reach: int, f: int) -> Optional[_View]:
+        """The view of the column that answers every shift of at most reach
+        ticks at scale f: the stage view of the first stage d with
+        h_d * f >= reach, or None where that view would be no shorter than
+        the column."""
+        d = bisect_left(self._heights, -(-reach // f))
+        if d not in self._views:
+            pieces = self._pieces(d)
+            self._views[d] = pieces and self._stage_view(d, pieces)
+        return self._views[d]
 
-    def _pieces(self, d: int, top: int):
-        """(pieces, breakpoints) of the stage view _stage_view builds, or
-        None when top > 0 and the view would not be shorter than W_top, in
-        which case _views records the view as None too.
+    def _pieces(self, d: int):
+        """The pieces of the stage view _stage_view builds, or None when the
+        view would not be shorter than the column.
 
         A stage-(e+1) column is r_e copies of W_e, each followed by its
-        spacer s_i, so for d <= e < top and |t| <= K = h_d (stages counted
+        spacer s_i, so for d <= e < J and |t| <= K = h_d (stages counted
         from j0)
-            C_t(W_top) = N_d C_t(W_d) + sum over e and copies i of
-                         N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
-        with N_e the number of copies of W_e in W_top, tail_K and head_K the
+            C_t(W_J) = N_d C_t(W_d) + sum over e and copies i of
+                       N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
+        with N_e the number of copies of W_e in W_J, tail_K and head_K the
         last and first K ticks of W_e, and no head after the last copy.
         The column starts with W_{e+1} for every e, so every piece is a tick
         window (lo, hi) of it with a weight w, cut from the column's
         breakpoints i0..i1; head_K is W_d itself, and equal junctions share
         one window.
         """
-        key = (d, top)
-        if key in self._cuts:
-            return self._cuts[key]
         K = self._heights[d]
         N = 1
-        for r, _ in self._stages[d:top]:
+        for r, _ in self._stages[d:]:
             N *= r
         weight = defaultdict(int)
         weight[(0, K)] = N
         junction = {}
-        for e in range(d, top):
+        for e in range(d, len(self._stages)):
             r, gaps = self._stages[e]
             h = self._heights[e]
             N //= r
@@ -393,19 +346,15 @@ class FlowColumn:
              int(np.searchsorted(self.breaks, hi, side="left")))
             for (lo, hi), w in weight.items() if w
         ]
-        size = sum(i1 - i0 + 1 for _, _, _, i0, i1 in pieces)
-        n_top = int(np.searchsorted(self.breaks, self._heights[top], side="left"))
-        if top and size >= n_top:
-            self._views[key] = self._cuts[key] = None
-        else:
-            self._cuts[key] = (pieces, size)
-        return self._cuts[key]
+        if sum(i1 - i0 + 1 for _, _, _, i0, i1 in pieces) >= len(self.breaks):
+            return None
+        return pieces
 
     def _stage_view(self, d: int, pieces: list) -> _View:
-        """Column pieces whose weighted pair counts equal those of W_top, the
-        column's prefix of height h_top, for every |t| <= K = h_d (see
-        _pieces). Pieces are laid out apart by a void of K + 1 ticks that
-        carries the extra code S, so no pair of reach <= K joins two pieces.
+        """Column pieces whose weighted pair counts equal those of the
+        column for every |t| <= K = h_d (see _pieces). Pieces are laid out
+        apart by a void of K + 1 ticks that carries the extra code S, so no
+        pair of reach <= K joins two pieces.
         """
         K = self._heights[d]
         void = self.slabs.size
@@ -422,31 +371,7 @@ class FlowColumn:
             np.concatenate(codes).astype(self.codes.dtype),
             np.concatenate(weights),
             pos,
-            sum((hi - lo) * abs(w) for lo, hi, w, _, _ in pieces),
         )
-
-    def _plan(self, a: int, f: int, e: int) -> Tuple[float, bool]:
-        """(cost, sweep) for C_a of W_e at scale f, a >= 0: whether sweeping
-        its stage view or splitting W_e into copies of W_{e-1} (_split) is
-        cheaper, and that cost in breakpoints.
-
-        A sweep costs its view's breakpoints plus _SWEEP_COST; a split costs
-        _PART_COST for each part of W_e plus the cheaper route of every
-        shift it leaves, found the same way one stage down. A split is only
-        tried when its part cost alone is below the view's cost.
-        """
-        key = (a, f, e)
-        plan = self._plans.get(key)
-        if plan is None:
-            pieces = self._pieces(bisect_left(self._heights, -(-a // f)), e)
-            view = pieces[1] + _SWEEP_COST if pieces else float("inf")
-            split = _PART_COST * len(self._parts[e - 1]) if e else float("inf")
-            if split < view:
-                shifts = {abs(d) for d in self._split(e - 1, a, f, copies_only=True)[1]}
-                split += sum(self._plan(d, f, e - 1)[0] for d in shifts)
-            plan = (view, True) if view <= split else (split, False)
-            self._plans[key] = plan
-        return plan
 
     def pair_counts(self, t: Fraction) -> Tuple[np.ndarray, int]:
         """Exact tick counts of slab pairs at shift t; returns (C, H_scaled).
@@ -454,98 +379,84 @@ class FlowColumn:
         C[a][b] = ticks{u in [0, H-|t|) : phi(u + max(-t,0)) = a,
                                           phi(u + max(t,0)) = b}.
 
-        A shift sweeps its stage view, or, where _plan finds that dearer,
-        splits the column into its copies of the stage below (see _split)
-        and adds up their pair counts, each found the same way one stage
-        down. Equal shifts of one stage are counted once, C_{-t} being C_t
-        transposed.
+        The copy recursion (see _descend) ends every pair of slabs in a pair
+        of base copies at a shift a = k*w + r, which adds w - r ticks to the
+        slab pairs (i, i+k) and r to (i, i+k+1), or at shift 0, which adds a
+        copy's slab measure to every (i, i). Both depend on j - i only, so
+        the slab block is one band of 2L + 1 diagonals. The star column is
+        what the slab rows leave of the symbols below H - |t|, the star row
+        what the slab columns leave of those above |t|, and [star, star]
+        the rest of the H - |t| ticks; C_{-t} is C_t transposed.
         """
         (tau,), f = self._ticks(t)
         H = self.H_ticks * f
         if abs(tau) >= H:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
-        S = self.slabs.size
-        C = np.zeros((S, S), dtype=np.int64)
-        swept = lambda a, e: self._plan(a, f, e)[1]
-        for e, a, fwd, bwd, D, copies in self._descend(tau, f, swept):
-            M = D if copies is not None else self._sweep(self._view(a, f, e), a, f)
-            C += fwd * M + bwd * M.T
+        L, w = self.slabs.L, self.width_ticks * f
+        band = [0] * (2 * L + 1)  # band[L + j - i]: the ticks of slab pair (i, j)
+        for e, a, fwd, bwd, copies in self._descend(tau, f, lambda a, e: a == 0 or e == 0):
+            if copies is not None:
+                continue
+            if a == 0:
+                band[L] += fwd * f * int(self._totals[e][0])
+                continue
+            k, r = divmod(a, w)
+            for d, n in ((k, w - r), (k + 1, r)):
+                band[L + d] += fwd * n
+                band[L - d] += bwd * n
+        i = np.arange(L)
+        block = np.array(band, dtype=np.int64)[L + i[None, :] - i[:, None]]
+        a, top = abs(tau), len(self._stages)
+        below = self._occupation(top, H - a, f)  # the symbols of [0, H - a)
+        above = f * self._totals[top] - self._occupation(top, a, f)  # of [a, H)
+        src, dst = (below, above) if tau >= 0 else (above, below)
+        C = np.zeros((L + 1, L + 1), dtype=np.int64)
+        C[:L, :L] = block
+        C[:L, L] = src[:L] - block.sum(axis=1)
+        C[L, :L] = dst[:L] - block.sum(axis=0)
+        C[L, L] = H - a - C.sum()
         return C, H
 
-    def _descend(self, tau: int, f: int, leaf, stars: bool = True):
+    def _descend(self, tau: int, f: int, leaf):
         """Follow C_tau of the column down the copy recursion (see _split):
-        yields (e, a, fwd, bwd, D, copies) for each shift size a >= 0 of W_e
+        yields (e, a, fwd, bwd, copies) for each shift size a >= 0 of W_e
         reached, which adds fwd C_a(W_e) + bwd C_a(W_e)^T. copies is None
-        where leaf(a, e) holds; otherwise a is split once, copies holds the
-        split's copy pairs, which go one stage down, and D its star terms
-        (None when stars is false)."""
+        where leaf(a, e) holds; otherwise a is split once, and copies holds
+        the split's copy pairs, which go one stage down. The pairs with a
+        spacer are left to the caller."""
         shifts = {tau: 1}  # shifts of W_e with their multiplicities
         for e in range(len(self._stages), -1, -1):
             below = defaultdict(int)
             for a in {abs(d) for d in shifts}:
                 fwd, bwd = shifts.get(a, 0), shifts.get(-a, 0) if a else 0
-                D = copies = None
+                copies = None
                 if not leaf(a, e):
-                    D, copies = self._split(e - 1, a, f, copies_only=not stars)
+                    copies = self._split(e - 1, a, f)
                     for d, n in copies.items():  # C_{-a} splits into the C_{-d}
                         below[d] += n * fwd
                         below[-d] += n * bwd
-                yield e, a, fwd, bwd, D, copies
+                yield e, a, fwd, bwd, copies
             shifts = {d: n for d, n in below.items() if n}
 
-    def _sweep(self, view: _View, tau: int, f: int) -> np.ndarray:
-        """Tick counts (scale f) of the symbol pairs at shift tau >= 0 on a
-        view: one merge of its breakpoints with their shift."""
-        breaks = view.breaks * f if f != 1 else view.breaks
-        lens, ia, ib = _merge_views(breaks, (0, tau), view.height * f - tau)
-        S = self.slabs.size + 1  # the symbols and the view's void code
-        a = view.codes[ia].astype(np.intp)
-        b = view.codes[ib]
-        lens *= view.weights[ia]
-        del ia, ib
-        if view.mass * f < (1 << 53):
-            # float64 holds these integers and every partial sum exactly
-            flat = np.bincount(a * S + b, weights=lens.astype(np.float64),
-                               minlength=S * S)
-            C = np.rint(flat).astype(np.int64).reshape(S, S)
-        else:
-            C = np.zeros((S, S), dtype=np.int64)
-            np.add.at(C, (a, b), lens)
-        return C[:-1, :-1]
-
-    def _split(self, e: int, a: int, f: int, copies_only: bool = False):
-        """C_a of W_{e+1} at scale f, a >= 0, over the pairs of its parts:
-        its r_e copies of W_e and the spacers after them.
-
-        A copy-to-copy pair whose starts lie p apart adds C_{a-p}(W_e); these
-        come back as {a - p: how many pairs}. A copy-to-spacer pair adds the
-        occupation of W_e on the copy's interval that lands in the spacer,
-        times the star, spacer-to-copy the transpose, and spacer-to-spacer
-        their star overlap; these come back summed in one matrix D, which
-        copies_only leaves out (D is None). Returns (D, copies).
-        """
-        star = self.slabs.star
-        parts = [(lo * f, hi * f, c) for lo, hi, c, _ in self._parts[e]]
-        starts = [lo for lo, _, _ in parts]
-        ends = [hi for _, hi, _ in parts]
-        D = None if copies_only else np.zeros((star + 1, star + 1), dtype=np.int64)
-        copies = defaultdict(int)
-        for lo, hi, src in parts:
-            for l2, h2, dst in parts[bisect_right(ends, lo + a):bisect_left(starts, hi + a)]:
-                x0, x1 = max(lo + a, l2), min(hi + a, h2)  # the overlap, landed
-                if src and dst:
+    def _split(self, e: int, a: int, f: int) -> Dict[int, int]:
+        """The copy pairs of C_a of W_{e+1} at scale f, a >= 0: a pair of its
+        r_e copies of W_e whose starts lie p apart and that overlap at shift
+        a adds C_{a-p}(W_e). Returns {a - p: how many pairs}, memoised by
+        (e, a, f); the pairs with a spacer are not listed."""
+        key = (e, a, f)
+        copies = self._splits.get(key)
+        if copies is None:
+            starts = self._starts.get((e, f))
+            if starts is None:
+                starts = [lo * f for lo, is_copy, _ in self._parts[e] if is_copy]
+                self._starts[e, f] = starts
+            h = self._heights[e] * f
+            copies = defaultdict(int)
+            for lo in starts:
+                for l2 in starts[bisect_right(starts, lo + a - h):bisect_left(starts, lo + a + h)]:
                     copies[a - (l2 - lo)] += 1
-                elif copies_only:
-                    continue
-                elif src:
-                    D[:, star] += self._occupation(e, x1 - a - lo, f)
-                    D[:, star] -= self._occupation(e, x0 - a - lo, f)
-                elif dst:
-                    D[star] += self._occupation(e, x1 - l2, f)
-                    D[star] -= self._occupation(e, x0 - l2, f)
-                else:
-                    D[star, star] += x1 - x0
-        return D, copies
+            self._splits[key] = copies
+        return copies
 
     def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
         """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
@@ -555,7 +466,7 @@ class FlowColumn:
         while e:
             e -= 1
             parts = self._parts[e]
-            lo, _, is_copy, n = parts[bisect_right(parts, (x // f, 1 << 63)) - 1]
+            lo, is_copy, n = parts[bisect_right(parts, (x // f, 2)) - 1]
             occ += n * f * self._totals[e]
             occ[star] += (lo - n * self._heights[e]) * f
             x -= lo * f
@@ -584,9 +495,9 @@ class FlowColumn:
         # an entry over a window of M ticks lies in [0, 2*H*M]; past int64,
         # compute in Python ints
         dtype = np.int64 if 2 * H * M < (1 << 63) else object
-        view = self._view(max(-LO, HI), f, len(self._stages)) or _View(
+        view = self._view(max(-LO, HI), f) or _View(
             self.breaks, self.codes, np.broadcast_to(np.int64(1), self.breaks.shape),
-            self.H_ticks, self.H_ticks)
+            self.H_ticks)
         return self._window_table(view, LO, HI, f, dtype), 2 * M * H
 
     def _window_table(self, view: _View, LO: int, HI: int, f: int, dtype) -> np.ndarray:
@@ -798,20 +709,18 @@ def _lag_kernel(
     of the lag: together they sum to exactly 1.
 
     _split writes C_lag as a sum of C_d(W_e) over pairs of copies of W_e
-    plus star terms; a shift with |d| > reach is split again one stage down.
-    n pairs at |d| <= reach (or of the base stage) weigh n (h_e - |d|), and
-    the star terms their ticks; both are taken over H - |lag|. A split of
-    C_a(W_e) holds h_e - a ticks, so its star terms hold what its copy
-    pairs leave: (h_e - a) - sum n (h_{e-1} - |d|), with no star matrix
-    built.
+    plus pairs with a spacer; a shift with |d| > reach is split again one
+    stage down. n pairs at |d| <= reach (or of the base stage) weigh
+    n (h_e - |d|), and the pairs with a spacer their ticks; both are taken
+    over H - |lag|. A split of C_a(W_e) holds h_e - a ticks, so its pairs
+    with a spacer hold what its copy pairs leave:
+    (h_e - a) - sum n (h_{e-1} - |d|).
     """
     (tau, K), f = col._ticks(lag, reach)
     weights = defaultdict(int)
     star = 0
     h = [x * f for x in col._heights]
-    for e, a, fwd, bwd, _, copies in col._descend(
-        tau, f, lambda a, e: a <= K or not e, stars=False
-    ):
+    for e, a, fwd, bwd, copies in col._descend(tau, f, lambda a, e: a <= K or not e):
         if copies is None:
             weights[a] += fwd * (h[e] - a)
             weights[-a] += bwd * (h[e] - a)

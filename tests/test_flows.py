@@ -1,4 +1,4 @@
-"""Suspension-flow correlation machinery: exact segments, sweeps, window
+"""Suspension-flow correlation machinery: exact segments, pair counts, window
 averages, and the finite-depth limit check."""
 
 import os
@@ -214,10 +214,8 @@ FLOWS = {
     ),
 }
 
-# a shift at a stage height h_d, the largest one its stage view answers, or
-# at q * h_d, where the view may be no shorter than the column and the copy
-# recursion takes over; or one tick either side of it, possibly on a 7 times
-# finer scale (f > 1)
+# a shift at q times a stage height h_d (d = 0 is the base copy), or one tick
+# either side of it, possibly on a 7 times finer scale (f > 1)
 EDGES = st.tuples(
     st.integers(1, 4), st.integers(0, 4), st.sampled_from([-1, 0, 1]),
     st.sampled_from([1, 7]), st.sampled_from([1, -1]),
@@ -253,6 +251,10 @@ def _edge_shift(col, edge):
 @example(flow="inline", J=5, j0=1, L=2, frac=F(0), edge=(1, 3, -1, 1, 1))
 @example(flow="repeated", J=5, j0=2, L=2, frac=F(0), edge=(2, 2, 0, 7, -1))
 @example(flow="damped", J=4, j0=1, L=3, frac=F(0), edge=(1, 2, 1, 1, 1))
+# base-copy pairs one slab width apart (k = 1, r = 0), and one tick below the
+# base height (k = L - 1, r = w - 1, the band's last diagonal)
+@example(flow="staircase", J=4, j0=2, L=2, frac=F(5, 142), edge=None)
+@example(flow="staircase", J=4, j0=2, L=2, frac=F(0), edge=(1, 0, -1, 1, 1))
 def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
     j0 = min(j0, J)
     seg = flow_segments(realize(FLOWS[flow], J), J, j0)
@@ -267,90 +269,55 @@ def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
     ]
 
 
-def test_small_shifts_read_a_stage_view():
+def test_only_windows_read_a_stage_view():
     rz = realize(catalog("staircase-flow"), 7)
-    seg = flow_segments(rz, 7)
-    col = FlowColumn(seg, SlabAlgebra(16))
+    col = FlowColumn(flow_segments(rz, 7), SlabAlgebra(16))
     lag = heights(rz, 7)[5]  # the flow-limit lag q * h_{J-1}, q = 1
-    col.pair_counts(F(1, 2))
-    col.pair_counts(lag)
+    for t in (F(1, 2), lag, -lag):
+        col.pair_counts(t)
+    assert col._views == {}
+    # the window [-1, 0] reads the column's stage-1 view (h = 1), cached by
+    # its stage; the lag's stage view would be no shorter than the column
     col.window_counts(F(-1), F(0))
-    # views cached by (stage, top): the column's stage-1 view (h = 1) for
-    # t = 1/2 and the window [-1, 0]; none for the lag, whose stage view
-    # would be no shorter than the column, so it splits the column into its
-    # seven copies of W_6 and reads W_6's stage-1 view at the small shifts
-    # between them (one spacer or none)
-    top = len(col._stages)
-    assert sorted(col._views) == [(0, top - 1), (0, top), (top - 1, top)]
-    small, copies = col._views[0, top], col._views[0, top - 1]
-    assert col._views[top - 1, top] is None
-    assert len(small.breaks) < len(col.breaks) // 20
-    assert len(copies.breaks) < len(col.breaks) // 100
-    assert col._view(int(lag * col.den), 1, top) is None
-    assert col._view(col.den // 2, 1, top) is small
-
-
-def test_long_stage_view_gives_way_to_the_copy_split(monkeypatch):
-    # staircase J=9, q = 1 at stage J-3: the stage view for h_6 is shorter
-    # than the column but still 587,162 breakpoints long; splitting W_9 and
-    # W_8 into their copies leaves small shifts whose views are a few
-    # hundred to a few thousand breakpoints
-    rz = realize(catalog("staircase-flow"), 9)
-    col = FlowColumn(flow_segments(rz, 9), SlabAlgebra(16))
-    top = len(col._stages)
-    (tau,), f = col._ticks(heights(rz, 9)[5])
-    swept = []
-    sweep = FlowColumn._sweep
-
-    def spy(self, view, t, scale):
-        swept.append(len(view.breaks))
-        return sweep(self, view, t, scale)
-
-    monkeypatch.setattr(FlowColumn, "_sweep", spy)
-    C, H = col.pair_counts(F(tau, col.den))
-    assert col._pieces(bisect_left(col._heights, -(-tau // f)), top)[1] == 587162
-    assert col._plan(tau, f, top)[1] is False  # split, not swept
-    assert col._plan(tau, f, top - 1)[1] is False
-    assert max(swept) < 3000 and sum(swept) < 20000
-    assert np.array_equal(C, sweep(col, col._view(tau, f, top), tau, f))
+    assert list(col._views) == [0]
+    assert len(col._views[0].breaks) < len(col.breaks) // 20
+    assert col._view(int(lag * col.den), 1) is None
+    assert col._view(col.den // 2, 1) is col._views[0]
 
 
 def _column_counts(col, t):
-    """C_t from one sweep of the whole column: the reference the copy
-    recursion replaces."""
+    """C_t from one merge of the whole column's breakpoints with their
+    t-shift: a reference that shares nothing with the copy recursion."""
     (tau,), f = col._ticks(t)
-    H = col.H_ticks * f
-    lens, ia, ib = flows._merge_views(col.breaks * f, (max(-tau, 0), max(tau, 0)), H - abs(tau))
+    breaks = col.breaks * f
+    src, dst = max(-tau, 0), max(tau, 0)
+    span = col.H_ticks * f - abs(tau)
+    pts = np.union1d(breaks - src, breaks - dst)
+    pts = np.concatenate([[0], pts[(pts > 0) & (pts < span)], [span]])
+    a = col.codes[np.searchsorted(breaks, pts[:-1] + src, side="right") - 1]
+    b = col.codes[np.searchsorted(breaks, pts[:-1] + dst, side="right") - 1]
     S = col.slabs.size
     C = np.zeros((S, S), dtype=np.int64)
-    np.add.at(C, (col.codes[ia], col.codes[ib]), lens)
+    np.add.at(C, (a, b), np.diff(pts))
     return C
 
 
-def test_copy_recursion_matches_the_column_sweep(monkeypatch):
+def test_pair_counts_match_the_column_sweep():
     # staircase J=7: the flow-limit lags q*h_stage at the default keys
-    # (q = 1, stage J-1) and at three other (q, stage), either sign; none
-    # of pair_counts' sweeps reads as many breakpoints as the column has
+    # (q = 1, stage J-1) and at three other (q, stage), either sign, and
+    # the small shifts of their kernels
     J = 7
     rz = realize(catalog("staircase-flow"), J)
     col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
     hs = heights(rz, J)
-    read = []
-    merge = flows._merge_views
-
-    def spy(breaks, offs, span):
-        read.append(len(breaks))
-        return merge(breaks, offs, span)
-
     for q, stage in [(1, J - 1), (2, J - 1), (1, J - 3), (3, J - 2)]:
-        for t in (q * hs[stage - 1], -q * hs[stage - 1]):
-            want = _column_counts(col, t)
-            monkeypatch.setattr(flows, "_merge_views", spy)
-            C, H = col.pair_counts(t)
-            monkeypatch.setattr(flows, "_merge_views", merge)
-            assert np.array_equal(C, want), (q, stage, t)
-            assert int(C.sum()) == H - abs(t) * col.den
-    assert read and max(read) < len(col.breaks)
+        for lag in (q * hs[stage - 1], -q * hs[stage - 1]):
+            kernel, _ = flows._lag_kernel(col, lag, F(q))
+            assert len(kernel) > 1
+            for t in [lag] + [d for d, _ in kernel]:
+                C, H = col.pair_counts(t)
+                assert np.array_equal(C, _column_counts(col, t)), (q, stage, t)
+                assert int(C.sum()) == H - abs(t) * H / col.segments.total
 
 
 def test_flow_run_does_not_import_numpy_ma():
@@ -421,7 +388,7 @@ def test_window_counts_match_interval_oracle(flow, J, j0, L):
     if len(ivs) > 100:
         # the oracle is quadratic in the intervals over a long window; the
         # deeper columns check the short windows their stage views answer
-        assert len(col._views[0, len(col._stages)].breaks) < len(col.breaks)
+        assert len(col._views[0].breaks) < len(col.breaks)
         return
     check(-hj, F(0))  # m = h_j
     check(F(0), hj)
