@@ -58,7 +58,7 @@ from .errors import (
     SegmentBudgetExceeded,
     ValidationError,
 )
-from .flows import BREAK_BUDGET, MIN_SLABS, segment_counts
+from .flows import BREAK_BUDGET, MIN_SLABS, segment_counts, tick_scale
 from .operators import check_family, family_reach
 from .words import alphabet_size, default_base_stage
 
@@ -746,6 +746,11 @@ def parse_config(
                     take("slabs") or size_e,
                     f"the column needs {breaks} breakpoints (budget {BREAK_BUDGET})",
                 )
+            try:  # the run reads the lag q*h_j on the column's tick scale
+                stages = [realized.stage(i) for i in range(j0, J)]
+                tick_scale(hs[j0 - 1], stages, params["slabs"], q * hs[j - 1])
+            except SegmentBudgetExceeded as exc:
+                raise _refuse(take("slabs") or size_e, exc) from None
         experiments.append(ExperimentSpec(label=label, kind=kind, params=params))
 
     leftovers = sec.unused()

@@ -12,11 +12,10 @@ measure, in ticks, of {u : phi(u) in slab_a, phi(u+t) in slab_b}
 correlation.unit_mass turns it into the unit-mass matrix D(t) over its
 window of H - |t| ticks.
 
-Time averages P_m = (1/m) * integral of T_t over an m-long window are exact:
-the integral of the pair measure over a window [lo, hi] is, for each
-b-interval [s, e), A_a(e-lo) - A_a(s-lo) - A_a(e-hi) + A_a(s-hi), where A_a
-is the second antiderivative of symbol a's occupation. It is evaluated in
-integer ticks, one symbol at a time. The limit check compares D(q*h_j)
+Time averages P_m = (1/m) * integral of T_t over an m-long window are exact.
+Every breakpoint is a whole tick, so C_t is linear between ticks and
+2 * the integral of C_t over a window [LO, HI] of ticks is an integer
+table (FlowColumn.window_counts). The limit check compares D(q*h_j)
 against the averaged window, resolving the sign of the lag empirically, and
 reports the lag's exact copy-split kernel: the small shifts that the copy
 recursion leaves, each weighted by the mass of its pairs.
@@ -31,13 +30,14 @@ to the diagonal, so the slab block of C_t is one band of diagonals. The
 pairs with a spacer are what the two marginals leave: the symbols below
 H - |t| and above |t|, less the slab block's row and column sums.
 
-A window of small shifts reads a stage view instead of the whole column.
-For |t| <= h_d the pair counts of W_J are N_d times those of W_d plus, for
-each copy at each stage e >= d, N_{e+1} times the counts of the junction
-(tail, spacer, head) less those of its tail and head alone. The view lays
-these column windows out with their integer weights, apart by voids longer
-than h_d, and a window on it sums lengths times weights; counts stay exact.
-Only a window too long for a view reads the whole column.
+A window is a band of shifts [a, b] and follows the same split: a pair of
+copies p apart adds the band [a - p, b - p] of W_{J-1}, clipped to the
+shifts it has. A band that covers all of W_e's shifts adds the product of
+the slab measures to every slab pair, and a band of a base copy adds the
+integral of the slab tent to each diagonal, so the slab block is again one
+band of diagonals. The marginals' integrals come from the second
+antiderivative of the occupation at the window's ends. No count reads the
+column's breakpoints; they are built only when first read.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -61,6 +62,7 @@ __all__ = [
     "FlowColumn",
     "segment_counts",
     "flow_segments",
+    "tick_scale",
     "PmResult",
     "flow_Pm_matrix",
     "pm_identity_gap",
@@ -190,92 +192,120 @@ def _lcm(a: int, b: int) -> int:
     return a // gcd(a, b) * b
 
 
-@dataclass(frozen=True)
-class _View:
-    """A weighted column: interval i of [breaks[i], breaks[i+1]) (the last
-    one ends at height) carries codes[i] and counts weights[i] times. Pair
-    counts and windows read on it are the sums over its intervals."""
+def tick_scale(base: Fraction, stages, L: int, *times: Fraction) -> Tuple[int, int]:
+    """(den, H) for the column of base height `base`, cut into L slabs and
+    built by `stages`, (r_e, spacer durations) from the base stage up as in
+    SegmentList.stages: den ticks make one unit of time (the lcm of the
+    slab width's and the spacers' denominators), and the column is H ticks
+    high. Raises SegmentBudgetExceeded when H, on the finer scale that makes
+    each of `times` a whole number of ticks, reaches 2**62."""
+    height = Fraction(base)
+    den = (height / L).denominator
+    for r, gaps in stages:
+        for s in gaps:
+            den = _lcm(den, Fraction(s).denominator)
+        height = r * height + sum(gaps)
+    H = int(height * den)
+    f = 1
+    for t in times:
+        f = _lcm(f, (Fraction(t) * den).denominator)
+    if H * f >= _TICK_LIMIT:
+        raise SegmentBudgetExceeded(
+            f"tick scale overflows 63-bit integers: the column is {H * f} ticks "
+            f"high, 2^62 or more"
+        )
+    return den, H
 
-    breaks: np.ndarray
-    codes: np.ndarray
-    weights: np.ndarray
-    height: int
+
+def _tent(x: int, w: int) -> int:
+    """2 * the integral up to x of the tent max(0, w - |s|)."""
+    if x <= 0:
+        return max(x + w, 0) ** 2
+    return 2 * w * w - max(w - x, 0) ** 2
 
 
 class FlowColumn:
-    """The column at integer ticks: its stages for the copy recursion, and
-    its breakpoints for windows.
+    """The column at integer ticks, held as its stages for the copy
+    recursion.
 
-    Pair counts at one shift follow the copy recursion down to pairs of
-    base copies (see pair_counts). Breakpoints mark every segment start
-    plus every slab boundary inside a copy; codes give the symbol on the
-    interval that follows. A window of shifts is integrated from per-symbol
-    antiderivative tables over a stage view (see _pieces), which is much
-    shorter than the column when the shifts are small.
+    Pair counts at one shift (pair_counts) and their integral over a band
+    of shifts (window_counts) follow the copy recursion down to pairs of
+    base copies, and take the pairs with a spacer from the symbol
+    marginals, which one descent per end point reads (_occupation).
+
+    The breakpoint column is built only when first read (breaks, codes):
+    every segment start plus every slab boundary inside a copy, with the
+    symbol on the interval that follows each. No count reads it.
     """
 
     def __init__(self, segments: SegmentList, slabs: SlabAlgebra):
         self.segments = segments
         self.slabs = slabs
-        L = slabs.L
-        den = 1
-        for d in set(segments.dens.tolist()):
-            den = _lcm(den, d)
-        width = segments.base_duration / L
-        den = _lcm(den, width.denominator)
+        L, star = slabs.L, slabs.star
+        base = segments.base_duration
+        den, self.H_ticks = tick_scale(base, segments.stages, L)
         self.den = den
-        self.width_ticks = int(width * den)
-        self.H_ticks = int(segments.total * den)
-        if self.H_ticks >= _TICK_LIMIT:
-            raise SegmentBudgetExceeded("tick scale overflows 63-bit integers")
+        self.width_ticks = w = int(base / L * den)
 
-        durs = segments.nums * (den // segments.dens)
-        starts = np.concatenate([[0], np.cumsum(durs)[:-1]])
-        n_breaks = int((segments.kinds == COPY).sum()) * L + int(
-            (segments.kinds == SPACER).sum()
-        )
-        if n_breaks > BREAK_BUDGET:
-            raise SegmentBudgetExceeded(
-                f"column needs {n_breaks} breakpoints (budget {BREAK_BUDGET})"
-            )
-        copy_mask = segments.kinds == COPY
-        copy_starts = starts[copy_mask]
-        slab_marks = (
-            copy_starts[:, None] + self.width_ticks * np.arange(L, dtype=np.int64)
-        ).ravel()
-        slab_codes = np.tile(np.arange(L, dtype=np.int16), len(copy_starts))
-        gap_marks = starts[~copy_mask]
-        gap_codes = np.full(len(gap_marks), slabs.star, dtype=np.int16)
-        order = np.argsort(
-            np.concatenate([slab_marks, gap_marks]), kind="stable"
-        )
-        self.breaks = np.concatenate([slab_marks, gap_marks])[order]
-        self.codes = np.concatenate([slab_codes, gap_codes])[order]
-
-        # stage heights h_{j0}..h_J and spacers in ticks, for the stage views;
-        # W_{e+1}'s parts (start, is a copy, copies before it) and the
-        # ticks each symbol takes in W_e, for the copy recursion and the
-        # occupations
+        # in ticks: the stage heights h_{j0}..h_J and spacers, and the ticks
+        # each symbol takes in W_e. W_{e+1}'s parts are (start, is a copy,
+        # F, 2A), F the ticks of each symbol before the start and 2A twice
+        # its integral, in Python ints; `area` is 2A of all of W_e, which is
+        # (2(L - i) - 1) w**2 for the base slab i
         self._stages = [
             (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages
         ]
-        self._heights = [int(segments.base_duration * den)]
-        self._totals = [np.append(np.full(L, self.width_ticks, dtype=np.int64), 0)]
+        self._heights = [int(base * den)]
+        self._totals = [np.append(np.full(L, w, dtype=np.int64), 0)]
+        area = np.array([(2 * (L - i) - 1) * w * w for i in range(L)] + [0], dtype=object)
         self._parts = []
         for r, gaps in self._stages:
-            h, pos, parts = self._heights[-1], 0, []
-            for i, s in enumerate(gaps):
-                parts.append((pos, True, i))
+            h, total = self._heights[-1], self._totals[-1].astype(object)
+            occ = np.zeros(L + 1, dtype=object)
+            A, pos, parts = occ.copy(), 0, []
+            for s in gaps:
+                parts.append((pos, True, occ, A))
+                A, occ = A + 2 * h * occ + area, occ + total
+                pos += h
                 if s:
-                    parts.append((pos + h, False, i + 1))
-                pos += h + s
+                    parts.append((pos, False, occ, A))
+                    A, occ = A + 2 * s * occ, occ.copy()
+                    A[star] += s * s
+                    occ[star] += s
+                    pos += s
             self._parts.append(parts)
             self._heights.append(pos)
             self._totals.append(r * self._totals[-1])
-            self._totals[-1][slabs.star] += sum(gaps)
-        self._views = {}  # stage views of the column by stage
+            self._totals[-1][star] += sum(gaps)
+            area = A
         self._starts = {}  # copy starts of W_{e+1} by (e, f)
-        self._splits = {}  # _split by (e, a, f)
+        self._splits = {}  # _split by (e, a, b, f)
+
+    @cached_property
+    def _column(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(breaks, codes) in column order: a copy's L slab starts, coded
+        0..L-1, or a spacer's start, coded star."""
+        seg, L = self.segments, self.slabs.L
+        is_copy = seg.kinds == COPY
+        n = np.where(is_copy, L, 1)
+        count = int(n.sum())
+        if count > BREAK_BUDGET:
+            raise SegmentBudgetExceeded(
+                f"column needs {count} breakpoints (budget {BREAK_BUDGET})"
+            )
+        durs = seg.nums * (self.den // seg.dens)
+        slab = np.arange(count) - np.repeat(np.cumsum(n) - n, n)
+        breaks = np.repeat(np.cumsum(durs) - durs, n) + self.width_ticks * slab
+        codes = np.where(np.repeat(is_copy, n), slab, L).astype(np.int16)
+        return breaks, codes
+
+    @property
+    def breaks(self) -> np.ndarray:
+        return self._column[0]
+
+    @property
+    def codes(self) -> np.ndarray:
+        return self._column[1]
 
     def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:
         """([tau, ...], f): each t = tau / (f * den); f is the smallest extra
@@ -289,89 +319,6 @@ class FlowColumn:
                 f"time denominator {f * self.den} overflows the tick scale"
             )
         return [int(raw * f) for raw in raws], f
-
-    def _view(self, reach: int, f: int) -> Optional[_View]:
-        """The view of the column that answers every shift of at most reach
-        ticks at scale f: the stage view of the first stage d with
-        h_d * f >= reach, or None where that view would be no shorter than
-        the column."""
-        d = bisect_left(self._heights, -(-reach // f))
-        if d not in self._views:
-            pieces = self._pieces(d)
-            self._views[d] = pieces and self._stage_view(d, pieces)
-        return self._views[d]
-
-    def _pieces(self, d: int):
-        """The pieces of the stage view _stage_view builds, or None when the
-        view would not be shorter than the column.
-
-        A stage-(e+1) column is r_e copies of W_e, each followed by its
-        spacer s_i, so for d <= e < J and |t| <= K = h_d (stages counted
-        from j0)
-            C_t(W_J) = N_d C_t(W_d) + sum over e and copies i of
-                       N_{e+1} [C_t(tail_K s_i head_K) - C_t(tail_K) - C_t(head_K)]
-        with N_e the number of copies of W_e in W_J, tail_K and head_K the
-        last and first K ticks of W_e, and no head after the last copy.
-        The column starts with W_{e+1} for every e, so every piece is a tick
-        window (lo, hi) of it with a weight w, cut from the column's
-        breakpoints i0..i1; head_K is W_d itself, and equal junctions share
-        one window.
-        """
-        K = self._heights[d]
-        N = 1
-        for r, _ in self._stages[d:]:
-            N *= r
-        weight = defaultdict(int)
-        weight[(0, K)] = N
-        junction = {}
-        for e in range(d, len(self._stages)):
-            r, gaps = self._stages[e]
-            h = self._heights[e]
-            N //= r
-            end = h  # where copy i of W_e ends inside the first W_{e+1}
-            for i, s in enumerate(gaps):
-                last = i == r - 1
-                if s or not last:
-                    piece = junction.setdefault(
-                        (e, s, last), (end - K, end + s + (0 if last else K))
-                    )
-                    weight[piece] += N
-                    weight[(h - K, h)] -= N
-                    if not last:
-                        weight[(0, K)] -= N
-                end += s + h
-        pieces = [
-            (lo, hi, w,
-             int(np.searchsorted(self.breaks, lo, side="right")) - 1,
-             int(np.searchsorted(self.breaks, hi, side="left")))
-            for (lo, hi), w in weight.items() if w
-        ]
-        if sum(i1 - i0 + 1 for _, _, _, i0, i1 in pieces) >= len(self.breaks):
-            return None
-        return pieces
-
-    def _stage_view(self, d: int, pieces: list) -> _View:
-        """Column pieces whose weighted pair counts equal those of the
-        column for every |t| <= K = h_d (see _pieces). Pieces are laid out
-        apart by a void of K + 1 ticks that carries the extra code S, so no
-        pair of reach <= K joins two pieces.
-        """
-        K = self._heights[d]
-        void = self.slabs.size
-        breaks, codes, weights, pos = [], [], [], 0
-        for lo, hi, w, i0, i1 in pieces:
-            run = self.breaks[i0:i1] + (pos - lo)
-            run[0] = pos
-            breaks += [run, [pos + hi - lo]]
-            codes += [self.codes[i0:i1], [void]]
-            weights += [np.full(i1 - i0, w, dtype=np.int64), [0]]
-            pos += hi - lo + K + 1
-        return _View(
-            np.concatenate(breaks),
-            np.concatenate(codes).astype(self.codes.dtype),
-            np.concatenate(weights),
-            pos,
-        )
 
     def pair_counts(self, t: Fraction) -> Tuple[np.ndarray, int]:
         """Exact tick counts of slab pairs at shift t; returns (C, H_scaled).
@@ -394,7 +341,8 @@ class FlowColumn:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
         L, w = self.slabs.L, self.width_ticks * f
         band = [0] * (2 * L + 1)  # band[L + j - i]: the ticks of slab pair (i, j)
-        for e, a, fwd, bwd, copies in self._descend(tau, f, lambda a, e: a == 0 or e == 0):
+        for e, a, _, fwd, bwd, copies in self._descend(
+                tau, tau, f, lambda a, b, e: a == 0 or e == 0):
             if copies is not None:
                 continue
             if a == 0:
@@ -407,8 +355,8 @@ class FlowColumn:
         i = np.arange(L)
         block = np.array(band, dtype=np.int64)[L + i[None, :] - i[:, None]]
         a, top = abs(tau), len(self._stages)
-        below = self._occupation(top, H - a, f)  # the symbols of [0, H - a)
-        above = f * self._totals[top] - self._occupation(top, a, f)  # of [a, H)
+        below = self._occupation(top, H - a, f)[0]  # the symbols of [0, H - a)
+        above = f * self._totals[top] - self._occupation(top, a, f)[0]  # of [a, H)
         src, dst = (below, above) if tau >= 0 else (above, below)
         C = np.zeros((L + 1, L + 1), dtype=np.int64)
         C[:L, :L] = block
@@ -417,73 +365,91 @@ class FlowColumn:
         C[L, L] = H - a - C.sum()
         return C, H
 
-    def _descend(self, tau: int, f: int, leaf):
-        """Follow C_tau of the column down the copy recursion (see _split):
-        yields (e, a, fwd, bwd, copies) for each shift size a >= 0 of W_e
-        reached, which adds fwd C_a(W_e) + bwd C_a(W_e)^T. copies is None
-        where leaf(a, e) holds; otherwise a is split once, and copies holds
-        the split's copy pairs, which go one stage down. The pairs with a
-        spacer are left to the caller."""
-        shifts = {tau: 1}  # shifts of W_e with their multiplicities
+    def _descend(self, a: int, b: int, f: int, leaf):
+        """Follow the band [a, b] of shifts of the column (a == b for one
+        shift) down the copy recursion (see _split): yields
+        (e, a, b, fwd, bwd, copies) for each band of W_e reached, with
+        a + b >= 0, which adds fwd times its counts of W_e and bwd times
+        the transpose (the counts of [-b, -a]). copies is None where
+        leaf(a, b, e) holds; otherwise the band is split once, and copies
+        holds the split's copy pairs, which go one stage down. The pairs
+        with a spacer are left to the caller."""
+        bands = {(a, b): 1}  # bands of W_e with their multiplicities
         for e in range(len(self._stages), -1, -1):
             below = defaultdict(int)
-            for a in {abs(d) for d in shifts}:
-                fwd, bwd = shifts.get(a, 0), shifts.get(-a, 0) if a else 0
+            for a, b in {(a, b) if a + b >= 0 else (-b, -a) for a, b in bands}:
+                fwd, bwd = bands.get((a, b), 0), bands.get((-b, -a), 0) if a + b else 0
                 copies = None
-                if not leaf(a, e):
-                    copies = self._split(e - 1, a, f)
-                    for d, n in copies.items():  # C_{-a} splits into the C_{-d}
-                        below[d] += n * fwd
-                        below[-d] += n * bwd
-                yield e, a, fwd, bwd, copies
-            shifts = {d: n for d, n in below.items() if n}
+                if not leaf(a, b, e):
+                    copies = self._split(e - 1, a, b, f)
+                    for (c, d), n in copies.items():  # [-b, -a] splits into the [-d, -c]
+                        below[c, d] += n * fwd
+                        below[-d, -c] += n * bwd
+                yield e, a, b, fwd, bwd, copies
+            bands = {k: n for k, n in below.items() if n}
 
-    def _split(self, e: int, a: int, f: int) -> Dict[int, int]:
-        """The copy pairs of C_a of W_{e+1} at scale f, a >= 0: a pair of its
-        r_e copies of W_e whose starts lie p apart and that overlap at shift
-        a adds C_{a-p}(W_e). Returns {a - p: how many pairs}, memoised by
-        (e, a, f); the pairs with a spacer are not listed."""
-        key = (e, a, f)
+    def _split(self, e: int, a: int, b: int, f: int) -> Dict[Tuple[int, int], int]:
+        """The copy pairs of the band [a, b] of shifts of W_{e+1} at scale f:
+        a pair of its r_e copies of W_e whose starts lie p apart adds the
+        band [a - p, b - p] of W_e, clipped to the shifts (-h_e, h_e) it
+        has, where that is not empty. Returns {(a', b'): how many pairs},
+        memoised by (e, a, b, f); the pairs with a spacer are not listed.
+        For one shift, a == b and each pair adds the shift a - p."""
+        key = (e, a, b, f)
         copies = self._splits.get(key)
         if copies is None:
             starts = self._starts.get((e, f))
             if starts is None:
-                starts = [lo * f for lo, is_copy, _ in self._parts[e] if is_copy]
+                starts = [lo * f for lo, is_copy, _, _ in self._parts[e] if is_copy]
                 self._starts[e, f] = starts
             h = self._heights[e] * f
             copies = defaultdict(int)
             for lo in starts:
-                for l2 in starts[bisect_right(starts, lo + a - h):bisect_left(starts, lo + a + h)]:
-                    copies[a - (l2 - lo)] += 1
+                for l2 in starts[bisect_right(starts, lo + a - h):bisect_left(starts, lo + b + h)]:
+                    p = l2 - lo
+                    copies[max(a - p, -h), min(b - p, h)] += 1
             self._splits[key] = copies
         return copies
 
-    def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
-        """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
-        found by descending through the part of each stage that holds x."""
+    def _occupation(self, e: int, x: int, f: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(F, 2A) at x of W_e at scale f, 0 <= x <= h_e * f: F holds the
+        ticks each symbol takes in [0, x) and 2A twice the integral of F
+        over [0, x], in Python ints. Each stage adds the values tabulated
+        at the start of the part that holds x, and its copy adds the rest."""
         star = self.slabs.star
-        occ = np.zeros(star + 1, dtype=np.int64)
+        occ = np.zeros(star + 1, dtype=object)
+        area = occ.copy()
         while e:
             e -= 1
             parts = self._parts[e]
-            lo, is_copy, n = parts[bisect_right(parts, (x // f, 2)) - 1]
-            occ += n * f * self._totals[e]
-            occ[star] += (lo - n * self._heights[e]) * f
+            lo, is_copy, F, A = parts[bisect_right(parts, (x // f, 2)) - 1]
             x -= lo * f
+            occ += f * F
+            area += f * (f * A + 2 * x * F)
             if not is_copy:
                 occ[star] += x
-                return occ
-        n, rest = divmod(x, self.width_ticks * f)
-        occ[:n] += self.width_ticks * f
-        if rest:
-            occ[n] += rest
-        return occ
+                area[star] += x * x
+                return occ, area
+        w = self.width_ticks * f
+        for i in range(self.slabs.L):  # F is x - i*w clipped to [0, w]
+            occ[i] += min(max(x - i * w, 0), w)
+            area[i] += max(x - i * w, 0) ** 2 - max(x - (i + 1) * w, 0) ** 2
+        return occ, area
 
     def window_counts(self, lo: Fraction, hi: Fraction) -> Tuple[np.ndarray, int]:
         """Exact integral of the pair measure over the shifts t in [lo, hi];
         returns (W, Z) with W / Z = (1/(hi-lo)) * integral of D(t) dt.
 
-        W holds int64, or Python ints when its entries may reach 2**63.
+        W is 2 * the integral of C_t over the band [LO, HI] of tick shifts,
+        which _descend splits down the copy recursion like one shift. A band
+        of W_e that covers all its shifts (-h_e, h_e) adds the product of
+        the two slab measures, 2 (n_e w)**2, to every slab pair; a band of
+        a base copy adds 2 * the integral of the slab tent
+        max(0, w - |t - k*w|) to the diagonal j - i = k. The star row and
+        column are what the slab block leaves of the two marginals'
+        integrals, from F and 2A at the window's ends (see _occupation).
+        The sums are exact Python ints; W holds int64 when its entries stay
+        below 2**63, else Python ints.
         """
         (LO, HI), f = self._ticks(lo, hi)
         H = self.H_ticks * f
@@ -491,73 +457,48 @@ class FlowColumn:
             raise TimeOutOfRange(
                 f"window [{lo}, {hi}] is empty or reaches height {self.segments.total}"
             )
+        L, w = self.slabs.L, self.width_ticks * f
+        h = [x * f for x in self._heights]
+        band = [0] * (2 * L - 1)  # band[L - 1 + j - i]: slab pair (i, j)
+        full = 0  # what the bands covering a whole W_e add to every slab pair
+        for e, a, b, fwd, bwd, copies in self._descend(
+                LO, HI, f, lambda a, b, e: e == 0 or b - a == 2 * h[e]):
+            if copies is not None:
+                continue
+            if e:
+                full += (fwd + bwd) * 2 * (f * int(self._totals[e][0])) ** 2
+                continue
+            for k in range(1 - L, L):
+                v = _tent(b - k * w, w) - _tent(a - k * w, w)
+                band[L - 1 + k] += fwd * v
+                band[L - 1 - k] += bwd * v
+        i = np.arange(L)
+        block = np.array(band, dtype=object)[L - 1 + i[None, :] - i[:, None]] + full
+        # 2 * the integral of the marginals: over shifts s >= 0 of one sign,
+        # the source holds the symbols of [0, H - s) and the target those of
+        # [s, H); a negative shift swaps them
+        top = len(self._stages)
+
+        def moments(x):  # 2A of the column at x
+            return self._occupation(top, x, f)[1]
+
+        total = (f * self._totals[top]).astype(object)
+        rows = np.zeros(L + 1, dtype=object)
+        cols = rows.copy()
+        for s0, s1, forward in ((max(LO, 0), HI, True), (max(-HI, 0), -LO, False)):
+            if s0 < s1:
+                below = moments(H - s0) - moments(H - s1)
+                above = 2 * (s1 - s0) * total - moments(s1) + moments(s0)
+                rows += below if forward else above
+                cols += above if forward else below
+        W = np.empty((L + 1, L + 1), dtype=object)
+        W[:L, :L] = block
+        W[:L, L] = rows[:L] - block.sum(axis=1)
+        W[L, :L] = cols[:L] - block.sum(axis=0)
+        W[L, L] = rows[L] - W[L, :L].sum()
         M = HI - LO
-        # an entry over a window of M ticks lies in [0, 2*H*M]; past int64,
-        # compute in Python ints
-        dtype = np.int64 if 2 * H * M < (1 << 63) else object
-        view = self._view(max(-LO, HI), f) or _View(
-            self.breaks, self.codes, np.broadcast_to(np.int64(1), self.breaks.shape),
-            self.H_ticks)
-        return self._window_table(view, LO, HI, f, dtype), 2 * M * H
-
-    def _window_table(self, view: _View, LO: int, HI: int, f: int, dtype) -> np.ndarray:
-        """2 * integral over tau in [LO, HI] of the tick pair counts C_tau.
-
-        Per symbol a, F_a (occupation of a below z) and 2*A_a (twice its
-        antiderivative) are tabulated at the interval edges, then
-        W[a][b] = sum over b-intervals [s, e) of
-        2*(A_a(e-LO) - A_a(s-LO) - A_a(e-HI) + A_a(s-HI)), each term times
-        the interval's weight. A void between view pieces is longer than
-        the window, so the occupation earlier pieces add to F_a cancels in
-        that difference. int64 arithmetic wraps mod 2**64, so the table
-        values (up to (height + HI - LO)**2) may wrap and entries below
-        2**63 still come out exact.
-        """
-        edges = np.append(view.breaks * f, view.height * f)
-        lens = np.diff(edges).astype(dtype, copy=False)
-        codes = view.codes
-        # where each shifted edge e - c falls: interval index j (n past the
-        # top) and its offset r into that interval; below 0 reads as 0
-        evals = []
-        for c in (LO, HI):
-            z = np.maximum(edges - c, 0)
-            j = np.searchsorted(edges, z, side="right") - 1
-            z -= edges[j]
-            evals.append((j, z.astype(dtype, copy=False)))
-        del edges, z
-        (j0, r0), (j1, r1) = evals
-        order = np.argsort(codes, kind="stable")
-        weights = view.weights[order].astype(dtype)
-        present, starts = np.unique(codes[order], return_index=True)
-        S = self.slabs.size + 1  # the symbols and the view's void code
-        W = np.zeros((S, S), dtype=dtype)
-        for a in present:
-            own = np.append(codes == a, False)
-            mass = np.where(own[:-1], lens, 0)
-            Fa = np.zeros(len(own), dtype=dtype)
-            np.cumsum(mass, out=Fa[1:])
-            # across an interval, 2*A_a grows by (2*F_a + mass) * length
-            rise = mass
-            rise += 2 * Fa[:-1]
-            rise *= lens
-            A2 = np.zeros(len(own), dtype=dtype)
-            np.cumsum(rise, out=A2[1:])
-            del mass, rise
-            # D = 2*A_a(e - LO) - 2*A_a(e - HI) at every edge e
-            D = _twice_antiderivative(A2, Fa, own, j0, r0)
-            D -= _twice_antiderivative(A2, Fa, own, j1, r1)
-            W[a, present] = np.add.reduceat(np.diff(D)[order] * weights, starts)
-        return W[:-1, :-1]
-
-
-def _twice_antiderivative(A2, Fa, own, j, r):
-    """2*A_a at the points x_j + r, from its tables at the interval edges:
-    A2[j] + 2*Fa[j]*r + r**2 where the interval j belongs to symbol a."""
-    v = own[j] * r
-    v += 2 * Fa[j]
-    v *= r
-    v += A2[j]
-    return v
+        # an entry over a window of M ticks lies in [0, 2*H*M]
+        return (W.astype(np.int64) if 2 * H * M < (1 << 63) else W), 2 * M * H
 
 
 # ---------------------------------------------------------------------------
@@ -720,12 +661,12 @@ def _lag_kernel(
     weights = defaultdict(int)
     star = 0
     h = [x * f for x in col._heights]
-    for e, a, fwd, bwd, copies in col._descend(tau, f, lambda a, e: a <= K or not e):
+    for e, a, _, fwd, bwd, copies in col._descend(tau, tau, f, lambda a, b, e: a <= K or not e):
         if copies is None:
             weights[a] += fwd * (h[e] - a)
             weights[-a] += bwd * (h[e] - a)
         else:
-            inner = sum(n * (h[e - 1] - abs(d)) for d, n in copies.items())
+            inner = sum(n * (h[e - 1] - abs(d)) for (d, _), n in copies.items())
             star += (fwd + bwd) * (h[e] - a - inner)
     Z = col.H_ticks * f - abs(tau)
     kernel = tuple(

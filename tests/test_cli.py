@@ -205,6 +205,15 @@ experiment.r.kind = rigidity
 """
 CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
 FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperiment.f.kind = flow-limit\n"
+# a spacer of 1/(2**62 - 57) puts the column past 2**62 ticks
+TICKS = """
+construction.kind = flow
+construction.cuts = 3
+construction.spacers = pattern:0,1/4611686018427387847,0
+construction.h1 = 1
+construction.depth = 3
+experiment.f.kind = flow-limit
+"""
 
 
 @pytest.mark.parametrize(
@@ -221,6 +230,7 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
          "experiment.c.family = chacon-geometric\nexperiment.c.M = 100000\n", 5),
         (FLOW.format(J=5) + "experiment.f.slabs = 1\n", 4),
         (FLOW.format(J=40), 2),
+        (TICKS, 6),
         # messages that used to carry no line number
         (GOOD.replace("l[8], -l[8]", "l[J-1]"), 7),
         (FLOW.format(J=6) + "experiment.f.q = 0\n", 4),
@@ -256,7 +266,8 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
         (CONVERGE.replace("family = stochastic", "family = poisson"), 6),
     ],
     ids=["stochastic-a", "scan-window", "word-length", "window-beyond-word",
-         "geometric-M-beyond-word", "slabs-1", "flow-segments", "lag-cap", "flow-q",
+         "geometric-M-beyond-word", "slabs-1", "flow-segments", "flow-tick-scale",
+         "lag-cap", "flow-q",
          "flow-stage", "base-stage", "tolerance-overflow", "slack-overflow",
          "construction-a-overflow", "construction-a-negative-overflow",
          "construction-a-inf", "scan-no-lags", "disjointness-no-N", "mixing-no-lags",

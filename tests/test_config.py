@@ -642,6 +642,52 @@ def test_flow_limits_refused_with_line(J, extra, line, message):
         parse_config(FLOW.format(J=J) + extra)
 
 
+TICKS = (
+    "construction.kind = flow\n"
+    "construction.cuts = 3\n"
+    "construction.spacers = pattern:0,1/4611686018427387847,0\n"
+    "construction.h1 = 1\n"
+    "construction.depth = 3\n"
+    "experiment.f.kind = flow-limit\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, line, key",
+    [
+        ("", 5, r"construction\.depth"),
+        ("experiment.f.slabs = 4\n", 7, r"experiment\.f\.slabs"),
+    ],
+    ids=["size-line", "slabs-line"],
+)
+def test_flow_tick_scale_past_62_bits_refused_with_line(extra, line, key):
+    # a spacer of 1/(2**62 - 57) makes the column 1.7e20 ticks high (4.2e19
+    # at 4 slabs); such a config used to fail at run time with exit 2
+    with pytest.raises(ValidationError, match=rf"line {line}: {key}: tick scale overflows"):
+        parse_config(TICKS + extra)
+
+
+def test_flow_lag_finer_than_the_tick_scale_refused():
+    # base stage 2 is h_2 = 1/p + 1 with p = 2**59 - 1, so with 2 slabs the
+    # column is 4p + 3 ticks high, under 2**62; the lag h_1 = 1/(3p) needs a
+    # 3 times finer scale, 12p + 9 ticks, past 2**62 (it used to exit 2 at
+    # run time)
+    text = (
+        "construction.kind = flow\n"
+        "construction.cuts = 3\n"
+        "construction.spacers = pattern:0,0,1\n"
+        "construction.h1 = 1/1729382256910270461\n"
+        "construction.depth = 3\n"
+        "construction.base = 2\n"
+        "experiment.f.kind = flow-limit\n"
+        "experiment.f.stage = 1\n"
+        "experiment.f.slabs = 2\n"
+    )
+    with pytest.raises(ValidationError, match=r"line 9: experiment\.f\.slabs: tick scale"):
+        parse_config(text)
+    assert parse_config(text.replace("stage = 1", "stage = 2")).J == 3
+
+
 def test_largest_flow_lag_inside_the_column_accepted():
     plan = parse_config(FLOW.format(J=5) + "experiment.f.q = 5\n")
     assert plan.experiments[0].params["q"] == 5

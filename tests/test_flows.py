@@ -199,10 +199,9 @@ def _window_oracle(ivs, S, lo, hi):
     return W
 
 
-# the stage views meet spacers of every kind: growing staircase spacers,
-# damped ones, an inline flow whose spacers (7/2, and zeros in the middle
-# and at the end) are longer than its stage-1 height 1/2, and one whose
-# equal junctions share a window
+# spacers of every kind: growing staircase spacers, damped ones, an inline
+# flow whose spacers (7/2, and zeros in the middle and at the end) are
+# longer than its stage-1 height 1/2, and one with equal spacers
 FLOWS = {
     "staircase": catalog("staircase-flow"),
     "damped": ConstructionSchedule("flow", AffineCuts(1, 1), StaircaseSpacers(damping=True)),
@@ -269,20 +268,21 @@ def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
     ]
 
 
-def test_only_windows_read_a_stage_view():
-    rz = realize(catalog("staircase-flow"), 7)
-    col = FlowColumn(flow_segments(rz, 7), SlabAlgebra(16))
-    lag = heights(rz, 7)[5]  # the flow-limit lag q * h_{J-1}, q = 1
+def test_counts_and_windows_leave_the_column_unbuilt():
+    J = 7
+    rz = realize(catalog("staircase-flow"), J)
+    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    hs = heights(rz, J)
+    lag = hs[J - 2]  # the flow-limit lag q * h_{J-1}, q = 1
     for t in (F(1, 2), lag, -lag):
         col.pair_counts(t)
-    assert col._views == {}
-    # the window [-1, 0] reads the column's stage-1 view (h = 1), cached by
-    # its stage; the lag's stage view would be no shorter than the column
-    col.window_counts(F(-1), F(0))
-    assert list(col._views) == [0]
-    assert len(col._views[0].breaks) < len(col.breaks) // 20
-    assert col._view(int(lag * col.den), 1) is None
-    assert col._view(col.den // 2, 1) is col._views[0]
+    for lo, hi in ((F(-1), F(0)), (-hs[J - 2], F(0)), (F(-3, 2), F(1, 4))):
+        col.window_counts(lo, hi)
+    flows._lag_kernel(col, lag, F(1))
+    assert "_column" not in vars(col)
+    # the breakpoints are built on first read, once
+    assert len(col.breaks) == len(col.codes) == 85_679
+    assert "_column" in vars(col)
 
 
 def _column_counts(col, t):
@@ -376,9 +376,8 @@ def test_window_counts_match_interval_oracle(flow, J, j0, L):
         (F(-2, 3), F(5, 7)),
     ]:
         check(lo, hi)
-    # windows reaching a stage height h_d exactly (the largest reach its
-    # stage view answers) or one tick past it, on the column's tick scale
-    # and a 7 times finer one
+    # windows reaching a stage height h_d exactly or one tick past it, on
+    # the column's tick scale and a 7 times finer one
     for h in col._heights[:2]:
         h = F(h, col.den)
         for lo, hi in [(-h, F(1, 3)), (-h, -h + tick), (F(-1, 5), h + tick),
@@ -387,8 +386,7 @@ def test_window_counts_match_interval_oracle(flow, J, j0, L):
                 check(lo, hi)
     if len(ivs) > 100:
         # the oracle is quadratic in the intervals over a long window; the
-        # deeper columns check the short windows their stage views answer
-        assert len(col._views[0].breaks) < len(col.breaks)
+        # deeper columns check only the short windows above
         return
     check(-hj, F(0))  # m = h_j
     check(F(0), hj)
@@ -397,6 +395,60 @@ def test_window_counts_match_interval_oracle(flow, J, j0, L):
     # one tick past int64, and a long window, in Python ints
     assert check(-tiny, piece).dtype == object
     check(F(0), seg.total - tiny)
+
+
+def _column_windows(col, lo, hi):
+    """(W, Z) of window_counts from the whole column's breakpoints, one
+    symbol at a time: a reference that shares nothing with the copy
+    recursion. Per symbol a, F_a (its occupation below z) and 2A_a (twice
+    the integral of F_a) are tabulated at the interval edges, and W[a][b]
+    sums 2A_a(e-LO) - 2A_a(s-LO) - 2A_a(e-HI) + 2A_a(s-HI) over the
+    b-intervals [s, e). int64 arithmetic wraps mod 2**64, so the tables may
+    wrap while the entries, below 2**63, still come out exact."""
+    (LO, HI), f = col._ticks(lo, hi)
+    H = col.H_ticks * f
+    dtype = np.int64 if 2 * H * (HI - LO) < (1 << 63) else object
+    edges = np.append(col.breaks * f, H)
+    lens = np.diff(edges).astype(dtype)
+    ends = []  # the interval j holding each edge e - c (the top edge past
+    for c in (LO, HI):  # the last one), and the offset r of e - c into it
+        z = np.maximum(edges - c, 0)
+        j = np.searchsorted(edges, z, side="right") - 1
+        ends.append((j, (z - edges[j]).astype(dtype)))
+    S = col.slabs.size
+    W = np.zeros((S, S), dtype=dtype)
+    for a in range(S):
+        own = np.append(col.codes == a, False)
+        mass = np.where(own[:-1], lens, 0)
+        Fa = np.zeros(len(own), dtype=dtype)
+        np.cumsum(mass, out=Fa[1:])
+        A2 = np.zeros(len(own), dtype=dtype)
+        np.cumsum((mass + 2 * Fa[:-1]) * lens, out=A2[1:])
+        (j0, r0), (j1, r1) = ends
+        D = A2[j0] + (2 * Fa[j0] + own[j0] * r0) * r0
+        D -= A2[j1] + (2 * Fa[j1] + own[j1] * r1) * r1
+        np.add.at(W[a], col.codes, np.diff(D))
+    return W, 2 * H * (HI - LO)
+
+
+def test_window_counts_match_the_column_windows():
+    # staircase J=7 with 16 slabs: windows of one time unit, one crossing 0,
+    # the window m = h_{J-1} either side of 0, and windows on a tick scale
+    # 7**12 finer, in int64 and in Python ints
+    J = 7
+    rz = realize(catalog("staircase-flow"), J)
+    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    h = heights(rz, J)[J - 2]
+    tick = F(1, col.den * 7**12)
+    for lo, hi, dtype in [
+        (F(-1), F(0), np.int64), (F(0), F(1), np.int64), (F(-3, 2), F(1, 4), np.int64),
+        (-h, F(0), np.int64), (F(0), h, np.int64),
+        (-tick, 2 * tick, np.int64), (-1 - tick, tick, object),
+    ]:
+        W, Z = col.window_counts(lo, hi)
+        want, scale = _column_windows(col, lo, hi)
+        assert W.dtype == want.dtype == dtype, (lo, hi)
+        assert Z == scale and np.array_equal(W, want), (lo, hi)
 
 
 def test_window_counts_rejects_empty_or_too_long_windows():
