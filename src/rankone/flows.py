@@ -231,7 +231,8 @@ class FlowColumn:
     Pair counts at one shift (pair_counts) and their integral over a band
     of shifts (window_counts) follow the copy recursion down to pairs of
     base copies, and take the pairs with a spacer from the symbol
-    marginals, which one descent per end point reads (_occupation).
+    marginals, which one descent per end point reads (_occupation, and
+    _area for its integral).
 
     The breakpoint column is built only when first read (breaks, codes):
     every segment start plus every slab boundary inside a copy, with the
@@ -250,8 +251,8 @@ class FlowColumn:
         # in ticks: the stage heights h_{j0}..h_J and spacers, and the ticks
         # each symbol takes in W_e. W_{e+1}'s parts are (start, is a copy,
         # F, 2A), F the ticks of each symbol before the start and 2A twice
-        # its integral, in Python ints; `area` is 2A of all of W_e, which is
-        # (2(L - i) - 1) w**2 for the base slab i
+        # its integral, in Python ints since it passes 2**63; `area` is 2A
+        # of all of W_e, which is (2(L - i) - 1) w**2 for the base slab i
         self._stages = [
             (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages
         ]
@@ -264,11 +265,11 @@ class FlowColumn:
             occ = np.zeros(L + 1, dtype=object)
             A, pos, parts = occ.copy(), 0, []
             for s in gaps:
-                parts.append((pos, True, occ, A))
+                parts.append((pos, True, occ.astype(np.int64), A))
                 A, occ = A + 2 * h * occ + area, occ + total
                 pos += h
                 if s:
-                    parts.append((pos, False, occ, A))
+                    parts.append((pos, False, occ.astype(np.int64), A))
                     A, occ = A + 2 * s * occ, occ.copy()
                     A[star] += s * s
                     occ[star] += s
@@ -355,8 +356,8 @@ class FlowColumn:
         i = np.arange(L)
         block = np.array(band, dtype=np.int64)[L + i[None, :] - i[:, None]]
         a, top = abs(tau), len(self._stages)
-        below = self._occupation(top, H - a, f)[0]  # the symbols of [0, H - a)
-        above = f * self._totals[top] - self._occupation(top, a, f)[0]  # of [a, H)
+        below = self._occupation(top, H - a, f)  # the symbols of [0, H - a)
+        above = f * self._totals[top] - self._occupation(top, a, f)  # of [a, H)
         src, dst = (below, above) if tau >= 0 else (above, below)
         C = np.zeros((L + 1, L + 1), dtype=np.int64)
         C[:L, :L] = block
@@ -383,10 +384,12 @@ class FlowColumn:
                 if not leaf(a, b, e):
                     copies = self._split(e - 1, a, b, f)
                     for (c, d), n in copies.items():  # [-b, -a] splits into the [-d, -c]
-                        below[c, d] += n * fwd
-                        below[-d, -c] += n * bwd
+                        if fwd:
+                            below[c, d] += n * fwd
+                        if bwd:
+                            below[-d, -c] += n * bwd
                 yield e, a, b, fwd, bwd, copies
-            bands = {k: n for k, n in below.items() if n}
+            bands = below
 
     def _split(self, e: int, a: int, b: int, f: int) -> Dict[Tuple[int, int], int]:
         """The copy pairs of the band [a, b] of shifts of W_{e+1} at scale f:
@@ -406,35 +409,51 @@ class FlowColumn:
             copies = defaultdict(int)
             for lo in starts:
                 for l2 in starts[bisect_right(starts, lo + a - h):bisect_left(starts, lo + b + h)]:
-                    p = l2 - lo
-                    copies[max(a - p, -h), min(b - p, h)] += 1
+                    c, d = a - l2 + lo, b - l2 + lo
+                    copies[c if c > -h else -h, d if d < h else h] += 1
             self._splits[key] = copies
         return copies
 
-    def _occupation(self, e: int, x: int, f: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(F, 2A) at x of W_e at scale f, 0 <= x <= h_e * f: F holds the
-        ticks each symbol takes in [0, x) and 2A twice the integral of F
-        over [0, x], in Python ints. Each stage adds the values tabulated
-        at the start of the part that holds x, and its copy adds the rest."""
+    def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
+        """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
+        found by descending through the part of each stage that holds x."""
         star = self.slabs.star
-        occ = np.zeros(star + 1, dtype=object)
-        area = occ.copy()
+        occ = np.zeros(star + 1, dtype=np.int64)
+        while e:
+            e -= 1
+            parts = self._parts[e]
+            lo, is_copy, F, _ = parts[bisect_right(parts, (x // f, 2)) - 1]
+            occ += f * F
+            x -= lo * f
+            if not is_copy:
+                occ[star] += x
+                return occ
+        n, rest = divmod(x, self.width_ticks * f)
+        occ[:n] += self.width_ticks * f
+        if rest:
+            occ[n] += rest
+        return occ
+
+    def _area(self, e: int, x: int, f: int) -> np.ndarray:
+        """Twice the integral of _occupation(e, y, f) over y in [0, x], in
+        Python ints. Each stage adds 2A at the start lo of the part that
+        holds x plus 2 F(lo) times the offset of x into it, and the base
+        copy what each slab's ramp min(max(y - i*w, 0), w) adds."""
+        star = self.slabs.star
+        area = np.zeros(star + 1, dtype=object)
         while e:
             e -= 1
             parts = self._parts[e]
             lo, is_copy, F, A = parts[bisect_right(parts, (x // f, 2)) - 1]
             x -= lo * f
-            occ += f * F
-            area += f * (f * A + 2 * x * F)
+            area += f * f * A + 2 * f * x * F.astype(object)
             if not is_copy:
-                occ[star] += x
                 area[star] += x * x
-                return occ, area
+                return area
         w = self.width_ticks * f
-        for i in range(self.slabs.L):  # F is x - i*w clipped to [0, w]
-            occ[i] += min(max(x - i * w, 0), w)
+        for i in range(self.slabs.L):
             area[i] += max(x - i * w, 0) ** 2 - max(x - (i + 1) * w, 0) ** 2
-        return occ, area
+        return area
 
     def window_counts(self, lo: Fraction, hi: Fraction) -> Tuple[np.ndarray, int]:
         """Exact integral of the pair measure over the shifts t in [lo, hi];
@@ -447,7 +466,7 @@ class FlowColumn:
         a base copy adds 2 * the integral of the slab tent
         max(0, w - |t - k*w|) to the diagonal j - i = k. The star row and
         column are what the slab block leaves of the two marginals'
-        integrals, from F and 2A at the window's ends (see _occupation).
+        integrals, from 2A at the window's ends (see _area).
         The sums are exact Python ints; W holds int64 when its entries stay
         below 2**63, else Python ints.
         """
@@ -478,17 +497,13 @@ class FlowColumn:
         # the source holds the symbols of [0, H - s) and the target those of
         # [s, H); a negative shift swaps them
         top = len(self._stages)
-
-        def moments(x):  # 2A of the column at x
-            return self._occupation(top, x, f)[1]
-
         total = (f * self._totals[top]).astype(object)
         rows = np.zeros(L + 1, dtype=object)
         cols = rows.copy()
         for s0, s1, forward in ((max(LO, 0), HI, True), (max(-HI, 0), -LO, False)):
             if s0 < s1:
-                below = moments(H - s0) - moments(H - s1)
-                above = 2 * (s1 - s0) * total - moments(s1) + moments(s0)
+                below = self._area(top, H - s0, f) - self._area(top, H - s1, f)
+                above = 2 * (s1 - s0) * total - self._area(top, s1, f) + self._area(top, s0, f)
                 rows += below if forward else above
                 cols += above if forward else below
         W = np.empty((L + 1, L + 1), dtype=object)
