@@ -250,8 +250,8 @@ class FlowColumn:
 
         # in ticks: the stage heights h_{j0}..h_J and spacers, and the ticks
         # each symbol takes in W_e. W_{e+1}'s parts are (start, is a copy,
-        # F, 2A), F the ticks of each symbol before the start and 2A twice
-        # its integral, in Python ints since it passes 2**63; `area` is 2A
+        # F, 2A): F the ticks of each symbol before the start, and 2A twice
+        # the integral of F, in Python ints as it passes 2**63. `area` is 2A
         # of all of W_e, which is (2(L - i) - 1) w**2 for the base slab i
         self._stages = [
             (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages

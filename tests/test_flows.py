@@ -280,7 +280,7 @@ def test_counts_and_windows_leave_the_column_unbuilt():
         col.window_counts(lo, hi)
     flows._lag_kernel(col, lag, F(1))
     assert "_column" not in vars(col)
-    # the breakpoints are built on first read, once
+    # the first read builds the breakpoints
     assert len(col.breaks) == len(col.codes) == 85_679
     assert "_column" in vars(col)
 
