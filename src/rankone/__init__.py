@@ -4,8 +4,9 @@ statistics, limit-operator classification, and experiment plumbing.
 The usual flow is catalog -> realize -> PairCounter.counts -> unit_mass ->
 classify_limit against limit_basis (or limit_scan for a whole sweep), or a
 config file through parse_config and run_plan (the `rankone` command wraps
-that). Flows get their own segment-based engine in rankone.flows, whose
-FlowColumn.pair_counts feeds the same unit_mass.
+that). Flows get their own engine in rankone.flows, which holds a column as
+its stages and follows their copy recursion; its FlowColumn.pair_counts
+feeds the same unit_mass.
 """
 
 from .construction import (

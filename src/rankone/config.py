@@ -58,7 +58,7 @@ from .errors import (
     SegmentBudgetExceeded,
     ValidationError,
 )
-from .flows import BREAK_BUDGET, MIN_SLABS, segment_counts, tick_scale
+from .flows import MIN_SLABS, tick_scale
 from .operators import check_family, family_reach
 from .words import alphabet_size, default_base_stage
 
@@ -657,11 +657,6 @@ def parse_config(
             raise _refuse(base_e, f"base stage {j0} outside 1..{J}")
     else:
         j0 = 1 if schedule.kind == "flow" else default_base_stage(realized)
-    if schedule.kind == "flow":
-        try:
-            copies, spacers = segment_counts(realized, J, j0)
-        except SegmentBudgetExceeded as exc:
-            raise _refuse(size_e, exc) from None
 
     stem_e = sec.take("output.stem")
     if stem_e is not None:
@@ -740,15 +735,16 @@ def parse_config(
                     f"q = {q} reaches the column height {hs[J - 1]}: the lag "
                     f"q*h_{j} = {q * hs[j - 1]} and q must both stay below it",
                 )
-            breaks = copies * params["slabs"] + spacers
-            if breaks > BREAK_BUDGET:
+            L = params["slabs"]
+            if (L + 1) ** 2 > PAIR_CELL_LIMIT:
                 raise _refuse(
-                    take("slabs") or size_e,
-                    f"the column needs {breaks} breakpoints (budget {BREAK_BUDGET})",
+                    take("slabs"),
+                    f"{L} slabs make the pair-count table too large "
+                    f"({L + 1}**2 > {PAIR_CELL_LIMIT})",
                 )
             try:  # the run reads the lag q*h_j on the column's tick scale
                 stages = [realized.stage(i) for i in range(j0, J)]
-                tick_scale(hs[j0 - 1], stages, params["slabs"], q * hs[j - 1])
+                tick_scale(hs[j0 - 1], stages, L, q * hs[j - 1])
             except SegmentBudgetExceeded as exc:
                 raise _refuse(take("slabs") or size_e, exc) from None
         experiments.append(ExperimentSpec(label=label, kind=kind, params=params))

@@ -58,7 +58,9 @@ class TimeOutOfRange(RankOneError):
 
 
 class SegmentBudgetExceeded(RankOneError):
-    """Flow depth produces more segments than the configured budget."""
+    """A flow's column is 2**62 ticks high or more on its tick scale (the
+    tick-scale refusal; the name is kept from the segment budget it
+    replaced)."""
 
 
 class ParseError(RankOneError):

@@ -1,9 +1,10 @@
 """Exact rational-time engine for rank-one flows over a staircase column.
 
-The depth-J column is an ordered list of segments: base copies of duration
-h_{j0} and real-duration spacers. Times are exact rationals; internally
-every duration is scaled to integer ticks on a common denominator, so set
-measures come out as integer tick counts with no floating-point error.
+The depth-J column is held as its stages: stage e+1 is r_e copies of stage
+e, each followed by a real-duration spacer, down to the base copy of
+duration h_{j0}. Times are exact rationals; internally every duration is
+scaled to integer ticks on a common denominator, so set measures come out
+as integer tick counts with no floating-point error.
 
 Correlations live on a slab algebra: the base fiber [0, h_{j0}) cut into L
 equal slabs, spacers mapped to a star symbol. C(t)[a][b] is the Lebesgue
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +61,6 @@ __all__ = [
     "SegmentList",
     "SlabAlgebra",
     "FlowColumn",
-    "segment_counts",
     "flow_segments",
     "tick_scale",
     "PmResult",
@@ -68,105 +68,41 @@ __all__ = [
     "pm_identity_gap",
     "FlowLimitReport",
     "flow_limit_check",
-    "SEGMENT_BUDGET",
-    "BREAK_BUDGET",
     "MIN_SLABS",
 ]
 
-SEGMENT_BUDGET = 10**7
-BREAK_BUDGET = 3 * 10**7
 #: The slab algebra cuts the base fiber into at least this many slabs.
 MIN_SLABS = 2
 _TICK_LIMIT = 1 << 62
 
-COPY = 0
-SPACER = 1
-
 
 @dataclass(frozen=True)
 class SegmentList:
-    """Ordered exact decomposition of the depth-J column.
+    """The depth-J column, exactly, as its stages.
 
-    kinds[i] is COPY or SPACER; durations are nums[i]/dens[i]. Every copy
-    has duration base_duration; total is the exact tower height. stages
-    holds (r_e, spacer durations) for e = j0..J-1, zeros included: stage
-    e+1 is r_e copies of stage e, each followed by its spacer.
+    stages holds (r_e, spacer durations) for e = j0..J-1, zeros included:
+    stage e+1 is r_e copies of stage e, each followed by its spacer. The
+    base copy has duration base_duration; total is the exact tower height.
     """
 
-    kinds: np.ndarray
-    nums: np.ndarray
-    dens: np.ndarray
     base_duration: Fraction
     total: Fraction
-    copies: int
     stages: Tuple[Tuple[int, Tuple[Fraction, ...]], ...]
-
-    def __len__(self) -> int:
-        return len(self.kinds)
-
-    def __iter__(self) -> Iterator[Tuple[str, Fraction]]:
-        for k, n, d in zip(self.kinds, self.nums, self.dens):
-            yield ("copy" if k == COPY else "spacer", Fraction(int(n), int(d)))
-
-
-def segment_counts(realized: RealizedSchedule, J: int, j0: int = 1) -> Tuple[int, int]:
-    """(copies, spacer runs) of the depth-J segment list, without building it.
-
-    Raises SegmentBudgetExceeded once the segment count passes SEGMENT_BUDGET.
-    """
-    copies, spacers = 1, 0
-    for j in range(j0, J):
-        r, vec = realized.stage(j)
-        copies, spacers = copies * r, spacers * r + sum(1 for s in vec if s != 0)
-        if copies + spacers > SEGMENT_BUDGET:
-            raise SegmentBudgetExceeded(
-                f"depth {J} needs {copies + spacers}+ segments (budget {SEGMENT_BUDGET})"
-            )
-    return copies, spacers
 
 
 def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentList:
-    """Segment decomposition: stage j+1 = r_j copies of stage j, a spacer
-    run after each copy; zero-duration spacers are dropped."""
+    """The stages of the depth-J column from base stage j0: stage j+1 is
+    r_j copies of stage j, a spacer after each copy."""
     if realized.kind != "flow":
         raise ValueError("flow_segments wants a flow schedule")
     if not 1 <= j0 <= J:
         raise ValueError(f"need 1 <= j0 <= J, got j0={j0}, J={J}")
-    segment_counts(realized, J, j0)
     hs = heights(realized, J)
-    base = hs[j0 - 1]
-
-    kinds = np.array([COPY], dtype=np.int8)
-    nums = np.array([base.numerator], dtype=np.int64)
-    dens = np.array([base.denominator], dtype=np.int64)
     stages = []
     for j in range(j0, J):
         r, vec = realized.stage(j)
         stages.append((r, tuple(Fraction(s) for s in vec)))
-        parts_k, parts_n, parts_d = [], [], []
-        for i in range(r):
-            parts_k.append(kinds)
-            parts_n.append(nums)
-            parts_d.append(dens)
-            s = vec[i]
-            if s != 0:
-                sf = Fraction(s)
-                parts_k.append(np.array([SPACER], dtype=np.int8))
-                parts_n.append(np.array([sf.numerator], dtype=np.int64))
-                parts_d.append(np.array([sf.denominator], dtype=np.int64))
-        kinds = np.concatenate(parts_k)
-        nums = np.concatenate(parts_n)
-        dens = np.concatenate(parts_d)
-    copies = int((kinds == COPY).sum())
-    return SegmentList(
-        kinds=kinds,
-        nums=nums,
-        dens=dens,
-        base_duration=base,
-        total=hs[J - 1],
-        copies=copies,
-        stages=tuple(stages),
-    )
+    return SegmentList(base_duration=hs[j0 - 1], total=hs[J - 1], stages=tuple(stages))
 
 
 @dataclass(frozen=True)
@@ -198,7 +134,9 @@ def tick_scale(base: Fraction, stages, L: int, *times: Fraction) -> Tuple[int, i
     SegmentList.stages: den ticks make one unit of time (the lcm of the
     slab width's and the spacers' denominators), and the column is H ticks
     high. Raises SegmentBudgetExceeded when H, on the finer scale that makes
-    each of `times` a whole number of ticks, reaches 2**62."""
+    each of `times` a whole number of ticks, reaches 2**62. This is the
+    bound on a flow's depth: no count builds the column, so its size in
+    segments or breakpoints bounds nothing (staircase reaches depth 15)."""
     height = Fraction(base)
     den = (height / L).denominator
     for r, gaps in stages:
@@ -234,9 +172,8 @@ class FlowColumn:
     marginals, which one descent per end point reads (_occupation, and
     _area for its integral).
 
-    The breakpoint column is built only when first read (breaks, codes):
-    every segment start plus every slab boundary inside a copy, with the
-    symbol on the interval that follows each. No count reads it.
+    The breakpoint column (breaks, codes) is built from the stages only
+    when first read; no count reads it.
     """
 
     def __init__(self, segments: SegmentList, slabs: SlabAlgebra):
@@ -285,27 +222,36 @@ class FlowColumn:
     @cached_property
     def _column(self) -> Tuple[np.ndarray, np.ndarray]:
         """(breaks, codes) in column order: a copy's L slab starts, coded
-        0..L-1, or a spacer's start, coded star."""
-        seg, L = self.segments, self.slabs.L
-        is_copy = seg.kinds == COPY
-        n = np.where(is_copy, L, 1)
-        count = int(n.sum())
-        if count > BREAK_BUDGET:
-            raise SegmentBudgetExceeded(
-                f"column needs {count} breakpoints (budget {BREAK_BUDGET})"
-            )
-        durs = seg.nums * (self.den // seg.dens)
-        slab = np.arange(count) - np.repeat(np.cumsum(n) - n, n)
-        breaks = np.repeat(np.cumsum(durs) - durs, n) + self.width_ticks * slab
-        codes = np.where(np.repeat(is_copy, n), slab, L).astype(np.int16)
+        0..L-1, or a spacer's start, coded star; W_{e+1} repeats W_e's
+        breakpoints at each copy start and adds each nonzero spacer's."""
+        L = self.slabs.L
+        breaks = self.width_ticks * np.arange(L, dtype=np.int64)
+        codes = np.arange(L, dtype=np.int16)
+        star = np.array([L], dtype=np.int16)
+        for (_, gaps), h in zip(self._stages, self._heights):
+            bs, cs, pos = [], [], 0
+            for s in gaps:
+                bs.append(breaks + pos)
+                cs.append(codes)
+                pos += h
+                if s:
+                    bs.append(np.array([pos], dtype=np.int64))
+                    cs.append(star)
+                    pos += s
+            breaks, codes = np.concatenate(bs), np.concatenate(cs)
         return breaks, codes
 
     @property
     def breaks(self) -> np.ndarray:
+        """Every breakpoint of the column in ticks: each slab start inside a
+        copy and each spacer start, in column order. An aid for oracles
+        (the tests' column sweeps) and for counting breakpoints; no run path
+        reads it, and it is built on the first read."""
         return self._column[0]
 
     @property
     def codes(self) -> np.ndarray:
+        """The symbol on the interval from each breakpoint (see breaks)."""
         return self._column[1]
 
     def _ticks(self, *ts: Fraction) -> Tuple[List[int], int]:

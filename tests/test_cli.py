@@ -230,6 +230,8 @@ experiment.f.kind = flow-limit
          "experiment.c.family = chacon-geometric\nexperiment.c.M = 100000\n", 5),
         (FLOW.format(J=5) + "experiment.f.slabs = 1\n", 4),
         (FLOW.format(J=40), 2),
+        # used to pass the config, with tables of (L + 1)**2 ~ 1e14 cells
+        (FLOW.format(J=2) + "experiment.f.slabs = 10000000\n", 4),
         (TICKS, 6),
         # messages that used to carry no line number
         (GOOD.replace("l[8], -l[8]", "l[J-1]"), 7),
@@ -266,7 +268,8 @@ experiment.f.kind = flow-limit
         (CONVERGE.replace("family = stochastic", "family = poisson"), 6),
     ],
     ids=["stochastic-a", "scan-window", "word-length", "window-beyond-word",
-         "geometric-M-beyond-word", "slabs-1", "flow-segments", "flow-tick-scale",
+         "geometric-M-beyond-word", "slabs-1", "flow-depth-tick-scale", "flow-slab-cells",
+         "flow-tick-scale",
          "lag-cap", "flow-q",
          "flow-stage", "base-stage", "tolerance-overflow", "slack-overflow",
          "construction-a-overflow", "construction-a-negative-overflow",

@@ -17,7 +17,6 @@ from rankone import config, operators
 from rankone.config import parse_config
 from rankone.construction import CUT_BUDGET, BernoulliSpacers, heights, realize
 from rankone.correlation import COUNT_LIMIT
-from rankone.flows import BREAK_BUDGET, SEGMENT_BUDGET
 from rankone.errors import ParseError, ValidationError
 
 BASE = """
@@ -621,10 +620,13 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
     "J, extra, line, message",
     [
         (5, "experiment.f.slabs = 1\n", 4, r"experiment\.f\.slabs: slabs must be >= 2"),
-        (40, "", 2, rf"construction\.depth: .*segments \(budget {SEGMENT_BUDGET}\)"),
-        (10, "", 2, rf"construction\.depth: .*breakpoints \(budget {BREAK_BUDGET}\)"),
-        (5, "experiment.f.slabs = 100000000\n", 4,
-         rf"experiment\.f\.slabs: .*breakpoints \(budget {BREAK_BUDGET}\)"),
+        # the column is 2^64.3 ticks high at depth 16, 2^60.3 at depth 15
+        (40, "", 2, r"construction\.depth: tick scale overflows"),
+        (16, "", 2, r"construction\.depth: tick scale overflows"),
+        # (L + 1)**2 pair-count cells: 2048 slabs make 2^22 + 4097
+        (5, "experiment.f.slabs = 2048\n", 4,
+         r"experiment\.f\.slabs: 2048 slabs make the pair-count table too large "
+         r"\(2049\*\*2 > 4194304\)"),
         (5, "experiment.f.q = 0\n", 4, r"experiment\.f\.q: q must be >= 1"),
         (6, "experiment.f.stage = 99\n", 4, r"experiment\.f\.stage: stage 99 outside 1\.\.5"),
         # h_4 = 71/2 and h_5 = 359/2: q = 5 is the largest lag q*h_4 inside the column
@@ -634,7 +636,7 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
         (5, "experiment.f.stage = 2\nexperiment.f.q = 180\n", 5,
          r"experiment\.f\.q: q = 180 reaches the column height 359/2"),
     ],
-    ids=["slabs-1", "segments", "breakpoints-depth", "breakpoints-slabs", "q-0", "stage-99",
+    ids=["slabs-1", "depth-40-tick-scale", "depth-16-tick-scale", "slab-cells", "q-0", "stage-99",
          "q-lag-past-height", "q-lag-at-boundary", "q-past-height-stage-2"],
 )
 def test_flow_limits_refused_with_line(J, extra, line, message):
@@ -708,14 +710,19 @@ def test_defaulted_flow_q_past_height_names_the_kind_line():
 
 
 def test_budget_flag_refusal_names_the_flag():
-    with pytest.raises(ValidationError, match=r"^--budget: depth \d+ needs \d+\+ segments"):
-        parse_config(FLOW.format(J=5), budget=10**12)
+    # a budget of 10**14 time units grows the staircase to depth 16 (h_16 is
+    # 3.1e13), past the tick scale
+    with pytest.raises(ValidationError, match=r"^--budget: tick scale overflows"):
+        parse_config(FLOW.format(J=5), budget=10**14)
 
 
 def test_flow_column_within_budgets_accepted():
-    # staircase depth 9 with 16 slabs: 6.2M breakpoints
-    plan = parse_config(FLOW.format(J=9))
-    assert plan.experiments[0].params["slabs"] == 16
+    # staircase depth 15, the deepest under 2**62 ticks, with 16 slabs
+    plan = parse_config(FLOW.format(J=15))
+    assert plan.J == 15 and plan.experiments[0].params["slabs"] == 16
+    # 2047 slabs make 2048**2 = 2**22 pair-count cells, the most allowed
+    plan = parse_config(FLOW.format(J=2) + "experiment.f.slabs = 2047\n")
+    assert plan.experiments[0].params["slabs"] == 2047
 
 
 @pytest.mark.parametrize(

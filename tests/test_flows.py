@@ -1,5 +1,5 @@
-"""Suspension-flow correlation machinery: exact segments, pair counts, window
-averages, and the finite-depth limit check."""
+"""Suspension-flow correlation machinery: the column's exact stages, pair
+counts, window averages, and the finite-depth limit check."""
 
 import os
 import subprocess
@@ -44,29 +44,33 @@ def test_flow_heights_exact_fractions():
 
 
 def test_segment_decomposition_depth2():
-    # two unit copies, then the half-length spacer (the zero run is dropped)
+    # two unit copies, a zero spacer after the first and a half-length one
+    # after the second
     rz = realize(catalog("staircase-flow"), 2)
     seg = flow_segments(rz, 2)
-    assert seg.kinds.tolist() == [0, 0, 1]
-    durations = [F(int(n), int(d)) for n, d in zip(seg.nums, seg.dens)]
-    assert durations == [F(1), F(1), F(1, 2)]
+    assert seg.stages == ((2, (F(0), F(1, 2))),)
     assert seg.base_duration == F(1)
-    assert sum(durations) == F(5, 2)
+    assert seg.total == F(5, 2)
 
 
 def test_segment_total_matches_height():
     rz = realize(catalog("staircase-flow"), 6)
-    seg = flow_segments(rz, 6)
-    total = sum(
-        F(int(n), int(d)) for n, d in zip(seg.nums, seg.dens)
-    )
-    assert total == heights(rz, 6)[5]
+    seg = flow_segments(rz, 6, 2)
+    assert len(seg.stages) == 4
+    total = seg.base_duration
+    for r, gaps in seg.stages:
+        assert len(gaps) == r
+        total = r * total + sum(gaps)
+    assert seg.base_duration == heights(rz, 6)[1]
+    assert total == seg.total == heights(rz, 6)[5]
 
 
 def test_segment_budget_guard():
-    rz = realize(catalog("staircase-flow"), 40)
-    with pytest.raises(SegmentBudgetExceeded):
-        flow_segments(rz, 40)
+    # the staircase column is 2^60.3 ticks high at depth 15 and 2^64.3 at 16
+    rz = realize(catalog("staircase-flow"), 16)
+    assert FlowColumn(flow_segments(rz, 15), SlabAlgebra(16)).H_ticks < 1 << 62
+    with pytest.raises(SegmentBudgetExceeded, match="tick scale overflows"):
+        FlowColumn(flow_segments(rz, 16), SlabAlgebra(16))
 
 
 def _counts(rz, J, L):
@@ -155,19 +159,35 @@ def test_flow_limit_check_small_depth():
     assert rep.residual_mirror == pytest.approx(rep.residual, abs=1e-9)
 
 
+def test_flow_limit_and_window_identity_at_depth_15():
+    # the deepest staircase under 2**62 ticks; the residual measures 0.0166
+    J = 15
+    rz = realize(catalog("staircase-flow"), J)
+    rep = flow_limit_check(rz, J, 1, 1, J - 1)
+    assert rep.residual <= 0.05
+    m = heights(rz, J)[J - 2]  # h_14
+    assert pm_identity_gap(flow_segments(rz, J), SlabAlgebra(16), m) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # exact oracles: every slab and spacer interval as Fractions, and the overlap
 # measure of each interval pair, summed without ticks or breakpoint merging
 
 def _intervals(seg, L):
-    out, pos = [], F(0)
-    w = seg.base_duration / L
-    for kind, dur in seg:
-        if kind == "copy":
-            out += [(pos + w * i, pos + w * (i + 1), i) for i in range(L)]
-        else:
-            out.append((pos, pos + dur, L))
-        pos += dur
+    """Every slab and spacer interval of the column in order, built from its
+    stages: W_{e+1} repeats W_e's intervals at each copy start, and adds
+    each nonzero spacer."""
+    w, h = seg.base_duration / L, seg.base_duration
+    out = [(w * i, w * (i + 1), i) for i in range(L)]
+    for r, gaps in seg.stages:
+        stage, pos = [], F(0)
+        for s in gaps:
+            stage += [(p + pos, q + pos, a) for p, q, a in out]
+            pos += h
+            if s:
+                stage.append((pos, pos + s, L))
+                pos += s
+        out, h = stage, pos
     return out
 
 
@@ -283,6 +303,24 @@ def test_counts_and_windows_leave_the_column_unbuilt():
     # the first read builds the breakpoints
     assert len(col.breaks) == len(col.codes) == 85_679
     assert "_column" in vars(col)
+
+
+def test_breakpoint_column_of_a_hand_built_depth_3_column():
+    # staircase J=3 in 2 slabs: 6 ticks a unit, slabs of 3 ticks. W_2 is two
+    # base copies, a zero spacer and a 3-tick one (15 ticks); W_3 is three
+    # copies of W_2 with spacers of 0, 2 and 4 ticks (51 ticks)
+    seg = flows.SegmentList(
+        base_duration=F(1),
+        total=F(17, 2),
+        stages=((2, (F(0), F(1, 2))), (3, (F(0), F(1, 3), F(2, 3)))),
+    )
+    col = FlowColumn(seg, SlabAlgebra(2))
+    assert (col.den, col.width_ticks, col.H_ticks) == (6, 3, 51)
+    assert col.breaks.dtype == np.int64 and col.codes.dtype == np.int16
+    assert col.breaks.tolist() == [
+        0, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30, 32, 35, 38, 41, 44, 47,
+    ]
+    assert col.codes.tolist() == [0, 1, 0, 1, 2, 0, 1, 0, 1, 2, 2, 0, 1, 0, 1, 2, 2]
 
 
 def _column_counts(col, t):
@@ -502,17 +540,15 @@ def test_kernel_and_spacer_share_sum_to_one(flow):
             assert 0 <= share < 1
 
 
-def _kernel_oracle(seg, lag, reach):
+def _kernel_oracle(col, lag, reach):
     """The lag's kernel from every pair of copies of every stage column W_e
-    in the segment list, as Fractions: the pair (i, k) at shift
+    in the column, as Fractions: the pair (i, k) at shift
     d = lag - (start_k - start_i) is a node when |d| <= reach (or W_e is the
     base) and the pairs of copies holding it at every stage above it have
-    |d| > reach; it weighs h_e - |d|."""
-    starts, pos = [], F(0)
-    for kind, dur in seg:
-        if kind == "copy":
-            starts.append(pos)
-        pos += dur
+    |d| > reach; it weighs h_e - |d|. The base copies start at the
+    breakpoints coded 0."""
+    seg = col.segments
+    starts = [F(int(b), col.den) for b in col.breaks[col.codes == 0]]
     size, h, stages = 1, seg.base_duration, []  # (base copies in W_e, h_e)
     for r, gaps in seg.stages:
         stages.append((size, h))
@@ -525,7 +561,7 @@ def _kernel_oracle(seg, lag, reach):
 
     weights = {}
     for e, (size, h) in enumerate(stages):
-        n = seg.copies // size
+        n = len(starts) // size
         for i in range(n):
             for k in range(n):
                 d = shift(e, i, k)
@@ -547,11 +583,10 @@ def test_kernel_matches_copy_pair_oracle(flow):
     for J in range(2, 5):
         for j0 in range(1, J):
             rz = realize(FLOWS[flow], J)
-            seg = flow_segments(rz, J, j0)
-            col = FlowColumn(seg, SlabAlgebra(2))
+            col = FlowColumn(flow_segments(rz, J, j0), SlabAlgebra(2))
             for q, lag in _lags(rz, J):
                 kernel, _ = flows._lag_kernel(col, lag, F(q))
-                assert dict(kernel) == _kernel_oracle(seg, lag, q), (J, j0, q, lag)
+                assert dict(kernel) == _kernel_oracle(col, lag, q), (J, j0, q, lag)
 
 
 def test_default_lag_kernel_nodes_at_depth_7():
