@@ -179,7 +179,7 @@ def _intervals(seg, L):
     each nonzero spacer."""
     w, h = seg.base_duration / L, seg.base_duration
     out = [(w * i, w * (i + 1), i) for i in range(L)]
-    for r, gaps in seg.stages:
+    for _, gaps in seg.stages:
         stage, pos = [], F(0)
         for s in gaps:
             stage += [(p + pos, q + pos, a) for p, q, a in out]
