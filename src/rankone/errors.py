@@ -58,9 +58,9 @@ class TimeOutOfRange(RankOneError):
 
 
 class SegmentBudgetExceeded(RankOneError):
-    """A flow's column is 2**62 ticks high or more on its tick scale (the
-    tick-scale refusal; the name is kept from the segment budget it
-    replaced)."""
+    """A flow's column is 2**150 ticks high or more on its tick scale
+    (flows.TICK_BOUND, the tick-scale refusal; the name is kept from the
+    segment budget it replaced)."""
 
 
 class ParseError(RankOneError):

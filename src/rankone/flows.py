@@ -4,7 +4,9 @@ The depth-J column is held as its stages: stage e+1 is r_e copies of stage
 e, each followed by a real-duration spacer, down to the base copy of
 duration h_{j0}. Times are exact rationals; internally every duration is
 scaled to integer ticks on a common denominator, so set measures come out
-as integer tick counts with no floating-point error.
+as integer tick counts with no floating-point error. Every sum is a Python
+int, so TICK_BOUND (2**150 ticks) bounds a column's cost, not an overflow;
+a returned table holds int64 when its entries' bound is below 2**63 (_table).
 
 Correlations live on a slab algebra: the base fiber [0, h_{j0}) cut into L
 equal slabs, spacers mapped to a star symbol. C(t)[a][b] is the Lebesgue
@@ -48,7 +50,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import accumulate
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -69,11 +72,13 @@ __all__ = [
     "FlowLimitReport",
     "flow_limit_check",
     "MIN_SLABS",
+    "TICK_BOUND",
 ]
 
 #: The slab algebra cuts the base fiber into at least this many slabs.
 MIN_SLABS = 2
-_TICK_LIMIT = 1 << 62
+#: A flow's column must stay below this many ticks high (see tick_scale).
+TICK_BOUND = 1 << 150
 
 
 @dataclass(frozen=True)
@@ -124,35 +129,33 @@ class SlabAlgebra:
         return self.L
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def tick_scale(base: Fraction, stages, L: int, *times: Fraction) -> Tuple[int, int]:
     """(den, H) for the column of base height `base`, cut into L slabs and
     built by `stages`, (r_e, spacer durations) from the base stage up as in
     SegmentList.stages: den ticks make one unit of time (the lcm of the
     slab width's and the spacers' denominators), and the column is H ticks
     high. Raises SegmentBudgetExceeded when H, on the finer scale that makes
-    each of `times` a whole number of ticks, reaches 2**62. This is the
-    bound on a flow's depth: no count builds the column, so its size in
-    segments or breakpoints bounds nothing (staircase reaches depth 15)."""
+    each of `times` a whole number of ticks, reaches TICK_BOUND, and stops
+    folding stages once one reaches it. This bounds a flow's depth: no count
+    builds the column (staircase reaches depth 30)."""
     height = Fraction(base)
     den = (height / L).denominator
     for r, gaps in stages:
-        for s in gaps:
-            den = _lcm(den, Fraction(s).denominator)
+        den = lcm(den, *(Fraction(s).denominator for s in gaps))
         height = r * height + sum(gaps)
+        _check_ticks(int(height * den))  # heights and den only grow
     H = int(height * den)
-    f = 1
-    for t in times:
-        f = _lcm(f, (Fraction(t) * den).denominator)
-    if H * f >= _TICK_LIMIT:
-        raise SegmentBudgetExceeded(
-            f"tick scale overflows 63-bit integers: the column is {H * f} ticks "
-            f"high, 2^62 or more"
-        )
+    _check_ticks(H * lcm(*((Fraction(t) * den).denominator for t in times)))
     return den, H
+
+
+def _check_ticks(ticks: int) -> None:
+    """Refuse a column at least `ticks` high once that reaches TICK_BOUND."""
+    if ticks >= TICK_BOUND:
+        raise SegmentBudgetExceeded(
+            f"tick scale too fine: the column is 2^{ticks.bit_length() - 1} ticks "
+            f"high or more, past the bound 2^{TICK_BOUND.bit_length() - 1}"
+        )
 
 
 def _tent(x: int, w: int) -> int:
@@ -188,32 +191,30 @@ class FlowColumn:
         # in ticks: the stage heights h_{j0}..h_J and spacers, and the ticks
         # each symbol takes in W_e. W_{e+1}'s parts are (start, is a copy,
         # F, 2A): F the ticks of each symbol before the start, and 2A twice
-        # the integral of F, in Python ints as it passes 2**63. `area` is 2A
-        # of all of W_e, which is (2(L - i) - 1) w**2 for the base slab i
-        self._stages = [
-            (r, [int(s * den) for s in gaps]) for r, gaps in segments.stages
-        ]
+        # the integral of F. `area` is 2A of all of W_e, which is
+        # (2(L - i) - 1) w**2 for the base slab i. All are Python ints
+        self._stages = [(r, [int(s * den) for s in gaps]) for r, gaps in segments.stages]
         self._heights = [int(base * den)]
-        self._totals = [np.append(np.full(L, w, dtype=np.int64), 0)]
+        self._totals = [np.array([w] * L + [0], dtype=object)]
         area = np.array([(2 * (L - i) - 1) * w * w for i in range(L)] + [0], dtype=object)
         self._parts = []
         for r, gaps in self._stages:
-            h, total = self._heights[-1], self._totals[-1].astype(object)
+            h, total = self._heights[-1], self._totals[-1]
             occ = np.zeros(L + 1, dtype=object)
             A, pos, parts = occ.copy(), 0, []
             for s in gaps:
-                parts.append((pos, True, occ.astype(np.int64), A))
+                parts.append((pos, True, occ, A))
                 A, occ = A + 2 * h * occ + area, occ + total
                 pos += h
                 if s:
-                    parts.append((pos, False, occ.astype(np.int64), A))
+                    parts.append((pos, False, occ, A))
                     A, occ = A + 2 * s * occ, occ.copy()
                     A[star] += s * s
                     occ[star] += s
                     pos += s
             self._parts.append(parts)
             self._heights.append(pos)
-            self._totals.append(r * self._totals[-1])
+            self._totals.append(r * total)
             self._totals[-1][star] += sum(gaps)
             area = A
         self._starts = {}  # copy starts of W_{e+1} by (e, f)
@@ -258,13 +259,8 @@ class FlowColumn:
         """([tau, ...], f): each t = tau / (f * den); f is the smallest extra
         scale factor that makes every t a whole number of ticks."""
         raws = [Fraction(t) * self.den for t in ts]
-        f = 1
-        for raw in raws:
-            f = _lcm(f, raw.denominator)
-        if self.H_ticks * f >= _TICK_LIMIT:
-            raise SegmentBudgetExceeded(
-                f"time denominator {f * self.den} overflows the tick scale"
-            )
+        f = lcm(*(raw.denominator for raw in raws))
+        _check_ticks(self.H_ticks * f)
         return [int(raw * f) for raw in raws], f
 
     def pair_counts(self, t: Fraction) -> Tuple[np.ndarray, int]:
@@ -277,10 +273,9 @@ class FlowColumn:
         of base copies at a shift a = k*w + r, which adds w - r ticks to the
         slab pairs (i, i+k) and r to (i, i+k+1), or at shift 0, which adds a
         copy's slab measure to every (i, i). Both depend on j - i only, so
-        the slab block is one band of 2L + 1 diagonals. The star column is
-        what the slab rows leave of the symbols below H - |t|, the star row
-        what the slab columns leave of those above |t|, and [star, star]
-        the rest of the H - |t| ticks; C_{-t} is C_t transposed.
+        the slab block is one band of diagonals, and the marginals, the
+        symbols below H - |t| and above |t|, give the rest (see _table).
+        C_{-t} is C_t transposed.
         """
         (tau,), f = self._ticks(t)
         H = self.H_ticks * f
@@ -293,24 +288,17 @@ class FlowColumn:
             if copies is not None:
                 continue
             if a == 0:
-                band[L] += fwd * f * int(self._totals[e][0])
+                band[L] += fwd * f * self._totals[e][0]
                 continue
             k, r = divmod(a, w)
             for d, n in ((k, w - r), (k + 1, r)):
                 band[L + d] += fwd * n
                 band[L - d] += bwd * n
-        i = np.arange(L)
-        block = np.array(band, dtype=np.int64)[L + i[None, :] - i[:, None]]
         a, top = abs(tau), len(self._stages)
         below = self._occupation(top, H - a, f)  # the symbols of [0, H - a)
         above = f * self._totals[top] - self._occupation(top, a, f)  # of [a, H)
         src, dst = (below, above) if tau >= 0 else (above, below)
-        C = np.zeros((L + 1, L + 1), dtype=np.int64)
-        C[:L, :L] = block
-        C[:L, L] = src[:L] - block.sum(axis=1)
-        C[L, :L] = dst[:L] - block.sum(axis=0)
-        C[L, L] = H - a - C.sum()
-        return C, H
+        return _table(band[1:-1], src, dst, H), H
 
     def _descend(self, a: int, b: int, f: int, leaf):
         """Follow the band [a, b] of shifts of the column (a == b for one
@@ -362,9 +350,10 @@ class FlowColumn:
 
     def _occupation(self, e: int, x: int, f: int) -> np.ndarray:
         """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
-        found by descending through the part of each stage that holds x."""
+        in Python ints, found by descending through the part of each stage
+        that holds x."""
         star = self.slabs.star
-        occ = np.zeros(star + 1, dtype=np.int64)
+        occ = np.zeros(star + 1, dtype=object)
         while e:
             e -= 1
             parts = self._parts[e]
@@ -376,8 +365,7 @@ class FlowColumn:
                 return occ
         n, rest = divmod(x, self.width_ticks * f)
         occ[:n] += self.width_ticks * f
-        if rest:
-            occ[n] += rest
+        occ[n] += rest  # n = L, the star, only when rest = 0
         return occ
 
     def _area(self, e: int, x: int, f: int) -> np.ndarray:
@@ -392,7 +380,7 @@ class FlowColumn:
             parts = self._parts[e]
             lo, is_copy, F, A = parts[bisect_right(parts, (x // f, 2)) - 1]
             x -= lo * f
-            area += f * f * A + 2 * f * x * F.astype(object)
+            area += f * f * A + 2 * f * x * F
             if not is_copy:
                 area[star] += x * x
                 return area
@@ -412,9 +400,7 @@ class FlowColumn:
         a base copy adds 2 * the integral of the slab tent
         max(0, w - |t - k*w|) to the diagonal j - i = k. The star row and
         column are what the slab block leaves of the two marginals'
-        integrals, from 2A at the window's ends (see _area).
-        The sums are exact Python ints; W holds int64 when its entries stay
-        below 2**63, else Python ints.
+        integrals, from 2A at the window's ends (see _area and _table).
         """
         (LO, HI), f = self._ticks(lo, hi)
         H = self.H_ticks * f
@@ -431,19 +417,17 @@ class FlowColumn:
             if copies is not None:
                 continue
             if e:
-                full += (fwd + bwd) * 2 * (f * int(self._totals[e][0])) ** 2
+                full += (fwd + bwd) * 2 * (f * self._totals[e][0]) ** 2
                 continue
             for k in range(1 - L, L):
                 v = _tent(b - k * w, w) - _tent(a - k * w, w)
                 band[L - 1 + k] += fwd * v
                 band[L - 1 - k] += bwd * v
-        i = np.arange(L)
-        block = np.array(band, dtype=object)[L - 1 + i[None, :] - i[:, None]] + full
         # 2 * the integral of the marginals: over shifts s >= 0 of one sign,
         # the source holds the symbols of [0, H - s) and the target those of
         # [s, H); a negative shift swaps them
         top = len(self._stages)
-        total = (f * self._totals[top]).astype(object)
+        total = f * self._totals[top]
         rows = np.zeros(L + 1, dtype=object)
         cols = rows.copy()
         for s0, s1, forward in ((max(LO, 0), HI, True), (max(-HI, 0), -LO, False)):
@@ -452,14 +436,26 @@ class FlowColumn:
                 above = 2 * (s1 - s0) * total - self._area(top, s1, f) + self._area(top, s0, f)
                 rows += below if forward else above
                 cols += above if forward else below
-        W = np.empty((L + 1, L + 1), dtype=object)
-        W[:L, :L] = block
-        W[:L, L] = rows[:L] - block.sum(axis=1)
-        W[L, :L] = cols[:L] - block.sum(axis=0)
-        W[L, L] = rows[L] - W[L, :L].sum()
-        M = HI - LO
-        # an entry over a window of M ticks lies in [0, 2*H*M]
-        return (W.astype(np.int64) if 2 * H * M < (1 << 63) else W), 2 * M * H
+        Z = 2 * H * (HI - LO)  # an entry lies in [0, Z]
+        return _table([v + full for v in band], rows, cols, Z), Z
+
+
+def _table(band: List[int], rows: np.ndarray, cols: np.ndarray, bound: int) -> np.ndarray:
+    """The (L+1)**2 table with band[L - 1 + j - i] at slab pair (i, j) and
+    row and column sums rows and cols: the star column and row are what the
+    slab block's rows and columns, runs of the band read off its prefix
+    sums, leave of them. It holds int64 when `bound`, a bound on its
+    entries, is below 2**63, else Python ints."""
+    L = len(rows) - 1
+    P = np.array([0, *accumulate(band)], dtype=object)  # P[k]: the sum of band[:k]
+    i = np.arange(L)
+    row_sums, col_sums = P[2 * L - 1 - i] - P[L - 1 - i], P[L + i] - P[i]
+    T = np.empty((L + 1, L + 1), dtype=np.int64 if bound < 1 << 63 else object)
+    T[:L, :L] = np.array(band, dtype=T.dtype)[L - 1 + i[None, :] - i[:, None]]
+    T[:L, L] = rows[:L] - row_sums
+    T[L, :L] = cols[:L] - col_sums
+    T[L, L] = rows[L] - cols[:L].sum() + col_sums.sum()
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +465,8 @@ class FlowColumn:
 class PmResult:
     """(1/m) * integral of D(t) over the window, exactly counts / scale.
 
-    counts holds int64, or Python ints when the tick scale needs them;
-    matrix is the float value of the average.
+    counts holds int64 when scale, which bounds its entries, is below 2**63,
+    else Python ints (see _table); matrix is the float value of the average.
     """
 
     counts: np.ndarray

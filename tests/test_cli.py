@@ -205,11 +205,11 @@ experiment.r.kind = rigidity
 """
 CHACON10 = "construction.catalog = chacon\nconstruction.depth = 10\n"
 FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperiment.f.kind = flow-limit\n"
-# a spacer of 1/(2**62 - 57) puts the column past 2**62 ticks
+# a spacer of 1/(2**150 - 3) puts the column past 2**150 ticks
 TICKS = """
 construction.kind = flow
 construction.cuts = 3
-construction.spacers = pattern:0,1/4611686018427387847,0
+construction.spacers = pattern:0,1/1427247692705959881058285969449495136382746621,0
 construction.h1 = 1
 construction.depth = 3
 experiment.f.kind = flow-limit

@@ -620,9 +620,9 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
     "J, extra, line, message",
     [
         (5, "experiment.f.slabs = 1\n", 4, r"experiment\.f\.slabs: slabs must be >= 2"),
-        # the column is 2^64.3 ticks high at depth 16, 2^60.3 at depth 15
-        (40, "", 2, r"construction\.depth: tick scale overflows"),
-        (16, "", 2, r"construction\.depth: tick scale overflows"),
+        # the column is 2^159.3 ticks high at depth 31, 2^149.4 at depth 30
+        (40, "", 2, r"construction\.depth: tick scale too fine"),
+        (31, "", 2, r"construction\.depth: tick scale too fine: the column is 2\^159 ticks"),
         # (L + 1)**2 pair-count cells: 2048 slabs make 2^22 + 4097
         (5, "experiment.f.slabs = 2048\n", 4,
          r"experiment\.f\.slabs: 2048 slabs make the pair-count table too large "
@@ -636,7 +636,7 @@ FLOW = "construction.catalog = staircase-flow\nconstruction.depth = {J}\nexperim
         (5, "experiment.f.stage = 2\nexperiment.f.q = 180\n", 5,
          r"experiment\.f\.q: q = 180 reaches the column height 359/2"),
     ],
-    ids=["slabs-1", "depth-40-tick-scale", "depth-16-tick-scale", "slab-cells", "q-0", "stage-99",
+    ids=["slabs-1", "depth-40-tick-scale", "depth-31-tick-scale", "slab-cells", "q-0", "stage-99",
          "q-lag-past-height", "q-lag-at-boundary", "q-past-height-stage-2"],
 )
 def test_flow_limits_refused_with_line(J, extra, line, message):
@@ -647,7 +647,7 @@ def test_flow_limits_refused_with_line(J, extra, line, message):
 TICKS = (
     "construction.kind = flow\n"
     "construction.cuts = 3\n"
-    "construction.spacers = pattern:0,1/4611686018427387847,0\n"
+    "construction.spacers = pattern:0,1/1427247692705959881058285969449495136382746621,0\n"
     "construction.h1 = 1\n"
     "construction.depth = 3\n"
     "experiment.f.kind = flow-limit\n"
@@ -662,23 +662,32 @@ TICKS = (
     ],
     ids=["size-line", "slabs-line"],
 )
-def test_flow_tick_scale_past_62_bits_refused_with_line(extra, line, key):
-    # a spacer of 1/(2**62 - 57) makes the column 1.7e20 ticks high (4.2e19
-    # at 4 slabs); such a config used to fail at run time with exit 2
-    with pytest.raises(ValidationError, match=rf"line {line}: {key}: tick scale overflows"):
+def test_flow_tick_scale_past_150_bits_refused_with_line(extra, line, key):
+    # a spacer of 1/(2**150 - 3) makes the column 2^157.2 ticks high
+    # (2^155.2 at 4 slabs); such a config used to fail at run time with
+    # exit 2
+    with pytest.raises(ValidationError, match=rf"line {line}: {key}: tick scale too fine"):
         parse_config(TICKS + extra)
 
 
+def test_deep_flow_refusal_gives_the_height_in_bits():
+    # at depth 200 the column is over 10**500 ticks high; the refusal states
+    # a power of two, and stops folding stages once the height passes 2**150
+    with pytest.raises(ValidationError, match=r"^line 2: construction\.depth: .* 2\^\d+ ticks") as exc:
+        parse_config(FLOW.format(J=200))
+    assert len(str(exc.value)) < 200
+
+
 def test_flow_lag_finer_than_the_tick_scale_refused():
-    # base stage 2 is h_2 = 1/p + 1 with p = 2**59 - 1, so with 2 slabs the
-    # column is 4p + 3 ticks high, under 2**62; the lag h_1 = 1/(3p) needs a
-    # 3 times finer scale, 12p + 9 ticks, past 2**62 (it used to exit 2 at
-    # run time)
+    # base stage 2 is h_2 = 1/p + 1 with p = 2**147 - 1, so with 2 slabs the
+    # column is 4p + 3 ticks high, under 2**150; the lag h_1 = 1/(3p) needs
+    # a 3 times finer scale, 12p + 9 ticks, past 2**150 (it used to exit 2
+    # at run time)
     text = (
         "construction.kind = flow\n"
         "construction.cuts = 3\n"
         "construction.spacers = pattern:0,0,1\n"
-        "construction.h1 = 1/1729382256910270461\n"
+        "construction.h1 = 1/535217884764734955396857238543560676143529981\n"
         "construction.depth = 3\n"
         "construction.base = 2\n"
         "experiment.f.kind = flow-limit\n"
@@ -710,16 +719,16 @@ def test_defaulted_flow_q_past_height_names_the_kind_line():
 
 
 def test_budget_flag_refusal_names_the_flag():
-    # a budget of 10**14 time units grows the staircase to depth 16 (h_16 is
-    # 3.1e13), past the tick scale
-    with pytest.raises(ValidationError, match=r"^--budget: tick scale overflows"):
-        parse_config(FLOW.format(J=5), budget=10**14)
+    # a budget of 2*10**34 time units grows the staircase to depth 31 (h_31
+    # is 1.2e34), past the tick scale
+    with pytest.raises(ValidationError, match=r"^--budget: tick scale too fine"):
+        parse_config(FLOW.format(J=5), budget=2 * 10**34)
 
 
 def test_flow_column_within_budgets_accepted():
-    # staircase depth 15, the deepest under 2**62 ticks, with 16 slabs
-    plan = parse_config(FLOW.format(J=15))
-    assert plan.J == 15 and plan.experiments[0].params["slabs"] == 16
+    # staircase depth 30, the deepest under 2**150 ticks, with 16 slabs
+    plan = parse_config(FLOW.format(J=30))
+    assert plan.J == 30 and plan.experiments[0].params["slabs"] == 16
     # 2047 slabs make 2048**2 = 2**22 pair-count cells, the most allowed
     plan = parse_config(FLOW.format(J=2) + "experiment.f.slabs = 2047\n")
     assert plan.experiments[0].params["slabs"] == 2047

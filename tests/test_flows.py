@@ -66,11 +66,11 @@ def test_segment_total_matches_height():
 
 
 def test_segment_budget_guard():
-    # the staircase column is 2^60.3 ticks high at depth 15 and 2^64.3 at 16
-    rz = realize(catalog("staircase-flow"), 16)
-    assert FlowColumn(flow_segments(rz, 15), SlabAlgebra(16)).H_ticks < 1 << 62
-    with pytest.raises(SegmentBudgetExceeded, match="tick scale overflows"):
-        FlowColumn(flow_segments(rz, 16), SlabAlgebra(16))
+    # the staircase column is 2^149.4 ticks high at depth 30 and 2^159.3 at 31
+    rz = realize(catalog("staircase-flow"), 31)
+    assert FlowColumn(flow_segments(rz, 30), SlabAlgebra(16)).H_ticks < flows.TICK_BOUND
+    with pytest.raises(SegmentBudgetExceeded, match=r"tick scale too fine: .* 2\^159 ticks"):
+        FlowColumn(flow_segments(rz, 31), SlabAlgebra(16))
 
 
 def _counts(rz, J, L):
@@ -160,12 +160,23 @@ def test_flow_limit_check_small_depth():
 
 
 def test_flow_limit_and_window_identity_at_depth_15():
-    # the deepest staircase under 2**62 ticks; the residual measures 0.0166
+    # the residual measures 0.0166
     J = 15
     rz = realize(catalog("staircase-flow"), J)
     rep = flow_limit_check(rz, J, 1, 1, J - 1)
     assert rep.residual <= 0.05
     m = heights(rz, J)[J - 2]  # h_14
+    assert pm_identity_gap(flow_segments(rz, J), SlabAlgebra(16), m) == 0.0
+
+
+def test_flow_limit_and_window_identity_at_depth_30():
+    # the deepest staircase under TICK_BOUND, a 150-bit column; the residual
+    # measures 0.008067
+    J = 30
+    rz = realize(catalog("staircase-flow"), J)
+    rep = flow_limit_check(rz, J, 1, 1, J - 1)
+    assert rep.residual <= 0.01
+    m = heights(rz, J)[J - 2]  # h_29
     assert pm_identity_gap(flow_segments(rz, J), SlabAlgebra(16), m) == 0.0
 
 
@@ -327,7 +338,9 @@ def _column_counts(col, t):
     """C_t from one merge of the whole column's breakpoints with their
     t-shift: a reference that shares nothing with the copy recursion."""
     (tau,), f = col._ticks(t)
-    breaks = col.breaks * f
+    # in Python ints where the scaled column passes int64
+    dtype = np.int64 if col.H_ticks * f < 1 << 63 else object
+    breaks = col.breaks.astype(dtype) * f
     src, dst = max(-tau, 0), max(tau, 0)
     span = col.H_ticks * f - abs(tau)
     pts = np.union1d(breaks - src, breaks - dst)
@@ -335,7 +348,7 @@ def _column_counts(col, t):
     a = col.codes[np.searchsorted(breaks, pts[:-1] + src, side="right") - 1]
     b = col.codes[np.searchsorted(breaks, pts[:-1] + dst, side="right") - 1]
     S = col.slabs.size
-    C = np.zeros((S, S), dtype=np.int64)
+    C = np.zeros((S, S), dtype=dtype)
     np.add.at(C, (a, b), np.diff(pts))
     return C
 
@@ -356,6 +369,26 @@ def test_pair_counts_match_the_column_sweep():
                 C, H = col.pair_counts(t)
                 assert np.array_equal(C, _column_counts(col, t)), (q, stage, t)
                 assert int(C.sum()) == H - abs(t) * H / col.segments.total
+
+
+def test_python_int_tables_match_the_column_sweeps():
+    # staircase J=4 in 16 slabs is 1,704 ticks high; shifts h_3 + 1/(3*2**64)
+    # and 5/7 - 2**-70 put it on a 71- and an 80-bit tick scale, where the
+    # tables hold Python ints
+    J = 4
+    rz = realize(catalog("staircase-flow"), J)
+    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    assert col.H_ticks == 1704
+    for t in (heights(rz, J)[2] + F(1, 3 << 64), F(5, 7) - F(1, 1 << 70)):
+        for t in (t, -t):
+            C, H = col.pair_counts(t)
+            assert C.dtype == object and H >= 1 << 63
+            assert np.array_equal(C, _column_counts(col, t)), t
+            lo, hi = sorted((t, F(0)))
+            W, Z = col.window_counts(lo, hi)
+            want, scale = _column_windows(col, lo, hi)
+            assert W.dtype == want.dtype == object
+            assert Z == scale and np.array_equal(W, want), (lo, hi)
 
 
 def test_flow_run_does_not_import_numpy_ma():
@@ -446,7 +479,7 @@ def _column_windows(col, lo, hi):
     (LO, HI), f = col._ticks(lo, hi)
     H = col.H_ticks * f
     dtype = np.int64 if 2 * H * (HI - LO) < (1 << 63) else object
-    edges = np.append(col.breaks * f, H)
+    edges = np.append(col.breaks.astype(dtype) * f, H)
     lens = np.diff(edges).astype(dtype)
     ends = []  # the interval j holding each edge e - c (the top edge past
     for c in (LO, HI):  # the last one), and the offset r of e - c into it
