@@ -78,10 +78,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     path = Path(args.config)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         print(f"rankone: cannot read {path}: {exc}", file=sys.stderr)
         return 3
+
+    try:
+        text = data.decode("utf-8-sig")  # drops a leading byte-order mark
+    except UnicodeDecodeError as exc:  # exc.object is the data after the mark
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        print(f"rankone: {path}: line {line}: not UTF-8 ({exc.reason})", file=sys.stderr)
+        return 1
 
     try:
         plan = parse_config(

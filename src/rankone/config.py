@@ -22,11 +22,11 @@ cap is enforced here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from ._record import record, replace
 from .construction import (
     AffineCuts,
     BernoulliSpacers,
@@ -93,7 +93,7 @@ _LAG_TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentSpec:
     """One experiment with fully resolved parameters."""
 
@@ -102,7 +102,7 @@ class ExperimentSpec:
     params: Dict[str, object]
 
 
-@dataclass(frozen=True)
+@record
 class ExperimentPlan:
     """Everything run_plan needs, resolved and validated."""
 
@@ -116,13 +116,12 @@ class ExperimentPlan:
     echo: Dict[str, object]
 
 
-@dataclass
+@record
 class _Entry:
     key: str
     value: str
     line: int
     col: int
-    used: bool = False
 
 
 def _refuse(e: _Entry, message, error=ValidationError):
@@ -316,6 +315,7 @@ class _Section:
 
     def __init__(self, entries: List[_Entry]):
         self.by_key: Dict[str, _Entry] = {}
+        self.used: Set[str] = set()  # the keys taken
         for e in entries:
             if e.key in self.by_key:
                 raise ValidationError(
@@ -324,13 +324,11 @@ class _Section:
             self.by_key[e.key] = e
 
     def take(self, key: str) -> Optional[_Entry]:
-        e = self.by_key.get(key)
-        if e is not None:
-            e.used = True
-        return e
+        self.used.add(key)
+        return self.by_key.get(key)
 
     def unused(self) -> List[_Entry]:
-        return [e for e in self.by_key.values() if not e.used]
+        return [e for key, e in self.by_key.items() if key not in self.used]
 
 
 def _resolve_depth(
@@ -408,7 +406,7 @@ def _reach_check(reach: int, lJ: int, e: _Entry, what: str, span: int = 0) -> No
 REQUIRED = None  # a key with no default
 
 
-@dataclass(frozen=True)
+@record
 class _Scope:
     """What one experiment's readers resolve against."""
 

@@ -9,12 +9,12 @@ per-stage cut and spacer values have been made explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
 from typing import Iterator, Optional, Sequence, Union
 
 from . import _rng
+from ._record import record
 from .errors import (
     CutBudgetExceeded,
     MalformedRule,
@@ -54,7 +54,7 @@ CUT_BUDGET = 1 << 20
 # ---------------------------------------------------------------------------
 # cut rules
 
-@dataclass(frozen=True)
+@record
 class ConstantCuts:
     """r_j = r for every stage."""
 
@@ -64,7 +64,7 @@ class ConstantCuts:
         return self.r
 
 
-@dataclass(frozen=True)
+@record
 class ExplicitCuts:
     """Explicit per-stage cut counts; the final entry repeats forever."""
 
@@ -79,7 +79,7 @@ class ExplicitCuts:
         return self.values[min(j - 1, len(self.values) - 1)]
 
 
-@dataclass(frozen=True)
+@record
 class AffineCuts:
     """r_j = a*j + b."""
 
@@ -93,7 +93,7 @@ class AffineCuts:
 # ---------------------------------------------------------------------------
 # spacer rules
 
-@dataclass(frozen=True)
+@record
 class PatternSpacers:
     """The same spacer vector at every stage; length must match r_j."""
 
@@ -114,7 +114,7 @@ class PatternSpacers:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class StageSpacers:
     """Explicit spacer vectors per stage; the final vector repeats forever."""
 
@@ -138,7 +138,7 @@ class StageSpacers:
         return False
 
 
-@dataclass(frozen=True)
+@record
 class BernoulliSpacers:
     """Independent spacers: s_j(i) = 0 with probability a, else 1.
 
@@ -166,7 +166,7 @@ class BernoulliSpacers:
         return True
 
 
-@dataclass(frozen=True)
+@record
 class StaircaseSpacers:
     """Flow spacers s_j(i) = (i-1)/r_j; with damping, (i-1)/(j*r_j)."""
 
@@ -188,7 +188,7 @@ SpacerRule = Union[PatternSpacers, StageSpacers, BernoulliSpacers, StaircaseSpac
 # ---------------------------------------------------------------------------
 # schedules
 
-@dataclass(frozen=True)
+@record
 class ConstructionSchedule:
     """Declarative description of a cutting-and-stacking construction.
 
@@ -218,7 +218,7 @@ class ConstructionSchedule:
         return self.spacers.stochastic
 
 
-@dataclass(frozen=True)
+@record
 class RealizedSchedule:
     """A schedule whose stages 1..J-1 have explicit (r_j, spacer vector)."""
 

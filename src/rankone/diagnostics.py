@@ -15,11 +15,11 @@ configs apply the stricter reporting cap before calling in.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ._record import record
 from .construction import RealizedSchedule, heights
 from .correlation import PairCounter, unit_mass
 from .errors import LagOutOfRange
@@ -94,7 +94,7 @@ def limit_basis(
 # ---------------------------------------------------------------------------
 # limit scan
 
-@dataclass(frozen=True)
+@record
 class LimitScanRow:
     """Classification of one lag plus the nearest named family."""
 
@@ -104,7 +104,7 @@ class LimitScanRow:
     family_distance: float
 
 
-@dataclass(frozen=True)
+@record
 class LimitScan:
     rows: Tuple[LimitScanRow, ...]
     window: int
@@ -212,7 +212,7 @@ def limit_scan(
 # ---------------------------------------------------------------------------
 # rigidity
 
-@dataclass(frozen=True)
+@record
 class RigidityRow:
     lag: int
     dist_max: float
@@ -220,7 +220,7 @@ class RigidityRow:
     boundary: float
 
 
-@dataclass(frozen=True)
+@record
 class RigidityScan:
     rows: Tuple[RigidityRow, ...]
     vanishing: bool
@@ -266,7 +266,7 @@ def rigidity_scan(
 # ---------------------------------------------------------------------------
 # mixing statistics
 
-@dataclass(frozen=True)
+@record
 class MixingReport:
     """Descriptive tail statistics; no verdict is implied.
 
@@ -315,7 +315,7 @@ def mixing_diagnostics(
 # ---------------------------------------------------------------------------
 # Cesaro product average
 
-@dataclass(frozen=True)
+@record
 class CesaroReport:
     """Running product-average deviation for the powers p and q.
 
@@ -383,7 +383,7 @@ def cesaro_disjointness_probe(
 # ---------------------------------------------------------------------------
 # triple correlations
 
-@dataclass(frozen=True)
+@record
 class TripleRow:
     m: int
     n: int
@@ -392,7 +392,7 @@ class TripleRow:
     tensor: np.ndarray
 
 
-@dataclass(frozen=True)
+@record
 class TripleReport:
     rows: Tuple[TripleRow, ...]
 

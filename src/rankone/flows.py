@@ -47,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -56,6 +55,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from ._record import record
 from .construction import RealizedSchedule, heights
 from .correlation import unit_mass
 from .errors import SegmentBudgetExceeded, TimeOutOfRange
@@ -81,7 +81,7 @@ MIN_SLABS = 2
 TICK_BOUND = 1 << 150
 
 
-@dataclass(frozen=True)
+@record
 class SegmentList:
     """The depth-J column, exactly, as its stages.
 
@@ -110,7 +110,7 @@ def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentLis
     return SegmentList(base_duration=hs[j0 - 1], total=hs[J - 1], stages=tuple(stages))
 
 
-@dataclass(frozen=True)
+@record
 class SlabAlgebra:
     """Base fiber [0, h_{j0}) cut into L equal slabs; spacers map to star."""
 
@@ -461,7 +461,7 @@ def _table(band: List[int], rows: np.ndarray, cols: np.ndarray, bound: int) -> n
 # ---------------------------------------------------------------------------
 # time averages
 
-@dataclass(frozen=True)
+@record
 class PmResult:
     """(1/m) * integral of D(t) over the window, exactly counts / scale.
 
@@ -524,7 +524,7 @@ def pm_identity_gap(
 # ---------------------------------------------------------------------------
 # limit check
 
-@dataclass(frozen=True)
+@record
 class FlowLimitReport:
     """flow_limit_check's result. kernel holds (shift, weight) pairs, taken
     in the reported orientation; its weights and spacer_share sum to 1."""

@@ -16,13 +16,13 @@ equality exactly, so the coefficients are those of the constrained optimum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, Iterable, Mapping, Tuple, Union
 
 import numpy as np
 
+from ._record import record
 from .errors import MissingBasisLag, SolverDivergence, UnknownFamily
 
 __all__ = [
@@ -58,7 +58,7 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"not a rational: {x!r}")
 
 
-@dataclass(frozen=True)
+@record
 class OperatorExpression:
     """sum_i c_i T^i + theta_mass * theta, with exact Fraction weights.
 
@@ -261,7 +261,7 @@ def predicted_matrix(
     return out
 
 
-@dataclass(frozen=True)
+@record
 class JoiningMatrix:
     """Matrix of an operator expression over a finite-depth basis.
 
@@ -333,7 +333,7 @@ def _simplex_lstsq(G: np.ndarray, c: np.ndarray) -> np.ndarray:
     raise SolverDivergence("active-set iteration did not converge")
 
 
-@dataclass(frozen=True)
+@record
 class ClassifyResult:
     """Best nonnegative sum-to-one combination of the basis."""
 

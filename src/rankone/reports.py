@@ -18,12 +18,13 @@ matrix. Experiments without tabular payloads appear only in the JSON.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import record
 from .errors import IoError
 
 __all__ = [
@@ -78,14 +79,14 @@ def classify_rows(
     return [(lag, i, c, theta, residual) for i, c in coefficients]
 
 
-@dataclass
+@record
 class ExperimentResult:
     label: str
     kind: str
     status: str  # "ok" or "error"
     payload: Optional[Dict[str, object]] = None
     error: Optional[str] = None
-    tables: Dict[str, List[tuple]] = field(default_factory=dict)
+    tables: Mapping[str, List[tuple]] = MappingProxyType({})
 
     def as_json_obj(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -100,7 +101,7 @@ class ExperimentResult:
         return out
 
 
-@dataclass
+@record
 class Report:
     plan: Dict[str, object]
     results: List[ExperimentResult]

@@ -28,7 +28,10 @@ experiment.rig.kind = rigidity
 
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
-    p.write_text(text)
+    if isinstance(text, bytes):
+        p.write_bytes(text)
+    else:
+        p.write_text(text)
     return p
 
 
@@ -325,6 +328,22 @@ def test_missing_config_exit_three(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "absent.cfg")])
     assert rc == 3
     assert "cannot read" in capsys.readouterr().err
+
+
+def test_undecodable_config_exit_one_at_its_line(tmp_path):
+    _assert_config_error_at(tmp_path, b"construction.catalog = chacon\n\xff\xfe bad\n", 2)
+
+
+def test_byte_order_mark_is_dropped(tmp_path):
+    # the mark sits right before the first key, construction.catalog
+    plain = _write(tmp_path, GOOD.lstrip())
+    (tmp_path / "bom").mkdir()
+    marked = _write(tmp_path / "bom", b"\xef\xbb\xbf" + GOOD.lstrip().encode())
+    assert main(["run", str(plain), "--out", str(tmp_path / "a")]) == 0
+    assert main(["run", str(marked), "--out", str(tmp_path / "b")]) == 0
+    a = (tmp_path / "a" / "run.json").read_text()
+    b = (tmp_path / "b" / "run.json").read_text()
+    assert _strip_wall(a) == _strip_wall(b)
 
 
 def test_unwritable_out_dir_exit_three(tmp_path, capsys):
