@@ -30,8 +30,13 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
 
   An edge one symbol wide adds 1 to one cell: ``_symbol`` reads W[p] as a
   Python int, memoised by position (edges repeat across lags and blocks).
-  Wider edges and small ranges are read directly: ``_window`` returns
-  W[lo:hi) in one descent through the stage layouts.
+  Edges of at most enum_cutoff symbols and small ranges are read directly:
+  ``_window`` returns W[lo:hi) in one descent through the stage layouts. A
+  longer edge is never read: its histogram is the difference of two prefix
+  histograms (``_prefix_hist``). W[0:x) is some whole base-word copies, a
+  head of one more and stars, and a descent in Python ints counts those
+  copies with one bisect into a stage layout per stage, so a star run costs
+  the same at any length.
 
 Every W_h copy ends with its nested last W_e copy and then the last spacers
 of stages e+1..h, all stars. The descents (the nested-tail jump of a full
@@ -205,12 +210,12 @@ class PairCounter:
     """Exact pair counts for one realized schedule at depth J, base j0.
 
     materialize_cutoff bounds the word prefix kept in memory (the recursion
-    bottoms out on it, and it caps the windows read symbol by symbol);
-    enum_cutoff sends pair ranges up to that length to one bincount over two
-    directly read windows, bounds the ranges read that way inside the
-    prefix to 4 enum_cutoff sources (longer ones split), and sends
-    counts_many lags up to it to one pass over the stages. Both only trade
-    speed; counts are exact.
+    bottoms out on it). enum_cutoff sends pair ranges up to that length to
+    one bincount over two directly read windows, bounds the ranges read that
+    way inside the prefix to 4 enum_cutoff sources (longer ones split),
+    bounds the histograms read symbol by symbol to enum_cutoff symbols
+    (longer ones take the prefix descent), and sends counts_many lags up to
+    it to one pass over the stages. Both only trade speed; counts are exact.
     """
 
     def __init__(
@@ -251,34 +256,41 @@ class PairCounter:
         for k in range(j0 + 1, J + 1):
             self._T[k] = self._T[k - 1] + int(realized.stage(k - 1)[1][-1])
         self._U = [0] + [l - t for l, t in zip(self.lengths, self._T[1:])]
+        # _copies[g]: the W_{j0} copies in W_g, the product of the cuts of
+        # stages j0..g-1 (entries below j0 are never read)
+        self._copies = [1] * (J + 1)
+        for k in range(j0, J):
+            self._copies[k + 1] = self._copies[k] * int(realized.stage(k)[0])
         self._layouts: Dict[int, tuple] = {}
         self._memo: Dict[tuple, np.ndarray] = {}
         self._tmemo: Dict[tuple, tuple] = {}
-        self._wcounts: Dict[int, np.ndarray] = {}
         self._symbols: Dict[int, int] = {}
 
     # -- layout helpers ----------------------------------------------------
 
     def _layout(self, g: int):
-        """Segments of W_g as (starts, kinds, lens); kind 0 block, 1 gap."""
+        """Segments of W_g as (starts, kinds, lens, blocks); kind 0 block, 1
+        gap, blocks[i] the number of blocks before segment i."""
         lay = self._layouts.get(g)
         if lay is None:
             r, vec = self.realized.stage(g - 1)
             lb = self.lengths[g - 2]
-            starts, kinds, lens = [], [], []
+            starts, kinds, lens, blocks = [], [], [], []
             pos = 0
             for i in range(r):
                 starts.append(pos)
                 kinds.append(0)
                 lens.append(lb)
+                blocks.append(i)
                 pos += lb
                 s = int(vec[i])
                 if s:
                     starts.append(pos)
                     kinds.append(1)
                     lens.append(s)
+                    blocks.append(i + 1)
                     pos += s
-            lay = (starts, kinds, lens)
+            lay = (starts, kinds, lens, blocks)
             self._layouts[g] = lay
         return lay
 
@@ -317,7 +329,7 @@ class PairCounter:
         if g == d:
             out.append(("b", base))
             return
-        starts, kinds, lens = self._layout(g)
+        starts, kinds, lens, _ = self._layout(g)
         rel_lo, rel_hi = lo - base, hi - base
         i = bisect_right(starts, rel_lo) - 1
         if i < 0:
@@ -356,7 +368,7 @@ class PairCounter:
                     return stars
                 le = self.lengths[e - 1]
                 return np.concatenate([self._window(lo - cut + le, le), stars])
-        starts, kinds, lens = self._layout(g)
+        starts, kinds, lens, _ = self._layout(g)
         i = bisect_right(starts, lo) - 1
         parts = []
         while lo < hi:
@@ -393,7 +405,7 @@ class PairCounter:
                 if e < g:
                     q -= end - run - self.lengths[e - 1]
                     continue
-                starts, kinds, _ = self._layout(g)
+                starts, kinds, _, _ = self._layout(g)
                 i = bisect_right(starts, q) - 1
                 if kinds[i]:
                     sym = self.star
@@ -405,56 +417,42 @@ class PairCounter:
         return sym
 
     def _hist(self, lo: int, hi: int) -> np.ndarray:
-        """Histogram of W[lo:hi); long windows via prefix histograms."""
-        if hi - lo <= len(self.prefix):
+        """Histogram of W[lo:hi). A range of at most enum_cutoff symbols is
+        read (one bincount over ``_window``); a longer one is never read: it
+        is the difference of two prefix histograms."""
+        if hi - lo <= self.enum_cutoff:
             return np.bincount(self._window(lo, hi), minlength=self.S)
         return self._prefix_hist(hi) - self._prefix_hist(lo)
 
     def _word_counts(self, j: int) -> np.ndarray:
-        """Occurrences of each symbol in W_j (analytic)."""
-        wc = self._wcounts.get(j)
-        if wc is None:
-            copies = 1
-            for k in range(self.j0, j):
-                copies *= self.realized.stage(k)[0]
-            wc = np.full(self.S, copies, dtype=np.int64)
-            l0 = self.lengths[self.j0 - 1]
-            wc[self.star] = self.lengths[j - 1] - l0 * copies
-            self._wcounts[j] = wc
-        return wc
+        """Occurrences of each symbol in W_j: _copies[j] of each level, the
+        rest stars."""
+        return self._prefix_hist(self.lengths[j - 1])
 
     def _prefix_hist(self, x: int) -> np.ndarray:
-        """Histogram of W[0:x)."""
-        h = np.zeros(self.S, dtype=np.int64)
-        lb = self.lengths[self.j0 - 1]
-        while x > 0:
-            if x <= len(self.prefix):
-                h += np.bincount(self.prefix[:x], minlength=self.S)
-                return h
-            if x <= lb:
-                h[:x] += 1  # base word prefix hits each low level once
-                return h
+        """Histogram of W[0:x), by a descent in Python ints that reads no
+        symbol.
+
+        W[0:x) holds some whole copies of the base word W_{j0}, then a head
+        of one more (its first levels, once each: the base word lists its
+        levels in order) and stars. Each stage is one bisect into the layout
+        of the first stage word holding x symbols: the blocks before the
+        segment holding position x add their base-word copies, and the
+        descent goes on inside that segment if it is a block.
+        """
+        n, copies, lb = x, 0, self.lengths[self.j0 - 1]
+        while x > lb:
             g = bisect_right(self.lengths, x - 1) + 1  # smallest stage with length >= x
             if self.lengths[g - 1] == x:
-                h += self._word_counts(g)
-                return h
-            starts, kinds, lens = self._layout(g)
-            i = 0
-            while i < len(starts) and starts[i] < x:
-                if starts[i] + lens[i] <= x:
-                    if kinds[i]:
-                        h[self.star] += lens[i]
-                    else:
-                        h += self._word_counts(g - 1)
-                    i += 1
-                else:
-                    if kinds[i]:
-                        h[self.star] += x - starts[i]
-                        return h
-                    x -= starts[i]  # descend into the straddling block
-                    break
+                copies, x = copies + self._copies[g], 0
             else:
-                return h
+                starts, kinds, _, blocks = self._layout(g)
+                i = bisect_right(starts, x) - 1
+                copies += blocks[i] * self._copies[g - 1]
+                x = 0 if kinds[i] else x - starts[i]
+        h = np.full(self.S, copies, dtype=np.int64)
+        h[:x] += 1
+        h[self.star] = n - lb * copies - x
         return h
 
     # -- the recursion -----------------------------------------------------
@@ -517,7 +515,7 @@ class PairCounter:
             self._edge(tab[:, star], inner, c)
             return tab
         tab = np.zeros((S, S), dtype=np.int64)
-        starts, kinds, lens = self._layout(D)
+        starts, kinds, lens, _ = self._layout(D)
         ends = [p + n for p, n in zip(starts, lens)]
         copies = defaultdict(int)  # (shift, source end) inside W_{D-1} -> copy pairs
         for lo, hi, gap in zip(starts, ends, kinds):
@@ -539,8 +537,7 @@ class PairCounter:
                 sub = self._phi(d, v1) if d > 0 else self._phi(-d, v1 + d).T
                 tab += sub if n == 1 else n * sub
             else:
-                h = self._word_counts(D - 1) if v1 == lb else self._prefix_hist(v1)
-                tab.reshape(-1)[:: S + 1] += n * h  # diagonal
+                tab.reshape(-1)[:: S + 1] += n * self._prefix_hist(v1)  # diagonal
         return tab
 
     def _edge(self, line: np.ndarray, lo: int, hi: int) -> None:

@@ -198,9 +198,9 @@ def _window_kinds(pc, u):
     """One (lo, hi) per kind of window the word admits, placed by the draws u.
 
     Kinds: inside the prefix; anywhere but no longer than the prefix (so it
-    crosses stage and spacer-run boundaries); longer than the prefix (the
-    prefix-histogram difference branch of _hist); inside a base word longer
-    than the prefix.
+    crosses stage and spacer-run boundaries); longer than the prefix; inside
+    a base word longer than the prefix. _hist reads the ones of at most
+    enum_cutoff symbols and takes the rest by the prefix descent.
     """
     P, lJ, lb = len(pc.prefix), pc.lJ, pc.lengths[pc.j0 - 1]
     lo = u[0] % P
@@ -241,13 +241,14 @@ def _window_kinds(pc, u):
 def test_window_and_hist_match_materialized_word(data, cutoff, j0, u):
     rz, J = data
     j0 = min(j0, J)
-    pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=4)
     w = materialize_word(rz, J, j0)
-    for lo, hi in _window_kinds(pc, u):
-        assert np.array_equal(pc._window(lo, hi), w[lo:hi]), (lo, hi)
-        assert np.array_equal(
-            pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=pc.S)
-        ), (lo, hi)
+    for enum in (1, 4):  # at 1 every _hist range of two or more symbols descends
+        pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=enum)
+        for lo, hi in _window_kinds(pc, u):
+            assert np.array_equal(pc._window(lo, hi), w[lo:hi]), (lo, hi)
+            assert np.array_equal(
+                pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=pc.S)
+            ), (enum, lo, hi)
 
 
 def test_window_every_range_of_a_small_word():
@@ -259,14 +260,99 @@ def test_window_every_range_of_a_small_word():
         4,
     )
     w = materialize_word(rz, 4, 2)
-    pc = PairCounter(rz, 4, 2, materialize_cutoff=4, enum_cutoff=4)
-    assert pc.lengths[1] > len(pc.prefix)
-    for lo in range(len(w)):
-        for hi in range(lo + 1, len(w) + 1):
-            assert np.array_equal(pc._window(lo, hi), w[lo:hi]), (lo, hi)
-            assert np.array_equal(
-                pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=pc.S)
-            ), (lo, hi)
+    for enum in (1, 4):
+        pc = PairCounter(rz, 4, 2, materialize_cutoff=4, enum_cutoff=enum)
+        assert pc.lengths[1] > len(pc.prefix)
+        for lo in range(len(w)):
+            for hi in range(lo + 1, len(w) + 1):
+                assert np.array_equal(pc._window(lo, hi), w[lo:hi]), (lo, hi)
+                assert np.array_equal(
+                    pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=pc.S)
+                ), (enum, lo, hi)
+
+
+def _assert_hists_match(pc, w, ranges):
+    """_hist over each range, _prefix_hist at each range end and
+    _word_counts at each stage against the materialized word."""
+    S = pc.S
+    for lo, hi in ranges:
+        assert np.array_equal(pc._hist(lo, hi), np.bincount(w[lo:hi], minlength=S)), (lo, hi)
+        for x in (lo, hi):
+            assert np.array_equal(pc._prefix_hist(x), np.bincount(w[:x], minlength=S)), x
+    for j in range(pc.j0, pc.J + 1):
+        want = np.bincount(w[: pc.lengths[j - 1]], minlength=S)
+        assert np.array_equal(pc._word_counts(j), want), j
+
+
+def test_prefix_descent_through_a_wide_stage():
+    # stage 2 has 240 cuts: the descent bisects its layout and reads the
+    # block count before the segment it lands in
+    rng = random.Random(5)
+    vecs = [(1, 0, 2), tuple(rng.choice((0, 0, 1, 3)) for _ in range(240)), (2, 1)]
+    sched = ConstructionSchedule(
+        "transformation", ExplicitCuts([len(v) for v in vecs]), StageSpacers(vecs), h1=1
+    )
+    J = 4
+    rz = realize(sched, J)
+    for j0 in (1, 2):
+        w = materialize_word(rz, J, j0)
+        pc = PairCounter(rz, J, j0, materialize_cutoff=16, enum_cutoff=4)
+        assert len(pc._layout(3)[0]) > 200
+        ranges = [(0, x) for x in range(pc.lJ + 1)]
+        for _ in range(300):
+            lo = rng.randrange(pc.lJ)
+            ranges.append((lo, rng.randrange(lo + 1, pc.lJ + 1)))
+        _assert_hists_match(pc, w, ranges)
+
+
+def test_hist_of_whole_spacer_runs_at_default_cutoffs():
+    # pattern:0,3000: W_j = W_{j-1} W_{j-1} and 3000 stars, so the star runs
+    # (3000 long, or longer where copies end together) exceed enum_cutoff;
+    # ranges around each run take the descent, and W_6 is longer than the
+    # prefix
+    J = 6
+    rz = realize(
+        ConstructionSchedule(
+            "transformation", ConstantCuts(2), PatternSpacers((0, 3000)), h1=7
+        ),
+        J,
+    )
+    w = materialize_word(rz, J, 1)
+    pc = PairCounter(rz, J, 1)
+    star = w == pc.star
+    edges = np.flatnonzero(np.diff(star.astype(np.int8))) + 1
+    runs = [(a, b) for a, b in zip(edges, edges[1:]) if star[a]]
+    assert len(runs) > 10 and min(b - a for a, b in runs) == 3000
+    ranges = []
+    for a, b in runs:
+        ranges += [(a, b), (a - 1, b + 1), (max(0, a - 5000), min(pc.lJ, b + 7))]
+    ranges += [(runs[0][0] - 3, runs[-1][1] + 2), (0, pc.lJ), (1, pc.lJ - 1)]
+    assert max(hi - lo for lo, hi in ranges) > len(pc.prefix)
+    _assert_hists_match(pc, w, [(int(lo), int(hi)) for lo, hi in ranges])
+
+
+def test_long_spacer_counts_read_no_long_window(monkeypatch):
+    # the benchmark's long-spacer word: its star runs of 20000 are
+    # histogrammed by the prefix descent, so no read window is longer than
+    # the 4 enum_cutoff bound of a leaf inside the prefix
+    sched = ConstructionSchedule(
+        "transformation", ConstantCuts(2), PatternSpacers((0, 20000)), h1=7
+    )
+    J = 12
+    pc = PairCounter(realize(sched, J), J, 1)
+    asked = []
+    window = PairCounter._window
+
+    def spy(self, lo, hi):
+        asked.append(hi - lo)
+        return window(self, lo, hi)
+
+    monkeypatch.setattr(PairCounter, "_window", spy)
+    l = pc.lengths
+    for n in (l[J - 4], -l[J - 4], l[J - 5] + 1, l[J - 5] + 17, l[J - 5] + 500):
+        pc.counts(n)
+    pc.counts_many(range(-4, 5))
+    assert asked and max(asked) <= 4 * pc.enum_cutoff
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +837,7 @@ def _structural_lags(pc):
     differences of W_J (a copy pair at shift 0) and the starts of W_J's
     nested last copies (a tail jump landing on a whole W_e)."""
     J, lJ = pc.J, pc.lJ
-    starts, kinds, _ = pc._layout(J)
+    starts, kinds, *_ = pc._layout(J)
     copy_starts = [p for p, k in zip(starts, kinds) if not k]
     lags = {q - p for p in copy_starts for q in copy_starts if q > p}
     for e in range(pc.j0, J):
@@ -790,7 +876,7 @@ def _partial_keys(pc):
     halfway; the first copy against the second at shift 0, cut one symbol
     before its end (a prefix histogram on the diagonal); and the first copy
     against the second at a negative shift."""
-    starts, kinds, _ = pc._layout(pc.J)
+    starts, kinds, *_ = pc._layout(pc.J)
     s1 = [p for p, k in zip(starts, kinds) if not k][1]  # the second copy
     lb = pc.lengths[pc.J - 2]
     half = lb // 2
