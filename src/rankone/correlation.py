@@ -22,7 +22,10 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   range is read directly (a leaf) only when it is short: c <= enum_cutoff,
   or inside the in-memory prefix with c <= 4 enum_cutoff. A longer one
   splits even inside the prefix, since the shorter ranges it recurses into
-  are mostly memoised.
+  are mostly memoised. The memo keeps small-lag (m <= enum_cutoff) and
+  whole-word (m + c = l_J) ranges at once; a range at a longer lag that
+  ends inside the word is kept only on its second evaluation, since most
+  of those are read once and would hold most of the memo's memory.
 
   The k-point counts below tile their source ranges instead: decomposing a
   range at the coarsest stage d with l_d <= c turns it into W_d blocks and
@@ -216,6 +219,11 @@ class PairCounter:
     bounds the histograms read symbol by symbol to enum_cutoff symbols
     (longer ones take the prefix descent), and sends counts_many lags up to
     it to one pass over the stages. Both only trade speed; counts are exact.
+
+    Pair ranges are memoised in ``_memo``, except that one at a lag above
+    enum_cutoff ending inside the word is stored only on its second request
+    (``_seen`` holds those evaluated so far): the small-lag tables and the
+    whole-word ranges that counts() returns take nearly all the reads.
     """
 
     def __init__(
@@ -263,6 +271,7 @@ class PairCounter:
             self._copies[k + 1] = self._copies[k] * int(realized.stage(k)[0])
         self._layouts: Dict[int, tuple] = {}
         self._memo: Dict[tuple, np.ndarray] = {}
+        self._seen: set = set()  # long-lag ranges inside the word evaluated so far
         self._tmemo: Dict[tuple, tuple] = {}
         self._symbols: Dict[int, int] = {}
 
@@ -464,7 +473,11 @@ class PairCounter:
         prefix with c <= 4 enum_cutoff) is one bincount over two read
         windows. Any other range goes to the copy split or the nested-tail
         jump (``_split``), whose sub-ranges are shorter and mostly memoised,
-        even inside the prefix. Results are memoised.
+        even inside the prefix. A result is memoised at once when m <=
+        enum_cutoff or m + c >= l_J. A long-lag range inside the word (m >
+        enum_cutoff, m + c < l_J) is only noted in ``_seen`` the first time
+        and memoised when it is evaluated again: most such ranges are read
+        once, so storing them all would hold tables nothing reads.
         """
         S = self.S
         if c <= 0:
@@ -484,7 +497,10 @@ class PairCounter:
         else:
             D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
             tab = self._split(m, c, D)
-        self._memo[key] = tab
+        if m > self.enum_cutoff and m + c < self.lJ and key not in self._seen:
+            self._seen.add(key)
+        else:
+            self._memo[key] = tab
         return tab
 
     def _split(self, m: int, c: int, D: int) -> np.ndarray:

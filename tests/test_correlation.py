@@ -4,6 +4,7 @@ conservation laws."""
 import hashlib
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from rankone.construction import (
     realize,
 )
 from rankone import correlation
+from rankone.config import parse_config
 from rankone.correlation import (
     LAG_CAP_DIVISOR,
     PAIR_CELL_LIMIT,
@@ -30,6 +32,7 @@ from rankone.correlation import (
     lag_counts_naive,
     unit_mass,
 )
+from rankone.diagnostics import limit_scan
 from rankone.errors import LagOutOfRange
 from rankone.words import alphabet_size, materialize_word
 
@@ -964,16 +967,85 @@ def test_full_range_counts_at_chacon_56_never_tile(monkeypatch):
         assert np.array_equal(tab.sum(axis=0), pc._prefix_hist(m + c) - pc._prefix_hist(m))
 
 
+#: SHA-256 of the int64 tables of _chacon_56_lags as the generic tiling
+#: computed them
+_CHACON_56_DIGEST = "75b566abe7f691066886657a75a4d737530755b9bf9bba0c5c2f707379bb067b"
+
+
+def _digest(tables):
+    digest = hashlib.sha256()
+    for tab in tables:
+        digest.update(tab.astype("<i8").tobytes())
+    return digest.hexdigest()
+
+
 def test_full_range_counts_at_chacon_56_keep_their_digest():
-    # SHA-256 of the int64 tables as the generic tiling computed them
     rz = realize(catalog("chacon"), 56)
     pc = PairCounter(rz, 56, 4)
-    digest = hashlib.sha256()
-    for n in _chacon_56_lags(pc):
-        digest.update(pc.counts(n).astype("<i8").tobytes())
-    assert digest.hexdigest() == (
-        "75b566abe7f691066886657a75a4d737530755b9bf9bba0c5c2f707379bb067b"
+    assert _digest(pc.counts(n) for n in _chacon_56_lags(pc)) == _CHACON_56_DIGEST
+
+
+def test_long_lag_ranges_inside_the_word_are_stored_when_requested_again(monkeypatch):
+    # a range at lag m > enum_cutoff with m + c < l_J is kept in the memo only
+    # on its second evaluation; most of the chacon-deep scan's are read once
+    rz = realize(catalog("chacon"), 56)
+    pc = PairCounter(rz, 56, 4)
+    requests = Counter()
+    phi = PairCounter._phi
+
+    def spy(self, m, c):
+        requests[m, c] += 1
+        return phi(self, m, c)
+
+    monkeypatch.setattr(PairCounter, "_phi", spy)
+    lags = _chacon_56_lags(pc)
+    got = pc.counts_many(lags)
+    assert _digest(got[n] for n in lags) == _CHACON_56_DIGEST
+
+    def long_inside(m, c):
+        return m > pc.enum_cutoff and c > 0 and m + c < pc.lJ
+
+    once = {k for k, n in requests.items() if n == 1 and long_inside(*k)}
+    assert len(once) > 1000
+    assert all(requests[k] >= 2 for k in pc._memo if long_inside(*k))
+    assert once <= pc._seen
+    # whole-word and small-lag ranges are stored at once
+    assert all((abs(n), pc.lJ - abs(n)) in pc._memo for n in lags if n)
+    m, c = pc.lengths[39] + 6, 3 * pc.lengths[39] - 4  # a partial range triples read
+    assert long_inside(m, c) and (m, c) not in requests
+    first = pc._phi(m, c)
+    assert (m, c) in pc._seen and (m, c) not in pc._memo
+    second = pc._phi(m, c)
+    assert pc._memo[m, c] is second and np.array_equal(first, second)
+    assert np.array_equal(second.sum(axis=1), pc._prefix_hist(c))
+
+
+def test_triples_after_the_scan_recompute_its_ranges_exactly():
+    # the triple pieces request long-lag partial ranges the scan evaluated
+    # once; the warm counter computes them again and keeps them
+    plan = parse_config(
+        "\n".join(
+            [
+                "construction.catalog = stochastic-chacon",
+                "construction.budget = 100000000",
+                "construction.seed = 7",
+                "experiment.scan.kind = limit-scan",
+                "experiment.scan.window = 4",
+                "experiment.scan.lags = l[J-3], -l[J-3], l[J-4]+3, -2*l[J-5]+5",
+                "experiment.tri.kind = triple",
+                "experiment.tri.m = 1, l[J-3]",
+                "experiment.tri.n = 2, 2*l[J-3]",
+            ]
+        )
     )
+    scan, tri = plan.experiments
+    warm = PairCounter(plan.realized, plan.J, plan.j0)
+    limit_scan(plan.realized, plan.J, plan.j0, scan.params["lags"], K=4, counter=warm)
+    once = set(warm._seen)
+    fresh = PairCounter(plan.realized, plan.J, plan.j0)
+    for m, n in tri.params["pairs"]:
+        assert np.array_equal(warm.triple_counts(m, n), fresh.triple_counts(m, n)), (m, n)
+    assert once & warm._memo.keys()
 
 
 def _count_full_range_routes(monkeypatch):
