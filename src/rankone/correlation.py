@@ -363,6 +363,8 @@ class PairCounter:
 
     def _window(self, lo: int, hi: int) -> np.ndarray:
         """Symbols of W[lo:hi) in one descent through the stage layouts."""
+        if lo == hi:
+            return np.empty(0, dtype=DTYPE)
         if hi <= len(self.prefix):
             return self.prefix[lo:hi]
         if hi <= self.lengths[self.j0 - 1]:

@@ -3,8 +3,12 @@
 A Report is the runner's output: the resolved plan echo, one entry per
 experiment (payload on success, error string on failure), and the wall
 time. JSON serialization is canonical: sorted keys, two-space indent,
-floats through repr (shortest round-trip). Two runs of the same plan
-differ at most in the wall_time_s line.
+floats through repr (shortest round-trip). The JSON is laid out by hand
+around C-level scalar encoders (the json package's string escaper,
+float.__repr__, int.__repr__) and has the same bytes as
+json.dumps(obj, sort_keys=True, indent=2), whose indented form runs the
+json package's pure-Python encoder. Two runs of the same plan differ at
+most in the wall_time_s line.
 
 CSV emission covers the two flat table schemas:
 
@@ -17,7 +21,7 @@ matrix. Experiments without tabular payloads appear only in the JSON.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -52,20 +56,19 @@ def alphabet_labels(S: int) -> List[str]:
 
 
 def matrix_payload(matrix: np.ndarray, labels: Sequence[str]) -> Dict[str, object]:
-    m = np.asarray(matrix, dtype=np.float64)
     return {
         "labels": list(labels),
-        "rows": [[float(v) for v in row] for row in m],
+        "rows": np.asarray(matrix, dtype=np.float64).tolist(),
     }
 
 
 def matrix_rows(lag: int, matrix: np.ndarray, labels: Sequence[str]) -> List[tuple]:
     """(lag, a, b, value) rows for one matrix, row-major."""
-    m = np.asarray(matrix, dtype=np.float64)
+    m = np.asarray(matrix, dtype=np.float64).tolist()
     return [
-        (lag, labels[a], labels[b], float(m[a, b]))
-        for a in range(m.shape[0])
-        for b in range(m.shape[1])
+        (lag, labels[a], labels[b], v)
+        for a, row in enumerate(m)
+        for b, v in enumerate(row)
     ]
 
 
@@ -121,17 +124,70 @@ def report_to_json(report: Report) -> str:
         "experiments": [r.as_json_obj() for r in report.results],
         "wall_time_s": report.wall_time_s,
     }
-    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
+    return _encode(obj, "") + "\n"
 
 
-def _fmt(v) -> str:
-    # repr keeps the shortest decimal that round-trips the float
-    return repr(v) if isinstance(v, float) else str(v)
+_float_repr = float.__repr__
+_int_repr = int.__repr__
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+def _encode(o, indent: str) -> str:
+    """o as json.dumps(o, sort_keys=True, indent=2) lays it out at the
+    given indent; a type json would refuse, or a non-str key, raises
+    TypeError."""
+    if isinstance(o, str):
+        return _quote(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return _int_repr(o)
+    if isinstance(o, float):
+        return _float(o)
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        body = None
+        if isinstance(o[0], float):
+            try:  # a float-only list (a matrix row): one join of reprs
+                body = sep.join(map(_float_repr, o))
+            except TypeError:  # some later item is not a float
+                pass
+            else:
+                if "n" in body:  # nan or inf, which json spells otherwise
+                    body = sep.join(map(_float, o))
+        if body is None:
+            body = sep.join([_encode(v, inner) for v in o])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        # _quote raises TypeError on a key that is not a str
+        body = sep.join([_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)])
+        return "{\n" + inner + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def _write_csv(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
     # no field needs quoting: ints, float reprs, level labels and "*"
-    lines = [",".join(header)] + [",".join([_fmt(v) for v in row]) for row in rows]
+    # str of a float is its repr, the shortest decimal that round-trips it
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     path.write_text("\n".join(lines) + "\n", newline="")
 
 

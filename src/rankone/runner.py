@@ -227,8 +227,8 @@ def _run_mixing(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
     )
     payload = {
         "lags": list(rep.lags),
-        "measures": [float(v) for v in rep.measures],
-        "self_peak": [float(v) for v in rep.self_peak],
+        "measures": rep.measures.tolist(),
+        "self_peak": rep.self_peak.tolist(),
         "pair_floor": matrix_payload(rep.pair_floor, ctx.labels),
     }
     return ExperimentResult(

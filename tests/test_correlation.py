@@ -274,6 +274,17 @@ def test_window_every_range_of_a_small_word():
                 ), (enum, lo, hi)
 
 
+def test_empty_window_past_the_prefix():
+    # chacon J=30, j0=3: 65,541 and l_21 + 7 lie past the prefix and not at
+    # a stage end (the layout walk), l_26 at one (the nested-tail jump)
+    pc = PairCounter(realize(catalog("chacon"), 30), 30, 3)
+    for lo in (65_541, pc.lengths[20] + 7, pc.lengths[25]):
+        assert lo > len(pc.prefix)
+        got = pc._window(lo, lo)
+        assert got.dtype == correlation.DTYPE and got.size == 0, lo
+        assert np.array_equal(pc._hist(lo, lo), np.zeros(pc.S, dtype=np.int64)), lo
+
+
 def _assert_hists_match(pc, w, ranges):
     """_hist over each range, _prefix_hist at each range end and
     _word_counts at each stage against the materialized word."""

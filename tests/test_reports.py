@@ -1,0 +1,161 @@
+"""The report writer's bytes against the stdlib: the JSON emitter against
+json.dumps(obj, sort_keys=True, indent=2, allow_nan=True), the CSV tables
+against the csv module."""
+
+import csv
+import importlib.util
+import json
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankone.config import parse_config
+from rankone.reports import _HEADERS, _encode, report_to_json, write_report
+from rankone.runner import run_plan
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _oracle(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=True) + "\n"
+
+
+def _ours(obj) -> str:
+    return _encode(obj, "") + "\n"
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text()
+)
+_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=6)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=5),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_values)
+def test_emitter_matches_json_dumps(obj):
+    assert _ours(obj) == _oracle(obj)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": ()},
+        {"z": [1, [2, [3, {"y": (4, 5)}]]], "a": {"m": {"n": [[]]}}},
+        'quote " backslash \\ slash / tab \t newline \n bell \x07 nul \x00',
+        "café ☃ \U0001f600 \ud83d",
+        {"kéy \"q\"": "\U0001d11e", "\x1f": "\\"},
+        [2**64, 2**64 + 1, -(2**64), -(2**100), -1, 0, 10**40],
+        [True, 1, False, 0, None, 1.0, "1"],
+        {"t": True, "one": 1, "f": False, "zero": 0},
+        [NAN, INF, -INF, -0.0, 5e-324, 1e16, 1e-7, 0.1, 1.7976931348623157e308],
+        [0.5, NAN, 0.25],
+        [INF, 1.0],
+        [1.0, 2, 3.0],
+        [1.0, True],
+        [[0.1, 0.2], [NAN, -INF], [1, 2.0]],
+        None,
+        NAN,
+        -0.0,
+        "",
+        {"": ""},
+        {"b": 1, "a": 2, "B": 3, "é": 4, "aa": 5},
+        [np.float64(0.1), np.float64(NAN), 2.5],
+        [np.float64(1e16)],
+    ],
+)
+def test_emitter_fixed_cases(obj):
+    assert _ours(obj) == _oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{1: "a"}, {None: 1}, {"a": {2.5: 1}}, [{"a": 1, (1, 2): 2}], {True: 1}],
+)
+def test_emitter_rejects_non_str_keys(obj):
+    with pytest.raises(TypeError):
+        _encode(obj, "")
+
+
+@pytest.mark.parametrize(
+    "obj", [{1, 2}, [object()], {"a": np.int64(3)}, [1.0, np.bool_(True)], b"x"]
+)
+def test_emitter_refuses_what_json_refuses(obj):
+    with pytest.raises(TypeError):
+        _oracle(obj)
+    with pytest.raises(TypeError):
+        _encode(obj, "")
+
+
+def _csv_oracle(path: Path, header, rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+
+
+def _workload_configs():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclass looks its module up there
+    spec.loader.exec_module(mod)
+    cfgs = [
+        pytest.param(w.generate(seed), id=f"{name}-seed{seed}")
+        for name, w in mod.WORKLOADS.items()
+        for seed in (0, 1)
+    ]
+    readme = (ROOT / "README.md").read_text()
+    fenced = re.findall(r"^```(\w*)\n(.*?)^```$", readme, flags=re.M | re.S)
+    (survey,) = [b for tag, b in fenced if tag == "" and "construction.catalog" in b]
+    return cfgs + [pytest.param(survey, id="readme-survey")]
+
+
+@pytest.mark.parametrize("text", _workload_configs())
+def test_reports_match_the_stdlib_writers(tmp_path, text):
+    report = run_plan(parse_config(text))
+    written = write_report(report, tmp_path / "out", fmt="both")
+    obj = {
+        "version": report.version,
+        "plan": report.plan,
+        "experiments": [r.as_json_obj() for r in report.results],
+        "wall_time_s": report.wall_time_s,
+    }
+    want = _oracle(obj)
+    assert report_to_json(report) == want
+    assert (tmp_path / "out" / f"{report.stem}.json").read_text() == want
+    expected = {tmp_path / "out" / f"{report.stem}.json"}
+    for r in report.results:
+        for name, rows in r.tables.items():
+            if not rows:
+                continue
+            theirs = tmp_path / f"{r.label}.{name}.csv"
+            _csv_oracle(theirs, _HEADERS[name], rows)
+            ours = tmp_path / "out" / f"{report.stem}.{r.label}.{name}.csv"
+            assert ours.read_bytes() == theirs.read_bytes(), ours.name
+            expected.add(ours)
+    assert set(written) == expected
