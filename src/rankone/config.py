@@ -765,7 +765,7 @@ def parse_config(
         "seed": plan_seed,
         "lag_cap_divisor": LAG_CAP_DIVISOR,
         "experiments": [
-            {"label": x.label, "kind": x.kind, **_echo_params(x.params)}
+            {"label": x.label, "kind": x.kind, **x.params}
             for x in experiments
         ],
         "stem": stem,
@@ -781,12 +781,3 @@ def parse_config(
         echo=echo,
     )
 
-
-def _echo_params(params: Dict[str, object]) -> Dict[str, object]:
-    out = {}
-    for k, v in params.items():
-        if isinstance(v, list) and v and isinstance(v[0], tuple):
-            out[k] = [list(t) for t in v]
-        else:
-            out[k] = v
-    return out

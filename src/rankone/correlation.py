@@ -839,6 +839,8 @@ def unit_mass(c: np.ndarray, n: int, lJ: int) -> np.ndarray:
 
     Every reported matrix is normalized here, so it has mass one and
     compares directly with the limit basis; the flow engine calls it with
-    the shift and the column height in ticks.
+    the shift and the column height in ticks. It also serves k-point
+    counts over their window: triple counts at offsets (m, n) pass their
+    width max(0, m, n) - min(0, m, n) as n.
     """
     return c.astype(np.float64) / (lJ - abs(n))

@@ -423,14 +423,13 @@ def triple_corr_probe(
     rows = []
     for m, n in pairs:
         m, n = int(m), int(n)
-        counts = pc.triple_counts(m, n)
-        window = pc.lJ - (max(0, m, n) - min(0, m, n))
-        tensor = counts.astype(np.float64) / window
+        width = max(0, m, n) - min(0, m, n)
+        tensor = unit_mass(pc.triple_counts(m, n), width, pc.lJ)
         rows.append(
             TripleRow(
                 m=m,
                 n=n,
-                window=window,
+                window=pc.lJ - width,
                 deviation_max=float(np.abs(tensor - target).max()),
                 tensor=tensor,
             )

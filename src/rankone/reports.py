@@ -10,21 +10,26 @@ json.dumps(obj, sort_keys=True, indent=2), whose indented form runs the
 json package's pure-Python encoder. Two runs of the same plan differ at
 most in the wall_time_s line.
 
-CSV emission covers the two flat table schemas:
+Each CSV file is a flat view of one experiment's JSON payload, laid out
+by one format per table:
 
-    <stem>.<label>.matrix.csv      lag, a, b, value
     <stem>.<label>.classify.csv    lag, coeff_index, coeff, theta, residual
+        from each per-lag row's lag, coefficients, theta and residual
+    <stem>.<label>.matrix.csv      lag, a, b, value
+        from each per-lag row's lag and matrix (labels, rows)
+    <stem>.<label>.predicted.csv   lag, a, b, value
+        from the payload's predicted matrix, at lag 0
 
-plus <stem>.<label>.predicted.csv for experiments that carry a predicted
-matrix. Experiments without tabular payloads appear only in the JSON.
+Only limit-scan and converge payloads hold these keys (converge alone a
+predicted matrix). Rigidity, mixing, disjointness, triple and flow-limit
+results, and every failed experiment, appear only in the JSON.
 """
 
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
-from types import MappingProxyType
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -43,12 +48,6 @@ __all__ = [
 
 SCHEMA_VERSION = "3"
 
-_HEADERS = {
-    "matrix": ("lag", "a", "b", "value"),
-    "predicted": ("lag", "a", "b", "value"),
-    "classify": ("lag", "coeff_index", "coeff", "theta", "residual"),
-}
-
 
 def alphabet_labels(S: int) -> List[str]:
     """Level names 0..S-2 plus the star (spacer) cell."""
@@ -62,26 +61,6 @@ def matrix_payload(matrix: np.ndarray, labels: Sequence[str]) -> Dict[str, objec
     }
 
 
-def matrix_rows(lag: int, matrix: np.ndarray, labels: Sequence[str]) -> List[tuple]:
-    """(lag, a, b, value) rows for one matrix, row-major."""
-    m = np.asarray(matrix, dtype=np.float64).tolist()
-    return [
-        (lag, labels[a], labels[b], v)
-        for a, row in enumerate(m)
-        for b, v in enumerate(row)
-    ]
-
-
-def classify_rows(
-    lag: int,
-    coefficients: Sequence[Tuple[int, float]],
-    theta: float,
-    residual: float,
-) -> List[tuple]:
-    """(lag, coeff_index, coeff, theta, residual) rows, one per power."""
-    return [(lag, i, c, theta, residual) for i, c in coefficients]
-
-
 @record
 class ExperimentResult:
     label: str
@@ -89,7 +68,6 @@ class ExperimentResult:
     status: str  # "ok" or "error"
     payload: Optional[Dict[str, object]] = None
     error: Optional[str] = None
-    tables: Mapping[str, List[tuple]] = MappingProxyType({})
 
     def as_json_obj(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -184,11 +162,41 @@ def _encode(o, indent: str) -> str:
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[tuple]) -> None:
-    # no field needs quoting: ints, float reprs, level labels and "*"
-    # str of a float is its repr, the shortest decimal that round-trips it
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="")
+def _matrix_lines(lag: int, matrix: Dict[str, list]) -> List[str]:
+    labels = matrix["labels"]
+    return [
+        f"{lag},{a},{b},{v!r}"
+        for a, row in zip(labels, matrix["rows"])
+        for b, v in zip(labels, row)
+    ]
+
+
+def _csv_tables(payload: Dict[str, object]) -> Dict[str, Tuple[str, List[str]]]:
+    """The CSV tables of one payload: name -> (header, data lines).
+
+    No field needs quoting: ints, float reprs (the shortest decimal that
+    round-trips), level labels and "*".
+    """
+    rows = [r for r in payload.get("rows", ()) if "matrix" in r]
+    predicted = payload.get("predicted")
+    return {
+        "classify": (
+            "lag,coeff_index,coeff,theta,residual",
+            [
+                f"{r['lag']},{i},{c!r},{r['theta']!r},{r['residual']!r}"
+                for r in rows
+                for i, c in r["coefficients"]
+            ],
+        ),
+        "matrix": (
+            "lag,a,b,value",
+            [line for r in rows for line in _matrix_lines(r["lag"], r["matrix"])],
+        ),
+        "predicted": (
+            "lag,a,b,value",
+            _matrix_lines(0, predicted) if predicted is not None else [],
+        ),
+    }
 
 
 def write_report(report: Report, out_dir, fmt: str = "json") -> List[Path]:
@@ -209,12 +217,13 @@ def write_report(report: Report, out_dir, fmt: str = "json") -> List[Path]:
             written.append(p)
         if fmt in ("csv", "both"):
             for r in report.results:
-                for name, rows in sorted(r.tables.items()):
-                    header = _HEADERS.get(name)
-                    if header is None or not rows:
+                if r.status != "ok":
+                    continue
+                for name, (header, lines) in _csv_tables(r.payload).items():
+                    if not lines:
                         continue
                     p = out / f"{report.stem}.{r.label}.{name}.csv"
-                    _write_csv(p, header, rows)
+                    p.write_text(header + "\n" + "\n".join(lines) + "\n", newline="")
                     written.append(p)
     except OSError as exc:
         raise IoError(f"cannot write report: {exc}") from None

@@ -11,7 +11,7 @@ reports up to the wall time.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -27,14 +27,7 @@ from .diagnostics import (
 )
 from .flows import flow_limit_check
 from .operators import build_family, classify_limit, joining_matrix
-from .reports import (
-    ExperimentResult,
-    Report,
-    alphabet_labels,
-    classify_rows,
-    matrix_payload,
-    matrix_rows,
-)
+from .reports import ExperimentResult, Report, alphabet_labels, matrix_payload
 from .words import alphabet_size
 
 __all__ = ["run_plan"]
@@ -68,13 +61,11 @@ class _Ctx:
         return unit_mass(self.counter.counts(n), n, self.counter.lJ)
 
 
-def _coeff_list(coefficients: Dict[int, float]) -> List[Tuple[int, float]]:
-    return sorted((int(i), float(c)) for i, c in coefficients.items())
-
-
 def _classify_payload(res) -> Dict[str, object]:
     return {
-        "coefficients": [[i, c] for i, c in _coeff_list(res.coefficients)],
+        "coefficients": sorted(
+            [int(i), float(c)] for i, c in res.coefficients.items()
+        ),
         "theta": float(res.theta),
         "residual": float(res.residual),
         "residual_frobenius": float(res.residual_frobenius),
@@ -96,29 +87,16 @@ def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         max_power=params["max_power"],
         counter=ctx.counter,
     )
-    rows = []
-    mat_table: List[tuple] = []
-    cls_table: List[tuple] = []
-    for row in scan.rows:
-        measured = ctx.unit(row.lag)
-        rows.append(
-            {
-                "lag": row.lag,
-                "family": row.family,
-                "family_distance": float(row.family_distance),
-                "matrix": matrix_payload(measured, ctx.labels),
-                **_classify_payload(row.result),
-            }
-        )
-        mat_table.extend(matrix_rows(row.lag, measured, ctx.labels))
-        cls_table.extend(
-            classify_rows(
-                row.lag,
-                _coeff_list(row.result.coefficients),
-                float(row.result.theta),
-                float(row.result.residual),
-            )
-        )
+    rows = [
+        {
+            "lag": row.lag,
+            "family": row.family,
+            "family_distance": float(row.family_distance),
+            "matrix": matrix_payload(ctx.unit(row.lag), ctx.labels),
+            **_classify_payload(row.result),
+        }
+        for row in scan.rows
+    ]
     payload = {
         "window": scan.window,
         "tolerance": scan.tolerance,
@@ -128,11 +106,7 @@ def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "rows": rows,
     }
     return ExperimentResult(
-        label=spec.label,
-        kind=spec.kind,
-        status="ok",
-        payload=payload,
-        tables={"matrix": mat_table, "classify": cls_table},
+        label=spec.label, kind=spec.kind, status="ok", payload=payload
     )
 
 
@@ -145,8 +119,6 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
     basis = limit_basis(p.realized, p.J, p.j0, K=K, counter=ctx.counter)
     jm = joining_matrix(expr, basis)
     rows = []
-    mat_table: List[tuple] = []
-    cls_table: List[tuple] = []
     distances = []
     for lag in params["lags"]:
         measured = ctx.unit(lag)
@@ -163,15 +135,6 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
                 **_classify_payload(cls),
             }
         )
-        mat_table.extend(matrix_rows(lag, measured, ctx.labels))
-        cls_table.extend(
-            classify_rows(
-                lag,
-                _coeff_list(cls.coefficients),
-                float(cls.theta),
-                float(cls.residual),
-            )
-        )
     payload = {
         "family": params["family"],
         "family_params": {k: params[k] for k in _FAMILY_KWARGS if k in params},
@@ -182,13 +145,8 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "converged": bool(distances) and max(distances) <= params["tolerance"],
         "rows": rows,
     }
-    tables = {
-        "matrix": mat_table,
-        "classify": cls_table,
-        "predicted": matrix_rows(0, jm.matrix, ctx.labels),
-    }
     return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload, tables=tables
+        label=spec.label, kind=spec.kind, status="ok", payload=payload
     )
 
 

@@ -98,28 +98,78 @@ def test_csv_format_emits_tables_with_headers(tmp_path):
 
 
 def test_csv_lines_match_the_csv_module(tmp_path):
-    # the writer joins fields itself; csv.writer would quote none of them
-    from rankone.reports import _HEADERS, _write_csv
+    # the writer lays each line out itself; csv.writer would quote no field
+    from rankone.reports import ExperimentResult, Report, write_report
 
     nan, inf = float("nan"), float("inf")
-    rows = [
-        (-3, "*", "0", nan),
-        (7, "0", "*", inf),
-        (-12, "*", "*", -inf),
-        (0, "10", "2", -0.0),
-        (5, 1, 0.25, 1 / 3, 2.5e-17),
+    labels = ["10", "*"]
+    payload = {
+        "rows": [
+            {
+                "lag": -3,
+                "matrix": {"labels": labels, "rows": [[nan, inf], [-inf, -0.0]]},
+                "coefficients": [[1, 0.25], [5, 1 / 3]],
+                "theta": 2.5e-17,
+                "residual": -0.0,
+            }
+        ],
+        "predicted": {"labels": labels, "rows": [[1 / 3, 2.5e-17], [0.0, nan]]},
+    }
+    result = ExperimentResult(label="x", kind="converge", status="ok", payload=payload)
+    report = Report(plan={}, results=[result], wall_time_s=0.0, stem="r")
+    written = write_report(report, tmp_path / "out", fmt="csv")
+    want = {
+        "classify": (
+            ["lag", "coeff_index", "coeff", "theta", "residual"],
+            [[-3, 1, 0.25, 2.5e-17, -0.0], [-3, 5, 1 / 3, 2.5e-17, -0.0]],
+        ),
+        "matrix": (
+            ["lag", "a", "b", "value"],
+            [[-3, "10", "10", nan], [-3, "10", "*", inf],
+             [-3, "*", "10", -inf], [-3, "*", "*", -0.0]],
+        ),
+        "predicted": (
+            ["lag", "a", "b", "value"],
+            [[0, "10", "10", 1 / 3], [0, "10", "*", 2.5e-17],
+             [0, "*", "10", 0.0], [0, "*", "*", nan]],
+        ),
+    }
+    out = tmp_path / "out"
+    assert written == [out / f"r.x.{name}.csv" for name in want]
+    for name, (header, rows) in want.items():
+        theirs = tmp_path / f"{name}.csv"
+        with theirs.open("w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(header)
+            for row in rows:
+                w.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
+        assert (out / f"r.x.{name}.csv").read_bytes() == theirs.read_bytes(), name
+    assert (out / "r.x.matrix.csv").read_bytes().splitlines()[1] == b"-3,10,10,nan"
+
+
+def test_failed_and_mixing_experiments_write_no_csv(tmp_path, monkeypatch):
+    text = GOOD + (
+        "\nexperiment.conv.kind = converge\n"
+        "experiment.conv.family = chacon-geometric\n"
+        "experiment.conv.lags = l[8]\n"
+        "\nexperiment.mix.kind = mixing\nexperiment.mix.lags = 5\n"
+    )
+
+    def boom(*args, **kwargs):
+        raise ValueError("joining failed")
+
+    monkeypatch.setattr(rankone.runner, "joining_matrix", boom)
+    cfg = _write(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out), "--format", "both"]) == 2
+    assert sorted(p.name for p in out.iterdir()) == [
+        "run.json", "run.scan.classify.csv", "run.scan.matrix.csv"
     ]
-    header = _HEADERS["classify"]
-    ours = tmp_path / "ours.csv"
-    _write_csv(ours, header, rows)
-    theirs = tmp_path / "theirs.csv"
-    with theirs.open("w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
-    assert ours.read_bytes() == theirs.read_bytes()
-    assert ours.read_bytes().splitlines()[1] == b"-3,*,0,nan"
+    rep = json.loads((out / "run.json").read_text())
+    by_label = {e["label"]: e for e in rep["experiments"]}
+    assert by_label["conv"]["status"] == "error"
+    floor = by_label["mix"]["result"]["pair_floor"]
+    assert floor["labels"][-1] == "*" and len(floor["rows"]) == len(floor["labels"])
 
 
 def test_csv_only_format_skips_json(tmp_path):

@@ -77,6 +77,17 @@ def test_catalog_names_cover_both_kinds():
     assert "chacon" in names and "staircase-flow" in names
 
 
+@pytest.mark.parametrize(
+    "name, kwargs",
+    [(n, {}) for n in catalog_names()] + [("stochastic-chacon", {"a": 0.25})],
+)
+def test_catalog_entries_validate(name, kwargs):
+    # catalog() returns its fixed entries unchecked; each must pass the
+    # checks an inline schedule gets
+    sched = catalog(name, **kwargs)
+    assert validate_schedule(sched) is sched
+
+
 def test_catalog_unknown_name():
     with pytest.raises(UnknownName):
         catalog("chacon2")

@@ -1,6 +1,6 @@
 """The report writer's bytes against the stdlib: the JSON emitter against
 json.dumps(obj, sort_keys=True, indent=2, allow_nan=True), the CSV tables
-against the csv module."""
+against the csv module writing rows read back from the JSON."""
 
 import csv
 import importlib.util
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.config import parse_config
-from rankone.reports import _HEADERS, _encode, report_to_json, write_report
+from rankone.reports import _encode, report_to_json, write_report
 from rankone.runner import run_plan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -117,6 +117,45 @@ def _csv_oracle(path: Path, header, rows) -> None:
             w.writerow([repr(v) if isinstance(v, float) else str(v) for v in row])
 
 
+def _matrix_rows(lag, matrix):
+    labels = matrix["labels"]
+    return [
+        (lag, labels[a], labels[b], v)
+        for a, row in enumerate(matrix["rows"])
+        for b, v in enumerate(row)
+    ]
+
+
+def _csv_oracle_tables(result):
+    """name -> (header, rows) of the CSV tables an experiment's JSON entry
+    holds: the per-lag rows of limit-scan and converge, and converge's
+    predicted matrix."""
+    if result["status"] != "ok" or result["kind"] not in ("limit-scan", "converge"):
+        return {}
+    payload = result["result"]
+    rows = payload["rows"]
+    tables = {
+        "classify": (
+            ("lag", "coeff_index", "coeff", "theta", "residual"),
+            [
+                (r["lag"], i, c, r["theta"], r["residual"])
+                for r in rows
+                for i, c in r["coefficients"]
+            ],
+        ),
+        "matrix": (
+            ("lag", "a", "b", "value"),
+            [t for r in rows for t in _matrix_rows(r["lag"], r["matrix"])],
+        ),
+    }
+    if result["kind"] == "converge":
+        tables["predicted"] = (
+            ("lag", "a", "b", "value"),
+            _matrix_rows(0, payload["predicted"]),
+        )
+    return tables
+
+
 def _workload_configs():
     spec = importlib.util.spec_from_file_location(
         "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
@@ -149,13 +188,14 @@ def test_reports_match_the_stdlib_writers(tmp_path, text):
     assert report_to_json(report) == want
     assert (tmp_path / "out" / f"{report.stem}.json").read_text() == want
     expected = {tmp_path / "out" / f"{report.stem}.json"}
-    for r in report.results:
-        for name, rows in r.tables.items():
+    written_json = (tmp_path / "out" / f"{report.stem}.json").read_text()
+    for r in json.loads(written_json)["experiments"]:
+        for name, (header, rows) in _csv_oracle_tables(r).items():
             if not rows:
                 continue
-            theirs = tmp_path / f"{r.label}.{name}.csv"
-            _csv_oracle(theirs, _HEADERS[name], rows)
-            ours = tmp_path / "out" / f"{report.stem}.{r.label}.{name}.csv"
+            theirs = tmp_path / f"{r['label']}.{name}.csv"
+            _csv_oracle(theirs, header, rows)
+            ours = tmp_path / "out" / f"{report.stem}.{r['label']}.{name}.csv"
             assert ours.read_bytes() == theirs.read_bytes(), ours.name
             expected.add(ours)
     assert set(written) == expected
