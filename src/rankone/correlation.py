@@ -9,23 +9,35 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   builds the word. It evaluates Phi(m, c) = counts of pairs (u, u+m) with
   u < c read against the inductive-limit word (stage words are prefixes of
   one another). Every C(n) is a full range, Phi(m, l_D - m) with D = J:
-  the pairs inside W_D at lag m. Any range is read in the first stage word
-  W_D with l_D >= m + c, split into its copies of W_{D-1} and their
-  spacers, the sources cut at c. Copies starting p apart add Phi(m - p, v)
-  of W_{D-1} over the v sources they pair (its transpose when m < p, the
-  counts of the first v symbols on the diagonal when m = p), a copy and a
-  spacer add a star column or row, two spacers their overlap of stars; so
-  the recursion stays in prefix ranges. A full range with c <= l_{D-1}
-  takes the nested-tail jump instead: its targets are the last c symbols
-  of W_D, the suffix of a nested W_e copy and then a star run, so the
-  table is the full range Phi(l_e - c', c') of W_e plus a star column. A
-  range is read directly (a leaf) only when it is short: c <= enum_cutoff,
-  or inside the in-memory prefix with c <= 4 enum_cutoff. A longer one
-  splits even inside the prefix, since the shorter ranges it recurses into
-  are mostly memoised. The memo keeps small-lag (m <= enum_cutoff) and
-  whole-word (m + c = l_J) ranges at once; a range at a longer lag that
-  ends inside the word is kept only on its second evaluation, since most
-  of those are read once and would hold most of the memo's memory.
+  the pairs inside W_D at lag m, P_D(m). A range is read in the first
+  stage word W_D with l_D >= m + c, one of three ways.
+
+  - A full range whose sources span several W_{D-1} copies at a lag m <=
+    l_{D-1} climbs the stages: no pair at lag m <= l_d reaches past the
+    W_d copy after its own, so P_{d+1}(m) = r_d P_d(m) plus one junction
+    per spacer group of stage d (star edges and, unless the copy is the
+    last, a full range of W_d transposed), from the highest stage whose
+    range is memoised or read directly.
+  - A full range with c <= l_{D-1} takes the nested-tail jump: its
+    targets are the last c symbols of W_D, the suffix of a nested W_e copy
+    and then a star run, so the table is the full range Phi(l_e - c', c')
+    of W_e plus a star column.
+  - Any other range (one that stops short of a stage end, or a full range
+    at a lag m > l_{D-1}) splits W_D into its copies of W_{D-1} and their
+    spacers, the sources cut at c. Copies starting p apart add Phi(m - p,
+    v) of W_{D-1} over the v sources they pair (its transpose when m < p,
+    the counts of the first v symbols on the diagonal when m = p), a copy
+    and a spacer add a star column or row, two spacers their overlap of
+    stars; so the recursion stays in prefix ranges.
+
+  A range is read directly (a leaf) only when it is short: c <=
+  enum_cutoff, or inside the in-memory prefix with c <= 4 enum_cutoff. A
+  longer one is routed even inside the prefix, since the shorter ranges it
+  recurses into are mostly memoised. The memo keeps small-lag (m <=
+  enum_cutoff) and whole-word (m + c = l_J) ranges at once, and a climb at
+  a small lag keeps every stage's table on the way; a range at a longer lag
+  that ends inside the word is kept only on its second evaluation, since
+  most of those are read once and would hold most of the memo's memory.
 
   The k-point counts below tile their source ranges instead: decomposing a
   range at the coarsest stage d with l_d <= c turns it into W_d blocks and
@@ -215,15 +227,20 @@ class PairCounter:
     materialize_cutoff bounds the word prefix kept in memory (the recursion
     bottoms out on it). enum_cutoff sends pair ranges up to that length to
     one bincount over two directly read windows, bounds the ranges read that
-    way inside the prefix to 4 enum_cutoff sources (longer ones split),
+    way inside the prefix to 4 enum_cutoff sources (longer ones recurse),
     bounds the histograms read symbol by symbol to enum_cutoff symbols
     (longer ones take the prefix descent), and sends counts_many lags up to
     it to one pass over the stages. Both only trade speed; counts are exact.
 
+    A full range at a lag up to the length of the stage below climbs the
+    stages (``_climb``); the others take the copy split or the nested-tail
+    jump (``_split``).
+
     Pair ranges are memoised in ``_memo``, except that one at a lag above
     enum_cutoff ending inside the word is stored only on its second request
     (``_seen`` holds those evaluated so far): the small-lag tables and the
-    whole-word ranges that counts() returns take nearly all the reads.
+    whole-word ranges that counts() returns take nearly all the reads. A
+    climb at such a lag stores none of the stages below its top.
     """
 
     def __init__(
@@ -273,6 +290,7 @@ class PairCounter:
         self._memo: Dict[tuple, np.ndarray] = {}
         self._seen: set = set()  # long-lag ranges inside the word evaluated so far
         self._tmemo: Dict[tuple, tuple] = {}
+        self._spacer_groups: Dict[int, List[tuple]] = {}
         self._symbols: Dict[int, int] = {}
 
     # -- layout helpers ----------------------------------------------------
@@ -471,15 +489,16 @@ class PairCounter:
     def _phi(self, m: int, c: int) -> np.ndarray:
         """Counts of pairs (W[u], W[u+m]) for u in [0, c); m >= 1.
 
-        A leaf (c <= enum_cutoff, c < l_{j0}, or the whole range inside the
-        prefix with c <= 4 enum_cutoff) is one bincount over two read
-        windows. Any other range goes to the copy split or the nested-tail
-        jump (``_split``), whose sub-ranges are shorter and mostly memoised,
-        even inside the prefix. A result is memoised at once when m <=
-        enum_cutoff or m + c >= l_J. A long-lag range inside the word (m >
-        enum_cutoff, m + c < l_J) is only noted in ``_seen`` the first time
-        and memoised when it is evaluated again: most such ranges are read
-        once, so storing them all would hold tables nothing reads.
+        A leaf (``_leaf``) is one bincount over two read windows. A
+        whole-word range P_D(m) = Phi(m, l_D - m) with m <= l_{D-1} < c
+        climbs the stages (``_climb``); any other range goes to the copy
+        split or the nested-tail jump (``_split``). Their sub-ranges are
+        shorter and mostly memoised, even inside the prefix. A result is
+        memoised at once when m <= enum_cutoff or m + c >= l_J. A long-lag
+        range inside the word (m > enum_cutoff, m + c < l_J) is only noted
+        in ``_seen`` the first time and memoised when it is evaluated
+        again: most such ranges are read once, so storing them all would
+        hold tables nothing reads.
         """
         S = self.S
         if c <= 0:
@@ -488,51 +507,106 @@ class PairCounter:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if (
-            c <= self.enum_cutoff
-            or c < self.lengths[self.j0 - 1]
-            or (c + m <= len(self.prefix) and c <= 4 * self.enum_cutoff)
-        ):
+        if self._leaf(m, c):
             a = self._window(0, c).astype(np.int64)
             b = self._window(m, m + c)
             tab = np.bincount(a * S + b, minlength=S * S).reshape(S, S)
         else:
             D = bisect_left(self.lengths, m + c) + 1  # first stage with length >= m + c
-            tab = self._split(m, c, D)
+            if m <= self.lengths[D - 2] < c and m + c == self.lengths[D - 1]:
+                tab = self._climb(m, D)
+            else:
+                tab = self._split(m, c, D)
         if m > self.enum_cutoff and m + c < self.lJ and key not in self._seen:
             self._seen.add(key)
         else:
             self._memo[key] = tab
         return tab
 
+    def _leaf(self, m: int, c: int) -> bool:
+        """Whether Phi(m, c) is read directly: c <= enum_cutoff, c < l_{j0},
+        or the whole range inside the prefix with c <= 4 enum_cutoff."""
+        return (
+            c <= self.enum_cutoff
+            or c < self.lengths[self.j0 - 1]
+            or (c + m <= len(self.prefix) and c <= 4 * self.enum_cutoff)
+        )
+
+    def _climb(self, m: int, D: int) -> np.ndarray:
+        """P_D(m) = Phi(m, l_D - m) with m <= l_{D-1} < l_D - m, climbed up
+        from the highest stage b < D whose P_b(m) is memoised, a leaf, or
+        not such a range (``_phi`` counts that one).
+
+        P_{d+1}(m) = r_d P_d(m) plus one junction per spacer group (s, last,
+        n) of stage d: the last min(s, m) sources of a copy into its spacer
+        (a star column), max(s - m, 0) star-star pairs and, unless the copy
+        is the last, the pairs into the next copy: Phi(l_d + s - m, m - s)
+        transposed (a leaf, else the nested-tail jump when m - s <= l_{d-1};
+        W_d's symbol counts on the diagonal when s = 0 and m = l_d) and a
+        star row. A small lag (m <= enum_cutoff) stores every P_d on the
+        way; a long one stores none of them.
+        """
+        star, lengths = self.star, self.lengths
+        b = D - 1
+        while not (
+            (m, lengths[b - 1] - m) in self._memo
+            or self._leaf(m, lengths[b - 1] - m)
+            or not m <= lengths[b - 2] < lengths[b - 1] - m
+        ):
+            b -= 1
+        P = self._phi(m, lengths[b - 1] - m)
+        for d in range(b, D):
+            ld = lengths[d - 1]
+            P = P * self.realized.stage(d)[0]  # a new array: the stage before may be memoised
+            col, row = P[:, star], P[star, :]
+            for s, last, n in self._groups(d):
+                self._edge(col, ld - m, ld - m + min(s, m), n)
+                if s > m:
+                    P[star, star] += n * (s - m)
+                if last:
+                    continue
+                c = m - s  # sources paired into the next copy
+                if c == ld:  # no spacer and m = l_d: W_d against itself
+                    P.reshape(-1)[:: self.S + 1] += n * self._word_counts(d)
+                elif c > 0:
+                    if d > self.j0 and c <= lengths[d - 2] and not self._leaf(ld - c, c):
+                        self._jump(c, d, P.T, n)
+                    else:
+                        P += n * self._phi(ld - c, c).T
+                self._edge(row, max(c, 0), m, n)
+            if m <= self.enum_cutoff:
+                self._memo[(m, lengths[d] - m)] = P
+        return P
+
+    def _groups(self, j: int) -> List[tuple]:
+        """The spacer groups (s, last, n) of stage j: the n copies of W_j
+        in W_{j+1} followed by a spacer of s, last for the final copy."""
+        groups = self._spacer_groups.get(j)
+        if groups is None:
+            r, vec = self.realized.stage(j)
+            count = Counter((int(s), k == r - 1) for k, s in enumerate(vec))
+            groups = [(s, last, n) for (s, last), n in count.items()]
+            self._spacer_groups[j] = groups
+        return groups
+
     def _split(self, m: int, c: int, D: int) -> np.ndarray:
         """Phi(m, c) with l_{D-1} < m + c <= l_D, read inside W_D.
 
-        A full range (m + c = l_D) with c <= l_{D-1} has its targets in the
-        last c symbols of W_D: those of its nested last W_e copy, then a run
-        of stars. Otherwise W_D splits into its copies of W_{D-1} and their
-        spacers, the sources cut at c. A copy pair at shift delta whose
-        sources end at v1 inside their copy adds Phi(delta, v1) of W_{D-1}
-        (Phi(-delta, v1 + delta) transposed when delta < 0, the symbol
-        counts of its first v1 symbols on the diagonal at delta = 0), a copy
-        and a spacer add a star column or row, two spacers their overlap of
-        stars.
+        A whole-word range (m + c = l_D) with c <= l_{D-1} takes the
+        nested-tail jump (``_jump``). Otherwise W_D splits into its copies
+        of W_{D-1} and their spacers, the sources cut at c; ``_phi`` sends
+        only partial ranges and whole-word ranges with m > l_{D-1} here
+        (the rest climb). A copy pair at shift delta whose sources end at
+        v1 inside their copy adds Phi(delta, v1) of W_{D-1} (Phi(-delta, v1
+        + delta) transposed when delta < 0, the symbol counts of its first
+        v1 symbols on the diagonal at delta = 0), a copy and a spacer add a
+        star column or row, two spacers their overlap of stars.
         """
         S, star = self.S, self.star
-        lb = self.lengths[D - 2]
-        if c <= lb and m + c == self.lengths[D - 1]:
-            e, run = self._tail(D, self.j0, c)
-            inner = max(c - run, 0)  # sources whose target is in the W_e copy
-            le = self.lengths[e - 1]
-            if inner == le:
-                tab = np.diag(self._word_counts(e))
-            elif inner:
-                tab = self._phi(le - inner, inner).copy()
-            else:
-                tab = np.zeros((S, S), dtype=np.int64)
-            self._edge(tab[:, star], inner, c)
-            return tab
         tab = np.zeros((S, S), dtype=np.int64)
+        if c <= self.lengths[D - 2] and m + c == self.lengths[D - 1]:
+            self._jump(c, D, tab)
+            return tab
         starts, kinds, lens, _ = self._layout(D)
         ends = [p + n for p, n in zip(starts, lens)]
         copies = defaultdict(int)  # (shift, source end) inside W_{D-1} -> copy pairs
@@ -558,13 +632,30 @@ class PairCounter:
                 tab.reshape(-1)[:: S + 1] += n * self._prefix_hist(v1)  # diagonal
         return tab
 
-    def _edge(self, line: np.ndarray, lo: int, hi: int) -> None:
-        """Add the symbols of W[lo:hi) to line, a star row or column of a
-        table; a one-symbol edge is one scalar read."""
+    def _jump(self, c: int, D: int, out: np.ndarray, n: int = 1) -> None:
+        """Add n times the whole-word range Phi(l_D - c, c) of W_D, with c
+        <= l_{D-1}, to out (a table, or a transposed view of one).
+
+        Its targets are the last c symbols of W_D: those of its nested last
+        W_e copy, then a run of stars. So it is the whole-word range of W_e
+        over the sources whose target is in that copy, plus a star column.
+        """
+        e, run = self._tail(D, self.j0, c)
+        inner = max(c - run, 0)  # sources whose target is in the W_e copy
+        le = self.lengths[e - 1]
+        if inner == le:
+            np.einsum("ii->i", out)[:] += n * self._word_counts(e)  # diagonal
+        elif inner:
+            out += n * self._phi(le - inner, inner)
+        self._edge(out[:, self.star], inner, c, n)
+
+    def _edge(self, line: np.ndarray, lo: int, hi: int, n: int = 1) -> None:
+        """Add n times the symbols of W[lo:hi) to line, a star row or column
+        of a table; a one-symbol edge is one scalar read."""
         if hi - lo == 1:
-            line[self._symbol(lo)] += 1
+            line[self._symbol(lo)] += n
         elif lo < hi:
-            line += self._hist(lo, hi)
+            line += n * self._hist(lo, hi)
 
     # -- k-point counts ----------------------------------------------------
 
@@ -739,12 +830,10 @@ class PairCounter:
         # (s, last) sharing one junction; first[i] is stage i's first group
         groups, first, taus, tau = [], [], [], 0
         for i, j in enumerate(range(d, self.J)):
-            r, vec = self.realized.stage(j)
-            count = Counter((int(s), k == r - 1) for k, s in enumerate(vec))
             first.append(len(groups))
-            groups += [(i, s, last, n) for (s, last), n in count.items()]
+            groups += [(i, s, last, n) for s, last, n in self._groups(j)]
             taus.append(tau)
-            tau = min(tau + int(vec[-1]), K)
+            tau = min(tau + int(self.realized.stage(j)[1][-1]), K)
         stage, s, last, copies = (np.array(x)[:, None] for x in zip(*groups))
         joins = ~last[:, 0]
         tau = np.array(taus)[:, None]

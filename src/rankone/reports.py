@@ -4,7 +4,8 @@ A Report is the runner's output: the resolved plan echo, one entry per
 experiment (payload on success, error string on failure), and the wall
 time. JSON serialization is canonical: sorted keys, two-space indent,
 floats through repr (shortest round-trip). The JSON is laid out by hand
-around C-level scalar encoders (the json package's string escaper,
+around C-level scalar encoders (the string escaper of _json, the C
+module behind the json package, which is itself never imported;
 float.__repr__, int.__repr__) and has the same bytes as
 json.dumps(obj, sort_keys=True, indent=2), whose indented form runs the
 json package's pure-Python encoder. Two runs of the same plan differ at
@@ -20,14 +21,15 @@ by one format per table:
     <stem>.<label>.predicted.csv   lag, a, b, value
         from the payload's predicted matrix, at lag 0
 
-Only limit-scan and converge payloads hold these keys (converge alone a
-predicted matrix). Rigidity, mixing, disjointness, triple and flow-limit
+A matrix value is formatted once: the CSV lines reuse the reprs the JSON
+emitter made for its row. Only limit-scan and converge payloads hold these
+keys (converge alone a predicted matrix). Rigidity, mixing, disjointness, triple and flow-limit
 results, and every failed experiment, appear only in the JSON.
 """
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -96,13 +98,17 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
+    return _json_text(report, None)
+
+
+def _json_text(report: Report, reprs: Optional[Dict[int, List[str]]]) -> str:
     obj = {
         "version": report.version,
         "plan": report.plan,
         "experiments": [r.as_json_obj() for r in report.results],
         "wall_time_s": report.wall_time_s,
     }
-    return _encode(obj, "") + "\n"
+    return _encode(obj, "", reprs) + "\n"
 
 
 _float_repr = float.__repr__
@@ -120,10 +126,11 @@ def _float(x: float) -> str:
     return _float_repr(x)
 
 
-def _encode(o, indent: str) -> str:
+def _encode(o, indent: str, reprs: Optional[Dict[int, List[str]]] = None) -> str:
     """o as json.dumps(o, sort_keys=True, indent=2) lays it out at the
     given indent; a type json would refuse, or a non-str key, raises
-    TypeError."""
+    TypeError. reprs, when given, maps the id of every float-only list to
+    its items' reprs, so the CSV tables can reuse them."""
     if isinstance(o, str):
         return _quote(o)
     if o is None:
@@ -144,38 +151,44 @@ def _encode(o, indent: str) -> str:
         body = None
         if isinstance(o[0], float):
             try:  # a float-only list (a matrix row): one join of reprs
-                body = sep.join(map(_float_repr, o))
+                strs = list(map(_float_repr, o))
             except TypeError:  # some later item is not a float
                 pass
             else:
+                if reprs is not None:
+                    reprs[id(o)] = strs
+                body = sep.join(strs)
                 if "n" in body:  # nan or inf, which json spells otherwise
                     body = sep.join(map(_float, o))
         if body is None:
-            body = sep.join([_encode(v, inner) for v in o])
+            body = sep.join([_encode(v, inner, reprs) for v in o])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         # _quote raises TypeError on a key that is not a str
-        body = sep.join([_quote(k) + ": " + _encode(o[k], inner) for k in sorted(o)])
+        body = sep.join([_quote(k) + ": " + _encode(o[k], inner, reprs) for k in sorted(o)])
         return "{\n" + inner + body + "\n" + indent + "}"
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
-def _matrix_lines(lag: int, matrix: Dict[str, list]) -> List[str]:
+def _matrix_lines(lag: int, matrix: Dict[str, list], reprs: Dict[int, List[str]]) -> List[str]:
     labels = matrix["labels"]
     return [
-        f"{lag},{a},{b},{v!r}"
+        f"{lag},{a},{b},{v}"
         for a, row in zip(labels, matrix["rows"])
-        for b, v in zip(labels, row)
+        for b, v in zip(labels, reprs.get(id(row)) or map(repr, row))
     ]
 
 
-def _csv_tables(payload: Dict[str, object]) -> Dict[str, Tuple[str, List[str]]]:
+def _csv_tables(
+    payload: Dict[str, object], reprs: Dict[int, List[str]]
+) -> Dict[str, Tuple[str, List[str]]]:
     """The CSV tables of one payload: name -> (header, data lines).
 
     No field needs quoting: ints, float reprs (the shortest decimal that
-    round-trips), level labels and "*".
+    round-trips), level labels and "*". A matrix row whose reprs the JSON
+    emitter already made (reprs, by the row's id) reuses them.
     """
     rows = [r for r in payload.get("rows", ()) if "matrix" in r]
     predicted = payload.get("predicted")
@@ -190,11 +203,11 @@ def _csv_tables(payload: Dict[str, object]) -> Dict[str, Tuple[str, List[str]]]:
         ),
         "matrix": (
             "lag,a,b,value",
-            [line for r in rows for line in _matrix_lines(r["lag"], r["matrix"])],
+            [line for r in rows for line in _matrix_lines(r["lag"], r["matrix"], reprs)],
         ),
         "predicted": (
             "lag,a,b,value",
-            _matrix_lines(0, predicted) if predicted is not None else [],
+            _matrix_lines(0, predicted, reprs) if predicted is not None else [],
         ),
     }
 
@@ -209,17 +222,20 @@ def write_report(report: Report, out_dir, fmt: str = "json") -> List[Path]:
         raise IoError(f"unknown output format {fmt!r}")
     out = Path(out_dir)
     written: List[Path] = []
+    # float reprs by list id, shared by the JSON and the CSV tables; every
+    # list stays alive in the report while it is written, so ids are unique
+    reprs: Dict[int, List[str]] = {}
     try:
         out.mkdir(parents=True, exist_ok=True)
         if fmt in ("json", "both"):
             p = out / f"{report.stem}.json"
-            p.write_text(report_to_json(report))
+            p.write_text(_json_text(report, reprs))
             written.append(p)
         if fmt in ("csv", "both"):
             for r in report.results:
                 if r.status != "ok":
                     continue
-                for name, (header, lines) in _csv_tables(r.payload).items():
+                for name, (header, lines) in _csv_tables(r.payload, reprs).items():
                     if not lines:
                         continue
                     p = out / f"{report.stem}.{r.label}.{name}.csv"

@@ -5,7 +5,9 @@ against the csv module writing rows read back from the JSON."""
 import csv
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,8 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rankone
 from rankone.config import parse_config
-from rankone.reports import _encode, report_to_json, write_report
+from rankone.reports import (
+    ExperimentResult,
+    Report,
+    _encode,
+    _json_text,
+    report_to_json,
+    write_report,
+)
 from rankone.runner import run_plan
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -199,3 +209,52 @@ def test_reports_match_the_stdlib_writers(tmp_path, text):
             assert ours.read_bytes() == theirs.read_bytes(), ours.name
             expected.add(ours)
     assert set(written) == expected
+
+
+def test_both_formats_write_what_each_writes_alone(tmp_path):
+    # under fmt="both" the matrix CSV reuses the float reprs the JSON
+    # emitter made; a row that is not all floats, and nan or inf (which the
+    # JSON spells NaN and Infinity), still write what fmt="csv" writes
+    nan, inf = float("nan"), float("inf")
+    labels = ["0", "*"]
+    rows = [[nan, inf], [-inf, -0.0]]
+    predicted = [[1 / 3, 2], [0.0, 2.5e-17]]
+    payload = {
+        "rows": [
+            {
+                "lag": 7,
+                "matrix": {"labels": labels, "rows": rows},
+                "coefficients": [[0, 0.5]],
+                "theta": 0.1,
+                "residual": 1e-300,
+            }
+        ],
+        "predicted": {"labels": labels, "rows": predicted},
+    }
+    result = ExperimentResult(label="x", kind="converge", status="ok", payload=payload)
+    report = Report(plan={}, results=[result], wall_time_s=0.0, stem="r")
+    both = write_report(report, tmp_path / "both", fmt="both")
+    alone = write_report(report, tmp_path / "alone", fmt="json")
+    alone += write_report(report, tmp_path / "alone", fmt="csv")
+    assert [p.name for p in both] == [p.name for p in alone]
+    for ours, theirs in zip(both, alone):
+        assert ours.read_bytes() == theirs.read_bytes(), ours.name
+    reprs = {}
+    _json_text(report, reprs)
+    assert [reprs.get(id(row)) for row in rows + predicted] == [
+        ["nan", "inf"], ["-inf", "-0.0"], None, ["0.0", "2.5e-17"]
+    ]
+
+
+def test_import_loads_no_json_package():
+    # the JSON string escaper comes from _json, CPython's C module, so
+    # importing rankone does not load json, json.decoder or json.scanner
+    code = (
+        "import sys, rankone\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'json'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(rankone.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
