@@ -1,12 +1,14 @@
 """Rank-one cutting-and-stacking constructions: exact correlation
 statistics, limit-operator classification, and experiment plumbing.
 
-The usual flow is catalog -> realize -> PairCounter.counts -> unit_mass ->
-classify_limit against limit_basis (or limit_scan for a whole sweep), or a
-config file through parse_config and run_plan (the `rankone` command wraps
-that). Flows get their own engine in rankone.flows, which holds a column as
-its stages and follows their copy recursion; its FlowColumn.pair_counts
-feeds the same unit_mass.
+The usual flow is catalog -> realize -> PairCounter -> counts -> unit_mass
+-> classify_limit against limit_basis(pc, K) (or limit_scan(pc, lags) for a
+whole sweep); every diagnostic takes the PairCounter as its first argument.
+A config file goes through parse_config and run_plan (the `rankone` command
+wraps that). Flows get their own engine in rankone.flows, which holds a
+column as its stages and follows their copy recursion: FlowColumn.pair_counts
+feeds the same unit_mass, and flow_Pm_matrix(col, m) and
+pm_identity_gap(col, m) read the FlowColumn.
 """
 
 from .construction import (

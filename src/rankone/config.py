@@ -712,6 +712,12 @@ def parse_config(
                     f"max-power {power} with window {K} fits {grid} stochastic "
                     f"candidates, over FAMILY_GRID_LIMIT = {FAMILY_GRID_LIMIT}",
                 )
+        elif kind == "rigidity" and not params["lags"]:
+            raise _refuse(
+                kind_e,
+                f"no stage length l[j] with {j0} < j < {J} is within the reporting "
+                f"cap l_J/{LAG_CAP_DIVISOR} = {s.cap}; set experiment.{label}.lags",
+            )
         elif kind == "disjointness":
             reach = max(abs(params["p"]), abs(params["q"])) * params["N"]
             _cap_check(reach, lJ, s.cap, take("N"))

@@ -102,7 +102,7 @@ class PatternSpacers:
     def __init__(self, pattern: Sequence[int]):
         object.__setattr__(self, "pattern", tuple(pattern))
 
-    def value(self, j: int, r: int, schedule: "ConstructionSchedule", draw_base: int):
+    def value(self, j: int, r: int):
         if len(self.pattern) != r:
             raise MalformedRule(
                 f"spacer pattern has {len(self.pattern)} entries but stage {j} cuts into {r}"
@@ -125,7 +125,7 @@ class StageSpacers:
             raise MalformedRule("explicit spacer rule needs at least one stage")
         object.__setattr__(self, "stages", tuple(tuple(s) for s in stages))
 
-    def value(self, j: int, r: int, schedule: "ConstructionSchedule", draw_base: int):
+    def value(self, j: int, r: int):
         vec = self.stages[min(j - 1, len(self.stages) - 1)]
         if len(vec) != r:
             raise MalformedRule(
@@ -153,11 +153,6 @@ class BernoulliSpacers:
         if not (0.0 < self.a < 1.0):
             raise MalformedRule(f"Bernoulli parameter must lie in (0, 1), got {self.a}")
 
-    def value(self, j: int, r: int, schedule: "ConstructionSchedule", draw_base: int):
-        raise UnrealizedStochastic(
-            "Bernoulli spacers need realize(schedule, J, seed=...) before use"
-        )
-
     def draw(self, seed: int, r: int, draw_base: int):
         return tuple((_rng.uniforms(seed, draw_base, r) >= self.a).astype(int).tolist())
 
@@ -172,7 +167,7 @@ class StaircaseSpacers:
 
     damping: bool = False
 
-    def value(self, j: int, r: int, schedule: "ConstructionSchedule", draw_base: int):
+    def value(self, j: int, r: int):
         den = j * r if self.damping else r
         return tuple(Fraction(i, den) for i in range(r))
 
@@ -202,7 +197,6 @@ class ConstructionSchedule:
     cuts: CutRule
     spacers: SpacerRule
     h1: Union[int, Fraction, None] = None
-    bounds: Optional[tuple] = None  # (spacer_bound, cut_bound), exclusive
     name: str = ""
 
     def __post_init__(self):
@@ -238,7 +232,7 @@ class RealizedSchedule:
         return self.stages[j - 1]
 
 
-def _check_stage(kind: str, j: int, r, vec, bounds) -> None:
+def _check_stage(kind: str, j: int, r, vec) -> None:
     if r < 2:
         raise NonPositiveCut(f"stage {j}: cut count {r} < 2")
     # min, max and the set of types take one pass in C; a stage they flag is
@@ -250,20 +244,10 @@ def _check_stage(kind: str, j: int, r, vec, bounds) -> None:
                 raise NegativeSpacer(f"stage {j}, column {i}: spacer {s} < 0")
             if kind == "transformation" and not isinstance(s, int):
                 raise MalformedRule(f"stage {j}: transformation spacers must be integers")
-    if bounds is not None:
-        s_bound, r_bound = bounds
-        if r_bound is not None and not r < r_bound:
-            raise MalformedRule(f"stage {j}: cut count {r} violates declared bound < {r_bound}")
-        if s_bound is not None and vec and not max(vec) < s_bound:
-            for i, s in enumerate(vec, start=1):
-                if not s < s_bound:
-                    raise MalformedRule(
-                        f"stage {j}, column {i}: spacer {s} violates declared bound < {s_bound}"
-                    )
 
 
 def validate_schedule(schedule: ConstructionSchedule) -> ConstructionSchedule:
-    """Check rule arity, signs, and declared bounds on the leading stages.
+    """Check rule arity and signs on the leading stages.
 
     Stochastic spacer values are not drawn here; only their parameters are
     checked. Returns the schedule unchanged on success.
@@ -312,8 +296,8 @@ def iter_stages(
         if schedule.spacers.stochastic:
             vec = schedule.spacers.draw(seed, r, draw_base)
         else:
-            vec = tuple(schedule.spacers.value(j, r, schedule, draw_base))
-        _check_stage(schedule.kind, j, r, vec, schedule.bounds)
+            vec = tuple(schedule.spacers.value(j, r))
+        _check_stage(schedule.kind, j, r, vec)
         yield r, vec
         draw_base += r
 

@@ -1,6 +1,8 @@
 """Empirical experiments over the level algebra of a realized construction.
 
-Everything here reduces to lagged pair counts. A measured matrix at lag n is
+Everything here reduces to lagged pair counts, so every experiment takes the
+PairCounter of the word it reads (its realized schedule, depth J and base
+stage j0) as its first argument. A measured matrix at lag n is
 renormalized to unit mass over its counted window, so it can be compared
 directly against convex combinations of the small-lag basis matrices and the
 product matrix. On top of that sit a per-lag classifier sweep (limit_scan),
@@ -20,7 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ._record import record
-from .construction import RealizedSchedule, heights
 from .correlation import PairCounter, unit_mass
 from .errors import LagOutOfRange
 from .operators import (
@@ -32,7 +33,7 @@ from .operators import (
     op_adjoint,
     predicted_matrix,
 )
-from .words import alphabet_size, level_measures
+from .words import level_measures
 
 __all__ = [
     "limit_basis",
@@ -60,17 +61,11 @@ TRIPLE_CELL_LIMIT = 1 << 24
 DISJOINTNESS_CELL_LIMIT = 1 << 22
 
 
-def _measure_vector(realized: RealizedSchedule, J: int, j0: int) -> np.ndarray:
-    return np.array([float(m) for m in level_measures(realized, J, j0)])
+def _measure_vector(pc: PairCounter) -> np.ndarray:
+    return np.array([float(m) for m in level_measures(pc.realized, pc.J, pc.j0)])
 
 
-def limit_basis(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    K: int = 8,
-    counter: Optional[PairCounter] = None,
-) -> Dict[Union[int, str], np.ndarray]:
+def limit_basis(pc: PairCounter, K: int = 8) -> Dict[Union[int, str], np.ndarray]:
     """Unit-mass matrices for powers -K..K plus the product matrix.
 
     Key i holds the window-normalized pair matrix at lag i; negative keys are
@@ -79,14 +74,13 @@ def limit_basis(
     """
     if K < 0:
         raise ValueError(f"window K must be nonnegative, got {K}")
-    pc = counter if counter is not None else PairCounter(realized, J, j0)
     basis: Dict[Union[int, str], np.ndarray] = {}
     for i, c in pc.counts_many(range(K + 1)).items():
         m = unit_mass(c, i, pc.lJ)
         basis[i] = m
         if i:
             basis[-i] = m.T
-    mu = _measure_vector(realized, J, j0)
+    mu = _measure_vector(pc)
     basis["theta"] = np.outer(mu, mu)
     return basis
 
@@ -169,15 +163,12 @@ def _named_candidates(
 
 
 def limit_scan(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
+    pc: PairCounter,
     lags: Sequence[int],
     K: int = 8,
     tol: float = 0.03,
     stochastic_a=None,
     max_power: int = 6,
-    counter: Optional[PairCounter] = None,
 ) -> LimitScan:
     """Classify the unit-mass matrix at every lag against the power window.
 
@@ -187,8 +178,7 @@ def limit_scan(
     P^m P*^n T^k with m+n <= max_power and powers inside the window).
     family_distance is the max-abs gap to the closest of those.
     """
-    pc = counter if counter is not None else PairCounter(realized, J, j0)
-    basis = limit_basis(realized, J, j0, K, counter=pc)
+    basis = limit_basis(pc, K)
     candidates = _named_candidates(K, stochastic_a, max_power)
     names = [name for name, _ in candidates]
     predictions = np.array([predicted_matrix(expr, basis) for _, expr in candidates])
@@ -227,12 +217,9 @@ class RigidityScan:
 
 
 def rigidity_scan(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
+    pc: PairCounter,
     lags: Optional[Sequence[int]] = None,
     slack: float = 0.01,
-    counter: Optional[PairCounter] = None,
 ) -> RigidityScan:
     """Distance of D(n) from the lag-0 diagonal pattern, word-normalized.
 
@@ -240,13 +227,14 @@ def rigidity_scan(
     acts as the identity on full blocks differs from D(0) by seam loss alone:
     l1 distance exactly n/l_J. The vanishing flag is set when every scanned
     lag stays within slack of that seam bound, the empirical signature of a
-    rigidity sequence. Defaults scan the stage lengths l_j for j0 < j < J.
+    rigidity sequence. Defaults scan the stage lengths l_j for j0 < j < J;
+    an empty lag list is refused, since it would vanish from no evidence.
     """
-    hs = heights(realized, J)
-    lJ = int(hs[J - 1])
     if lags is None:
-        lags = [int(hs[j - 1]) for j in range(j0 + 1, J)]
-    pc = counter if counter is not None else PairCounter(realized, J, j0)
+        lags = pc.lengths[pc.j0 : pc.J - 1]
+    if not lags:
+        raise ValueError("rigidity scan needs at least one lag")
+    lJ = pc.lJ
     d0 = pc.counts(0).astype(np.float64) / lJ
     rows = []
     for n in lags:
@@ -283,17 +271,10 @@ class MixingReport:
     pair_floor: np.ndarray
 
 
-def mixing_diagnostics(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    lags: Sequence[int],
-    counter: Optional[PairCounter] = None,
-) -> MixingReport:
+def mixing_diagnostics(pc: PairCounter, lags: Sequence[int]) -> MixingReport:
     if not lags:
         raise ValueError("mixing diagnostics need at least one lag")
-    pc = counter if counter is not None else PairCounter(realized, J, j0)
-    mu = _measure_vector(realized, J, j0)
+    mu = _measure_vector(pc)
     pair = np.outer(mu, mu)
     proper = pair > 0  # zero-measure letters are not proper sets; their ratios stay nan
     peak = None
@@ -331,15 +312,7 @@ class CesaroReport:
     curve: Tuple[Tuple[int, float], ...]
 
 
-def cesaro_disjointness_probe(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    p: int,
-    q: int,
-    N: int,
-    counter: Optional[PairCounter] = None,
-) -> CesaroReport:
+def cesaro_disjointness_probe(pc: PairCounter, p: int, q: int, N: int) -> CesaroReport:
     """Average the 4-index tensor D(pn) x D(qn) over n = 1..N.
 
     For disjoint powers the average tends to the product of level measures
@@ -349,17 +322,15 @@ def cesaro_disjointness_probe(
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    S = alphabet_size(realized, j0)
+    S, lJ = pc.S, pc.lJ
     if S**4 > DISJOINTNESS_CELL_LIMIT:
         raise ValueError(
             f"alphabet of {S} symbols makes the 4-index tensor too large"
         )
-    lJ = int(heights(realized, J)[J - 1])
     worst = max(abs(p), abs(q)) * N
     if worst >= lJ:
         raise LagOutOfRange(f"|lag| {worst} >= word length {lJ}")
-    pc = counter if counter is not None else PairCounter(realized, J, j0)
-    mu = _measure_vector(realized, J, j0)
+    mu = _measure_vector(pc)
     pair = np.outer(mu, mu)
     target = np.multiply.outer(pair, pair)
     total = np.zeros((S, S, S, S))
@@ -397,13 +368,7 @@ class TripleReport:
     rows: Tuple[TripleRow, ...]
 
 
-def triple_corr_probe(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    pairs: Sequence[Tuple[int, int]],
-    counter: Optional[PairCounter] = None,
-) -> TripleReport:
+def triple_corr_probe(pc: PairCounter, pairs: Sequence[Tuple[int, int]]) -> TripleReport:
     """Exact triples (W[t], W[t+m], W[t+n]) for each requested (m, n).
 
     tensor[a][b][c] is the unit-mass frequency of the triple over the window
@@ -412,14 +377,12 @@ def triple_corr_probe(
     compares it against the product of the level measures on all three
     indices. Exploratory output: nothing here asserts a limit.
     """
-    S = alphabet_size(realized, j0)
-    if S**3 > TRIPLE_CELL_LIMIT:
+    if pc.S**3 > TRIPLE_CELL_LIMIT:
         raise ValueError(
-            f"alphabet of {S} symbols makes the triple tensor too large"
+            f"alphabet of {pc.S} symbols makes the triple tensor too large"
         )
-    mu = _measure_vector(realized, J, j0)
+    mu = _measure_vector(pc)
     target = np.multiply.outer(np.outer(mu, mu), mu)
-    pc = counter if counter is not None else PairCounter(realized, J, j0)
     rows = []
     for m, n in pairs:
         m, n = int(m), int(n)

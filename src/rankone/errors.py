@@ -22,7 +22,7 @@ class NegativeSpacer(ScheduleError):
 
 
 class MalformedRule(ScheduleError):
-    """A cut or spacer rule is structurally invalid (wrong arity, bad bounds, ...)."""
+    """A cut or spacer rule is structurally invalid (wrong arity, bad values, ...)."""
 
 
 class UnrealizedStochastic(ScheduleError):

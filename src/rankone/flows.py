@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -479,13 +479,7 @@ class PmResult:
     halvings = 0
 
 
-def flow_Pm_matrix(
-    segments: SegmentList,
-    slabs: SlabAlgebra,
-    m: Fraction,
-    orientation: str = "negative",
-    column: Optional[FlowColumn] = None,
-) -> PmResult:
+def flow_Pm_matrix(col: FlowColumn, m: Fraction, orientation: str = "negative") -> PmResult:
     """Markov average over an m-long window of flow times.
 
     orientation "negative" averages t in [-m, 0] (the window behind the
@@ -497,27 +491,20 @@ def flow_Pm_matrix(
     if orientation not in ("negative", "positive"):
         raise ValueError(f"unknown orientation {orientation!r}")
     lo, hi = (-m, Fraction(0)) if orientation == "negative" else (Fraction(0), m)
-    col = column if column is not None else FlowColumn(segments, slabs)
     W, Z = col.window_counts(lo, hi)
     return PmResult(
         counts=W, scale=Z, matrix=W.astype(np.float64) / Z, window=(lo, hi)
     )
 
 
-def pm_identity_gap(
-    segments: SegmentList,
-    slabs: SlabAlgebra,
-    m: Fraction,
-    column: Optional[FlowColumn] = None,
-) -> float:
+def pm_identity_gap(col: FlowColumn, m: Fraction) -> float:
     """Max-abs gap between the two routes to the backward average:
     the direct window [-m, 0] versus the transposed forward window [0, m]
     (the matrix form of 'shift back, then average ahead, then adjoint').
     Both are exact tables on the same scale, so the gap is 0 unless the
     engine is wrong."""
-    col = column if column is not None else FlowColumn(segments, slabs)
-    back = flow_Pm_matrix(segments, slabs, m, orientation="negative", column=col)
-    fwd = flow_Pm_matrix(segments, slabs, m, orientation="positive", column=col)
+    back = flow_Pm_matrix(col, m, orientation="negative")
+    fwd = flow_Pm_matrix(col, m, orientation="positive")
     return float(np.abs(back.counts - fwd.counts.T).max()) / back.scale
 
 
@@ -559,15 +546,13 @@ def flow_limit_check(
     the max-abs gap between that sum and the Markov average.
     """
     segments = flow_segments(realized, J, j0)
-    slabs = SlabAlgebra(L)
-    col = FlowColumn(segments, slabs)
+    col = FlowColumn(segments, SlabAlgebra(L))
     hs = heights(realized, J)
     lag = q * hs[j - 1]
     if lag >= segments.total:
         raise TimeOutOfRange(f"q*h_j = {lag} >= height {segments.total}")
 
-    pm = flow_Pm_matrix(segments, slabs, Fraction(q), orientation="negative",
-                        column=col)
+    pm = flow_Pm_matrix(col, Fraction(q), orientation="negative")
 
     def unit(t: Fraction) -> np.ndarray:
         C, H = col.pair_counts(t)

@@ -11,7 +11,8 @@ reports up to the wall time.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from functools import cached_property
+from typing import Dict, List
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .diagnostics import (
 from .flows import flow_limit_check
 from .operators import build_family, classify_limit, joining_matrix
 from .reports import ExperimentResult, Report, alphabet_labels, matrix_payload
-from .words import alphabet_size
 
 __all__ = ["run_plan"]
 
@@ -40,22 +40,15 @@ class _Ctx:
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
-        self._counter: Optional[PairCounter] = None
-        self._labels: Optional[List[str]] = None
 
-    @property
+    @cached_property
     def counter(self) -> PairCounter:
-        if self._counter is None:
-            p = self.plan
-            self._counter = PairCounter(p.realized, p.J, p.j0)
-        return self._counter
+        p = self.plan
+        return PairCounter(p.realized, p.J, p.j0)
 
-    @property
+    @cached_property
     def labels(self) -> List[str]:
-        if self._labels is None:
-            p = self.plan
-            self._labels = alphabet_labels(alphabet_size(p.realized, p.j0))
-        return self._labels
+        return alphabet_labels(self.counter.S)
 
     def unit(self, n: int) -> np.ndarray:
         return unit_mass(self.counter.counts(n), n, self.counter.lJ)
@@ -74,18 +67,14 @@ def _classify_payload(res) -> Dict[str, object]:
 
 
 def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
     params = spec.params
     scan = limit_scan(
-        p.realized,
-        p.J,
-        p.j0,
+        ctx.counter,
         params["lags"],
         K=params["window"],
         tol=params["tolerance"],
         stochastic_a=params.get("stochastic_a"),
         max_power=params["max_power"],
-        counter=ctx.counter,
     )
     rows = [
         {
@@ -111,12 +100,11 @@ def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
     params = spec.params
     kwargs = {k: params[k] for k in _FAMILY_KWARGS if k in params}
     expr = build_family(params["family"], **kwargs)
     K = max([params["window"]] + [abs(i) for i in expr.powers()])
-    basis = limit_basis(p.realized, p.J, p.j0, K=K, counter=ctx.counter)
+    basis = limit_basis(ctx.counter, K=K)
     jm = joining_matrix(expr, basis)
     rows = []
     distances = []
@@ -151,14 +139,8 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_rigidity(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
     scan = rigidity_scan(
-        p.realized,
-        p.J,
-        p.j0,
-        lags=spec.params["lags"],
-        slack=spec.params["slack"],
-        counter=ctx.counter,
+        ctx.counter, lags=spec.params["lags"], slack=spec.params["slack"]
     )
     payload = {
         "slack": spec.params["slack"],
@@ -179,10 +161,7 @@ def _run_rigidity(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_mixing(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
-    rep = mixing_diagnostics(
-        p.realized, p.J, p.j0, spec.params["lags"], counter=ctx.counter
-    )
+    rep = mixing_diagnostics(ctx.counter, spec.params["lags"])
     payload = {
         "lags": list(rep.lags),
         "measures": rep.measures.tolist(),
@@ -195,16 +174,8 @@ def _run_mixing(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_disjointness(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
-    rep = cesaro_disjointness_probe(
-        p.realized,
-        p.J,
-        p.j0,
-        spec.params["p"],
-        spec.params["q"],
-        spec.params["N"],
-        counter=ctx.counter,
-    )
+    params = spec.params
+    rep = cesaro_disjointness_probe(ctx.counter, params["p"], params["q"], params["N"])
     payload = {
         "p": rep.p,
         "q": rep.q,
@@ -218,10 +189,7 @@ def _run_disjointness(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
 
 
 def _run_triple(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
-    rep = triple_corr_probe(
-        p.realized, p.J, p.j0, spec.params["pairs"], counter=ctx.counter
-    )
+    rep = triple_corr_probe(ctx.counter, spec.params["pairs"])
     payload = {
         "rows": [
             {

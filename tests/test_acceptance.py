@@ -35,6 +35,7 @@ from rankone.operators import (
     shift_op,
 )
 from rankone.flows import (
+    FlowColumn,
     SlabAlgebra,
     flow_limit_check,
     flow_segments,
@@ -113,7 +114,7 @@ def test_criterion_03_modified_chacon_half_shift_limit():
     assert 8 <= hs[j0 - 1] <= 64
     assert hs[j0 - 1] / hs[J - 1] <= 1e-4
     pc = PairCounter(rz, J, j0)
-    basis = limit_basis(rz, J, j0, K=8, counter=pc)
+    basis = limit_basis(pc, K=8)
     lag = -int(hs[J - 2])
     measured = pc.counts(lag).astype(np.float64) / (pc.lJ - abs(lag))
     res = classify_limit(measured, basis)
@@ -141,7 +142,7 @@ def test_criterion_04_classic_chacon_geometric_limit():
     assert 8 <= hs[j0 - 1] <= 64
     assert hs[j0 - 1] / hs[J - 1] <= 1e-4
     pc = PairCounter(rz, J, j0)
-    basis = limit_basis(rz, J, j0, K=21, counter=pc)
+    basis = limit_basis(pc, K=21)
     lag = -int(hs[J - 9])
     measured = pc.counts(lag).astype(np.float64) / (pc.lJ - abs(lag))
     predicted = predicted_matrix(build_family("chacon-geometric", M=20), basis)
@@ -166,7 +167,7 @@ def test_criterion_05_stochastic_chacon_bernoulli_powers():
         hs = heights(rz, 11)
         j0 = default_base_stage(rz)
         pc = PairCounter(rz, 11, j0)
-        basis = limit_basis(rz, 11, j0, K=8, counter=pc)
+        basis = limit_basis(pc, K=8)
         for q in (1, 2, 3):
             lag = q * int(hs[7])  # positive lags per the P convention
             measured = pc.counts(lag).astype(np.float64) / (pc.lJ - lag)
@@ -211,7 +212,7 @@ def test_criterion_07_rigidity_contrast():
     rz = realize(catalog("dyadic-odometer"), J)
     hs = heights(rz, J)
     lags = [int(hs[j - 1]) for j in range(j0 + 1, J - 2)]  # j <= J-3
-    scan = rigidity_scan(rz, J, j0, lags=lags, slack=1e-12)
+    scan = rigidity_scan(PairCounter(rz, J, j0), lags=lags, slack=1e-12)
     for row in scan.rows:
         assert row.dist_l1 <= row.boundary + 1e-12, row
     assert scan.vanishing
@@ -219,7 +220,7 @@ def test_criterion_07_rigidity_contrast():
     rzm = realize(catalog("modified-chacon"), Jm)
     hsm = heights(rzm, Jm)
     lagsm = [int(hsm[j - 1]) for j in range(j0 + 1, Jm - 2)]
-    scm = rigidity_scan(rzm, Jm, j0, lags=lagsm)
+    scm = rigidity_scan(PairCounter(rzm, Jm, j0), lags=lagsm)
     min_dist = min(r.dist_l1 for r in scm.rows)
     assert min_dist >= 0.2
     assert not scm.vanishing
@@ -238,7 +239,7 @@ def test_criterion_08_limit_scan_band():
     for j in range(6, 11):
         l = int(hs[j - 1])
         lags += [l, -l, l + 1, -(l + 1), 2 * l, -2 * l]
-    scan = limit_scan(rz, J, j0, lags, K=8, tol=0.05)
+    scan = limit_scan(PairCounter(rz, J, j0), lags, K=8, tol=0.05)
     assert len(scan.rows) == 30
     for row in scan.rows:
         assert row.result.residual <= 0.05, (row.lag, row.result.residual)
@@ -257,7 +258,7 @@ def test_criterion_09_flow_limit_and_window_identity():
     rep = flow_limit_check(rz, J, 1, 1, j, L=16)
     assert rep.residual <= 0.05
     seg = flow_segments(rz, J)
-    gap = pm_identity_gap(seg, SlabAlgebra(16), hs[j - 1])
+    gap = pm_identity_gap(FlowColumn(seg, SlabAlgebra(16)), hs[j - 1])
     assert gap == 0.0
     elapsed = time.perf_counter() - t0
     _ok(9, "flow limit",

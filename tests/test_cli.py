@@ -319,6 +319,10 @@ experiment.f.kind = flow-limit
         (STOCHASTIC.replace("construction.seed = 1\n", ""), 2),
         (CONVERGE.replace("experiment.c.a = 1/2\n", ""), 6),
         (CONVERGE.replace("family = stochastic", "family = poisson"), 6),
+        # used to report "vanishing": true over no lags (the auto base of
+        # chacon at depth 5 is j0 = 4: no l[j] with j0 < j < J)
+        ("construction.catalog = chacon\nconstruction.depth = 5\n"
+         "experiment.r.kind = rigidity\n", 3),
     ],
     ids=["stochastic-a", "scan-window", "word-length", "window-beyond-word",
          "geometric-M-beyond-word", "slabs-1", "flow-depth-tick-scale", "flow-slab-cells",
@@ -330,7 +334,7 @@ experiment.f.kind = flow-limit
          "converge-no-family", "triple-no-n", "no-kind", "catalog-conflict",
          "inline-incomplete", "depth-and-budget", "neither-depth-nor-budget",
          "budget-0", "budget-below-depth-2", "inline-kind", "stochastic-no-seed",
-         "stochastic-family-no-a", "unknown-family"],
+         "stochastic-family-no-a", "unknown-family", "rigidity-no-default-lags"],
 )
 def test_bad_experiment_parameter_exit_one_without_traceback(tmp_path, text, line):
     _assert_config_error_at(tmp_path, text, line)

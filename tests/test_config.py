@@ -344,6 +344,18 @@ def test_rigidity_defaults_to_stage_heights_under_cap():
     assert plan.experiments[0].params["slack"] == 0.01
 
 
+def test_rigidity_with_no_default_lag_names_the_cap_and_asks_for_lags():
+    # chacon at depth 5 has l_J = 31 and auto base j0 = 4: no l[j], j0 < j < J
+    text = (
+        "construction.catalog = chacon\nconstruction.depth = 5\n"
+        "experiment.r.kind = rigidity\n"
+    )
+    with pytest.raises(ValidationError, match=r"^line 3: .*cap l_J/4 = 7; set experiment\.r\.lags"):
+        parse_config(text)
+    plan = parse_config(text + "experiment.r.lags = 1\n")
+    assert plan.experiments[0].params["lags"] == [1]
+
+
 def test_triple_lists_zip_and_validate():
     text = BASE.format(lags="3") + (
         "experiment.t.kind = triple\n"

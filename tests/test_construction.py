@@ -218,8 +218,8 @@ def test_explicit_cuts_last_value_repeats():
 def test_staircase_damping_divides_by_stage():
     plain = StaircaseSpacers()
     damped = StaircaseSpacers(damping=True)
-    assert plain.value(3, 4, None, 0) == tuple(Fraction(i, 4) for i in range(4))
-    assert damped.value(3, 4, None, 0) == tuple(Fraction(i, 12) for i in range(4))
+    assert plain.value(3, 4) == tuple(Fraction(i, 4) for i in range(4))
+    assert damped.value(3, 4) == tuple(Fraction(i, 12) for i in range(4))
 
 
 @given(

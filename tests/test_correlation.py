@@ -1114,7 +1114,7 @@ def test_triples_after_the_scan_recompute_its_ranges_exactly():
     )
     scan, tri = plan.experiments
     warm = PairCounter(plan.realized, plan.J, plan.j0)
-    limit_scan(plan.realized, plan.J, plan.j0, scan.params["lags"], K=4, counter=warm)
+    limit_scan(warm, scan.params["lags"], K=4)
     once = set(warm._seen)
     fresh = PairCounter(plan.realized, plan.J, plan.j0)
     for m, n in tri.params["pairs"]:

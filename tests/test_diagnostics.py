@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rankone.config import EXPERIMENT_KINDS, parse_config
 from rankone.construction import catalog, heights, realize
 from rankone.correlation import PairCounter
 from rankone.diagnostics import (
@@ -17,12 +18,13 @@ from rankone.diagnostics import (
     triple_corr_probe,
 )
 from rankone.errors import LagOutOfRange
+from rankone.runner import run_plan
 from rankone.words import alphabet_size, level_measures, materialize_word
 
 
 def test_limit_basis_keys_and_unit_mass():
     rz = realize(catalog("modified-chacon"), 10)
-    basis = limit_basis(rz, 10, 3, K=5)
+    basis = limit_basis(PairCounter(rz, 10, 3), K=5)
     assert set(basis) == set(range(-5, 6)) | {"theta"}
     for i in range(-5, 6):
         assert basis[i].sum() == pytest.approx(1.0, abs=1e-12), i
@@ -32,7 +34,7 @@ def test_limit_basis_keys_and_unit_mass():
 
 def test_limit_basis_negative_powers_transposed():
     rz = realize(catalog("modified-chacon"), 10)
-    basis = limit_basis(rz, 10, 3, K=4)
+    basis = limit_basis(PairCounter(rz, 10, 3), K=4)
     for i in range(1, 5):
         assert np.array_equal(basis[-i], basis[i].T)
 
@@ -40,15 +42,58 @@ def test_limit_basis_negative_powers_transposed():
 def test_limit_basis_shares_counter():
     rz = realize(catalog("chacon"), 10)
     pc = PairCounter(rz, 10, 2)
-    basis = limit_basis(rz, 10, 2, K=3, counter=pc)
+    basis = limit_basis(pc, K=3)
     direct = pc.counts(2).astype(float) / (pc.lJ - 2)
     assert np.array_equal(basis[2], direct)
+
+
+ALL_MAP_KINDS = """
+construction.catalog = modified-chacon
+construction.depth = 10
+experiment.s.kind = limit-scan
+experiment.s.lags = l[8], -l[8]
+experiment.c.kind = converge
+experiment.c.family = modified-chacon-limit
+experiment.c.lags = -l[8]
+experiment.r.kind = rigidity
+experiment.m.kind = mixing
+experiment.m.lags = 1, l[7]
+experiment.d.kind = disjointness
+experiment.d.p = 1
+experiment.d.q = 2
+experiment.d.N = 8
+experiment.t.kind = triple
+experiment.t.m = 1
+experiment.t.n = 2
+"""
+
+
+def test_run_plan_builds_one_counter_for_all_kinds(monkeypatch):
+    built = []
+    real = PairCounter.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PairCounter, "__init__", spy)
+    report = run_plan(parse_config(ALL_MAP_KINDS))
+    kinds = {r.kind for r in report.results}
+    assert kinds == set(EXPERIMENT_KINDS) - {"flow-limit"}
+    assert all(r.status == "ok" for r in report.results), report.results
+    assert len(built) == 1
+    flow = parse_config(
+        "construction.catalog = staircase-flow\nconstruction.depth = 5\n"
+        "experiment.f.kind = flow-limit\n"
+    )
+    assert run_plan(flow).results[0].status == "ok"
+    assert len(built) == 1
 
 
 def test_limit_scan_identifies_rigid_and_half_shift_lags():
     rz = realize(catalog("modified-chacon"), 12)
     hs = heights(rz, 12)
-    scan = limit_scan(rz, 12, 3, [hs[10], -hs[10], 3 * hs[9]], K=4)
+    scan = limit_scan(PairCounter(rz, 12, 3), [hs[10], -hs[10], 3 * hs[9]], K=4)
     by_lag = {row.lag: row for row in scan.rows}
     # D(-l_j) tends to (I + T)/2; the positive lag gives its adjoint
     assert by_lag[-hs[10]].family == "modified-chacon-limit"
@@ -62,7 +107,7 @@ def test_limit_scan_identifies_rigid_and_half_shift_lags():
 
 def test_limit_scan_deduplicates_lags():
     rz = realize(catalog("modified-chacon"), 10)
-    scan = limit_scan(rz, 10, 2, [40, 40, 40, -40], K=3)
+    scan = limit_scan(PairCounter(rz, 10, 2), [40, 40, 40, -40], K=3)
     assert [r.lag for r in scan.rows] == [40, -40]
 
 
@@ -70,14 +115,14 @@ def test_limit_scan_rejects_out_of_range_lag():
     rz = realize(catalog("chacon"), 8)
     lJ = heights(rz, 8)[7]
     with pytest.raises(LagOutOfRange):
-        limit_scan(rz, 8, 1, [lJ], K=2)
+        limit_scan(PairCounter(rz, 8, 1), [lJ], K=2)
 
 
 def test_limit_scan_stochastic_grid_contains_named_power():
     rz = realize(catalog("stochastic-chacon"), 9, seed=2)
     hs = heights(rz, 9)
     scan = limit_scan(
-        rz, 9, 3, [-hs[7]], K=4, stochastic_a=0.5, max_power=3
+        PairCounter(rz, 9, 3), [-hs[7]], K=4, stochastic_a=0.5, max_power=3
     )
     families = scan.rows[0].family
     # the candidate list must include the Bernoulli powers; whichever wins,
@@ -112,7 +157,7 @@ def test_stochastic_grid_builds_no_family_past_the_window(monkeypatch):
 def test_rigidity_dyadic_odometer_vanishes_exactly():
     # D(2^j) differs from D(0) only through the window boundary
     rz = realize(catalog("dyadic-odometer"), 14)
-    scan = rigidity_scan(rz, 14, 3, slack=1e-9)
+    scan = rigidity_scan(PairCounter(rz, 14, 3), slack=1e-9)
     assert scan.vanishing
     for row in scan.rows:
         assert row.dist_l1 <= row.boundary + 1e-12
@@ -121,15 +166,23 @@ def test_rigidity_dyadic_odometer_vanishes_exactly():
 
 def test_rigidity_modified_chacon_does_not_vanish():
     rz = realize(catalog("modified-chacon"), 12)
-    scan = rigidity_scan(rz, 12, 3)
+    scan = rigidity_scan(PairCounter(rz, 12, 3))
     assert not scan.vanishing
     worst = max(row.dist_l1 for row in scan.rows)
     assert worst >= 0.2
 
 
+def test_rigidity_refuses_an_empty_lag_list():
+    # chacon at depth 5, base 4: no stage length l[j] with j0 < j < J
+    pc = PairCounter(realize(catalog("chacon"), 5), 5, 4)
+    for lags in (None, []):
+        with pytest.raises(ValueError, match="at least one lag"):
+            rigidity_scan(pc, lags=lags)
+
+
 def test_rigidity_explicit_lag_list():
     rz = realize(catalog("chacon"), 10)
-    scan = rigidity_scan(rz, 10, 2, lags=[1, 7, 31])
+    scan = rigidity_scan(PairCounter(rz, 10, 2), lags=[1, 7, 31])
     assert [r.lag for r in scan.rows] == [1, 7, 31]
     assert all(r.boundary == r.lag / heights(rz, 10)[9] for r in scan.rows)
 
@@ -139,7 +192,7 @@ def test_mixing_masks_zero_measure_letters():
     rz = realize(catalog("dyadic-odometer"), 12)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rep = mixing_diagnostics(rz, 12, 1, [1, 3, 9])
+        rep = mixing_diagnostics(PairCounter(rz, 12, 1), [1, 3, 9])
     assert rep.measures[-1] == 0.0
     assert np.isnan(rep.pair_floor[1, 1])
     assert np.isfinite(rep.pair_floor[0, 0])
@@ -148,7 +201,7 @@ def test_mixing_masks_zero_measure_letters():
 def test_mixing_self_peak_bounded_by_one():
     rz = realize(catalog("modified-chacon"), 11)
     hs = heights(rz, 11)
-    rep = mixing_diagnostics(rz, 11, 3, [hs[8], hs[9], hs[8] + 1])
+    rep = mixing_diagnostics(PairCounter(rz, 11, 3), [hs[8], hs[9], hs[8] + 1])
     assert rep.lags == (hs[8], hs[9], hs[8] + 1)
     assert np.all(rep.self_peak <= 1.0 + 1e-12)
     # near a rigidity lag the diagonal return is half the level mass,
@@ -161,12 +214,12 @@ def test_cesaro_requires_reach_inside_word():
     rz = realize(catalog("chacon"), 8)
     lJ = heights(rz, 8)[7]
     with pytest.raises(LagOutOfRange):
-        cesaro_disjointness_probe(rz, 8, 1, 1, 2, lJ)
+        cesaro_disjointness_probe(PairCounter(rz, 8, 1), 1, 2, lJ)
 
 
 def test_cesaro_degenerate_equal_powers_allowed():
     rz = realize(catalog("modified-chacon"), 9)
-    rep = cesaro_disjointness_probe(rz, 9, 2, 2, 2, 40)
+    rep = cesaro_disjointness_probe(PairCounter(rz, 9, 2), 2, 2, 40)
     assert rep.p == rep.q == 2
     assert rep.N == 40
     assert rep.deviation >= 0
@@ -175,14 +228,14 @@ def test_cesaro_degenerate_equal_powers_allowed():
 
 def test_cesaro_curve_checkpoints_double():
     rz = realize(catalog("modified-chacon"), 10)
-    rep = cesaro_disjointness_probe(rz, 10, 2, 1, 3, 100)
+    rep = cesaro_disjointness_probe(PairCounter(rz, 10, 2), 1, 3, 100)
     ns = [n for n, _ in rep.curve]
     assert ns == [1, 2, 4, 8, 16, 32, 64, 100]
 
 
 def test_cesaro_decay_for_coprime_powers():
     rz = realize(catalog("modified-chacon"), 12)
-    rep = cesaro_disjointness_probe(rz, 12, 3, 1, 2, 256)
+    rep = cesaro_disjointness_probe(PairCounter(rz, 12, 3), 1, 2, 256)
     first = rep.curve[0][1]
     assert rep.deviation < first / 10
     assert rep.deviation < 0.01
@@ -191,7 +244,7 @@ def test_cesaro_decay_for_coprime_powers():
 def test_cesaro_guards_alphabet_growth():
     rz = realize(catalog("chacon"), 12)
     with pytest.raises(ValueError):
-        cesaro_disjointness_probe(rz, 12, 6, 1, 2, 8)
+        cesaro_disjointness_probe(PairCounter(rz, 12, 6), 1, 2, 8)
 
 
 def _brute_triple(word, m, n, S):
@@ -210,7 +263,7 @@ def test_triple_matches_brute_force():
     S = alphabet_size(rz, j0)
     w = materialize_word(rz, 7, j0)
     pairs = [(1, 2), (0, 0), (5, -3), (13, 13), (-4, 9)]
-    rep = triple_corr_probe(rz, 7, j0, pairs)
+    rep = triple_corr_probe(PairCounter(rz, 7, j0), pairs)
     for row, (m, n) in zip(rep.rows, pairs):
         oracle = _brute_triple(w, m, n, S)
         assert np.allclose(row.tensor, oracle, atol=1e-15), (m, n)
@@ -221,7 +274,7 @@ def test_triple_matches_brute_force():
 
 def test_triple_zero_pair_is_symbol_frequency():
     rz = realize(catalog("chacon"), 8)
-    rep = triple_corr_probe(rz, 8, 1, [(0, 0)])
+    rep = triple_corr_probe(PairCounter(rz, 8, 1), [(0, 0)])
     row = rep.rows[0]
     mu = np.array([float(x) for x in level_measures(rz, 8, 1)])
     diag = np.array([row.tensor[a, a, a] for a in range(len(mu))])
@@ -235,7 +288,7 @@ def test_triple_at_depth_40_is_exact_and_shares_the_counter():
     hs = heights(rz, 40)
     pc = PairCounter(rz, 40, 2)
     pairs = [(1, 2), (int(hs[37]), 2 * int(hs[37]))]
-    rep = triple_corr_probe(rz, 40, 2, pairs, counter=pc)
+    rep = triple_corr_probe(pc, pairs)
     mu = np.array([float(x) for x in level_measures(rz, 40, 2)])
     for row, (m, n) in zip(rep.rows, pairs):
         assert row.window == pc.lJ - max(m, n)
@@ -249,4 +302,4 @@ def test_triple_at_depth_40_is_exact_and_shares_the_counter():
 def test_triple_guards_alphabet_growth():
     rz = realize(catalog("chacon"), 12)
     with pytest.raises(ValueError):
-        triple_corr_probe(rz, 12, 9, [(1, 2)])
+        triple_corr_probe(PairCounter(rz, 12, 9), [(1, 2)])

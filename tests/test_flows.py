@@ -134,7 +134,7 @@ def test_window_average_row_mass():
     rz = realize(catalog("staircase-flow"), 5)
     seg = flow_segments(rz, 5)
     sl = SlabAlgebra(4)
-    res = flow_Pm_matrix(seg, sl, F(1))
+    res = flow_Pm_matrix(FlowColumn(seg, sl), F(1))
     # the sweep at t has mass 1 - |t|/H, so the [-1, 0] average has 1 - 1/(2H)
     H = heights(rz, 5)[4]
     assert res.window == (F(-1), F(0))
@@ -146,8 +146,8 @@ def test_window_average_row_mass():
 def test_pm_identity_gap_machine_small():
     rz = realize(catalog("staircase-flow"), 5)
     seg = flow_segments(rz, 5)
-    assert pm_identity_gap(seg, SlabAlgebra(6), F(2)) == 0.0
-    assert pm_identity_gap(seg, SlabAlgebra(6), heights(rz, 5)[3]) == 0.0
+    assert pm_identity_gap(FlowColumn(seg, SlabAlgebra(6)), F(2)) == 0.0
+    assert pm_identity_gap(FlowColumn(seg, SlabAlgebra(6)), heights(rz, 5)[3]) == 0.0
 
 
 def test_flow_limit_check_small_depth():
@@ -166,7 +166,7 @@ def test_flow_limit_and_window_identity_at_depth_15():
     rep = flow_limit_check(rz, J, 1, 1, J - 1)
     assert rep.residual <= 0.05
     m = heights(rz, J)[J - 2]  # h_14
-    assert pm_identity_gap(flow_segments(rz, J), SlabAlgebra(16), m) == 0.0
+    assert pm_identity_gap(FlowColumn(flow_segments(rz, J), SlabAlgebra(16)), m) == 0.0
 
 
 def test_flow_limit_and_window_identity_at_depth_30():
@@ -177,7 +177,7 @@ def test_flow_limit_and_window_identity_at_depth_30():
     rep = flow_limit_check(rz, J, 1, 1, J - 1)
     assert rep.residual <= 0.01
     m = heights(rz, J)[J - 2]  # h_29
-    assert pm_identity_gap(flow_segments(rz, J), SlabAlgebra(16), m) == 0.0
+    assert pm_identity_gap(FlowColumn(flow_segments(rz, J), SlabAlgebra(16)), m) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -177,7 +177,7 @@ def test_predicted_matrix_is_linear():
 
 def test_joining_matrix_from_limit_basis():
     rz = realize(catalog("modified-chacon"), 10)
-    basis = limit_basis(rz, 10, 2, K=1)
+    basis = limit_basis(PairCounter(rz, 10, 2), K=1)
     e = build_family("modified-chacon-limit")
     jm = joining_matrix(e, basis)
     assert np.allclose(jm.matrix, 0.5 * basis[0] + 0.5 * basis[1], atol=1e-15)
@@ -185,7 +185,7 @@ def test_joining_matrix_from_limit_basis():
 
 def test_joining_matrix_negative_power_uses_transpose():
     rz = realize(catalog("modified-chacon"), 10)
-    basis = limit_basis(rz, 10, 2, K=1)
+    basis = limit_basis(PairCounter(rz, 10, 2), K=1)
     e = build_family("stochastic", m=1, n=0, a=F(1, 2))  # powers {0, -1}
     jm = joining_matrix(e, basis)
     assert np.allclose(jm.matrix, 0.5 * basis[0] + 0.5 * basis[1].T, atol=1e-15)
@@ -193,7 +193,7 @@ def test_joining_matrix_negative_power_uses_transpose():
 
 def test_joining_matrix_missing_basis_lag():
     rz = realize(catalog("modified-chacon"), 10)
-    basis = limit_basis(rz, 10, 2, K=0)
+    basis = limit_basis(PairCounter(rz, 10, 2), K=0)
     e = build_family("modified-chacon-limit")  # needs power 1
     with pytest.raises(MissingBasisLag):
         joining_matrix(e, basis)
@@ -201,7 +201,7 @@ def test_joining_matrix_missing_basis_lag():
 
 def _exact_basis():
     rz = realize(catalog("modified-chacon"), 11)
-    return limit_basis(rz, 11, 3, K=8)
+    return limit_basis(PairCounter(rz, 11, 3), K=8)
 
 
 def test_classify_recovers_exact_member():
@@ -351,7 +351,7 @@ def test_classify_holds_the_simplex_exactly_on_a_long_spacer_basis():
     )
     lag = heights(rz, 12)[7] + 3
     pc = PairCounter(rz, 12, 1)
-    basis = limit_basis(rz, 12, 1, K=4, counter=pc)
+    basis = limit_basis(pc, K=4)
     res = classify_limit(unit_mass(pc.counts(lag), lag, pc.lJ), basis)
     assert res.residual < 1e-6
     assert sum(res.coefficients.values()) + res.theta == pytest.approx(1.0, abs=1e-12)
