@@ -5,10 +5,12 @@ The usual flow is catalog -> realize -> PairCounter -> counts -> unit_mass
 -> classify_limit against limit_basis(pc, K) (or limit_scan(pc, lags) for a
 whole sweep); every diagnostic takes the PairCounter as its first argument.
 A config file goes through parse_config and run_plan (the `rankone` command
-wraps that). Flows get their own engine in rankone.flows, which holds a
-column as its stages and follows their copy recursion: FlowColumn.pair_counts
-feeds the same unit_mass, and flow_Pm_matrix(col, m) and
-pm_identity_gap(col, m) read the FlowColumn.
+wraps that). Flows get their own engine in rankone.flows,
+FlowColumn(realized, J, j0, L), built like PairCounter(realized, J, j0) with
+the base fiber cut into L slabs: it holds the column as its stages and
+follows their copy recursion. FlowColumn.pair_counts feeds the same
+unit_mass, and flow_Pm_matrix(col, m), pm_identity_gap(col, m) and
+flow_limit_check(col, q, j) read the FlowColumn.
 """
 
 from .construction import (
@@ -58,7 +60,6 @@ from .errors import (
 from .flows import (
     FlowLimitReport,
     FlowColumn,
-    SlabAlgebra,
     flow_limit_check,
     flow_Pm_matrix,
     flow_segments,
@@ -147,7 +148,6 @@ __all__ = [
     "TripleReport",
     # flows
     "flow_segments",
-    "SlabAlgebra",
     "FlowColumn",
     "flow_Pm_matrix",
     "pm_identity_gap",

@@ -102,7 +102,6 @@ from .words import (
     alphabet_size,
     base_word,
     expand_once,
-    spacer_symbol,
     stream_word,
 )
 

@@ -137,13 +137,12 @@ def _named_candidates(
     max_power: int,
 ) -> List[Tuple[str, OperatorExpression]]:
     out: List[Tuple[str, OperatorExpression]] = [("identity", identity_op())]
-    modified = build_family("modified-chacon-limit")
-    out.append(("modified-chacon-limit", modified))
-    out.append(("modified-chacon-limit*", op_adjoint(modified)))
-    geo = build_family("chacon-geometric", M=K - 1) if K >= 1 else None
-    if geo is not None:
-        out.append((f"chacon-geometric(M={K - 1})", geo))
-        out.append((f"chacon-geometric(M={K - 1})*", op_adjoint(geo)))
+    if K >= 1:  # both Chacon limits need the power-1 basis matrix
+        for name, expr in (
+            ("modified-chacon-limit", build_family("modified-chacon-limit")),
+            (f"chacon-geometric(M={K - 1})", build_family("chacon-geometric", M=K - 1)),
+        ):
+            out += [(name, expr), (f"{name}*", op_adjoint(expr))]
     if stochastic_a is not None:
         # the adjoint of every grid member is another grid member (swap m and
         # n, negate k), so no starred variants are needed here; T^k only
@@ -174,8 +173,8 @@ def limit_scan(
 
     Each lag gets a full simplex fit over {T^i : |i| <= K} plus theta, and is
     also matched against the named families (identity, the two Chacon limits
-    in both orientations, and, when stochastic_a is given, the grid
-    P^m P*^n T^k with m+n <= max_power and powers inside the window).
+    in both orientations when K >= 1, and, when stochastic_a is given, the
+    grid P^m P*^n T^k with m+n <= max_power and powers inside the window).
     family_distance is the max-abs gap to the closest of those.
     """
     basis = limit_basis(pc, K)

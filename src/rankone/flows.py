@@ -8,8 +8,9 @@ as integer tick counts with no floating-point error. Every sum is a Python
 int, so TICK_BOUND (2**150 ticks) bounds a column's cost, not an overflow;
 a returned table holds int64 when its entries' bound is below 2**63 (_table).
 
-Correlations live on a slab algebra: the base fiber [0, h_{j0}) cut into L
-equal slabs, spacers mapped to a star symbol. C(t)[a][b] is the Lebesgue
+Correlations live on the base fiber [0, h_{j0}) cut into L equal slabs,
+spacers mapped to a star symbol L: the engine FlowColumn(realized, J, j0, L)
+is built as PairCounter(realized, J, j0) is. C(t)[a][b] is the Lebesgue
 measure, in ticks, of {u : phi(u) in slab_a, phi(u+t) in slab_b}
 (FlowColumn.pair_counts), found by the copy recursion below;
 correlation.unit_mass turns it into the unit-mass matrix D(t) over its
@@ -62,7 +63,6 @@ from .errors import SegmentBudgetExceeded, TimeOutOfRange
 
 __all__ = [
     "SegmentList",
-    "SlabAlgebra",
     "FlowColumn",
     "flow_segments",
     "tick_scale",
@@ -75,7 +75,7 @@ __all__ = [
     "TICK_BOUND",
 ]
 
-#: The slab algebra cuts the base fiber into at least this many slabs.
+#: A flow column cuts the base fiber into at least this many slabs.
 MIN_SLABS = 2
 #: A flow's column must stay below this many ticks high (see tick_scale).
 TICK_BOUND = 1 << 150
@@ -108,25 +108,6 @@ def flow_segments(realized: RealizedSchedule, J: int, j0: int = 1) -> SegmentLis
         r, vec = realized.stage(j)
         stages.append((r, tuple(Fraction(s) for s in vec)))
     return SegmentList(base_duration=hs[j0 - 1], total=hs[J - 1], stages=tuple(stages))
-
-
-@record
-class SlabAlgebra:
-    """Base fiber [0, h_{j0}) cut into L equal slabs; spacers map to star."""
-
-    L: int
-
-    def __post_init__(self):
-        if self.L < MIN_SLABS:
-            raise ValueError(f"slab algebra wants L >= {MIN_SLABS}")
-
-    @property
-    def size(self) -> int:
-        return self.L + 1
-
-    @property
-    def star(self) -> int:
-        return self.L
 
 
 def tick_scale(base: Fraction, stages, L: int, *times: Fraction) -> Tuple[int, int]:
@@ -166,8 +147,9 @@ def _tent(x: int, w: int) -> int:
 
 
 class FlowColumn:
-    """The column at integer ticks, held as its stages for the copy
-    recursion.
+    """The depth-J column of a flow from base stage j0, its base fiber cut
+    into L slabs (symbols 0..L-1, the star L), at integer ticks, held as
+    its stages (segments, from flow_segments) for the copy recursion.
 
     Pair counts at one shift (pair_counts) and their integral over a band
     of shifts (window_counts) follow the copy recursion down to pairs of
@@ -179,10 +161,12 @@ class FlowColumn:
     when first read; no count reads it.
     """
 
-    def __init__(self, segments: SegmentList, slabs: SlabAlgebra):
-        self.segments = segments
-        self.slabs = slabs
-        L, star = slabs.L, slabs.star
+    def __init__(self, realized: RealizedSchedule, J: int, j0: int, L: int):
+        if L < MIN_SLABS:
+            raise ValueError(f"a flow column wants L >= {MIN_SLABS} slabs, got {L}")
+        self.realized, self.J, self.j0, self.L = realized, J, j0, L
+        self.segments = segments = flow_segments(realized, J, j0)
+        star = L
         base = segments.base_duration
         den, self.H_ticks = tick_scale(base, segments.stages, L)
         self.den = den
@@ -225,7 +209,7 @@ class FlowColumn:
         """(breaks, codes) in column order: a copy's L slab starts, coded
         0..L-1, or a spacer's start, coded star; W_{e+1} repeats W_e's
         breakpoints at each copy start and adds each nonzero spacer's."""
-        L = self.slabs.L
+        L = self.L
         breaks = self.width_ticks * np.arange(L, dtype=np.int64)
         codes = np.arange(L, dtype=np.int16)
         star = np.array([L], dtype=np.int16)
@@ -281,7 +265,7 @@ class FlowColumn:
         H = self.H_ticks * f
         if abs(tau) >= H:
             raise TimeOutOfRange(f"|t| = {abs(Fraction(t))} >= height {self.segments.total}")
-        L, w = self.slabs.L, self.width_ticks * f
+        L, w = self.L, self.width_ticks * f
         band = [0] * (2 * L + 1)  # band[L + j - i]: the ticks of slab pair (i, j)
         for e, a, _, fwd, bwd, copies in self._descend(
                 tau, tau, f, lambda a, b, e: a == 0 or e == 0):
@@ -352,7 +336,7 @@ class FlowColumn:
         """Ticks (scale f) each symbol takes in [0, x) of W_e, 0 <= x <= h_e * f,
         in Python ints, found by descending through the part of each stage
         that holds x."""
-        star = self.slabs.star
+        star = self.L
         occ = np.zeros(star + 1, dtype=object)
         while e:
             e -= 1
@@ -373,7 +357,7 @@ class FlowColumn:
         Python ints. Each stage adds 2A at the start lo of the part that
         holds x plus 2 F(lo) times the offset of x into it, and the base
         copy what each slab's ramp min(max(y - i*w, 0), w) adds."""
-        star = self.slabs.star
+        star = self.L
         area = np.zeros(star + 1, dtype=object)
         while e:
             e -= 1
@@ -385,7 +369,7 @@ class FlowColumn:
                 area[star] += x * x
                 return area
         w = self.width_ticks * f
-        for i in range(self.slabs.L):
+        for i in range(self.L):
             area[i] += max(x - i * w, 0) ** 2 - max(x - (i + 1) * w, 0) ** 2
         return area
 
@@ -408,7 +392,7 @@ class FlowColumn:
             raise TimeOutOfRange(
                 f"window [{lo}, {hi}] is empty or reaches height {self.segments.total}"
             )
-        L, w = self.slabs.L, self.width_ticks * f
+        L, w = self.L, self.width_ticks * f
         h = [x * f for x in self._heights]
         band = [0] * (2 * L - 1)  # band[L - 1 + j - i]: slab pair (i, j)
         full = 0  # what the bands covering a whole W_e add to every slab pair
@@ -492,9 +476,7 @@ def flow_Pm_matrix(col: FlowColumn, m: Fraction, orientation: str = "negative") 
         raise ValueError(f"unknown orientation {orientation!r}")
     lo, hi = (-m, Fraction(0)) if orientation == "negative" else (Fraction(0), m)
     W, Z = col.window_counts(lo, hi)
-    return PmResult(
-        counts=W, scale=Z, matrix=W.astype(np.float64) / Z, window=(lo, hi)
-    )
+    return PmResult(counts=W, scale=Z, matrix=unit_mass(W, 0, Z), window=(lo, hi))
 
 
 def pm_identity_gap(col: FlowColumn, m: Fraction) -> float:
@@ -528,15 +510,9 @@ class FlowLimitReport:
     kernel_distance: float
 
 
-def flow_limit_check(
-    realized: RealizedSchedule,
-    J: int,
-    j0: int,
-    q: int,
-    j: int,
-    L: int = 16,
-) -> FlowLimitReport:
-    """Compare D(q*h_j) at depth J against the q-long Markov average.
+def flow_limit_check(col: FlowColumn, q: int, j: int) -> FlowLimitReport:
+    """Compare D(q*h_j) on the column against the q-long Markov average;
+    the stage j lies in 1..J-1 and q >= 1.
 
     The sign of the lag is resolved empirically: both D(+q h_j) and
     D(-q h_j) are measured (unit mass) and the closer one is
@@ -545,12 +521,13 @@ def flow_limit_check(
     gap between the measured D and sum nu(d) D(d), and kernel_distance,
     the max-abs gap between that sum and the Markov average.
     """
-    segments = flow_segments(realized, J, j0)
-    col = FlowColumn(segments, SlabAlgebra(L))
-    hs = heights(realized, J)
-    lag = q * hs[j - 1]
-    if lag >= segments.total:
-        raise TimeOutOfRange(f"q*h_j = {lag} >= height {segments.total}")
+    if not 1 <= j <= col.J - 1:
+        raise ValueError(f"stage {j} outside 1..{col.J - 1}")
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    lag = q * heights(col.realized, col.J)[j - 1]
+    if lag >= col.segments.total:
+        raise TimeOutOfRange(f"q*h_j = {lag} >= height {col.segments.total}")
 
     pm = flow_Pm_matrix(col, Fraction(q), orientation="negative")
 

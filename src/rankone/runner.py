@@ -1,7 +1,9 @@
 """Executes a resolved ExperimentPlan and assembles the Report.
 
-Experiments run sequentially in declaration order and share one pair
-counter, so a scan over many lags pays the word recursion once. A failure
+Experiments run sequentially in declaration order and share their engines:
+one pair counter, and one flow column per slab count, so a scan over many
+lags pays the word recursion once. Each experiment's runner returns its
+payload, and run_plan alone wraps it in an ExperimentResult. A failure
 inside one experiment is caught and recorded on its entry; the remaining
 experiments still run. Everything here is deterministic given the plan
 (the seed lives in the realized schedule), so reruns produce identical
@@ -26,7 +28,7 @@ from .diagnostics import (
     rigidity_scan,
     triple_corr_probe,
 )
-from .flows import flow_limit_check
+from .flows import FlowColumn, flow_limit_check
 from .operators import build_family, classify_limit, joining_matrix
 from .reports import ExperimentResult, Report, alphabet_labels, matrix_payload
 
@@ -36,15 +38,24 @@ _FAMILY_KWARGS = ("M", "m", "n", "k", "a")
 
 
 class _Ctx:
-    """Lazy per-plan shared state (pair counter, labels)."""
+    """Lazy per-plan shared state: the engines the experiments read (one
+    PairCounter, and one FlowColumn per slab count, so flow experiments
+    with the same slabs share its memo) and the alphabet labels."""
 
     def __init__(self, plan: ExperimentPlan):
         self.plan = plan
+        self.columns: Dict[int, FlowColumn] = {}
 
     @cached_property
     def counter(self) -> PairCounter:
         p = self.plan
         return PairCounter(p.realized, p.J, p.j0)
+
+    def column(self, L: int) -> FlowColumn:
+        if L not in self.columns:
+            p = self.plan
+            self.columns[L] = FlowColumn(p.realized, p.J, p.j0, L)
+        return self.columns[L]
 
     @cached_property
     def labels(self) -> List[str]:
@@ -66,7 +77,7 @@ def _classify_payload(res) -> Dict[str, object]:
     }
 
 
-def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
+def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
     scan = limit_scan(
         ctx.counter,
@@ -86,7 +97,7 @@ def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         }
         for row in scan.rows
     ]
-    payload = {
+    return {
         "window": scan.window,
         "tolerance": scan.tolerance,
         "fraction_identified": float(scan.fraction_identified),
@@ -94,12 +105,9 @@ def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "best_family": scan.best_family,
         "rows": rows,
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
-def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
+def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
     kwargs = {k: params[k] for k in _FAMILY_KWARGS if k in params}
     expr = build_family(params["family"], **kwargs)
@@ -123,7 +131,7 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
                 **_classify_payload(cls),
             }
         )
-    payload = {
+    return {
         "family": params["family"],
         "family_params": {k: params[k] for k in _FAMILY_KWARGS if k in params},
         "window": params["window"],
@@ -133,16 +141,13 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "converged": bool(distances) and max(distances) <= params["tolerance"],
         "rows": rows,
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
-def _run_rigidity(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
+def _run_rigidity(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     scan = rigidity_scan(
         ctx.counter, lags=spec.params["lags"], slack=spec.params["slack"]
     )
-    payload = {
+    return {
         "slack": spec.params["slack"],
         "vanishing": bool(scan.vanishing),
         "rows": [
@@ -155,42 +160,33 @@ def _run_rigidity(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
             for r in scan.rows
         ],
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
-def _run_mixing(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
+def _run_mixing(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     rep = mixing_diagnostics(ctx.counter, spec.params["lags"])
-    payload = {
+    return {
         "lags": list(rep.lags),
         "measures": rep.measures.tolist(),
         "self_peak": rep.self_peak.tolist(),
         "pair_floor": matrix_payload(rep.pair_floor, ctx.labels),
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
-def _run_disjointness(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
+def _run_disjointness(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
     rep = cesaro_disjointness_probe(ctx.counter, params["p"], params["q"], params["N"])
-    payload = {
+    return {
         "p": rep.p,
         "q": rep.q,
         "N": rep.N,
         "deviation": float(rep.deviation),
         "curve": [[int(n), float(d)] for n, d in rep.curve],
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
-def _run_triple(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
+def _run_triple(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     rep = triple_corr_probe(ctx.counter, spec.params["pairs"])
-    payload = {
+    return {
         "rows": [
             {
                 "m": r.m,
@@ -201,23 +197,12 @@ def _run_triple(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
             for r in rep.rows
         ]
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
-def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
-    p = ctx.plan
+def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
-    rep = flow_limit_check(
-        p.realized,
-        p.J,
-        p.j0,
-        params["q"],
-        params["stage"],
-        L=params["slabs"],
-    )
-    payload = {
+    rep = flow_limit_check(ctx.column(params["slabs"]), params["q"], params["stage"])
+    return {
         "q": rep.q,
         "stage": rep.stage,
         "slabs": params["slabs"],
@@ -230,9 +215,6 @@ def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> ExperimentResult:
         "kernel_defect": float(rep.kernel_defect),
         "kernel_distance": float(rep.kernel_distance),
     }
-    return ExperimentResult(
-        label=spec.label, kind=spec.kind, status="ok", payload=payload
-    )
 
 
 _RUNNERS = {
@@ -253,15 +235,13 @@ def run_plan(plan: ExperimentPlan) -> Report:
     results: List[ExperimentResult] = []
     for spec in plan.experiments:
         try:
-            results.append(_RUNNERS[spec.kind](ctx, spec))
+            status, payload, error = "ok", _RUNNERS[spec.kind](ctx, spec), None
         except Exception as exc:  # noqa: BLE001 - isolation is the contract
-            results.append(
-                ExperimentResult(
-                    label=spec.label,
-                    kind=spec.kind,
-                    status="error",
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            status, payload, error = "error", None, f"{type(exc).__name__}: {exc}"
+        results.append(
+            ExperimentResult(
+                label=spec.label, kind=spec.kind, status=status, payload=payload, error=error
             )
+        )
     wall = time.perf_counter() - t0
     return Report(plan=plan.echo, results=results, wall_time_s=wall, stem=plan.stem)

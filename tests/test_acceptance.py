@@ -34,13 +34,7 @@ from rankone.operators import (
     predicted_matrix,
     shift_op,
 )
-from rankone.flows import (
-    FlowColumn,
-    SlabAlgebra,
-    flow_limit_check,
-    flow_segments,
-    pm_identity_gap,
-)
+from rankone.flows import FlowColumn, flow_limit_check, pm_identity_gap
 from rankone.reports import report_to_json
 from rankone.runner import run_plan
 from rankone.words import default_base_stage
@@ -255,10 +249,10 @@ def test_criterion_09_flow_limit_and_window_identity():
     rz = realize(catalog("staircase-flow"), J)
     hs = heights(rz, J)
     assert float(hs[0] / hs[J - 1]) <= 1e-4
-    rep = flow_limit_check(rz, J, 1, 1, j, L=16)
+    col = FlowColumn(rz, J, 1, 16)
+    rep = flow_limit_check(col, 1, j)
     assert rep.residual <= 0.05
-    seg = flow_segments(rz, J)
-    gap = pm_identity_gap(FlowColumn(seg, SlabAlgebra(16)), hs[j - 1])
+    gap = pm_identity_gap(col, hs[j - 1])
     assert gap == 0.0
     elapsed = time.perf_counter() - t0
     _ok(9, "flow limit",

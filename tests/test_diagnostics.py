@@ -1,11 +1,13 @@
 """Scans and probes over the level algebra: basis construction, limit
 classification sweeps, rigidity, mixing tails, product averages, triples."""
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
+from rankone.cli import main
 from rankone.config import EXPERIMENT_KINDS, parse_config
 from rankone.construction import catalog, heights, realize
 from rankone.correlation import PairCounter
@@ -116,6 +118,28 @@ def test_limit_scan_rejects_out_of_range_lag():
     lJ = heights(rz, 8)[7]
     with pytest.raises(LagOutOfRange):
         limit_scan(PairCounter(rz, 8, 1), [lJ], K=2)
+
+
+def test_limit_scan_at_window_zero_offers_no_chacon_limit():
+    # K = 0 leaves T^0 alone in the basis; both Chacon limits need T^1
+    rz = realize(catalog("chacon"), 12)
+    pc = PairCounter(rz, 12, 1)
+    scan = limit_scan(pc, [int(heights(rz, 12)[4])], K=0)
+    assert scan.window == 0
+    assert [row.family for row in scan.rows] == ["identity"]
+
+
+def test_limit_scan_at_window_zero_runs_from_a_config(tmp_path):
+    cfg = tmp_path / "k0.cfg"
+    cfg.write_text(
+        "construction.catalog = chacon\nconstruction.depth = 12\n"
+        "experiment.t.kind = limit-scan\nexperiment.t.lags = l[5]\n"
+        "experiment.t.window = 0\n"
+    )
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    (exp,) = json.loads((tmp_path / "out" / "k0.json").read_text())["experiments"]
+    assert exp["status"] == "ok"
+    assert [row["family"] for row in exp["result"]["rows"]] == ["identity"]
 
 
 def test_limit_scan_stochastic_grid_contains_named_power():

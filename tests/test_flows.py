@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rankone import flows
+from rankone.config import parse_config
 from rankone.construction import (
     AffineCuts,
     ConstantCuts,
@@ -28,12 +29,12 @@ from rankone.correlation import unit_mass
 from rankone.errors import SegmentBudgetExceeded, TimeOutOfRange
 from rankone.flows import (
     FlowColumn,
-    SlabAlgebra,
     flow_Pm_matrix,
     flow_limit_check,
     flow_segments,
     pm_identity_gap,
 )
+from rankone.runner import run_plan
 
 F = Fraction
 
@@ -68,14 +69,14 @@ def test_segment_total_matches_height():
 def test_segment_budget_guard():
     # the staircase column is 2^149.4 ticks high at depth 30 and 2^159.3 at 31
     rz = realize(catalog("staircase-flow"), 31)
-    assert FlowColumn(flow_segments(rz, 30), SlabAlgebra(16)).H_ticks < flows.TICK_BOUND
+    assert FlowColumn(rz, 30, 1, 16).H_ticks < flows.TICK_BOUND
     with pytest.raises(SegmentBudgetExceeded, match=r"tick scale too fine: .* 2\^159 ticks"):
-        FlowColumn(flow_segments(rz, 31), SlabAlgebra(16))
+        FlowColumn(rz, 31, 1, 16)
 
 
 def _counts(rz, J, L):
     """The pair_counts of the depth-J column cut into L slabs."""
-    return FlowColumn(flow_segments(rz, J), SlabAlgebra(L)).pair_counts
+    return FlowColumn(rz, J, 1, L).pair_counts
 
 
 def test_time_zero_is_diagonal_slab_measure():
@@ -94,8 +95,8 @@ def test_single_column_shift_is_superdiagonal():
 
 def test_mass_conservation_inside_window():
     rz = realize(catalog("staircase-flow"), 5)
-    seg = flow_segments(rz, 5)
-    col = FlowColumn(seg, SlabAlgebra(8))
+    col = FlowColumn(rz, 5, 1, 8)
+    seg = col.segments
     for t in (F(1, 3), F(2), F(7, 2)):
         C, H = col.pair_counts(t)
         assert F(int(C.sum()), H) == 1 - t / seg.total
@@ -103,7 +104,7 @@ def test_mass_conservation_inside_window():
 
 def test_negative_time_is_transpose():
     rz = realize(catalog("staircase-flow"), 5)
-    col = FlowColumn(flow_segments(rz, 5), SlabAlgebra(6))
+    col = FlowColumn(rz, 5, 1, 6)
     for t in (F(1, 2), F(3), F(22, 7)):
         fwd, _ = col.pair_counts(t)
         bwd, _ = col.pair_counts(-t)
@@ -119,9 +120,10 @@ def test_time_beyond_height_rejected():
 def test_exact_mode_agrees_with_float():
     # the exact tick counts over their window, as Fractions, against unit_mass
     rz = realize(catalog("staircase-flow"), 4)
-    seg = flow_segments(rz, 4)
+    col = FlowColumn(rz, 4, 1, 5)
+    seg = col.segments
     t = F(5, 3)
-    C, H = FlowColumn(seg, SlabAlgebra(5)).pair_counts(t)
+    C, H = col.pair_counts(t)
     tau = t * H / seg.total
     assert tau.denominator == 1  # a whole number of ticks
     ex = [[F(int(c), H - int(tau)) for c in row] for row in C]
@@ -132,9 +134,7 @@ def test_exact_mode_agrees_with_float():
 
 def test_window_average_row_mass():
     rz = realize(catalog("staircase-flow"), 5)
-    seg = flow_segments(rz, 5)
-    sl = SlabAlgebra(4)
-    res = flow_Pm_matrix(FlowColumn(seg, sl), F(1))
+    res = flow_Pm_matrix(FlowColumn(rz, 5, 1, 4), F(1))
     # the sweep at t has mass 1 - |t|/H, so the [-1, 0] average has 1 - 1/(2H)
     H = heights(rz, 5)[4]
     assert res.window == (F(-1), F(0))
@@ -145,28 +145,70 @@ def test_window_average_row_mass():
 
 def test_pm_identity_gap_machine_small():
     rz = realize(catalog("staircase-flow"), 5)
-    seg = flow_segments(rz, 5)
-    assert pm_identity_gap(FlowColumn(seg, SlabAlgebra(6)), F(2)) == 0.0
-    assert pm_identity_gap(FlowColumn(seg, SlabAlgebra(6)), heights(rz, 5)[3]) == 0.0
+    col = FlowColumn(rz, 5, 1, 6)
+    assert pm_identity_gap(col, F(2)) == 0.0
+    assert pm_identity_gap(col, heights(rz, 5)[3]) == 0.0
 
 
 def test_flow_limit_check_small_depth():
     rz = realize(catalog("staircase-flow"), 6)
-    rep = flow_limit_check(rz, 6, 1, 1, 5, L=8)
+    rep = flow_limit_check(FlowColumn(rz, 6, 1, 8), 1, 5)
     assert rep.q == 1 and rep.stage == 5
     assert rep.lag_time == heights(rz, 6)[4]
     assert rep.residual < 0.2
     assert rep.residual_mirror == pytest.approx(rep.residual, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "q, j, refusal",
+    [(1, -1, "stage -1 outside 1..6"), (1, 0, "stage 0 outside 1..6"),
+     (1, 7, "stage 7 outside 1..6"), (1, 8, "stage 8 outside 1..6"),
+     (0, 6, "q must be >= 1, got 0"), (-1, 6, "q must be >= 1, got -1")],
+    ids=["stage-minus-1", "stage-0", "stage-J", "stage-past-J", "q-0", "q-minus-1"],
+)
+def test_flow_limit_check_refuses_stage_and_q_out_of_range(q, j, refusal):
+    col = FlowColumn(realize(catalog("staircase-flow"), 7), 7, 1, 16)
+    with pytest.raises(ValueError, match=refusal):
+        flow_limit_check(col, q, j)
+    assert not col._splits  # refused before any count
+
+
+def test_flow_experiments_share_one_column_per_slab_count(monkeypatch):
+    # two flow-limit experiments at 16 slabs read one column, the one at 5
+    # slabs its own; each reports what it reports alone
+    built = []
+    init = FlowColumn.__init__
+
+    def spy(self, *args):
+        init(self, *args)
+        built.append(self.L)
+
+    monkeypatch.setattr(FlowColumn, "__init__", spy)
+    head = "construction.catalog = staircase-flow\nconstruction.depth = 9\n"
+    experiments = {
+        "a": "experiment.a.kind = flow-limit\n",
+        "b": "experiment.b.kind = flow-limit\nexperiment.b.q = 2\nexperiment.b.stage = J-3\n",
+        "c": "experiment.c.kind = flow-limit\nexperiment.c.slabs = 5\n",
+    }
+    report = run_plan(parse_config(head + "".join(experiments.values())))
+    assert sorted(built) == [5, 16]
+    assert [r.status for r in report.results] == ["ok"] * 3
+    together = {r.label: r.payload for r in report.results}
+    assert together["a"]["slabs"] == together["b"]["slabs"] == 16
+    for label in ("a", "b"):
+        (alone,) = run_plan(parse_config(head + experiments[label])).results
+        assert alone.payload == together[label], label
+
+
 def test_flow_limit_and_window_identity_at_depth_15():
     # the residual measures 0.0166
     J = 15
     rz = realize(catalog("staircase-flow"), J)
-    rep = flow_limit_check(rz, J, 1, 1, J - 1)
+    col = FlowColumn(rz, J, 1, 16)
+    rep = flow_limit_check(col, 1, J - 1)
     assert rep.residual <= 0.05
     m = heights(rz, J)[J - 2]  # h_14
-    assert pm_identity_gap(FlowColumn(flow_segments(rz, J), SlabAlgebra(16)), m) == 0.0
+    assert pm_identity_gap(col, m) == 0.0
 
 
 def test_flow_limit_and_window_identity_at_depth_30():
@@ -174,10 +216,11 @@ def test_flow_limit_and_window_identity_at_depth_30():
     # measures 0.008067
     J = 30
     rz = realize(catalog("staircase-flow"), J)
-    rep = flow_limit_check(rz, J, 1, 1, J - 1)
+    col = FlowColumn(rz, J, 1, 16)
+    rep = flow_limit_check(col, 1, J - 1)
     assert rep.residual <= 0.01
     m = heights(rz, J)[J - 2]  # h_29
-    assert pm_identity_gap(FlowColumn(flow_segments(rz, J), SlabAlgebra(16)), m) == 0.0
+    assert pm_identity_gap(col, m) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +330,8 @@ def _edge_shift(col, edge):
 @example(flow="staircase", J=4, j0=2, L=2, frac=F(0), edge=(1, 0, -1, 1, 1))
 def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
     j0 = min(j0, J)
-    seg = flow_segments(realize(FLOWS[flow], J), J, j0)
-    col = FlowColumn(seg, SlabAlgebra(L))
+    col = FlowColumn(realize(FLOWS[flow], J), J, j0, L)
+    seg = col.segments
     t = seg.total * frac if edge is None else _edge_shift(col, edge)
     if abs(t) >= seg.total:
         return
@@ -302,7 +345,7 @@ def test_pair_counts_match_interval_oracle(flow, J, j0, L, frac, edge):
 def test_counts_and_windows_leave_the_column_unbuilt():
     J = 7
     rz = realize(catalog("staircase-flow"), J)
-    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    col = FlowColumn(rz, J, 1, 16)
     hs = heights(rz, J)
     lag = hs[J - 2]  # the flow-limit lag q * h_{J-1}, q = 1
     for t in (F(1, 2), lag, -lag):
@@ -320,12 +363,12 @@ def test_breakpoint_column_of_a_hand_built_depth_3_column():
     # staircase J=3 in 2 slabs: 6 ticks a unit, slabs of 3 ticks. W_2 is two
     # base copies, a zero spacer and a 3-tick one (15 ticks); W_3 is three
     # copies of W_2 with spacers of 0, 2 and 4 ticks (51 ticks)
-    seg = flows.SegmentList(
+    col = FlowColumn(realize(catalog("staircase-flow"), 3), 3, 1, 2)
+    assert col.segments == flows.SegmentList(
         base_duration=F(1),
         total=F(17, 2),
         stages=((2, (F(0), F(1, 2))), (3, (F(0), F(1, 3), F(2, 3)))),
     )
-    col = FlowColumn(seg, SlabAlgebra(2))
     assert (col.den, col.width_ticks, col.H_ticks) == (6, 3, 51)
     assert col.breaks.dtype == np.int64 and col.codes.dtype == np.int16
     assert col.breaks.tolist() == [
@@ -347,7 +390,7 @@ def _column_counts(col, t):
     pts = np.concatenate([[0], pts[(pts > 0) & (pts < span)], [span]])
     a = col.codes[np.searchsorted(breaks, pts[:-1] + src, side="right") - 1]
     b = col.codes[np.searchsorted(breaks, pts[:-1] + dst, side="right") - 1]
-    S = col.slabs.size
+    S = col.L + 1
     C = np.zeros((S, S), dtype=dtype)
     np.add.at(C, (a, b), np.diff(pts))
     return C
@@ -359,7 +402,7 @@ def test_pair_counts_match_the_column_sweep():
     # the small shifts of their kernels
     J = 7
     rz = realize(catalog("staircase-flow"), J)
-    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    col = FlowColumn(rz, J, 1, 16)
     hs = heights(rz, J)
     for q, stage in [(1, J - 1), (2, J - 1), (1, J - 3), (3, J - 2)]:
         for lag in (q * hs[stage - 1], -q * hs[stage - 1]):
@@ -377,7 +420,7 @@ def test_python_int_tables_match_the_column_sweeps():
     # tables hold Python ints
     J = 4
     rz = realize(catalog("staircase-flow"), J)
-    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    col = FlowColumn(rz, J, 1, 16)
     assert col.H_ticks == 1704
     for t in (heights(rz, J)[2] + F(1, 3 << 64), F(5, 7) - F(1, 1 << 70)):
         for t in (t, -t):
@@ -397,8 +440,9 @@ def test_flow_run_does_not_import_numpy_ma():
     code = (
         "import sys, rankone\n"
         "before = 'numpy.ma' in sys.modules\n"
-        "from rankone.flows import flow_limit_check\n"
-        "flow_limit_check(rankone.realize(rankone.catalog('staircase-flow'), 5), 5, 1, 1, 4)\n"
+        "from rankone.flows import FlowColumn, flow_limit_check\n"
+        "rz = rankone.realize(rankone.catalog('staircase-flow'), 5)\n"
+        "flow_limit_check(FlowColumn(rz, 5, 1, 16), 1, 4)\n"
         "print(before, 'numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(flows.__file__).parents[1]))
@@ -420,8 +464,8 @@ def test_flow_run_does_not_import_numpy_ma():
     ],
 )
 def test_window_counts_match_interval_oracle(flow, J, j0, L):
-    seg = flow_segments(realize(FLOWS[flow], J), J, j0)
-    col = FlowColumn(seg, SlabAlgebra(L))
+    col = FlowColumn(realize(FLOWS[flow], J), J, j0, L)
+    seg = col.segments
     ivs = _intervals(seg, L)
     hj = F(col._heights[-2], col.den)
     tick = F(1, col.den)
@@ -486,7 +530,7 @@ def _column_windows(col, lo, hi):
         z = np.maximum(edges - c, 0)
         j = np.searchsorted(edges, z, side="right") - 1
         ends.append((j, (z - edges[j]).astype(dtype)))
-    S = col.slabs.size
+    S = col.L + 1
     W = np.zeros((S, S), dtype=dtype)
     for a in range(S):
         own = np.append(col.codes == a, False)
@@ -508,7 +552,7 @@ def test_window_counts_match_the_column_windows():
     # 7**12 finer, in int64 and in Python ints
     J = 7
     rz = realize(catalog("staircase-flow"), J)
-    col = FlowColumn(flow_segments(rz, J), SlabAlgebra(16))
+    col = FlowColumn(rz, J, 1, 16)
     h = heights(rz, J)[J - 2]
     tick = F(1, col.den * 7**12)
     for lo, hi, dtype in [
@@ -524,8 +568,8 @@ def test_window_counts_match_the_column_windows():
 
 def test_window_counts_rejects_empty_or_too_long_windows():
     rz = realize(catalog("staircase-flow"), 3)
-    seg = flow_segments(rz, 3)
-    col = FlowColumn(seg, SlabAlgebra(4))
+    col = FlowColumn(rz, 3, 1, 4)
+    seg = col.segments
     for lo, hi in ((F(1), F(1)), (F(1), F(0)), (-seg.total, F(0)), (F(0), seg.total)):
         with pytest.raises(TimeOutOfRange):
             col.window_counts(lo, hi)
@@ -535,9 +579,7 @@ def test_exact_window_matches_fine_trapezoid():
     # D(t) is piecewise linear in t; 2048 trapezoid panels resolve its
     # average over these windows to well below 1e-6
     rz = realize(catalog("staircase-flow"), 5)
-    seg = flow_segments(rz, 5)
-    sl = SlabAlgebra(6)
-    col = FlowColumn(seg, sl)
+    col = FlowColumn(rz, 5, 1, 6)
     n = 2048
     for lo, hi in ((F(-1), F(0)), (F(0), F(1)), (F(-3, 2), F(1, 4))):
         W, Z = col.window_counts(lo, hi)
@@ -565,7 +607,7 @@ def test_kernel_and_spacer_share_sum_to_one(flow):
     # terms of the same splits; together they are all of C_lag's mass
     for J in range(2, 6):
         rz = realize(FLOWS[flow], J)
-        col = FlowColumn(flow_segments(rz, J), SlabAlgebra(3))
+        col = FlowColumn(rz, J, 1, 3)
         for q, lag in _lags(rz, J):
             kernel, share = flows._lag_kernel(col, lag, F(q))
             assert sum(w for _, w in kernel) + share == 1, (J, q, lag)
@@ -616,7 +658,7 @@ def test_kernel_matches_copy_pair_oracle(flow):
     for J in range(2, 5):
         for j0 in range(1, J):
             rz = realize(FLOWS[flow], J)
-            col = FlowColumn(flow_segments(rz, J, j0), SlabAlgebra(2))
+            col = FlowColumn(rz, J, j0, 2)
             for q, lag in _lags(rz, J):
                 kernel, _ = flows._lag_kernel(col, lag, F(q))
                 assert dict(kernel) == _kernel_oracle(col, lag, q), (J, j0, q, lag)
@@ -626,7 +668,7 @@ def test_default_lag_kernel_nodes_at_depth_7():
     # q = 1 at stage J-1: W_7 is seven copies of W_6, and the pairs of copies
     # one apart leave the six shifts -i/7 (one spacer of i/7 or none)
     rz = realize(catalog("staircase-flow"), 7)
-    rep = flow_limit_check(rz, 7, 1, 1, 6)
+    rep = flow_limit_check(FlowColumn(rz, 7, 1, 16), 1, 6)
     assert rep.orientation == "positive-lag"
     assert [d for d, _ in rep.kernel] == [F(-i, 7) for i in range(5, -1, -1)]
     assert sum(w for _, w in rep.kernel) + rep.spacer_share == 1
@@ -636,7 +678,8 @@ def test_kernel_defect_is_small_and_falls_with_depth():
     # measured at the default keys: 1.0e-3, 3.3e-4, 6.9e-5, 1.1e-5 at J=5..8
     defects = []
     for J in range(5, 9):
-        rep = flow_limit_check(realize(catalog("staircase-flow"), J), J, 1, 1, J - 1)
+        col = FlowColumn(realize(catalog("staircase-flow"), J), J, 1, 16)
+        rep = flow_limit_check(col, 1, J - 1)
         assert rep.kernel_defect < 5e-3, J
         # |max|A - P| - max|B - P|| <= max|A - B|
         assert abs(rep.kernel_distance - rep.residual) <= rep.kernel_defect + 1e-12
