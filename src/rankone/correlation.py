@@ -39,10 +39,6 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   that ends inside the word is kept only on its second evaluation, since
   most of those are read once and would hold most of the memo's memory.
 
-  The k-point counts below tile their source ranges instead: decomposing a
-  range at the coarsest stage d with l_d <= c turns it into W_d blocks and
-  spacer gaps (``_segments``, ``_walk``).
-
   An edge one symbol wide adds 1 to one cell: ``_symbol`` reads W[p] as a
   Python int, memoised by position (edges repeat across lags and blocks).
   Edges of at most enum_cutoff symbols and small ranges are read directly:
@@ -73,13 +69,12 @@ first k) plus a star row, a star column and star-star pairs.
 
 The same counter gives exact k-point counts (``PairCounter.triple_counts``
 for k = 3). T(U, c) counts (W[u+U_0], ..., W[u+U_{k-1}]) for u < c. Each
-coordinate's range is tiled at the stage d above, and the sources are cut
-wherever a coordinate crosses a block or gap boundary. In each piece the
-coordinates in a gap read the spacer, and the rest read one W_d copy each,
-so the piece is a range count T(V, hi) - T(V, lo) over their offsets inside
-the copy, at hi <= l_d. Ranges with two offsets go to Phi, ranges with one
-to a histogram; k >= 3 entries are memoised sparse (sorted flat codes plus
-counts), since most of the S**k cells are empty.
+coordinate's range is tiled into W_d blocks and gaps, d the coarsest stage
+with l_d <= c, and the sources are cut where a coordinate crosses a tile
+edge. In a piece each coordinate reads a gap's star or one W_d copy: it
+counts T(V, hi) - T(V, lo) over the sorted offsets V in the copy (Phi for
+two, a histogram for one). Pieces are summed per pattern, the entry of V
+each coordinate reads, and kept sparse: dense S**k is 40x slower at S=256.
 
 Counts become matrices in one place, ``unit_mass``: C(n) over its window of
 l_J - |n| sources estimates mu(level_a ∩ T^{-n} level_b) with mass one;
@@ -208,8 +203,6 @@ _NO_TUPLES = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
 def _sparse_sum(parts) -> tuple:
     """Sum (codes, counts) terms: sorted distinct codes, zero sums dropped."""
-    if not parts:
-        return _NO_TUPLES
     codes = np.concatenate([p[0] for p in parts])
     counts = np.concatenate([p[1] for p in parts])
     order = np.argsort(codes, kind="stable")
@@ -692,49 +685,53 @@ class PairCounter:
                 tiles.append((segs, starts))
                 cuts.update(x - off for x in starts if 0 < x - off < c)
             cuts = sorted(cuts)
-            parts = []
+            pieces = []
             for v0, v1 in zip(cuts, cuts[1:]):
                 inner = []  # offset of each coordinate inside its W_d copy at v = 0
                 for off, (segs, starts) in zip(U, tiles):
                     seg = segs[bisect_right(starts, v0 + off) - 1]
                     inner.append(None if seg[0] == "g" else off - seg[1])
-                parts.extend(self._piece(inner, v0, v1))
-            out = _sparse_sum(parts)
+                pieces.append((inner, v0, v1))
+            out = self._gather(pieces)
         self._tmemo[key] = out
         return out
 
-    def _piece(self, inner: list, v0: int, v1: int) -> list:
-        """Sparse k-coordinate counts over sources [v0, v1) where coordinate i
-        reads W[v + inner[i]], or the spacer when inner[i] is None."""
-        S = self.S
-        if all(x is None for x in inner):
-            star = sum(self.star * S**i for i in range(len(inner)))
-            return [(np.array([star]), np.array([v1 - v0]))]
-        base = min(x for x in inner if x is not None)
-        V = sorted({x - base for x in inner if x is not None})
-        lo, hi = v0 + base, v1 + base
-        kv = len(V)
-        if kv > 2:
-            lo_codes, lo_counts = self._tuples(tuple(V), lo)
-            terms = [self._tuples(tuple(V), hi), (lo_codes, -lo_counts)]
-        else:
-            if kv == 1:
-                dense = self._hist(lo, hi)
-            else:
+    def _gather(self, pieces: list) -> tuple:
+        """Sparse counts summed over pieces (inner, v0, v1): for v in [v0, v1),
+        coordinate i reads W[v + inner[i]], or the spacer when it is None."""
+        S, sums = self.S, {}
+        for inner, v0, v1 in pieces:
+            V = sorted({x for x in inner if x is not None})
+            pattern = tuple(x if x is None else V.index(x) for x in inner)
+            base = V[0] if V else 0
+            V, lo, hi = tuple(x - base for x in V), v0 + base, v1 + base
+            if len(V) > 2:
+                codes, counts = self._tuples(V, lo)
+                sums.setdefault(pattern, []).extend([self._tuples(V, hi), (codes, -counts)])
+                continue
+            if len(V) == 2:
                 dense = (self._phi(V[1], hi) - self._phi(V[1], lo)).ravel()
-            codes = np.flatnonzero(dense)
-            terms = [(codes, dense[codes])]
-        out = []
-        for codes, counts in terms:
-            full = np.zeros(len(codes), dtype=np.int64)
-            for x in inner:
-                full *= S
-                if x is None:
-                    full += self.star
-                else:
-                    full += codes // S ** (kv - 1 - V.index(x - base)) % S
-            out.append((full, counts))
-        return out
+            else:
+                dense = self._hist(lo, hi) if V else np.array([v1 - v0])
+            acc = sums.setdefault(pattern, dense)
+            if acc is not dense:
+                acc += dense
+        parts = []
+        for pattern, acc in sums.items():
+            if isinstance(acc, list):
+                codes, counts = (np.concatenate(x) for x in zip(*acc))
+            else:
+                codes = np.flatnonzero(acc)
+                counts = acc[codes]
+            if pattern != tuple(range(len(pattern))):
+                kv = len(set(pattern) - {None})
+                full = np.zeros(len(codes), dtype=np.int64)
+                for x in pattern:
+                    full *= S
+                    full += self.star if x is None else codes // S ** (kv - 1 - x) % S
+                codes = full
+            parts.append((codes, counts))
+        return _sparse_sum(parts)
 
     # -- public ------------------------------------------------------------
 
@@ -746,9 +743,7 @@ class PairCounter:
         width = max(0, m, n) - low
         if width >= self.lJ:
             raise LagOutOfRange(f"lag spread {width} >= word length {self.lJ}")
-        codes, counts = _sparse_sum(
-            self._piece([-low, m - low, n - low], 0, self.lJ - width)
-        )
+        codes, counts = self._gather([([-low, m - low, n - low], 0, self.lJ - width)])
         flat = np.zeros(self.S**3, dtype=np.int64)
         flat[codes] = counts
         return flat.reshape(self.S, self.S, self.S)

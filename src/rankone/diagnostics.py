@@ -335,11 +335,11 @@ def cesaro_disjointness_probe(pc: PairCounter, p: int, q: int, N: int) -> Cesaro
     total = np.zeros((S, S, S, S))
     curve = []
     checkpoint = 1
-    tables = pc.counts_many([k * n for n in range(1, N + 1) for k in (p, q)])
+    unit = pc.counts_many([k * n for n in range(1, N + 1) for k in (p, q)])
+    for lag, c in unit.items():  # each distinct lag once
+        unit[lag] = unit_mass(c, lag, lJ)
     for n in range(1, N + 1):
-        total += np.multiply.outer(
-            unit_mass(tables[p * n], p * n, lJ), unit_mass(tables[q * n], q * n, lJ)
-        )
+        total += np.multiply.outer(unit[p * n], unit[q * n])
         if n == checkpoint or n == N:
             dev = float(np.abs(total / n - target).max())
             curve.append((n, dev))

@@ -518,6 +518,42 @@ def test_triple_counts_match_brute_force(name, cutoff, j0, kind, u):
     assert np.array_equal(pc.triple_counts(m, n), _brute_triple_counts(w, m, n, S))
 
 
+@pytest.mark.parametrize(
+    "m, n",
+    [(0, 5), (0, -700), (37, 37), (-300, -300), (-300, -1), (-41, 0), (255, -256), (128, 341)],
+)
+def test_triple_counts_match_brute_force_at_64_symbols(m, n):
+    # base stage 6 of chacon: the level codes reach 64**3 cells, and cutoffs
+    # of 4 send every range past the base word through the tiling
+    rz = realize(catalog("chacon"), 10)
+    w = materialize_word(rz, 10, 6)
+    pc = PairCounter(rz, 10, 6, materialize_cutoff=4, enum_cutoff=4)
+    assert pc.S == 64
+    assert np.array_equal(pc.triple_counts(m, n), _brute_triple_counts(w, m, n, 64))
+
+
+def test_triple_counts_at_chacon_56_keep_their_permutation_identities():
+    # no oracle reaches depth 56: T(m, n) must equal T(n, m) with its last
+    # two axes swapped and T(-m, n - m) with its first two swapped
+    rz = realize(catalog("chacon"), 56)
+    pc = PairCounter(rz, 56, 4)
+    lj = [None] + pc.lengths  # lj[j] is l_j, written l[j] in a config
+    pairs = [
+        (1, 2),
+        (lj[21] + 3, -lj[47]),
+        (lj[50], 2 * lj[50] + 1),
+        (-lj[40] - 7, lj[52]),
+        (lj[31], lj[31]),
+        (0, lj[45] + 5),
+        (-lj[11], -lj[13] - 1),
+    ]
+    for m, n in pairs:
+        T = pc.triple_counts(m, n)
+        assert T.sum() == pc.lJ - (max(0, m, n) - min(0, m, n)), (m, n)
+        assert np.array_equal(T, pc.triple_counts(n, m).transpose(0, 2, 1)), (m, n)
+        assert np.array_equal(T, pc.triple_counts(-m, n - m).transpose(1, 0, 2)), (m, n)
+
+
 def test_triple_counts_at_depth_40_keep_window_and_marginals():
     rz = realize(catalog("chacon"), 40)
     hs = heights(rz, 40)
@@ -540,6 +576,9 @@ def test_triple_memo_stays_sparse_at_32_symbols():
     for m, n in [(1, 2), (int(hs[50]), 2 * int(hs[50]) + 1), (-int(hs[40]) - 7, int(hs[52]))]:
         assert pc.triple_counts(m, n).sum() == pc.lJ - (max(0, m, n) - min(0, m, n))
     held = sum(codes.nbytes + counts.nbytes for codes, counts in pc._tmemo.values())
+    # triple_counts writes flat[codes] = counts, which would drop a repeated code
+    for codes, counts in pc._tmemo.values():
+        assert np.all(np.diff(codes) > 0) and np.all(counts != 0)
     # a dense (S, S, S) int64 entry alone takes 256 KiB
     assert len(pc._tmemo) > 100
     assert held < 8 << 20

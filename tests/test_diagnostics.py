@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rankone import diagnostics
 from rankone.cli import main
 from rankone.config import EXPERIMENT_KINDS, parse_config
 from rankone.construction import catalog, heights, realize
@@ -156,8 +157,6 @@ def test_limit_scan_stochastic_grid_contains_named_power():
 
 def test_stochastic_grid_builds_no_family_past_the_window(monkeypatch):
     # stochastic(m, n) has a shift k in [m - K, K - n] only when m + n <= 2K
-    from rankone import diagnostics
-
     K, built = 4, []
     real = diagnostics.build_family
 
@@ -263,6 +262,30 @@ def test_cesaro_decay_for_coprime_powers():
     first = rep.curve[0][1]
     assert rep.deviation < first / 10
     assert rep.deviation < 0.01
+
+
+def test_cesaro_normalises_each_distinct_lag_once(monkeypatch):
+    # with p = 1 and q = 2 the lag q*n is also p*(2n): 384 distinct lags of 512
+    lags, real = [], diagnostics.unit_mass
+
+    def spy(c, n, lJ):
+        lags.append(n)
+        return real(c, n, lJ)
+
+    monkeypatch.setattr(diagnostics, "unit_mass", spy)
+    rz = realize(catalog("modified-chacon"), 12)
+    pc = PairCounter(rz, 12, 3)
+    rep = cesaro_disjointness_probe(pc, 1, 2, 256)
+    assert sorted(lags) == sorted(set(range(1, 257)) | set(range(2, 513, 2)))
+    # the same bits as normalising both lags at every n
+    mu = np.array([float(m) for m in level_measures(rz, 12, 3)])
+    target = np.multiply.outer(np.outer(mu, mu), np.outer(mu, mu))
+    total = 0
+    for n in range(1, 257):
+        total = total + np.multiply.outer(
+            real(pc.counts(n), n, pc.lJ), real(pc.counts(2 * n), 2 * n, pc.lJ)
+        )
+    assert rep.deviation == float(np.abs(total / 256 - target).max())
 
 
 def test_cesaro_guards_alphabet_growth():
