@@ -359,7 +359,6 @@ class TripleRow:
     n: int
     window: int
     deviation_max: float
-    tensor: np.ndarray
 
 
 @record
@@ -370,11 +369,11 @@ class TripleReport:
 def triple_corr_probe(pc: PairCounter, pairs: Sequence[Tuple[int, int]]) -> TripleReport:
     """Exact triples (W[t], W[t+m], W[t+n]) for each requested (m, n).
 
-    tensor[a][b][c] is the unit-mass frequency of the triple over the window
-    of l_J - width positions where all three fall inside the word, counted
-    by the hierarchical counter without building the word. deviation_max
-    compares it against the product of the level measures on all three
-    indices. Exploratory output: nothing here asserts a limit.
+    Each row's deviation_max compares the unit-mass frequency of the triple,
+    pc.triple_counts(m, n) / window over the l_J - width positions where all
+    three fall inside the word, against the product of the level measures on
+    all three indices; no row keeps that tensor. Exploratory output: nothing
+    here asserts a limit.
     """
     if pc.S**3 > TRIPLE_CELL_LIMIT:
         raise ValueError(
@@ -393,7 +392,6 @@ def triple_corr_probe(pc: PairCounter, pairs: Sequence[Tuple[int, int]]) -> Trip
                 n=n,
                 window=pc.lJ - width,
                 deviation_max=float(np.abs(tensor - target).max()),
-                tensor=tensor,
             )
         )
     return TripleReport(rows=tuple(rows))

@@ -30,6 +30,7 @@ results, and every failed experiment, appear only in the JSON.
 from __future__ import annotations
 
 from _json import encode_basestring_ascii as _quote
+from fractions import Fraction
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +43,7 @@ __all__ = [
     "SCHEMA_VERSION",
     "alphabet_labels",
     "matrix_payload",
+    "record_payload",
     "ExperimentResult",
     "Report",
     "report_to_json",
@@ -61,6 +63,22 @@ def matrix_payload(matrix: np.ndarray, labels: Sequence[str]) -> Dict[str, objec
         "labels": list(labels),
         "rows": np.asarray(matrix, dtype=np.float64).tolist(),
     }
+
+
+def record_payload(obj):
+    """obj as JSON data: a record is the dict of its fields, tuples, lists and
+    arrays are lists, numpy scalars Python numbers and a Fraction its str."""
+    if hasattr(obj, "_fields"):
+        return {name: record_payload(getattr(obj, name)) for name in obj._fields}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, (tuple, list)):
+        return [record_payload(v) for v in obj]
+    if isinstance(obj, np.generic):
+        return obj.item()
+    if isinstance(obj, Fraction):
+        return str(obj)
+    return obj
 
 
 @record
@@ -196,8 +214,9 @@ def _csv_tables(
         "classify": (
             "lag,coeff_index,coeff,theta,residual",
             [
-                f"{r['lag']},{i},{c!r},{r['theta']!r},{r['residual']!r}"
-                for r in rows
+                f"{head}{i},{c!r}{tail}"
+                for r in rows  # a row's lag, theta and residual formatted once
+                for head, tail in [(f"{r['lag']},", f",{r['theta']!r},{r['residual']!r}")]
                 for i, c in r["coefficients"]
             ],
         ),

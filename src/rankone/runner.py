@@ -3,10 +3,12 @@
 Experiments run sequentially in declaration order and share their engines:
 one pair counter, and one flow column per slab count, so a scan over many
 lags pays the word recursion once. Each experiment's runner returns its
-payload, and run_plan alone wraps it in an ExperimentResult. A failure
-inside one experiment is caught and recorded on its entry; the remaining
-experiments still run. Everything here is deterministic given the plan
-(the seed lives in the realized schedule), so reruns produce identical
+payload, and run_plan alone wraps it in an ExperimentResult. A payload is
+the result record (record_payload) plus what the record does not hold,
+except limit-scan's and converge's, whose rows hold labelled matrices. A
+failure inside one experiment is caught and recorded on its entry; the
+remaining experiments still run. Everything here is deterministic given the
+plan (the seed lives in the realized schedule), so reruns produce identical
 reports up to the wall time.
 """
 
@@ -29,8 +31,8 @@ from .diagnostics import (
     triple_corr_probe,
 )
 from .flows import FlowColumn, flow_limit_check
-from .operators import build_family, classify_limit, joining_matrix
-from .reports import ExperimentResult, Report, alphabet_labels, matrix_payload
+from .operators import build_family, classify_limit, predicted_matrix
+from .reports import ExperimentResult, Report, alphabet_labels, matrix_payload, record_payload
 
 __all__ = ["run_plan"]
 
@@ -113,12 +115,12 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     expr = build_family(params["family"], **kwargs)
     K = max([params["window"]] + [abs(i) for i in expr.powers()])
     basis = limit_basis(ctx.counter, K=K)
-    jm = joining_matrix(expr, basis)
+    predicted = predicted_matrix(expr, basis)
     rows = []
     distances = []
     for lag in params["lags"]:
         measured = ctx.unit(lag)
-        diff = measured - jm.matrix
+        diff = measured - predicted
         dmax = float(np.abs(diff).max())
         distances.append(dmax)
         cls = classify_limit(measured, basis, tol=params["tolerance"])
@@ -136,7 +138,7 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
         "family_params": {k: params[k] for k in _FAMILY_KWARGS if k in params},
         "window": params["window"],
         "tolerance": params["tolerance"],
-        "predicted": matrix_payload(jm.matrix, ctx.labels),
+        "predicted": matrix_payload(predicted, ctx.labels),
         "max_distance": max(distances) if distances else 0.0,
         "converged": bool(distances) and max(distances) <= params["tolerance"],
         "rows": rows,
@@ -144,77 +146,33 @@ def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
 
 
 def _run_rigidity(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
-    scan = rigidity_scan(
-        ctx.counter, lags=spec.params["lags"], slack=spec.params["slack"]
-    )
-    return {
-        "slack": spec.params["slack"],
-        "vanishing": bool(scan.vanishing),
-        "rows": [
-            {
-                "lag": r.lag,
-                "dist_max": float(r.dist_max),
-                "dist_l1": float(r.dist_l1),
-                "boundary": float(r.boundary),
-            }
-            for r in scan.rows
-        ],
-    }
+    slack = spec.params["slack"]
+    scan = rigidity_scan(ctx.counter, lags=spec.params["lags"], slack=slack)
+    return {**record_payload(scan), "slack": slack}
 
 
 def _run_mixing(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     rep = mixing_diagnostics(ctx.counter, spec.params["lags"])
-    return {
-        "lags": list(rep.lags),
-        "measures": rep.measures.tolist(),
-        "self_peak": rep.self_peak.tolist(),
-        "pair_floor": matrix_payload(rep.pair_floor, ctx.labels),
-    }
+    return {**record_payload(rep), "pair_floor": matrix_payload(rep.pair_floor, ctx.labels)}
 
 
 def _run_disjointness(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
     rep = cesaro_disjointness_probe(ctx.counter, params["p"], params["q"], params["N"])
-    return {
-        "p": rep.p,
-        "q": rep.q,
-        "N": rep.N,
-        "deviation": float(rep.deviation),
-        "curve": [[int(n), float(d)] for n, d in rep.curve],
-    }
+    return record_payload(rep)
 
 
 def _run_triple(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
-    rep = triple_corr_probe(ctx.counter, spec.params["pairs"])
-    return {
-        "rows": [
-            {
-                "m": r.m,
-                "n": r.n,
-                "window": r.window,
-                "deviation_max": float(r.deviation_max),
-            }
-            for r in rep.rows
-        ]
-    }
+    return record_payload(triple_corr_probe(ctx.counter, spec.params["pairs"]))
 
 
 def _run_flow_limit(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
     rep = flow_limit_check(ctx.column(params["slabs"]), params["q"], params["stage"])
-    return {
-        "q": rep.q,
-        "stage": rep.stage,
-        "slabs": params["slabs"],
-        "time": str(rep.lag_time),
-        "orientation": rep.orientation,
-        "residual": float(rep.residual),
-        "residual_mirror": float(rep.residual_mirror),
-        "kernel": [[str(d), str(w)] for d, w in rep.kernel],
-        "spacer_share": str(rep.spacer_share),
-        "kernel_defect": float(rep.kernel_defect),
-        "kernel_distance": float(rep.kernel_distance),
-    }
+    out = record_payload(rep)
+    out["time"] = out.pop("lag_time")
+    out["slabs"] = params["slabs"]
+    return out
 
 
 _RUNNERS = {

@@ -71,6 +71,41 @@ experiment.t.n = 2
 """
 
 
+# each kind's payload keys, and the keys of each row of its "rows"
+_CLASSIFY_KEYS = {"coefficients", "theta", "residual", "residual_frobenius", "identified"}
+PAYLOAD_KEYS = {
+    "limit-scan": (
+        {"window", "tolerance", "fraction_identified", "worst_residual", "best_family", "rows"},
+        {"lag", "family", "family_distance", "matrix"} | _CLASSIFY_KEYS,
+    ),
+    "converge": (
+        {"family", "family_params", "window", "tolerance", "predicted", "max_distance",
+         "converged", "rows"},
+        {"lag", "distance_max", "distance_frobenius", "matrix"} | _CLASSIFY_KEYS,
+    ),
+    "rigidity": ({"slack", "vanishing", "rows"}, {"lag", "dist_max", "dist_l1", "boundary"}),
+    "mixing": ({"lags", "measures", "self_peak", "pair_floor"}, None),
+    "disjointness": ({"p", "q", "N", "deviation", "curve"}, None),
+    "triple": ({"rows"}, {"m", "n", "window", "deviation_max"}),
+    "flow-limit": (
+        {"q", "stage", "slabs", "time", "orientation", "residual", "residual_mirror",
+         "kernel", "spacer_share", "kernel_defect", "kernel_distance"},
+        None,
+    ),
+}
+
+
+def _assert_payload_keys(result):
+    keys, row_keys = PAYLOAD_KEYS[result.kind]
+    payload = result.payload
+    assert set(payload) == keys, result.kind
+    for row in payload.get("rows", ()):
+        assert set(row) == row_keys, result.kind
+    for name in ("matrix", "predicted", "pair_floor"):
+        for matrix in [payload.get(name)] + [row.get(name) for row in payload.get("rows", ())]:
+            assert matrix is None or set(matrix) == {"labels", "rows"}, result.kind
+
+
 def test_run_plan_builds_one_counter_for_all_kinds(monkeypatch):
     built = []
     real = PairCounter.__init__
@@ -89,8 +124,11 @@ def test_run_plan_builds_one_counter_for_all_kinds(monkeypatch):
         "construction.catalog = staircase-flow\nconstruction.depth = 5\n"
         "experiment.f.kind = flow-limit\n"
     )
-    assert run_plan(flow).results[0].status == "ok"
+    flow_result = run_plan(flow).results[0]
+    assert flow_result.status == "ok"
     assert len(built) == 1
+    for result in report.results + [flow_result]:
+        _assert_payload_keys(result)
 
 
 def test_limit_scan_identifies_rigid_and_half_shift_lags():
@@ -310,10 +348,12 @@ def test_triple_matches_brute_force():
     S = alphabet_size(rz, j0)
     w = materialize_word(rz, 7, j0)
     pairs = [(1, 2), (0, 0), (5, -3), (13, 13), (-4, 9)]
-    rep = triple_corr_probe(PairCounter(rz, 7, j0), pairs)
+    pc = PairCounter(rz, 7, j0)
+    rep = triple_corr_probe(pc, pairs)
     for row, (m, n) in zip(rep.rows, pairs):
         oracle = _brute_triple(w, m, n, S)
-        assert np.allclose(row.tensor, oracle, atol=1e-15), (m, n)
+        tensor = pc.triple_counts(m, n) / row.window
+        assert np.allclose(tensor, oracle, atol=1e-15), (m, n)
         mu = np.array([float(x) for x in level_measures(rz, 7, j0)])
         dev = np.abs(oracle - mu[:, None, None] * mu[None, :, None] * mu[None, None, :]).max()
         assert row.deviation_max == pytest.approx(dev, abs=1e-12)
@@ -321,12 +361,13 @@ def test_triple_matches_brute_force():
 
 def test_triple_zero_pair_is_symbol_frequency():
     rz = realize(catalog("chacon"), 8)
-    rep = triple_corr_probe(PairCounter(rz, 8, 1), [(0, 0)])
-    row = rep.rows[0]
+    pc = PairCounter(rz, 8, 1)
+    row = triple_corr_probe(pc, [(0, 0)]).rows[0]
+    tensor = pc.triple_counts(0, 0) / row.window
     mu = np.array([float(x) for x in level_measures(rz, 8, 1)])
-    diag = np.array([row.tensor[a, a, a] for a in range(len(mu))])
+    diag = np.array([tensor[a, a, a] for a in range(len(mu))])
     assert np.allclose(diag, mu, atol=1e-12)
-    assert row.tensor.sum() == pytest.approx(1.0)
+    assert tensor.sum() == pytest.approx(1.0)
 
 
 def test_triple_at_depth_40_is_exact_and_shares_the_counter():
@@ -339,9 +380,11 @@ def test_triple_at_depth_40_is_exact_and_shares_the_counter():
     mu = np.array([float(x) for x in level_measures(rz, 40, 2)])
     for row, (m, n) in zip(rep.rows, pairs):
         assert row.window == pc.lJ - max(m, n)
-        assert row.tensor.sum() == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(row.tensor.sum(axis=(1, 2)), mu, atol=1e-9)
-        assert np.array_equal(row.tensor, pc.triple_counts(m, n) / row.window)
+        tensor = pc.triple_counts(m, n) / row.window
+        assert tensor.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(tensor.sum(axis=(1, 2)), mu, atol=1e-9)
+        target = mu[:, None, None] * mu[None, :, None] * mu[None, None, :]
+        assert row.deviation_max == np.abs(tensor - target).max()
     # the pair sub-counts went through the shared pair memo
     assert pc._memo and pc._tmemo
 

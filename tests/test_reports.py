@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,12 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rankone
+from rankone._record import record
 from rankone.config import parse_config
 from rankone.reports import (
     ExperimentResult,
     Report,
     _encode,
     _json_text,
+    record_payload,
     report_to_json,
     write_report,
 )
@@ -117,6 +120,59 @@ def test_emitter_refuses_what_json_refuses(obj):
         _oracle(obj)
     with pytest.raises(TypeError):
         _encode(obj, "")
+
+
+@record
+class _Leaf:
+    value: float
+    exact: Fraction
+
+
+@record
+class _Tree:
+    leaves: tuple
+    grid: np.ndarray
+    count: int
+    flag: bool
+    label: str
+    plain: bool
+    missing: object = None
+
+
+def _plain_types(o):
+    """Every type in o, looking inside dicts and lists."""
+    if isinstance(o, dict):
+        return {t for v in o.values() for t in _plain_types(v)}
+    if isinstance(o, list):
+        return {t for v in o for t in _plain_types(v)}
+    return {type(o)}
+
+
+def test_record_payload_gives_what_json_dumps_writes():
+    tree = _Tree(
+        leaves=(_Leaf(np.float64(0.1), Fraction(-3, 7)), _Leaf(2.5, Fraction(4))),
+        grid=np.array([[1.0, NAN], [0.0, -2.0]]),
+        count=np.int64(5),
+        flag=np.bool_(True),
+        label="a*",
+        plain=False,
+    )
+    payload = record_payload(tree)
+    assert payload == {
+        "leaves": [{"value": 0.1, "exact": "-3/7"}, {"value": 2.5, "exact": "4"}],
+        "grid": [[1.0, payload["grid"][0][1]], [0.0, -2.0]],
+        "count": 5,
+        "flag": True,
+        "label": "a*",
+        "plain": False,
+        "missing": None,
+    }
+    assert payload["grid"][0][1] != payload["grid"][0][1]  # nan stays nan
+    assert _plain_types(payload) == {str, int, float, bool, type(None)}
+    assert _ours(payload) == _oracle(payload)
+    # a bare tuple of records is a list of dicts; a plain value passes through
+    assert record_payload((tree.leaves[1],)) == [{"value": 2.5, "exact": "4"}]
+    assert record_payload("x") == "x" and record_payload(None) is None
 
 
 def _csv_oracle(path: Path, header, rows) -> None:
