@@ -192,6 +192,15 @@ def _finite(e: _Entry, s=None) -> float:
         ) from None
 
 
+def _nonnegative(e: _Entry, s=None) -> float:
+    """finite number ≥ 0 or p/q"""
+    # a residual or distance is never negative, so a negative bound never passes
+    v = _finite(e)
+    if v < 0:
+        raise _refuse(e, f"{e.key.rsplit('.', 1)[-1]} must be >= 0, got {e.value}")
+    return v
+
+
 def _integer(lo: Optional[int] = None):
     """A reader of an integer, >= lo if lo is given (see the experiment keys)."""
 
@@ -400,7 +409,7 @@ def _reach_check(reach: int, lJ: int, e: _Entry, what: str, span: int = 0) -> No
         )
 
 
-# --- experiment keys. A reader (_finite, _integer(...) and those below) turns
+# --- experiment keys. A reader (_nonnegative, _integer(...) and those below) turns
 # one entry into a parameter; its docstring is the key's "check" in the README.
 
 REQUIRED = None  # a key with no default
@@ -476,16 +485,16 @@ EXPERIMENT_KEYS = {
     "limit-scan": (
         ("lags", _lags, REQUIRED),
         ("window", _window, "8"),
-        ("tolerance", _finite, "0.03"),
+        ("tolerance", _nonnegative, "0.03"),
         ("max-power", _integer(0), "6"),
     ),
     "converge": (
         ("lags", _lags, REQUIRED),
         ("family", _family, REQUIRED),
         ("window", _window, "8"),
-        ("tolerance", _finite, "0.03"),
+        ("tolerance", _nonnegative, "0.03"),
     ),
-    "rigidity": (("lags", _lags, _stage_lengths), ("slack", _finite, "0.01")),
+    "rigidity": (("lags", _lags, _stage_lengths), ("slack", _nonnegative, "0.01")),
     "mixing": (("lags", _lags, REQUIRED),),
     "disjointness": (
         ("p", _integer(), REQUIRED),

@@ -39,24 +39,26 @@ C(n)[a][b] = #{p : W[p] = a, W[p+n] = b}:
   that ends inside the word is kept only on its second evaluation, since
   most of those are read once and would hold most of the memo's memory.
 
-  An edge one symbol wide adds 1 to one cell: ``_symbol`` reads W[p] as a
-  Python int, memoised by position (edges repeat across lags and blocks).
   Edges of at most enum_cutoff symbols and small ranges are read directly:
-  ``_window`` returns W[lo:hi) in one descent through the stage layouts. A
-  longer edge is never read: its histogram is the difference of two prefix
-  histograms (``_prefix_hist``). W[0:x) is some whole base-word copies, a
-  head of one more and stars, and a descent in Python ints counts those
-  copies with one bisect into a stage layout per stage, so a star run costs
-  the same at any length.
+  ``_window`` returns W[lo:hi) in one descent through the stage layouts (an
+  edge one symbol wide adds 1 to the cell of its one symbol). A longer edge
+  is never read: its histogram is the difference of two prefix histograms
+  (``_prefix_hist``). W[0:x) is some whole base-word copies, a head of one
+  more and stars, and a descent in Python ints counts those copies with one
+  bisect into a stage layout per stage, so a star run costs the same at any
+  length.
 
 Every W_h copy ends with its nested last W_e copy and then the last spacers
 of stages e+1..h, all stars. The descents (the nested-tail jump of a full
-range, the tiling ``_walk``, ``_window`` and ``_symbol``) do not peel that
-tail a stage at a time: one bisect over U[e] = l_e - T[e], with T the
-prefix sums of the last spacers, finds the deepest nested copy that holds a
-position, and the stars after it are one run. So a range costs
-O(depth + length) even where it ends at a copy's end, and the suffix of W_J
-at granularity d tiles into one W_d copy and one run rather than J - d gaps.
+range, the tiling ``_walk`` and ``_window``) do not peel that tail a stage
+at a time: one bisect over U[e] = l_e - T[e], with T the prefix sums of the
+last spacers, finds the deepest nested copy that holds a position, and the
+stars after it are one run. ``_walk`` and ``_window`` narrow by one rule:
+while the range lies inside one segment (that copy, the run after it, or
+the layout's block or spacer holding its start) they step into it in place,
+and a range spanning segments recurses once per segment. So one symbol is
+one frame at any depth, a range costs O(depth + length), and the suffix of
+W_J at granularity d tiles into one W_d copy and one run, not J - d gaps.
 
 A run of small lags 1 <= m <= K (``PairCounter.counts_many``) is counted in
 one pass over the stages instead: no pair at lag m <= l_d reaches past the
@@ -96,6 +98,7 @@ from .words import (
     DTYPE,
     alphabet_size,
     base_word,
+    check_base_stage,
     expand_once,
     stream_word,
 )
@@ -232,7 +235,9 @@ class PairCounter:
     enum_cutoff ending inside the word is stored only on its second request
     (``_seen`` holds those evaluated so far): the small-lag tables and the
     whole-word ranges that counts() returns take nearly all the reads. A
-    climb at such a lag stores none of the stages below its top.
+    climb at such a lag stores none of the stages below its top. Symbols are
+    not memoised: a read of W[lo:hi), one symbol or more, is one narrowing
+    descent (``_window``). The base stage j0 must lie in 1..J.
     """
 
     def __init__(
@@ -243,6 +248,7 @@ class PairCounter:
         materialize_cutoff: int = 1 << 16,
         enum_cutoff: int = 1 << 10,
     ):
+        check_base_stage(J, j0)
         self.realized = realized
         self.J = J
         self.j0 = j0
@@ -283,7 +289,6 @@ class PairCounter:
         self._seen: set = set()  # long-lag ranges inside the word evaluated so far
         self._tmemo: Dict[tuple, tuple] = {}
         self._spacer_groups: Dict[int, List[tuple]] = {}
-        self._symbols: Dict[int, int] = {}
 
     # -- layout helpers ----------------------------------------------------
 
@@ -336,106 +341,81 @@ class PairCounter:
         return e, self._T[g] - self._T[e]
 
     def _walk(self, g, d, base, lo, hi, out):
-        if g > d and hi == base + self.lengths[g - 1]:
-            # the range reaches the copy's end: the nested copy, then one star run
-            e, run = self._tail(g, d, hi - lo)
+        """Append the granularity-d tiles of [lo, hi), inside the W_g copy at
+        base, to out. While the range lies inside one segment it narrows in
+        place: into the deepest nested last copy holding lo (``_tail``), the
+        star run after that copy, or the block of the layout holding lo. A
+        range that spans segments recurses once per segment."""
+        while g > d:
+            end = base + self.lengths[g - 1]
+            e, run = self._tail(g, d, end - lo)
+            cut = end - run  # the nested W_e copy ends here
             if e < g:
-                if lo < hi - run:
-                    self._walk(e, d, hi - run - self.lengths[e - 1], lo, hi - run, out)
-                if run:
-                    out.append(("g", hi - run, run))
+                if hi <= cut:
+                    g, base = e, cut - self.lengths[e - 1]
+                    continue
+                if lo < cut:
+                    self._walk(e, d, cut - self.lengths[e - 1], lo, cut, out)
+                out.append(("g", cut, run))
                 return
-        if g == d:
-            out.append(("b", base))
-            return
-        starts, kinds, lens, _ = self._layout(g)
-        rel_lo, rel_hi = lo - base, hi - base
-        i = bisect_right(starts, rel_lo) - 1
-        if i < 0:
-            i = 0
-        while i < len(starts) and starts[i] < rel_hi:
-            s0 = starts[i]
-            if s0 + lens[i] > rel_lo:
+            starts, kinds, lens, _ = self._layout(g)
+            i = bisect_right(starts, lo - base) - 1
+            s0 = base + starts[i]
+            if hi <= s0 + lens[i] and not kinds[i]:
+                g, base = g - 1, s0
+                continue
+            while i < len(starts) and base + starts[i] < hi:
+                s0 = base + starts[i]
                 if kinds[i]:
-                    out.append(("g", base + s0, lens[i]))
+                    out.append(("g", s0, lens[i]))
                 else:
-                    self._walk(
-                        g - 1,
-                        d,
-                        base + s0,
-                        max(lo, base + s0),
-                        min(hi, base + s0 + lens[i]),
-                        out,
-                    )
-            i += 1
+                    self._walk(g - 1, d, s0, max(lo, s0), min(hi, s0 + lens[i]), out)
+                i += 1
+            return
+        out.append(("b", base))
 
     # -- word access -------------------------------------------------------
 
     def _window(self, lo: int, hi: int) -> np.ndarray:
-        """Symbols of W[lo:hi) in one descent through the stage layouts."""
+        """Symbols of W[lo:hi). While the range lies inside one segment it
+        narrows in place, as ``_walk`` does; a range that spans segments
+        recurses once per segment, so one symbol is one frame."""
         if lo == hi:
             return np.empty(0, dtype=DTYPE)
-        if hi <= len(self.prefix):
-            return self.prefix[lo:hi]
-        if hi <= self.lengths[self.j0 - 1]:
-            return np.arange(lo, hi, dtype=DTYPE)  # base word lists its levels in order
-        g = bisect_right(self.lengths, hi - 1) + 1  # smallest stage with length >= hi
-        if hi == self.lengths[g - 1]:  # W_g's end: its star run, then the nested copy
-            e, run = self._tail(g, self.j0, hi - lo)
+        while hi > len(self.prefix):
+            if hi <= self.lengths[self.j0 - 1]:
+                return np.arange(lo, hi, dtype=DTYPE)  # base word lists its levels in order
+            g = bisect_right(self.lengths, hi - 1) + 1  # smallest stage with length >= hi
+            end = self.lengths[g - 1]
+            e, run = self._tail(g, self.j0, end - lo)
+            cut = end - run  # the nested W_e copy ends here
+            if lo >= cut:
+                return np.full(hi - lo, self.star, dtype=DTYPE)
             if e < g:
-                stars = np.full(min(run, hi - lo), self.star, dtype=DTYPE)
-                cut = hi - run  # the nested W_e copy ends here
-                if lo >= cut:
-                    return stars
-                le = self.lengths[e - 1]
-                return np.concatenate([self._window(lo - cut + le, le), stars])
-        starts, kinds, lens, _ = self._layout(g)
-        i = bisect_right(starts, lo) - 1
-        parts = []
-        while lo < hi:
+                shift = cut - self.lengths[e - 1]
+                if hi > cut:
+                    stars = np.full(hi - cut, self.star, dtype=DTYPE)
+                    return np.concatenate([self._window(lo - shift, cut - shift), stars])
+                lo, hi = lo - shift, hi - shift
+                continue
+            starts, kinds, lens, _ = self._layout(g)
+            i = bisect_right(starts, lo) - 1
             s0 = starts[i]
-            end = min(hi, s0 + lens[i])
-            if kinds[i]:
-                parts.append(np.full(end - lo, self.star, dtype=DTYPE))
-            else:
-                parts.append(self._window(lo - s0, end - s0))
-            lo = end
-            i += 1
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
-
-    def _symbol(self, p: int) -> int:
-        """W[p] as a Python int, memoised by position.
-
-        Each step jumps to the deepest nested last copy holding the position
-        (a star if it lies in the run after that copy), then takes one block
-        of that copy's layout.
-        """
-        sym = self._symbols.get(p)
-        if sym is None:
-            q = p
-            while q >= len(self.prefix):
-                if q < self.lengths[self.j0 - 1]:
-                    sym = q  # base word lists its levels in order
-                    break
-                g = bisect_right(self.lengths, q) + 1  # smallest stage with length > q
-                end = self.lengths[g - 1]
-                e, run = self._tail(g, self.j0, end - q)
-                if end - q <= run:
-                    sym = self.star
-                    break
-                if e < g:
-                    q -= end - run - self.lengths[e - 1]
-                    continue
-                starts, kinds, _, _ = self._layout(g)
-                i = bisect_right(starts, q) - 1
+            if hi <= s0 + lens[i] and not kinds[i]:
+                lo, hi = lo - s0, hi - s0
+                continue
+            parts = []
+            while lo < hi:
+                s0 = starts[i]
+                end = min(hi, s0 + lens[i])
                 if kinds[i]:
-                    sym = self.star
-                    break
-                q -= starts[i]
-            else:
-                sym = int(self.prefix[q])
-            self._symbols[p] = sym
-        return sym
+                    parts.append(np.full(end - lo, self.star, dtype=DTYPE))
+                else:
+                    parts.append(self._window(lo - s0, end - s0))
+                lo = end
+                i += 1
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self.prefix[lo:hi]
 
     def _hist(self, lo: int, hi: int) -> np.ndarray:
         """Histogram of W[lo:hi). A range of at most enum_cutoff symbols is
@@ -643,9 +623,9 @@ class PairCounter:
 
     def _edge(self, line: np.ndarray, lo: int, hi: int, n: int = 1) -> None:
         """Add n times the symbols of W[lo:hi) to line, a star row or column
-        of a table; a one-symbol edge is one scalar read."""
+        of a table; a one-symbol edge adds n to the cell of its symbol."""
         if hi - lo == 1:
-            line[self._symbol(lo)] += n
+            line[self._window(lo, hi)[0]] += n
         elif lo < hi:
             line += n * self._hist(lo, hi)
 

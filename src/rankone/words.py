@@ -29,6 +29,7 @@ __all__ = [
     "spacer_symbol",
     "default_base_stage",
     "base_word",
+    "check_base_stage",
     "expand_once",
     "materialize_word",
     "stream_word",
@@ -70,6 +71,12 @@ def base_word(realized: RealizedSchedule, j0: int) -> np.ndarray:
     return np.arange(l0, dtype=DTYPE)
 
 
+def check_base_stage(J: int, j0: int) -> None:
+    """Refuse a base stage j0 outside 1..J: W_J is built up from W_{j0}."""
+    if not 1 <= j0 <= J:
+        raise ValueError(f"need 1 <= j0 <= J, got j0={j0}, J={J}")
+
+
 def expand_once(word: np.ndarray, r: int, spacers, star: int) -> np.ndarray:
     """One stage of the recursion: r copies, each followed by its spacer run."""
     if len(spacers) != r:
@@ -90,6 +97,7 @@ def materialize_word(
 ) -> np.ndarray:
     """The full depth-J word as one array; guarded by the symbol budget."""
     _require_transformation(realized)
+    check_base_stage(J, j0)
     total = int(heights(realized, J)[J - 1])
     if total > budget:
         raise DepthOverBudget(f"depth {J} word has {total} symbols, budget {budget}")
@@ -127,6 +135,7 @@ def stream_word(
     alignment promise; only the concatenation is specified.
     """
     _require_transformation(realized)
+    check_base_stage(J, j0)
     hs = heights(realized, J)
     total = int(hs[J - 1])
     if total > budget:
@@ -161,6 +170,7 @@ def level_measures(realized: RealizedSchedule, J: int, j0: int) -> List[Fraction
     symbol takes the rest of the word.
     """
     _require_transformation(realized)
+    check_base_stage(J, j0)
     hs = heights(realized, J)
     l0, lJ = int(hs[j0 - 1]), int(hs[J - 1])
     copies = 1

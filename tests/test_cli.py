@@ -294,6 +294,9 @@ experiment.f.kind = flow-limit
         # floats too large for a float used to raise OverflowError
         (GOOD + "experiment.scan.tolerance = 1e400\n", 11),
         (GOOD + "experiment.rig.slack = 1e400\n", 11),
+        # a negative bound used to be accepted, and no residual can meet it
+        (GOOD + "experiment.scan.tolerance = -0.03\n", 11),
+        (GOOD + "experiment.rig.slack = -1/100\n", 11),
         (STOCHASTIC.replace("a = 1/2", "a = 1e400"), 3),
         (STOCHASTIC.replace("a = 1/2", "a = -1e400"), 3),
         (STOCHASTIC.replace("a = 1/2", "a = inf"), 3),
@@ -329,6 +332,7 @@ experiment.f.kind = flow-limit
          "flow-tick-scale",
          "lag-cap", "flow-q",
          "flow-stage", "base-stage", "tolerance-overflow", "slack-overflow",
+         "tolerance-negative", "slack-negative",
          "construction-a-overflow", "construction-a-negative-overflow",
          "construction-a-inf", "scan-no-lags", "disjointness-no-N", "mixing-no-lags",
          "converge-no-family", "triple-no-n", "no-kind", "catalog-conflict",

@@ -466,12 +466,20 @@ CHACON30 = "construction.catalog = chacon\nconstruction.depth = 30\n"
          r"family: .*spans 1200 .*BASIS_REACH_LIMIT"),
         (BASE.format(lags="3") + "experiment.scan.max-power = -5\n", 6,
          r"max-power: max-power must be >= 0, got -5"),
+        # residuals and distances are >= 0: a negative bound can never pass
+        (BASE.format(lags="3") + "experiment.scan.tolerance = -0.01\n", 6,
+         r"tolerance: tolerance must be >= 0, got -0.01"),
+        (CONVERGE + "experiment.c.family = identity\nexperiment.c.tolerance = -1/2\n", 7,
+         r"tolerance: tolerance must be >= 0, got -1/2"),
+        (CHACON10 + "experiment.r.kind = rigidity\nexperiment.r.slack = -1e-3\n", 4,
+         r"slack: slack must be >= 0, got -1e-3"),
     ],
     ids=["scan-window", "converge-window", "a-above-1", "a-zero", "m-negative",
          "M-negative", "scan-window-beyond-word", "converge-window-beyond-word",
          "M-beyond-word", "stochastic-beyond-word", "default-window-beyond-word",
          "window-over-limit", "M-over-limit", "stochastic-span-over-limit",
-         "max-power-negative"],
+         "max-power-negative", "tolerance-negative", "converge-tolerance-negative",
+         "slack-negative"],
 )
 def test_bad_experiment_parameters_refused_with_line(text, line, key):
     with pytest.raises(ValidationError, match=rf"line {line}: experiment\.\w+\.{key}"):

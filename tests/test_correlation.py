@@ -436,11 +436,37 @@ def test_suffix_tiling_and_tail_window_skip_the_star_runs():
     # W_56 ends with W_12 and 44 stars; W_12 is small enough to materialize
     w12 = materialize_word(realize(catalog("chacon"), 12), 12, j0)
     tail = np.concatenate([w12[-20:], np.full(44, pc.star)])
-    assert np.array_equal(pc._window(pc.lJ - 64, pc.lJ), tail)
+    for lo, hi in ((64, 0), (60, 10)):  # symbols before the word's end
+        assert np.array_equal(pc._window(pc.lJ - lo, pc.lJ - hi), tail[64 - lo : 64 - hi])
     for J in (8, 12):
         small = PairCounter(realize(catalog("chacon"), J), J, j0, materialize_cutoff=16)
         w = materialize_word(realize(catalog("chacon"), J), J, j0)
         assert np.array_equal(small._window(small.lJ - 64, small.lJ), w[-64:]), J
+
+
+def test_one_symbol_inside_a_nested_copy_is_one_window_frame(monkeypatch):
+    # chacon at depth 56 cannot be materialized: each symbol k before the end
+    # of the nested W_d copy (stars, then the 2 and the 0 of W_2 = 0 1 2 at
+    # k = d - 1, d + 1) is checked against two prefix histograms, and the
+    # read jumps into the deepest nested copy instead of descending the
+    # stages one frame at a time
+    J, j0 = 56, 2
+    pc = PairCounter(realize(catalog("chacon"), J), J, j0)
+    frames = []
+    window = PairCounter._window
+
+    def spy(self, lo, hi):
+        frames.append((lo, hi))
+        return window(self, lo, hi)
+
+    monkeypatch.setattr(PairCounter, "_window", spy)
+    for d in (5, 20, 40):
+        for k in (1, 3, 17, d - 1, d + 1):
+            p = pc.lJ - (J - d) - k
+            (cell,) = np.flatnonzero(pc._prefix_hist(p + 1) - pc._prefix_hist(p))
+            frames.clear()
+            assert pc._window(p, p + 1).tolist() == [cell], (d, k)
+            assert frames == [(p, p + 1)], (d, k)
 
 
 @pytest.mark.parametrize("cutoffs", [{}, {"materialize_cutoff": 1024}])
@@ -614,9 +640,7 @@ def test_symbol_matches_materialized_word(data, cutoff, j0):
     pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff, enum_cutoff=4)
     w = materialize_word(rz, J, j0)
     for p in range(len(w)):
-        assert pc._symbol(p) == w[p], p
-    # a second pass reads the memo
-    assert [pc._symbol(p) for p in range(len(w))] == w.tolist()
+        assert np.array_equal(pc._window(p, p + 1), w[p : p + 1]), p
 
 
 @pytest.mark.parametrize("name", ["chacon", "stochastic-chacon", "long-spacer"])
@@ -627,7 +651,8 @@ def test_symbol_matches_named_words(name, cutoff):
     for j0 in sorted({1, top_j0}):
         pc = PairCounter(rz, J, j0, materialize_cutoff=cutoff)
         w = materialize_word(rz, J, j0)
-        assert [pc._symbol(p) for p in range(len(w))] == w.tolist(), j0
+        got = [pc._window(p, p + 1).tolist() for p in range(len(w))]
+        assert got == [[x] for x in w.tolist()], j0
 
 
 def _spacer_adjacent_lags(hs, j0, J):
@@ -659,15 +684,23 @@ _EDGE_WORDS = {
 @pytest.mark.parametrize(
     "cutoffs", [{}, {"materialize_cutoff": 16, "enum_cutoff": 4}], ids=["default", "small"]
 )
-def test_counts_at_spacer_adjacent_lags_match_naive(name, cutoffs):
+def test_counts_at_spacer_adjacent_lags_match_naive(name, cutoffs, monkeypatch):
     sched, seed, J, j0 = _EDGE_WORDS[name]
     rz = realize(sched, J, seed=seed)
     lags = _spacer_adjacent_lags(heights(rz, J), j0, J)
     pc = PairCounter(rz, J, j0, **cutoffs)
+    widths = []
+    edge = PairCounter._edge
+
+    def spy(self, line, lo, hi, n=1):
+        widths.append(hi - lo)
+        return edge(self, line, lo, hi, n)
+
+    monkeypatch.setattr(PairCounter, "_edge", spy)
     naive = lag_counts_naive(rz, J, j0, lags)
     for n in lags:
         assert np.array_equal(pc.counts(n), naive[n]), n
-    assert pc._symbols  # the one-symbol edge path ran
+    assert 1 in widths  # the one-symbol edge path ran
 
 
 def test_counts_do_not_depend_on_query_order():
@@ -676,16 +709,14 @@ def test_counts_do_not_depend_on_query_order():
     lags = _spacer_adjacent_lags(hs, 3, 22) + [int(hs[15]) + 7, -2 * int(hs[19]) + 3]
     shuffled = list(lags)
     random.Random(0).shuffle(shuffled)
-    counters = []
+    runs = []
     for order in (lags, lags[::-1], shuffled):
         pc = PairCounter(rz, 24, 3)
-        got = {n: pc.counts(n) for n in order}
-        counters.append((pc, got))
-    (ref_pc, ref), *others = counters
-    for pc, got in others:
+        runs.append({n: pc.counts(n) for n in order})
+    ref, *others = runs
+    for got in others:
         for n in lags:
             assert np.array_equal(got[n], ref[n]), n
-        assert pc._symbols == ref_pc._symbols
     for n in lags[::7]:  # a counter that never saw another lag
         assert np.array_equal(PairCounter(rz, 24, 3).counts(n), ref[n]), n
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rankone.construction import catalog, heights, realize
+from rankone.correlation import PairCounter, lag_counts_naive
 from rankone.errors import DepthOverBudget
 from rankone.words import (
     alphabet_size,
@@ -145,3 +146,22 @@ def test_stream_budget_guard():
     gen = stream_word(rz, 40, 1, budget=10**6)
     with pytest.raises(DepthOverBudget):
         next(gen)
+
+
+# each entry point of the word engines, called at depth J and base stage j0
+_BASE_STAGE_ENTRIES = {
+    "materialize_word": materialize_word,
+    "stream_word": lambda rz, J, j0: next(stream_word(rz, J, j0)),
+    "level_measures": level_measures,
+    "PairCounter": PairCounter,
+    "lag_counts_naive": lambda rz, J, j0: lag_counts_naive(rz, J, j0, [1]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_BASE_STAGE_ENTRIES))
+@pytest.mark.parametrize("J, j0", [(5, 7), (5, 0)])
+def test_base_stage_outside_1_to_J_refused(entry, J, j0):
+    # each used to build a wrong word, table or measure without an error
+    rz = realize(catalog("chacon"), 9)
+    with pytest.raises(ValueError, match=rf"need 1 <= j0 <= J, got j0={j0}, J={J}"):
+        _BASE_STAGE_ENTRIES[entry](rz, J, j0)
