@@ -167,6 +167,7 @@ def lag_counts_naive(
     The word is streamed in chunks; each chunk is read together with the
     max-lag tail of the one before it.
     """
+    check_base_stage(J, j0)
     lag_list = list(dict.fromkeys(int(n) for n in lags))
     S = alphabet_size(realized, j0)
     lJ = int(heights(realized, J)[J - 1])
@@ -906,4 +907,6 @@ def unit_mass(c: np.ndarray, n: int, lJ: int) -> np.ndarray:
     counts over their window: triple counts at offsets (m, n) pass their
     width max(0, m, n) - min(0, m, n) as n.
     """
-    return c.astype(np.float64) / (lJ - abs(n))
+    out = c.astype(np.float64)
+    out /= lJ - abs(n)  # in place: no second float table
+    return out

@@ -8,7 +8,10 @@ directly against convex combinations of the small-lag basis matrices and the
 product matrix. On top of that sit a per-lag classifier sweep (limit_scan),
 a rigidity probe that tracks distance from the lag-0 diagonal pattern, crude
 mixing statistics, a Cesaro product average for pairs of powers, and exact
-triple correlations from the counter's k-point recursion.
+triple correlations from the counter's k-point recursion. The Cesaro average
+is summed by matrix products of stacked tables; the few cells that can hold
+its largest deviation are summed again in order of n, so every reported bit
+is that of the running sum over n.
 
 Lag magnitudes are validated only against the word length here; experiment
 configs apply the stricter reporting cap before calling in.
@@ -31,7 +34,7 @@ from .operators import (
     classify_limit,
     identity_op,
     op_adjoint,
-    predicted_matrix,
+    predicted_matrices,
 )
 from .words import level_measures
 
@@ -59,6 +62,9 @@ __all__ = [
 TRIPLE_CELL_LIMIT = 1 << 24
 #: Largest S**4 the disjointness probe's 4-index tensor may have.
 DISJOINTNESS_CELL_LIMIT = 1 << 22
+#: Unit tables the disjointness probe stacks per matrix product. BLAS packs
+#: its operands into buffers that grow with this count and stay resident.
+_STACK_ROWS = 16
 
 
 def _measure_vector(pc: PairCounter) -> np.ndarray:
@@ -135,14 +141,16 @@ def _named_candidates(
     K: int,
     stochastic_a,
     max_power: int,
-) -> List[Tuple[str, OperatorExpression]]:
-    out: List[Tuple[str, OperatorExpression]] = [("identity", identity_op())]
+) -> List[Tuple[str, OperatorExpression, int]]:
+    """(name, expression, shift k) for every family limit_scan matches,
+    in the order argmin breaks ties by; the candidate is T^k expression."""
+    out: List[Tuple[str, OperatorExpression, int]] = [("identity", identity_op(), 0)]
     if K >= 1:  # both Chacon limits need the power-1 basis matrix
         for name, expr in (
             ("modified-chacon-limit", build_family("modified-chacon-limit")),
             (f"chacon-geometric(M={K - 1})", build_family("chacon-geometric", M=K - 1)),
         ):
-            out += [(name, expr), (f"{name}*", op_adjoint(expr))]
+            out += [(name, expr, 0), (f"{name}*", op_adjoint(expr), 0)]
     if stochastic_a is not None:
         # the adjoint of every grid member is another grid member (swap m and
         # n, negate k), so no starred variants are needed here; T^k only
@@ -152,12 +160,10 @@ def _named_candidates(
         for m in range(top + 1):
             for n in range(top + 1 - m):
                 base = build_family("stochastic", m=m, n=n, a=stochastic_a)
-                for k in range(m - K, K - n + 1):
-                    expr = OperatorExpression(
-                        terms=tuple((p + k, c) for p, c in base.terms),
-                        theta=base.theta,
-                    )
-                    out.append((f"stochastic(m={m},n={n},k={k})", expr))
+                out += [
+                    (f"stochastic(m={m},n={n},k={k})", base, k)
+                    for k in range(m - K, K - n + 1)
+                ]
     return out
 
 
@@ -178,9 +184,8 @@ def limit_scan(
     family_distance is the max-abs gap to the closest of those.
     """
     basis = limit_basis(pc, K)
-    candidates = _named_candidates(K, stochastic_a, max_power)
-    names = [name for name, _ in candidates]
-    predictions = np.array([predicted_matrix(expr, basis) for _, expr in candidates])
+    names, exprs, shifts = zip(*_named_candidates(K, stochastic_a, max_power))
+    predictions = predicted_matrices(exprs, basis, shifts)
     rows = []
     for n in dict.fromkeys(int(x) for x in lags):
         measured = unit_mass(pc.counts(n), n, pc.lJ)
@@ -316,8 +321,16 @@ def cesaro_disjointness_probe(pc: PairCounter, p: int, q: int, N: int) -> Cesaro
 
     For disjoint powers the average tends to the product of level measures
     on all four indices; the report tracks the max-abs deviation from that
-    target. p = q is allowed as a degenerate control case (it averages
-    squared self-correlations and is not expected to decay).
+    target at the checkpoints n = 1, 2, 4, ..., N. p = q is allowed as a
+    degenerate control case (it averages squared self-correlations and is
+    not expected to decay).
+
+    The tensor is held as an S^2 x S^2 matrix. Between checkpoints its sum
+    grows by matrix products of the flattened unit tables, stacked
+    _STACK_ROWS values of n at a time. That sum only selects the cells
+    within a rounding bound of its largest deviation; each of those few is
+    summed again in order of n, so every reported bit is that of the
+    running sum total += D(pn) x D(qn).
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
@@ -330,24 +343,70 @@ def cesaro_disjointness_probe(pc: PairCounter, p: int, q: int, N: int) -> Cesaro
     if worst >= lJ:
         raise LagOutOfRange(f"|lag| {worst} >= word length {lJ}")
     mu = _measure_vector(pc)
-    pair = np.outer(mu, mu)
+    pair = np.outer(mu, mu).ravel()
     target = np.multiply.outer(pair, pair)
-    total = np.zeros((S, S, S, S))
-    curve = []
-    checkpoint = 1
     unit = pc.counts_many([k * n for n in range(1, N + 1) for k in (p, q)])
     for lag, c in unit.items():  # each distinct lag once
         unit[lag] = unit_mass(c, lag, lJ)
-    for n in range(1, N + 1):
-        total += np.multiply.outer(unit[p * n], unit[q * n])
-        if n == checkpoint or n == N:
-            dev = float(np.abs(total / n - target).max())
-            curve.append((n, dev))
-            while checkpoint <= n:
-                checkpoint *= 2
+    a = [unit[p * n] for n in range(1, N + 1)]
+    b = [unit[q * n] for n in range(1, N + 1)]
+    total = np.zeros_like(target)
+    curve = []
+    n = 0
+    while n < N:  # checkpoints n = 1, 2, 4, ..., N
+        done, n = n, min(2 * n, N) if n else 1
+        for lo, hi in _blocks(done, n):
+            total += _stack(a, lo, hi).T @ _stack(b, lo, hi)
+        curve.append((n, _running_max_deviation(total, target, a, b, n)))
     return CesaroReport(
         p=p, q=q, N=N, deviation=curve[-1][1], curve=tuple(curve)
     )
+
+
+def _blocks(lo: int, hi: int):
+    """[lo, hi) as runs of at most _STACK_ROWS."""
+    return ((k, min(k + _STACK_ROWS, hi)) for k in range(lo, hi, _STACK_ROWS))
+
+
+def _stack(tables: List[np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Tables lo..hi-1 flattened, one per row."""
+    return np.array(tables[lo:hi]).reshape(hi - lo, -1)
+
+
+def _running_max_deviation(
+    total: np.ndarray, target: np.ndarray, a: List[np.ndarray], b: List[np.ndarray], n: int
+) -> float:
+    """max |R / n - target| over the cells, where R[i, j] sums a[k][i] b[k][j]
+    over k = 0..n-1 from first to last, and total holds the same sum in any
+    order.
+
+    Every product is nonnegative, so a sum in any order lies within
+    gamma_n = n u / (1 - n u) of the exact sum, relative (u = 2^-53; a
+    nonzero table entry is at least 2^-63, so no product underflows).
+    total and R are thus at most 2 gamma_n / (1 - gamma_n) of the exact sum
+    apart, and the division and the subtraction round each side once more.
+    delta is twice that bound at the largest cell, so a cell whose running
+    deviation can be the maximum has a fast deviation within 2 delta of the
+    fast maximum. Only those cells are summed again, in order.
+    """
+    dev = total / n
+    dev -= target
+    np.abs(dev, out=dev)
+    u = 2.0**-53
+    gamma = n * u / (1 - n * u)
+    delta = 2 * (2 * gamma / (1 - gamma) + 4 * u) * (total.max() / n + target.max())
+    cells = np.flatnonzero(dev >= dev.max() - 2 * delta)
+    del dev
+    rows, cols = np.divmod(cells, len(target))
+    run = np.zeros(len(cells))
+    width = len(target)  # S^2 candidates a gather: none is wider than the stack it reads
+    for lo, hi in _blocks(0, n):
+        sa, sb = _stack(a, lo, hi), _stack(b, lo, hi)
+        for k in range(0, len(cells), width):
+            prods = sa[:, rows[k : k + width]] * sb[:, cols[k : k + width]]
+            prods[0] += run[k : k + width]  # carry the sum so far: the fold stays in order
+            run[k : k + width] = np.add.accumulate(prods, axis=0)[-1]
+    return float(np.abs(run / n - target.ravel()[cells]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -385,13 +444,11 @@ def triple_corr_probe(pc: PairCounter, pairs: Sequence[Tuple[int, int]]) -> Trip
     for m, n in pairs:
         m, n = int(m), int(n)
         width = max(0, m, n) - min(0, m, n)
-        tensor = unit_mass(pc.triple_counts(m, n), width, pc.lJ)
+        dev = unit_mass(pc.triple_counts(m, n), width, pc.lJ)
+        dev -= target  # in place: no further S^3 array
+        np.abs(dev, out=dev)
         rows.append(
-            TripleRow(
-                m=m,
-                n=n,
-                window=pc.lJ - width,
-                deviation_max=float(np.abs(tensor - target).max()),
-            )
+            TripleRow(m=m, n=n, window=pc.lJ - width, deviation_max=float(dev.max()))
         )
+        del dev  # not held while the next row is counted
     return TripleReport(rows=tuple(rows))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "family_names",
     "family_reach",
     "predicted_matrix",
+    "predicted_matrices",
     "JoiningMatrix",
     "joining_matrix",
     "ClassifyResult",
@@ -243,21 +244,53 @@ def predicted_matrix(
     basis maps integer powers to exact finite-depth matrices and "theta" to
     the product (independence) matrix.
     """
-    probe = None
-    for v in basis.values():
-        probe = v
-        break
-    if probe is None:
+    return predicted_matrices([expr], basis)[0]
+
+
+def predicted_matrices(
+    exprs: Sequence[OperatorExpression],
+    basis: Mapping[Union[int, str], np.ndarray],
+    shifts: Optional[Sequence[int]] = None,
+) -> np.ndarray:
+    """predicted_matrix of T^k expr for each expr and its shift k (0 by
+    default), stacked in order.
+
+    T^k only moves the powers, so no shifted expression is built. Each
+    matrix is summed from zero one term at a time in the expression's order,
+    theta last. Expressions with equally many terms add each term position
+    as one array operation, so none is padded with zero terms (0 * inf is
+    nan).
+    """
+    if not basis:
         raise MissingBasisLag("empty basis")
-    out = np.zeros_like(np.asarray(probe, dtype=np.float64))
-    for p, c in expr.terms:
-        if p not in basis:
-            raise MissingBasisLag(f"family needs basis matrix for power {p}")
-        out += float(c) * np.asarray(basis[p], dtype=np.float64)
-    if expr.theta:
-        if "theta" not in basis:
-            raise MissingBasisLag("family needs the product matrix under key 'theta'")
-        out += float(expr.theta) * np.asarray(basis["theta"], dtype=np.float64)
+    index = {key: i for i, key in enumerate(basis)}
+    mats = np.array([np.asarray(m, dtype=np.float64) for m in basis.values()])
+    floats: Dict[int, list] = {}  # id(expr) -> its coefficients, theta last
+    groups: Dict[int, list] = {}  # term count -> [(position, keys, coefficients)]
+    for at, (expr, k) in enumerate(zip(exprs, shifts or [0] * len(exprs))):
+        keys = []
+        for p, _ in expr.terms:
+            if p + k not in index:
+                raise MissingBasisLag(f"family needs basis matrix for power {p + k}")
+            keys.append(index[p + k])
+        if expr.theta:
+            if "theta" not in index:
+                raise MissingBasisLag("family needs the product matrix under key 'theta'")
+            keys.append(index["theta"])
+        if id(expr) not in floats:  # a shifted expression is passed once per shift
+            floats[id(expr)] = [float(c) for _, c in expr.terms] + (
+                [float(expr.theta)] if expr.theta else []
+            )
+        groups.setdefault(len(keys), []).append((at, keys, floats[id(expr)]))
+    out = np.zeros((len(exprs),) + mats.shape[1:])
+    for length, members in groups.items():
+        at, keys, coefs = (np.array(col) for col in zip(*members))
+        acc = np.zeros((len(at),) + mats.shape[1:])
+        for t in range(length):
+            term = mats[keys[:, t]]
+            term *= coefs[:, t, None, None]
+            acc += term
+        out[at] = acc
     return out
 
 

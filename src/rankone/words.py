@@ -15,7 +15,7 @@ transformation's level sets.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, List
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -46,9 +46,16 @@ def _require_transformation(realized: RealizedSchedule) -> None:
         raise MalformedRule("symbolic words are defined for transformations only")
 
 
+def _base_levels(realized: RealizedSchedule, j0: int) -> int:
+    """l_{j0}. A j0 below 1 is refused; one past the realized depth raises
+    heights' UnrealizedStochastic."""
+    check_base_stage(None, j0)
+    return int(heights(realized, j0)[j0 - 1])
+
+
 def alphabet_size(realized: RealizedSchedule, j0: int) -> int:
     """Number of symbols: l_{j0} base levels plus the spacer."""
-    return int(heights(realized, j0)[j0 - 1]) + 1
+    return _base_levels(realized, j0) + 1
 
 
 def spacer_symbol(realized: RealizedSchedule, j0: int) -> int:
@@ -67,13 +74,13 @@ def default_base_stage(realized: RealizedSchedule) -> int:
 def base_word(realized: RealizedSchedule, j0: int) -> np.ndarray:
     """The stage-j0 identity word 0 1 ... l_{j0}-1."""
     _require_transformation(realized)
-    l0 = int(heights(realized, j0)[j0 - 1])
-    return np.arange(l0, dtype=DTYPE)
+    return np.arange(_base_levels(realized, j0), dtype=DTYPE)
 
 
-def check_base_stage(J: int, j0: int) -> None:
-    """Refuse a base stage j0 outside 1..J: W_J is built up from W_{j0}."""
-    if not 1 <= j0 <= J:
+def check_base_stage(J: Optional[int], j0: int) -> None:
+    """Refuse a base stage j0 outside 1..J: W_J is built up from W_{j0}.
+    With J = None only j0 >= 1 is checked: an alphabet has no depth."""
+    if j0 < 1 or J is not None and j0 > J:
         raise ValueError(f"need 1 <= j0 <= J, got j0={j0}, J={J}")
 
 

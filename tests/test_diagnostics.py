@@ -6,12 +6,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rankone import diagnostics
 from rankone.cli import main
 from rankone.config import EXPERIMENT_KINDS, parse_config
 from rankone.construction import catalog, heights, realize
-from rankone.correlation import PairCounter
+from rankone.correlation import PairCounter, unit_mass
 from rankone.diagnostics import (
     cesaro_disjointness_probe,
     limit_basis,
@@ -207,11 +209,13 @@ def test_stochastic_grid_builds_no_family_past_the_window(monkeypatch):
     assert built and all(p.get("m", 0) + p.get("n", 0) <= 2 * K for p in built)
     monkeypatch.setattr(diagnostics, "build_family", real)
     narrow = diagnostics._named_candidates(K, 0.5, max_power=2 * K)
-    assert [name for name, _ in wide] == [name for name, _ in narrow]
-    assert all(w.terms == n.terms for (_, w), (_, n) in zip(wide, narrow))
+    assert [name for name, *_ in wide] == [name for name, *_ in narrow]
+    assert all(
+        (w.terms, wk) == (n.terms, nk) for (_, w, wk), (_, n, nk) in zip(wide, narrow)
+    )
     for power in (0, 3, 2 * K, 3 * K):  # the count the config bounds
         grid = diagnostics._named_candidates(K, 0.5, max_power=power)
-        stochastic = [name for name, _ in grid if name.startswith("stochastic")]
+        stochastic = [name for name, *_ in grid if name.startswith("stochastic")]
         assert len(stochastic) == diagnostics.stochastic_grid_size(K, power)
 
 
@@ -324,6 +328,75 @@ def test_cesaro_normalises_each_distinct_lag_once(monkeypatch):
             real(pc.counts(n), n, pc.lJ), real(pc.counts(2 * n), 2 * n, pc.lJ)
         )
     assert rep.deviation == float(np.abs(total / 256 - target).max())
+
+
+def _cesaro_curve_by_running_sum(pc, p, q, N):
+    """The probe's curve from total += D(pn) x D(qn), one n at a time."""
+    mu = np.array([float(m) for m in level_measures(pc.realized, pc.J, pc.j0)])
+    target = np.multiply.outer(np.outer(mu, mu), np.outer(mu, mu))
+    unit = lambda n: unit_mass(pc.counts(n), n, pc.lJ)
+    total = np.zeros((pc.S,) * 4)
+    curve = []
+    for n in range(1, N + 1):
+        total += np.multiply.outer(unit(p * n), unit(q * n))
+        if n & (n - 1) == 0 or n == N:
+            curve.append((n, float(np.abs(total / n - target).max())))
+    return tuple(curve)
+
+
+@given(
+    word=st.sampled_from(
+        [("chacon", 8, 2), ("chacon", 9, 3), ("modified-chacon", 10, 3),
+         ("odometer5", 6, 2), ("stochastic-chacon", 8, 2), ("stochastic-chacon", 9, 3)]
+    ),
+    seed=st.integers(0, 99),
+    p=st.integers(-3, 3),
+    q=st.integers(-3, 3),
+    N=st.integers(1, 70),
+)
+@example(word=("chacon", 9, 3), seed=0, p=2, q=2, N=70)  # p = q
+@example(word=("modified-chacon", 10, 3), seed=0, p=-1, q=3, N=45)
+@settings(max_examples=40, deadline=None)
+def test_cesaro_curve_is_the_running_sum_bit_for_bit(word, seed, p, q, N):
+    name, J, j0 = word
+    rz = realize(catalog(name), J, seed=seed) if name.startswith("stochastic") else realize(catalog(name), J)
+    pc = PairCounter(rz, J, j0)
+    assume(max(abs(p), abs(q)) * N < pc.lJ)
+    rep = cesaro_disjointness_probe(pc, p, q, N)
+    assert rep.curve == _cesaro_curve_by_running_sum(pc, p, q, N)
+    assert rep.deviation == rep.curve[-1][1]
+
+
+def test_cesaro_maximum_survives_a_near_tie_in_the_fast_sum():
+    # two cells' running deviations a few ulps apart, and a fast sum that
+    # ranks them the other way while staying inside the rounding bound of a
+    # sum in any order: the reported maximum is still the running sum's,
+    # re-summed over 64 rows in stacks of 16
+    rng = np.random.default_rng(5)
+    n, S2 = 64, 9
+    a, b = rng.random((n, S2)), rng.random((n, S2))
+    run = np.zeros((S2, S2))
+    for k in range(n):
+        run += np.multiply.outer(a[k], b[k])
+    top, near = (2, 3), (5, 7)
+    target = np.zeros((S2, S2))
+    target[top] = 1.0  # deviations elsewhere are run / n < 1 - run[top] / n
+    dev_top = abs(run[top] / n - target[top])
+    target[near] = run[near] / n + dev_top
+    while abs(run[near] / n - target[near]) >= dev_top:
+        target[near] = np.nextafter(target[near], 0)
+    dev = np.abs(run / n - target)
+    assert dev.argmax() == np.ravel_multi_index(top, dev.shape)
+    assert dev[top] - dev[near] <= 4 * np.spacing(dev[top])  # a near tie
+    fast = run.copy()
+    for _ in range(8):  # raising a sum lowers its cell's deviation here
+        fast[top] = np.nextafter(fast[top], np.inf)
+        fast[near] = np.nextafter(fast[near], 0)
+    flipped = np.abs(fast / n - target)
+    assert flipped.argmax() == np.ravel_multi_index(near, dev.shape)
+    assert np.all(np.abs(fast - run) <= n * 2.0**-53 * run)  # any order may do this
+    got = diagnostics._running_max_deviation(fast, target, list(a), list(b), n)
+    assert got == float(dev.max()) == float(dev[top])
 
 
 def test_cesaro_guards_alphabet_growth():

@@ -20,6 +20,7 @@ from rankone.correlation import PairCounter, unit_mass
 from rankone.diagnostics import limit_basis
 from rankone.errors import MissingBasisLag, UnknownFamily
 from rankone.operators import (
+    OperatorExpression,
     build_family,
     classify_limit,
     family_names,
@@ -31,6 +32,7 @@ from rankone.operators import (
     op_convolve,
     op_power,
     op_scale,
+    predicted_matrices,
     predicted_matrix,
     shift_op,
 )
@@ -173,6 +175,49 @@ def test_predicted_matrix_is_linear():
     )
     direct = 0.5 * predicted_matrix(e1, basis) + 0.5 * predicted_matrix(e2, basis)
     assert np.allclose(half_sum, direct, atol=1e-15)
+
+
+def test_predicted_matrices_keep_the_bits_of_each_sum():
+    # a batch adds one term position of equally long expressions at a time;
+    # each matrix must equal its own terms summed from zero in order, theta last
+    rng = np.random.default_rng(1)
+    basis = {i: rng.random((4, 4)) for i in range(-5, 6)}
+    basis["theta"] = rng.random((4, 4))
+    exprs = [
+        identity_op(),
+        build_family("modified-chacon-limit"),
+        build_family("chacon-geometric", M=3),
+        build_family("stochastic", m=2, n=1, a=F(1, 3)),
+        build_family("stochastic", m=2, n=1, a=F(1, 3)),
+        OperatorExpression.make({-1: F(-1, 3), 2: F(4, 3)}, F(1, 7)),
+        OperatorExpression.make({}),
+    ]
+    shifts = [0, 2, -1, 3, -2, 1, 0]
+
+    def one_at_a_time(expr, k):
+        out = np.zeros((4, 4))
+        for p, c in expr.terms:
+            out += float(c) * basis[p + k]
+        if expr.theta:
+            out += float(expr.theta) * basis["theta"]
+        return out
+
+    batch = predicted_matrices(exprs, basis, shifts)
+    assert batch.shape == (len(exprs), 4, 4)
+    for got, expr, k in zip(batch, exprs, shifts):
+        assert got.tobytes() == one_at_a_time(expr, k).tobytes()
+    for expr in exprs:
+        assert predicted_matrix(expr, basis).tobytes() == one_at_a_time(expr, 0).tobytes()
+
+
+def test_predicted_matrices_refuse_a_missing_key():
+    basis = {i: np.eye(2) for i in range(-1, 2)}
+    with pytest.raises(MissingBasisLag, match="power 2"):
+        predicted_matrices([identity_op(), shift_op(1)], basis, [0, 1])
+    with pytest.raises(MissingBasisLag, match="'theta'"):
+        predicted_matrix(build_family("chacon-geometric", M=1), basis)
+    with pytest.raises(MissingBasisLag, match="empty basis"):
+        predicted_matrix(identity_op(), {})
 
 
 def test_joining_matrix_from_limit_basis():

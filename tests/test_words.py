@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rankone.construction import catalog, heights, realize
 from rankone.correlation import PairCounter, lag_counts_naive
-from rankone.errors import DepthOverBudget
+from rankone.errors import DepthOverBudget, UnrealizedStochastic
 from rankone.words import (
     alphabet_size,
     base_word,
@@ -165,3 +165,19 @@ def test_base_stage_outside_1_to_J_refused(entry, J, j0):
     rz = realize(catalog("chacon"), 9)
     with pytest.raises(ValueError, match=rf"need 1 <= j0 <= J, got j0={j0}, J={J}"):
         _BASE_STAGE_ENTRIES[entry](rz, J, j0)
+
+
+@pytest.mark.parametrize("fn", [alphabet_size, spacer_symbol, base_word])
+@pytest.mark.parametrize("j0", [0, -1])
+def test_alphabet_refuses_base_stage_below_one(fn, j0):
+    # j0 = 0 gave chacon 2 symbols and a 1-symbol base word; j0 = -1 an IndexError
+    rz = realize(catalog("chacon"), 9)
+    with pytest.raises(ValueError, match=rf"need 1 <= j0 <= J, got j0={j0}, J=None"):
+        fn(rz, j0)
+
+
+@pytest.mark.parametrize("fn", [alphabet_size, spacer_symbol, base_word])
+def test_alphabet_past_the_realized_depth_stays_unrealized(fn):
+    rz = realize(catalog("stochastic-chacon"), 6, seed=1)
+    with pytest.raises(UnrealizedStochastic):
+        fn(rz, 7)
