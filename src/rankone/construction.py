@@ -359,16 +359,35 @@ def heights(realized: RealizedSchedule, J: Optional[int] = None) -> list:
 # ---------------------------------------------------------------------------
 # catalog
 
+#: name -> factory of its schedule, in listing order; a factory takes the
+#: Bernoulli parameter a, which only stochastic-chacon reads
+_CATALOG = {
+    "chacon": lambda a: ConstructionSchedule(
+        "transformation", ConstantCuts(2), PatternSpacers((0, 1)), name="chacon"
+    ),
+    "modified-chacon": lambda a: ConstructionSchedule(
+        "transformation", ConstantCuts(3), PatternSpacers((0, 1, 0)), name="modified-chacon"
+    ),
+    "odometer5": lambda a: ConstructionSchedule(
+        "transformation", ConstantCuts(5), PatternSpacers((0,) * 5), name="odometer5"
+    ),
+    "dyadic-odometer": lambda a: ConstructionSchedule(
+        "transformation", ConstantCuts(2), PatternSpacers((0, 0)), name="dyadic-odometer"
+    ),
+    "spaced-odometer5": lambda a: ConstructionSchedule(
+        "transformation", ConstantCuts(5), PatternSpacers((2, 2, 2, 2, 0)), name="spaced-odometer5"
+    ),
+    "stochastic-chacon": lambda a: ConstructionSchedule(
+        "transformation", AffineCuts(1, 1), BernoulliSpacers(a), name=f"stochastic-chacon({a})"
+    ),
+    "staircase-flow": lambda a: ConstructionSchedule(
+        "flow", AffineCuts(1, 1), StaircaseSpacers(), h1=Fraction(1), name="staircase-flow"
+    ),
+}
+
+
 def catalog_names() -> list:
-    return [
-        "chacon",
-        "modified-chacon",
-        "odometer5",
-        "dyadic-odometer",
-        "spaced-odometer5",
-        "stochastic-chacon",
-        "staircase-flow",
-    ]
+    return list(_CATALOG)
 
 
 def catalog(name: str, a: float = 0.5) -> ConstructionSchedule:
@@ -380,37 +399,6 @@ def catalog(name: str, a: float = 0.5) -> ConstructionSchedule:
     (which for staircase-flow builds 64 stages of Fraction spacers); a bad
     a is refused when BernoulliSpacers is built.
     """
-    if name == "chacon":
-        sched = ConstructionSchedule(
-            "transformation", ConstantCuts(2), PatternSpacers((0, 1)), name=name
-        )
-    elif name == "modified-chacon":
-        sched = ConstructionSchedule(
-            "transformation", ConstantCuts(3), PatternSpacers((0, 1, 0)), name=name
-        )
-    elif name == "odometer5":
-        sched = ConstructionSchedule(
-            "transformation", ConstantCuts(5), PatternSpacers((0,) * 5), name=name
-        )
-    elif name == "dyadic-odometer":
-        sched = ConstructionSchedule(
-            "transformation", ConstantCuts(2), PatternSpacers((0, 0)), name=name
-        )
-    elif name == "spaced-odometer5":
-        sched = ConstructionSchedule(
-            "transformation", ConstantCuts(5), PatternSpacers((2, 2, 2, 2, 0)), name=name
-        )
-    elif name == "stochastic-chacon":
-        sched = ConstructionSchedule(
-            "transformation",
-            AffineCuts(1, 1),
-            BernoulliSpacers(a),
-            name=f"stochastic-chacon({a})",
-        )
-    elif name == "staircase-flow":
-        sched = ConstructionSchedule(
-            "flow", AffineCuts(1, 1), StaircaseSpacers(), h1=Fraction(1), name=name
-        )
-    else:
+    if name not in _CATALOG:
         raise UnknownName(f"no catalog entry {name!r}; known: {', '.join(catalog_names())}")
-    return sched
+    return _CATALOG[name](a)

@@ -96,9 +96,10 @@ def limit_basis(pc: PairCounter, K: int = 8) -> Dict[Union[int, str], np.ndarray
 
 @record
 class LimitScanRow:
-    """Classification of one lag plus the nearest named family."""
+    """Classification of one lag's unit-mass matrix plus the nearest candidate."""
 
     lag: int
+    matrix: np.ndarray
     result: ClassifyResult
     family: str
     family_distance: float
@@ -106,9 +107,10 @@ class LimitScanRow:
 
 @record
 class LimitScan:
-    rows: Tuple[LimitScanRow, ...]
+    rows: Tuple[LimitScanRow, ...]  # one per distinct lag
     window: int
     tolerance: float
+    predicted: np.ndarray  # the candidates' matrices, stacked in order
 
     @property
     def fraction_identified(self) -> float:
@@ -174,33 +176,38 @@ def limit_scan(
     tol: float = 0.03,
     stochastic_a=None,
     max_power: int = 6,
+    candidates: Optional[Sequence[Tuple[str, OperatorExpression, int]]] = None,
 ) -> LimitScan:
-    """Classify the unit-mass matrix at every lag against the power window.
+    """Classify the unit-mass matrix at every distinct lag against the window.
 
     Each lag gets a full simplex fit over {T^i : |i| <= K} plus theta, and is
-    also matched against the named families (identity, the two Chacon limits
+    also matched against the candidates, (name, expression, shift k) triples
+    for T^k expression; family_distance is the max-abs gap to the closest.
+    candidates default to the named families (identity, the two Chacon limits
     in both orientations when K >= 1, and, when stochastic_a is given, the
-    grid P^m P*^n T^k with m+n <= max_power and powers inside the window).
-    family_distance is the max-abs gap to the closest of those.
+    grid P^m P*^n T^k with m+n <= max_power and powers inside the window);
+    converge passes its one family instead.
     """
     basis = limit_basis(pc, K)
-    names, exprs, shifts = zip(*_named_candidates(K, stochastic_a, max_power))
+    if candidates is None:
+        candidates = _named_candidates(K, stochastic_a, max_power)
+    names, exprs, shifts = zip(*candidates)
     predictions = predicted_matrices(exprs, basis, shifts)
     rows = []
     for n in dict.fromkeys(int(x) for x in lags):
         measured = unit_mass(pc.counts(n), n, pc.lJ)
-        res = classify_limit(measured, basis, tol=tol)
         dist = np.abs(predictions - measured).max(axis=(1, 2))
-        best = int(np.argmin(dist))  # the first of equally near families
+        best = int(np.argmin(dist))  # the first of equally near candidates
         rows.append(
             LimitScanRow(
                 lag=n,
-                result=res,
+                matrix=measured,
+                result=classify_limit(measured, basis, tol=tol),
                 family=names[best],
                 family_distance=float(dist[best]),
             )
         )
-    return LimitScan(rows=tuple(rows), window=K, tolerance=tol)
+    return LimitScan(rows=tuple(rows), window=K, tolerance=tol, predicted=predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -431,24 +438,28 @@ def triple_corr_probe(pc: PairCounter, pairs: Sequence[Tuple[int, int]]) -> Trip
     Each row's deviation_max compares the unit-mass frequency of the triple,
     pc.triple_counts(m, n) / window over the l_J - width positions where all
     three fall inside the word, against the product of the level measures on
-    all three indices; no row keeps that tensor. Exploratory output: nothing
-    here asserts a limit.
+    all three indices, one slab of at most 2^20 cells along the first index
+    at a time (one slab up to S = 101): no S^3 float array is held. Exploratory
+    output: nothing here asserts a limit.
     """
     if pc.S**3 > TRIPLE_CELL_LIMIT:
         raise ValueError(
             f"alphabet of {pc.S} symbols makes the triple tensor too large"
         )
     mu = _measure_vector(pc)
-    target = np.multiply.outer(np.outer(mu, mu), mu)
+    pair = np.outer(mu, mu)
+    step = max(1, (1 << 20) // pc.S**2)  # first indices per slab of <= 2^20 cells
     rows = []
     for m, n in pairs:
         m, n = int(m), int(n)
         width = max(0, m, n) - min(0, m, n)
-        dev = unit_mass(pc.triple_counts(m, n), width, pc.lJ)
-        dev -= target  # in place: no further S^3 array
-        np.abs(dev, out=dev)
-        rows.append(
-            TripleRow(m=m, n=n, window=pc.lJ - width, deviation_max=float(dev.max()))
-        )
-        del dev  # not held while the next row is counted
+        counts = pc.triple_counts(m, n)
+        dev = 0.0
+        for a in range(0, pc.S, step):
+            slab = unit_mass(counts[a : a + step], width, pc.lJ)
+            slab -= np.multiply.outer(pair[a : a + step], mu)  # in place
+            np.abs(slab, out=slab)
+            dev = max(dev, slab.max())
+        rows.append(TripleRow(m=m, n=n, window=pc.lJ - width, deviation_max=float(dev)))
+        del counts, slab  # not held while the next row is counted
     return TripleReport(rows=tuple(rows))

@@ -5,11 +5,13 @@ one pair counter, and one flow column per slab count, so a scan over many
 lags pays the word recursion once. Each experiment's runner returns its
 payload, and run_plan alone wraps it in an ExperimentResult. A payload is
 the result record (record_payload) plus what the record does not hold,
-except limit-scan's and converge's, whose rows hold labelled matrices. A
-failure inside one experiment is caught and recorded on its entry; the
-remaining experiments still run. Everything here is deterministic given the
-plan (the seed lives in the realized schedule), so reruns produce identical
-reports up to the wall time.
+except limit-scan's and converge's. Both run limit_scan, converge with its
+one family as the only candidate, and one row builder writes each scan row
+as a labelled matrix and its flattened ClassifyResult; converge repeats a
+row for a repeated lag. A failure inside one experiment is caught and
+recorded on its entry; the remaining experiments still run. Everything here
+is deterministic given the plan (the seed lives in the realized schedule),
+so reruns produce identical reports up to the wall time.
 """
 
 from __future__ import annotations
@@ -21,17 +23,17 @@ from typing import Dict, List
 import numpy as np
 
 from .config import ExperimentPlan, ExperimentSpec
-from .correlation import PairCounter, unit_mass
+from .correlation import PairCounter
 from .diagnostics import (
+    LimitScanRow,
     cesaro_disjointness_probe,
-    limit_basis,
     limit_scan,
     mixing_diagnostics,
     rigidity_scan,
     triple_corr_probe,
 )
 from .flows import FlowColumn, flow_limit_check
-from .operators import build_family, classify_limit, predicted_matrix
+from .operators import build_family
 from .reports import ExperimentResult, Report, alphabet_labels, matrix_payload, record_payload
 
 __all__ = ["run_plan"]
@@ -63,19 +65,18 @@ class _Ctx:
     def labels(self) -> List[str]:
         return alphabet_labels(self.counter.S)
 
-    def unit(self, n: int) -> np.ndarray:
-        return unit_mass(self.counter.counts(n), n, self.counter.lJ)
 
-
-def _classify_payload(res) -> Dict[str, object]:
+def _row_payload(ctx: _Ctx, row: LimitScanRow, **extra) -> Dict[str, object]:
+    res = row.result
     return {
-        "coefficients": sorted(
-            [int(i), float(c)] for i, c in res.coefficients.items()
-        ),
+        "lag": row.lag,
+        "matrix": matrix_payload(row.matrix, ctx.labels),
+        "coefficients": sorted([int(i), float(c)] for i, c in res.coefficients.items()),
         "theta": float(res.theta),
         "residual": float(res.residual),
         "residual_frobenius": float(res.residual_frobenius),
         "identified": bool(res.identified),
+        **extra,
     }
 
 
@@ -89,59 +90,51 @@ def _run_limit_scan(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
         stochastic_a=params.get("stochastic_a"),
         max_power=params["max_power"],
     )
-    rows = [
-        {
-            "lag": row.lag,
-            "family": row.family,
-            "family_distance": float(row.family_distance),
-            "matrix": matrix_payload(ctx.unit(row.lag), ctx.labels),
-            **_classify_payload(row.result),
-        }
-        for row in scan.rows
-    ]
     return {
         "window": scan.window,
         "tolerance": scan.tolerance,
         "fraction_identified": float(scan.fraction_identified),
         "worst_residual": float(scan.worst_residual),
         "best_family": scan.best_family,
-        "rows": rows,
+        "rows": [
+            _row_payload(ctx, row, family=row.family, family_distance=row.family_distance)
+            for row in scan.rows
+        ],
     }
 
 
 def _run_converge(ctx: _Ctx, spec: ExperimentSpec) -> Dict[str, object]:
     params = spec.params
-    kwargs = {k: params[k] for k in _FAMILY_KWARGS if k in params}
-    expr = build_family(params["family"], **kwargs)
-    K = max([params["window"]] + [abs(i) for i in expr.powers()])
-    basis = limit_basis(ctx.counter, K=K)
-    predicted = predicted_matrix(expr, basis)
-    rows = []
-    distances = []
-    for lag in params["lags"]:
-        measured = ctx.unit(lag)
-        diff = measured - predicted
-        dmax = float(np.abs(diff).max())
-        distances.append(dmax)
-        cls = classify_limit(measured, basis, tol=params["tolerance"])
-        rows.append(
-            {
-                "lag": lag,
-                "distance_max": dmax,
-                "distance_frobenius": float(np.sqrt((diff * diff).sum())),
-                "matrix": matrix_payload(measured, ctx.labels),
-                **_classify_payload(cls),
-            }
-        )
+    family = {k: params[k] for k in _FAMILY_KWARGS if k in params}
+    expr = build_family(params["family"], **family)
+    scan = limit_scan(
+        ctx.counter,
+        params["lags"],
+        K=max([params["window"]] + [abs(i) for i in expr.powers()]),
+        tol=params["tolerance"],
+        candidates=[(params["family"], expr, 0)],
+    )
+    (predicted,) = scan.predicted
+    by_lag = {row.lag: row for row in scan.rows}
+    rows = [by_lag[int(lag)] for lag in params["lags"]]  # repeated lags keep their rows
+    distance = max((row.family_distance for row in rows), default=0.0)
     return {
         "family": params["family"],
-        "family_params": {k: params[k] for k in _FAMILY_KWARGS if k in params},
+        "family_params": family,
         "window": params["window"],
         "tolerance": params["tolerance"],
         "predicted": matrix_payload(predicted, ctx.labels),
-        "max_distance": max(distances) if distances else 0.0,
-        "converged": bool(distances) and max(distances) <= params["tolerance"],
-        "rows": rows,
+        "max_distance": distance,
+        "converged": bool(rows) and distance <= params["tolerance"],
+        "rows": [
+            _row_payload(
+                ctx,
+                row,
+                distance_max=row.family_distance,
+                distance_frobenius=float(np.sqrt(((row.matrix - predicted) ** 2).sum())),
+            )
+            for row in rows
+        ],
     }
 
 

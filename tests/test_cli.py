@@ -158,7 +158,7 @@ def test_failed_and_mixing_experiments_write_no_csv(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise ValueError("joining failed")
 
-    monkeypatch.setattr(rankone.runner, "predicted_matrix", boom)
+    monkeypatch.setattr(rankone.runner, "build_family", boom)
     cfg = _write(tmp_path, text)
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out), "--format", "both"]) == 2

@@ -3,13 +3,16 @@ classification sweeps, rigidity, mixing tails, product averages, triples."""
 
 import json
 import warnings
+from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rankone import diagnostics
+from rankone import diagnostics, runner
+from rankone._record import replace
 from rankone.cli import main
 from rankone.config import EXPERIMENT_KINDS, parse_config
 from rankone.construction import catalog, heights, realize
@@ -23,6 +26,7 @@ from rankone.diagnostics import (
     triple_corr_probe,
 )
 from rankone.errors import LagOutOfRange
+from rankone.reports import report_to_json
 from rankone.runner import run_plan
 from rankone.words import alphabet_size, level_measures, materialize_word
 
@@ -131,6 +135,118 @@ def test_run_plan_builds_one_counter_for_all_kinds(monkeypatch):
     assert len(built) == 1
     for result in report.results + [flow_result]:
         _assert_payload_keys(result)
+
+
+# converge against a stochastic family shifted by T^1, one lag listed twice
+REPEATED_LAG_CONVERGE = """
+construction.catalog = stochastic-chacon
+construction.depth = 9
+construction.seed = 3
+experiment.c.kind = converge
+experiment.c.family = stochastic
+experiment.c.m = 1
+experiment.c.n = 1
+experiment.c.k = 1
+experiment.c.a = 1/2
+experiment.c.lags = l[8], l[8], -l[8]
+"""
+
+
+class WordCounter:
+    """The pair counter's interface, read off the materialized word by
+    bincount: a brute-force engine for run_plan."""
+
+    def __init__(self, realized, J, j0):
+        self.realized, self.J, self.j0 = realized, J, j0
+        self.lengths = [int(x) for x in heights(realized, J)]
+        self.lJ = self.lengths[J - 1]
+        self.S = alphabet_size(realized, j0)
+        self.word = materialize_word(realized, J, j0).astype(np.int64)
+
+    def _tuples(self, offsets):
+        """Counts of (W[t + o - low] for o in offsets) over every t that
+        keeps all of them inside the word, low the least offset."""
+        low = min(offsets)
+        size = self.lJ - (max(offsets) - low)
+        code = np.zeros(size, dtype=np.int64)
+        for o in offsets:
+            code = code * self.S + self.word[o - low : o - low + size]
+        cells = np.bincount(code, minlength=self.S ** len(offsets))
+        return cells.reshape((self.S,) * len(offsets))
+
+    def counts(self, n):
+        return self._tuples([0, int(n)])
+
+    def counts_many(self, lags):
+        return {int(n): self.counts(n) for n in lags}
+
+    def triple_counts(self, m, n):
+        return self._tuples([0, int(m), int(n)])
+
+
+def _report_text(plan):
+    """The plan's JSON report with the wall time zeroed; every experiment ok."""
+    report = run_plan(plan)
+    assert all(r.status == "ok" for r in report.results), report.results
+    return report_to_json(replace(report, wall_time_s=0.0))
+
+
+@pytest.mark.parametrize(
+    "text", [ALL_MAP_KINDS, REPEATED_LAG_CONVERGE], ids=["all-map-kinds", "repeated-lag"]
+)
+def test_reports_survive_an_engine_swap(monkeypatch, text):
+    # the report from the real counter at its defaults equals the report
+    # from a brute-force counter and from the real one at tiny cutoffs,
+    # which sends every range through the recursion
+    plan = parse_config(text)
+    expected = _report_text(plan)
+    for make in (WordCounter, partial(PairCounter, materialize_cutoff=4, enum_cutoff=4)):
+        built = []
+
+        def engine(*args, make=make):
+            built.append(make(*args))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "PairCounter", engine)
+        assert _report_text(plan) == expected, make
+        assert len(built) == 1
+
+
+def test_converge_keeps_a_row_per_listed_lag():
+    (result,) = run_plan(parse_config(REPEATED_LAG_CONVERGE)).results
+    assert result.status == "ok", result.error
+    payload = result.payload
+    rows = payload["rows"]
+    l8 = rows[0]["lag"]
+    assert [row["lag"] for row in rows] == [l8, l8, -l8]
+    assert rows[0] == rows[1] and rows[0] != rows[2]
+    predicted = np.array(payload["predicted"]["rows"])
+    for row in rows:
+        diff = np.array(row["matrix"]["rows"]) - predicted
+        assert row["distance_max"] == np.abs(diff).max()
+        assert row["distance_frobenius"] == np.sqrt((diff * diff).sum())
+    assert payload["max_distance"] == max(row["distance_max"] for row in rows)
+
+
+@pytest.mark.parametrize("kind", ["limit-scan", "converge"])
+def test_scans_count_each_listed_lag_once(monkeypatch, kind):
+    calls = Counter()
+    real = PairCounter.counts
+
+    def spy(self, n):
+        calls[n] += 1
+        return real(self, n)
+
+    monkeypatch.setattr(PairCounter, "counts", spy)
+    family = "experiment.x.family = modified-chacon-limit\n" if kind == "converge" else ""
+    plan = parse_config(
+        "construction.catalog = modified-chacon\nconstruction.depth = 10\n"
+        f"experiment.x.kind = {kind}\n{family}experiment.x.lags = l[8], -l[8], l[8], 1\n"
+    )
+    (result,) = run_plan(plan).results
+    assert result.status == "ok", result.error
+    assert len(result.payload["rows"]) == {"limit-scan": 3, "converge": 4}[kind]
+    assert calls == {n: 1 for n in {row["lag"] for row in result.payload["rows"]}}
 
 
 def test_limit_scan_identifies_rigid_and_half_shift_lags():
